@@ -16,7 +16,8 @@ from .coordalg import (Element, Group, GroupSpecError, TensorElement,
                        truncated_exponential_degree)
 from .filtration import (CanonicalLevel, ExplicitSubspace, FiltrationResult,
                          InternalInvariantError, coalgebra_closure,
-                         filtration_dims, restrict, tensor_containment)
+                         filtration_dims, restrict, structure_constants,
+                         tensor_containment)
 from .growth import GrowthReport, classify, equal_growth
 from .linalg import IncrementalRREF, Subspace, kernel, matrank, preimage, rref
 from .suites import run_property_suite

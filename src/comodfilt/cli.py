@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 import time
 
 from . import __version__
@@ -128,9 +129,16 @@ def cache_store(directory: str, fingerprint: str, payload: dict):
               "engine": {"version": __version__},
               "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
               "payload": payload}
-    path = os.path.join(directory, fingerprint + ".json")
-    with open(path, "w") as fh:
-        json.dump(record, fh, sort_keys=True)
+    # write a temp file beside the record, then rename it into place, so an
+    # interrupted store never leaves a partial record at the fingerprint path
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=fingerprint, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(record, fh, sort_keys=True)
+        os.replace(tmp, os.path.join(directory, fingerprint + ".json"))
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------

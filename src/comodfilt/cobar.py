@@ -14,10 +14,10 @@ from __future__ import annotations
 import numpy as np
 
 from .comodules import Comodule, StreamModule
-from .config import Limits, ResourceLimitError, check_limit
+from .config import Limits, check_limit
 from .coordalg import Group, UnsupportedOperation
 from .filtration import (CanonicalLevel, ExplicitSubspace, InternalInvariantError,
-                         coalgebra_closure, restrict)
+                         coalgebra_closure, restrict, structure_constants)
 from .linalg import IncrementalRREF, Subspace, kernel, matrank, solvable
 
 
@@ -33,55 +33,24 @@ class SubCoalgebra:
     """
 
     def __init__(self, group: Group, monos, space: Subspace,
-                 limits: Limits | None = None):
+                 limits: Limits | None = None, delta_matrix=None):
         limits = limits or Limits()
         self.group = group
         self.monos = list(monos)
         self.space = space
         self.index = {m: i for i, m in enumerate(self.monos)}
-        s = space.dim
-        check_limit(s, limits.max_coalgebra_dim, "sub-coalgebra dimension")
-        self.dim = s
-        p = group.p
-        # ambient extension for stray coproduct legs
-        span_l = list(self.monos)
-        span_r = list(self.monos)
-        idx_l = dict(self.index)
-        idx_r = dict(self.index)
-        cops = {m: group.coproduct_mono(m) for m in self.monos}
-        for cop in cops.values():
-            for (a, b) in cop:
-                if a not in idx_l:
-                    idx_l[a] = len(span_l)
-                    span_l.append(a)
-                if b not in idx_r:
-                    idx_r[b] = len(span_r)
-                    span_r.append(b)
-        S = len(self.monos)
-        db = np.zeros((s, len(span_r)), dtype=np.int64)
-        db[:, :S] = space.basis
-        pivots = list(space.pivots)
+        check_limit(space.dim, limits.max_coalgebra_dim, "sub-coalgebra dimension")
+        self.dim = space.dim
+        if delta_matrix is None:
+            delta_matrix = structure_constants(group, self.monos, space)
+        if delta_matrix is None:
+            raise ValueError("the given subspace is not a sub-coalgebra")
         # delta_matrix: (s*s, s) with Delta(b_k) = sum_{a,b} D[a*s+b, k] b_a (x) b_b
-        self.delta_matrix = np.zeros((s * s, s), dtype=np.int64)
-        for k in range(s):
-            row = space.basis[k]
-            t = np.zeros((len(span_l), len(span_r)), dtype=np.int64)
-            for col in np.nonzero(row)[0]:
-                for (a, b), c in cops[self.monos[int(col)]].items():
-                    t[idx_l[a], idx_r[b]] = (t[idx_l[a], idx_r[b]]
-                                             + int(row[col]) * c) % p
-            alpha = t[:, pivots]
-            if np.any((t - alpha @ db) % p) or np.any(alpha[S:, :]):
-                raise ValueError("the given subspace is not a sub-coalgebra")
-            for b in range(s):
-                coords = space.coords(alpha[:S, b])
-                if coords is None:
-                    raise ValueError("the given subspace is not a sub-coalgebra")
-                self.delta_matrix[[a * s + b for a in range(s)], k] = coords
+        self.delta_matrix = delta_matrix
         one = group.one_mono()
         if one not in self.index:
             raise UnsupportedOperation("sub-coalgebra does not contain the unit")
-        unit_vec = np.zeros(S, dtype=np.int64)
+        unit_vec = np.zeros(len(self.monos), dtype=np.int64)
         unit_vec[self.index[one]] = 1
         coords = space.coords(unit_vec)
         if coords is None:
@@ -95,8 +64,10 @@ class SubCoalgebra:
                             limits=limits)
 
     @staticmethod
-    def from_explicit(x: ExplicitSubspace, limits: Limits | None = None) -> "SubCoalgebra":
-        return SubCoalgebra(x.group, x.monos, x.space, limits=limits)
+    def from_explicit(x: ExplicitSubspace, limits: Limits | None = None,
+                      delta_matrix=None) -> "SubCoalgebra":
+        return SubCoalgebra(x.group, x.monos, x.space, limits=limits,
+                            delta_matrix=delta_matrix)
 
     def coefficient_blocks(self, m: Comodule) -> list[np.ndarray]:
         """F^a matrices with Delta_M(m_i) = sum_{j,a} F^a[j,i] m_j (x) b_a."""
@@ -229,7 +200,8 @@ def injectivity_profile(g: Group, m, d_max: int,
     out = []
     for d in range(d_max + 1):
         closure = coalgebra_closure(g, CanonicalLevel(g, d))
-        c = SubCoalgebra.from_explicit(closure.subspace, limits=limits)
+        c = SubCoalgebra.from_explicit(closure.subspace, limits=limits,
+                                       delta_matrix=closure.delta_matrix)
         target = m.generate(m.sufficiency(d)) if isinstance(m, StreamModule) else m
         level = restrict(target, CanonicalLevel(g, d)).comodule
         out.append(injective_test(c, level, limits=limits))

@@ -14,8 +14,8 @@ from __future__ import annotations
 import itertools
 import re
 
-from .coordalg import (GL, SL, Element, Ga, Gm, Group, MatMonoid, TensorElement,
-                       Unitriangular, UnsupportedOperation, binom)
+from .coordalg import (GL, SL, Element, Ga, Group, MatMonoid, TensorElement,
+                       Unitriangular, UnsupportedOperation, _exp_tuples, binom)
 
 
 class ModuleExprError(ValueError):
@@ -24,13 +24,6 @@ class ModuleExprError(ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
         self.offset = offset
-
-
-def tensor_pair(g: Group, a: Element, b: Element) -> TensorElement:
-    """a (x) b as a TensorElement, without multiplying the legs."""
-    return TensorElement(g, {(ma, mb): ca * cb
-                             for ma, ca in a.coeffs.items()
-                             for mb, cb in b.coeffs.items()})
 
 
 def frobenius_element(f: Element, r: int) -> Element:
@@ -42,16 +35,7 @@ def frobenius_element(f: Element, r: int) -> Element:
     acc: dict = {}
     for m, c in f.coeffs.items():
         # c^q = c in F_p; the monomial power may need normal-form reduction
-        if isinstance(g, GL):
-            raw = {(tuple(e * q for e in m[0]), m[1] * q): 1}
-            red = g.reduce_dict(raw)
-        elif isinstance(g, SL):
-            red = g.reduce_dict({tuple(e * q for e in m): 1})
-        elif isinstance(g, (MatMonoid, Unitriangular)):
-            red = {tuple(e * q for e in m): 1}
-        else:  # Ga, Gm: integer exponent
-            red = {m * q: 1}
-        for m2, c2 in red.items():
+        for m2, c2 in g.frobenius_mono(m, q).items():
             acc[m2] = acc.get(m2, 0) + c * c2
     return Element(g, acc)
 
@@ -82,6 +66,9 @@ class Comodule:
                     cur = self.coeffs.get((j, i))
                     self.coeffs[(j, i)] = el if cur is None else cur + el
         self.coeffs = {k: v for k, v in self.coeffs.items() if v}
+        self._columns: list[dict] = [{} for _ in self.basis_labels]
+        for (j, i), f in self.coeffs.items():
+            self._columns[i][j] = f
 
     @property
     def dim(self) -> int:
@@ -91,7 +78,8 @@ class Comodule:
         return self.coeffs.get((j, i), self.group.zero())
 
     def column(self, i: int) -> dict:
-        return {j: f for (j, i2), f in self.coeffs.items() if i2 == i}
+        """{j: f_{ji}}, shared with the comodule: do not mutate."""
+        return self._columns[i]
 
     def support_monomials(self) -> list:
         monos = {m for f in self.coeffs.values() for m in f.coeffs}
@@ -217,14 +205,15 @@ def tensor(m: Comodule, n: Comodule) -> Comodule:
     return Comodule(g, labels, coaction)
 
 
-def direct_sum(m: Comodule, n: Comodule) -> Comodule:
-    if m.group != n.group:
+def direct_sum(*modules: Comodule) -> Comodule:
+    g = modules[0].group
+    if any(m.group != g for m in modules):
         raise ValueError("summands live over different groups")
-    g = m.group
-    labels = m.basis_labels + n.basis_labels
-    coaction = [dict(m.column(i)) for i in range(m.dim)]
-    for i in range(n.dim):
-        coaction.append({j + m.dim: f for j, f in n.column(i).items()})
+    labels, coaction = [], []
+    for m in modules:
+        offset = len(labels)
+        labels += m.basis_labels
+        coaction += [{j + offset: f for j, f in m.column(i).items()} for i in range(m.dim)]
     return Comodule(g, labels, coaction)
 
 
@@ -326,7 +315,7 @@ def polyaffine(g: Group, m: int) -> StreamModule:
 
     def gen(n: int) -> Comodule:
         basis = [e for deg in range(n + 1)
-                 for e in _exp_tuples_upto(m, deg)]
+                 for e in _exp_tuples(m, deg)]
         index = {e: i for i, e in enumerate(basis)}
         labels = [_poly_label(e) for e in basis]
         coaction = []
@@ -345,15 +334,6 @@ def polyaffine(g: Group, m: int) -> StreamModule:
         return Comodule(g, labels, coaction)
 
     return StreamModule(g, f"polyaffine({m})", gen, lambda d: d)
-
-
-def _exp_tuples_upto(nvars: int, total: int):
-    if nvars == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _exp_tuples_upto(nvars - 1, total - first):
-            yield (first,) + rest
 
 
 def _poly_label(e) -> str:
@@ -416,12 +396,10 @@ def twiststream(g: Group, e: int) -> StreamModule:
     nat = natural(g)
 
     def gen(n: int) -> Comodule:
-        total = None
+        blocks = []
         for r in range(n + 1):
-            block = frobenius_twist(nat, r)
-            for _ in range(g.p ** (r ** e)):
-                total = block if total is None else direct_sum(total, block)
-        return total
+            blocks += [frobenius_twist(nat, r)] * g.p ** (r ** e)
+        return direct_sum(*blocks)
 
     return StreamModule(g, f"twiststream({e})", gen, lambda d: _log_floor(g.p, max(d, 1)))
 

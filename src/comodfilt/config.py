@@ -26,15 +26,32 @@ class Limits:
     max_dmax: int = 64               # largest CLI filtration sweep
 
 
+class ConfigError(ValueError):
+    """The config file is missing, unreadable or holds an invalid value."""
+
+
 def load_limits() -> Limits:
     limits = Limits()
     path = os.environ.get(CONFIG_ENV)
     if not path:
         return limits
-    with open(path) as fh:
-        data = json.load(fh)
-    known = {k: int(v) for k, v in data.items() if k in Limits.__dataclass_fields__}
-    return replace(limits, **known)
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {CONFIG_ENV} file {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{CONFIG_ENV} file {path} must hold a JSON object")
+    values = {}
+    for key, value in data.items():
+        if key not in Limits.__dataclass_fields__:
+            raise ConfigError(f"unknown key {key!r} in {CONFIG_ENV} file {path}; "
+                              f"known keys: {', '.join(Limits.__dataclass_fields__)}")
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ConfigError(f"{key} must be an integer >= 1 in {CONFIG_ENV} file "
+                              f"{path}, got {value!r}")
+        values[key] = value
+    return replace(limits, **values)
 
 
 def check_limit(value: int, ceiling: int, what: str):

@@ -204,6 +204,10 @@ class Group:
     def antipode_mono(self, mono) -> dict:
         raise NotImplementedError
 
+    def frobenius_mono(self, mono, q: int) -> dict:
+        """mono^q for q a power of p, as a canonical element dict."""
+        raise NotImplementedError
+
     def filtration_monomials(self, d: int) -> list:
         """Canonical ordered basis of O(G)_{<=d}."""
         raise NotImplementedError
@@ -301,6 +305,9 @@ class Ga(Group):
     def antipode_mono(self, mono):
         return {mono: (-1) ** mono % self.p}
 
+    def frobenius_mono(self, mono, q):
+        return {mono * q: 1}
+
     def filtration_monomials(self, d):
         return list(range(d + 1))
 
@@ -337,6 +344,9 @@ class Gm(Group):
     def antipode_mono(self, mono):
         return {-mono: 1}
 
+    def frobenius_mono(self, mono, q):
+        return {mono * q: 1}
+
     def filtration_monomials(self, d):
         return list(range(-d, d + 1))
 
@@ -354,15 +364,18 @@ def _exp_tuples(nvars: int, total: int):
             yield (first,) + rest
 
 
-class MatMonoid(Group):
-    """The monoid of N x N matrices: polynomial coordinates, no antipode."""
+class _PolynomialGroup(Group):
+    """A polynomial coordinate algebra: one variable x_{i,j} per entry in `gens`.
 
-    kind = "M"
-    has_antipode = False
+    Monomials are exponent tuples in the order of `gens`; subclasses supply
+    `coproduct_gen` and `counit_mono`.
+    """
 
-    def __init__(self, p, N):
+    def __init__(self, p, N, gens):
         super().__init__(p, N)
-        self.nvars = N * N
+        self.gens = gens
+        self.gen_index = {pr: k for k, pr in enumerate(gens)}
+        self.nvars = len(gens)
 
     def one_mono(self):
         return (0,) * self.nvars
@@ -374,29 +387,27 @@ class MatMonoid(Group):
         return (sum(mono), mono)
 
     def mono_str(self, mono):
-        N = self.N
         parts = [f"x{i + 1}{j + 1}^{e}" if e > 1 else f"x{i + 1}{j + 1}"
-                 for (i, j), e in zip(itertools.product(range(N), range(N)), mono) if e]
+                 for (i, j), e in zip(self.gens, mono) if e]
         return "*".join(parts) if parts else "1"
 
     def gen_mono(self, i, j):
         m = [0] * self.nvars
-        m[i * self.N + j] = 1
+        m[self.gen_index[(i, j)]] = 1
         return tuple(m)
 
     def _mono_product(self, m1, m2):
         return {tuple(a + b for a, b in zip(m1, m2)): 1}
 
     def coproduct_gen(self, i, j) -> dict:
-        return {(self.gen_mono(i, ell), self.gen_mono(ell, j)): 1 for ell in range(self.N)}
+        raise NotImplementedError
 
     def coproduct_mono(self, mono):
         acc = {(self.one_mono(), self.one_mono()): 1}
         for idx, e in enumerate(mono):
             if not e:
                 continue
-            i, j = divmod(idx, self.N)
-            gen_cop = self.coproduct_gen(i, j)
+            gen_cop = self.coproduct_gen(*self.gens[idx])
             for _ in range(e):
                 nxt: dict = {}
                 for (a, b), c in acc.items():
@@ -407,19 +418,34 @@ class MatMonoid(Group):
                 acc = {k: v for k, v in nxt.items() if v}
         return acc
 
-    def counit_mono(self, mono):
-        # epsilon(x_{i,j}) = delta_{i,j}
-        for idx, e in enumerate(mono):
-            i, j = divmod(idx, self.N)
-            if e and i != j:
-                return 0
-        return 1
+    def frobenius_mono(self, mono, q):
+        return {tuple(e * q for e in mono): 1}
 
     def filtration_monomials(self, d):
         return [m for deg in range(d + 1) for m in _exp_tuples(self.nvars, deg)]
 
     def filtration_dim(self, d):
         return binom(d + self.nvars, self.nvars)
+
+
+class MatMonoid(_PolynomialGroup):
+    """The monoid of N x N matrices: polynomial coordinates, no antipode."""
+
+    kind = "M"
+    has_antipode = False
+
+    def __init__(self, p, N):
+        super().__init__(p, N, [(i, j) for i in range(N) for j in range(N)])
+
+    def coproduct_gen(self, i, j) -> dict:
+        return {(self.gen_mono(i, ell), self.gen_mono(ell, j)): 1 for ell in range(self.N)}
+
+    def counit_mono(self, mono):
+        # epsilon(x_{i,j}) = delta_{i,j}
+        for (i, j), e in zip(self.gens, mono):
+            if e and i != j:
+                return 0
+        return 1
 
     def det_element(self) -> Element:
         coeffs: dict = {}
@@ -456,7 +482,7 @@ def _perm_sign(perm) -> int:
     return sign
 
 
-class Unitriangular(Group):
+class Unitriangular(_PolynomialGroup):
     """Upper unitriangular group U(N): coordinates x_{i,j}, i<j, each of degree 1."""
 
     kind = "U"
@@ -464,32 +490,7 @@ class Unitriangular(Group):
     def __init__(self, p, N):
         if N < 2:
             raise GroupSpecError("U(N) requires N >= 2")
-        super().__init__(p, N)
-        self.pairs = [(i, j) for i in range(N) for j in range(i + 1, N)]
-        self.pair_index = {pr: k for k, pr in enumerate(self.pairs)}
-        self.nvars = len(self.pairs)
-
-    def one_mono(self):
-        return (0,) * self.nvars
-
-    def degree(self, mono):
-        return sum(mono)
-
-    def mono_key(self, mono):
-        return (sum(mono), mono)
-
-    def mono_str(self, mono):
-        parts = [f"x{i + 1}{j + 1}^{e}" if e > 1 else f"x{i + 1}{j + 1}"
-                 for (i, j), e in zip(self.pairs, mono) if e]
-        return "*".join(parts) if parts else "1"
-
-    def gen_mono(self, i, j):
-        m = [0] * self.nvars
-        m[self.pair_index[(i, j)]] = 1
-        return tuple(m)
-
-    def _mono_product(self, m1, m2):
-        return {tuple(a + b for a, b in zip(m1, m2)): 1}
+        super().__init__(p, N, [(i, j) for i in range(N) for j in range(i + 1, N)])
 
     def coproduct_gen(self, i, j) -> dict:
         cop = {(self.gen_mono(i, j), self.one_mono()): 1,
@@ -497,23 +498,6 @@ class Unitriangular(Group):
         for ell in range(i + 1, j):
             cop[(self.gen_mono(i, ell), self.gen_mono(ell, j))] = 1
         return cop
-
-    def coproduct_mono(self, mono):
-        acc = {(self.one_mono(), self.one_mono()): 1}
-        for idx, e in enumerate(mono):
-            if not e:
-                continue
-            i, j = self.pairs[idx]
-            gen_cop = self.coproduct_gen(i, j)
-            for _ in range(e):
-                nxt: dict = {}
-                for (a, b), c in acc.items():
-                    for (ga, gb), gc in gen_cop.items():
-                        key = (tuple(x + y for x, y in zip(a, ga)),
-                               tuple(x + y for x, y in zip(b, gb)))
-                        nxt[key] = (nxt.get(key, 0) + c * gc) % self.p
-                acc = {k: v for k, v in nxt.items() if v}
-        return acc
 
     def counit_mono(self, mono):
         return 1 if not any(mono) else 0
@@ -541,22 +525,15 @@ class Unitriangular(Group):
                     nxt[i][j] = s
             powk = nxt
             sign = -sign
-        return {(i, j): total[i][j] for i, j in self.pairs}
+        return {(i, j): total[i][j] for i, j in self.gens}
 
     def antipode_mono(self, mono):
         result = self.one()
         sigma = self._antipode_gen_cache()
-        for idx, e in enumerate(mono):
-            if not e:
-                continue
-            result = result * (sigma[self.pairs[idx]] ** e)
+        for pr, e in zip(self.gens, mono):
+            if e:
+                result = result * (sigma[pr] ** e)
         return result.coeffs
-
-    def filtration_monomials(self, d):
-        return [m for deg in range(d + 1) for m in _exp_tuples(self.nvars, deg)]
-
-    def filtration_dim(self, d):
-        return binom(d + self.nvars, self.nvars)
 
 
 class _HomogeneousDetReducer:
@@ -610,42 +587,129 @@ class _HomogeneousDetReducer:
         return residue, quotient
 
 
-class GL(Group):
-    """General linear group GL(N): O(M)[det^{-1}] with det^{-1} of degree N."""
+class _DeterminantGroup(Group):
+    """GL(N) and SL(N): O(M(N)) with the determinant inverted, or set to 1.
 
-    kind = "GL"
+    A monomial is written as a polynomial exponent tuple e over a power
+    det^{-j}; `_split` and `_join` convert, and SL, where det^{-1} = 1, always
+    has j = 0.  Products, coproducts and antipodes are computed on the
+    polynomial parts and pushed into normal form by `reduce_dict`.
+    """
+
+    _reducer_class: type
 
     def __init__(self, p, N):
         super().__init__(p, N)
         self.mat = MatMonoid(p, N)
         self.nvars = N * N
-        self._reducers: dict[int, _HomogeneousDetReducer] = {}
+        self._reducers: dict = {}
 
-    def _reducer(self, deg: int) -> _HomogeneousDetReducer:
+    def _reducer(self, deg: int):
         if deg not in self._reducers:
-            self._reducers[deg] = _HomogeneousDetReducer(self.mat, deg)
+            self._reducers[deg] = self._reducer_class(self.mat, deg)
         return self._reducers[deg]
 
+    def _split(self, mono) -> tuple:
+        raise NotImplementedError
+
+    def _join(self, e: tuple, j: int):
+        raise NotImplementedError
+
+    def reduce_dict(self, coeffs: dict) -> dict:
+        raise NotImplementedError
+
     def one_mono(self):
-        return ((0,) * self.nvars, 0)
+        return self._join(self.mat.one_mono(), 0)
 
     def degree(self, mono):
-        e, j = mono
+        e, j = self._split(mono)
         return sum(e) + self.N * j
 
     def mono_key(self, mono):
-        e, j = mono
+        e, j = self._split(mono)
         return (self.degree(mono), e + (j,))
 
     def mono_str(self, mono):
-        e, j = mono
+        e, j = self._split(mono)
         s = self.mat.mono_str(e)
         if j:
             s = f"{s}*det^-{j}" if s != "1" else f"det^-{j}"
         return s
 
     def gen_mono(self, i, j):
-        return (self.mat.gen_mono(i, j), 0)
+        return self._join(self.mat.gen_mono(i, j), 0)
+
+    def _mono_product(self, m1, m2):
+        (e1, j1), (e2, j2) = self._split(m1), self._split(m2)
+        return self.reduce_dict({self._join(tuple(a + b for a, b in zip(e1, e2)), j1 + j2): 1})
+
+    def coproduct_mono(self, mono):
+        e, j = self._split(mono)
+        return self._reduce_tensor({(self._join(a, j), self._join(b, j)): c
+                                    for (a, b), c in self.mat.coproduct_mono(e).items()})
+
+    def _reduce_tensor(self, acc: dict) -> dict:
+        # reduce left legs, then right legs
+        by_right: dict = {}
+        for (a, b), c in acc.items():
+            by_right.setdefault(b, {})[a] = (by_right.setdefault(b, {}).get(a, 0) + c) % self.p
+        mid: dict = {}
+        for b, poly in by_right.items():
+            for a, c in self.reduce_dict(poly).items():
+                mid[(a, b)] = (mid.get((a, b), 0) + c) % self.p
+        by_left: dict = {}
+        for (a, b), c in mid.items():
+            by_left.setdefault(a, {})[b] = (by_left.setdefault(a, {}).get(b, 0) + c) % self.p
+        out: dict = {}
+        for a, poly in by_left.items():
+            for b, c in self.reduce_dict(poly).items():
+                out[(a, b)] = (out.get((a, b), 0) + c) % self.p
+        return {k: v for k, v in out.items() if v}
+
+    def counit_mono(self, mono):
+        return self.mat.counit_mono(self._split(mono)[0])
+
+    def det_element(self) -> Element:
+        return Element(self, self.reduce_dict(
+            {self._join(m, 0): c for m, c in self.mat.det_element().coeffs.items()}))
+
+    @lru_cache(maxsize=None)
+    def _antipode_gens(self):
+        # Cramer's rule: sigma(x_{i,j}) = (-1)^{i+j} * minor_{j,i}(x) * det^{-1}
+        sig = {}
+        for i in range(self.N):
+            for j in range(self.N):
+                minor = self.mat.minor_element(j, i)
+                sign = (-1) ** (i + j)
+                sig[(i, j)] = Element(self, self.reduce_dict(
+                    {self._join(m, 1): sign * c for m, c in minor.coeffs.items()}))
+        return sig
+
+    def antipode_mono(self, mono):
+        e, j = self._split(mono)
+        sig = self._antipode_gens()
+        result = self.det_element() ** j if j else self.one()  # sigma(det^-1) = det
+        for pr, exp in zip(self.mat.gens, e):
+            if exp:
+                result = result * (sig[pr] ** exp)
+        return result.coeffs
+
+    def frobenius_mono(self, mono, q):
+        e, j = self._split(mono)
+        return self.reduce_dict({self._join(tuple(x * q for x in e), j * q): 1})
+
+
+class GL(_DeterminantGroup):
+    """General linear group GL(N): O(M)[det^{-1}] with det^{-1} of degree N."""
+
+    kind = "GL"
+    _reducer_class = _HomogeneousDetReducer
+
+    def _split(self, mono):
+        return mono
+
+    def _join(self, e, j):
+        return (e, j)
 
     def detinv_mono(self):
         return ((0,) * self.nvars, 1)
@@ -683,65 +747,6 @@ class GL(Group):
                     buckets.setdefault(j - 1, {})[e2] = \
                         (buckets.setdefault(j - 1, {}).get(e2, 0) + int(quotient[i])) % p
         return {m: c for m, c in out.items() if c % p}
-
-    def _mono_product(self, m1, m2):
-        (e1, j1), (e2, j2) = m1, m2
-        raw = (tuple(a + b for a, b in zip(e1, e2)), j1 + j2)
-        return self.reduce_dict({raw: 1})
-
-    def coproduct_mono(self, mono):
-        e, j = mono
-        acc: dict = {}
-        for (a, b), c in self.mat.coproduct_mono(e).items():
-            acc[((a, j), (b, j))] = c
-        return self._reduce_tensor(acc)
-
-    def _reduce_tensor(self, acc: dict) -> dict:
-        # reduce left legs, then right legs
-        by_right: dict = {}
-        for (a, b), c in acc.items():
-            by_right.setdefault(b, {})[a] = (by_right.setdefault(b, {}).get(a, 0) + c) % self.p
-        mid: dict = {}
-        for b, poly in by_right.items():
-            for a, c in self.reduce_dict(poly).items():
-                mid[(a, b)] = (mid.get((a, b), 0) + c) % self.p
-        by_left: dict = {}
-        for (a, b), c in mid.items():
-            by_left.setdefault(a, {})[b] = (by_left.setdefault(a, {}).get(b, 0) + c) % self.p
-        out: dict = {}
-        for a, poly in by_left.items():
-            for b, c in self.reduce_dict(poly).items():
-                out[(a, b)] = (out.get((a, b), 0) + c) % self.p
-        return {k: v for k, v in out.items() if v}
-
-    def counit_mono(self, mono):
-        e, j = mono
-        return self.mat.counit_mono(e)
-
-    @lru_cache(maxsize=None)
-    def _antipode_gens(self):
-        # Cramer's rule: sigma(x_{i,j}) = (-1)^{i+j} * minor_{j,i}(x) * det^{-1}
-        sig = {}
-        for i in range(self.N):
-            for j in range(self.N):
-                minor = self.mat.minor_element(j, i)
-                sign = (-1) ** (i + j)
-                sig[(i, j)] = Element(self, {(m, 1): sign * c for m, c in minor.coeffs.items()})
-        return sig
-
-    def det_element(self) -> Element:
-        return Element(self, {(m, 0): c for m, c in self.mat.det_element().coeffs.items()})
-
-    def antipode_mono(self, mono):
-        e, j = mono
-        sig = self._antipode_gens()
-        result = self.det_element() ** j  # sigma(det^-1) = det
-        for idx, exp in enumerate(e):
-            if not exp:
-                continue
-            i, jj = divmod(idx, self.N)
-            result = result * (sig[(i, jj)] ** exp)
-        return result.coeffs
 
     def filtration_monomials(self, d):
         monos = [(e, 0) for deg in range(d + 1) for e in _exp_tuples(self.nvars, deg)]
@@ -793,36 +798,17 @@ class _SLReducer:
         return (vec - c @ self.rows) % p
 
 
-class SL(Group):
+class SL(_DeterminantGroup):
     """Special linear group SL(N): O(M)/(det - 1) in degreewise normal form."""
 
     kind = "SL"
+    _reducer_class = _SLReducer
 
-    def __init__(self, p, N):
-        super().__init__(p, N)
-        self.mat = MatMonoid(p, N)
-        self.nvars = N * N
-        self._reducers: dict[int, _SLReducer] = {}
+    def _split(self, mono):
+        return mono, 0
 
-    def _reducer(self, d: int) -> _SLReducer:
-        if d not in self._reducers:
-            self._reducers[d] = _SLReducer(self.mat, d)
-        return self._reducers[d]
-
-    def one_mono(self):
-        return (0,) * self.nvars
-
-    def degree(self, mono):
-        return sum(mono)
-
-    def mono_key(self, mono):
-        return (sum(mono), mono)
-
-    def mono_str(self, mono):
-        return self.mat.mono_str(mono)
-
-    def gen_mono(self, i, j):
-        return self.mat.gen_mono(i, j)
+    def _join(self, e, j):
+        return e  # det^{-j} = 1
 
     def reduce_dict(self, coeffs: dict) -> dict:
         if not coeffs:
@@ -834,55 +820,6 @@ class SL(Group):
             vec[red.index[m]] = (vec[red.index[m]] + c) % self.p
         out_vec = red.reduce_vec(vec)
         return {red.monos[i]: int(out_vec[i]) for i in np.nonzero(out_vec)[0]}
-
-    def _mono_product(self, m1, m2):
-        raw = tuple(a + b for a, b in zip(m1, m2))
-        return self.reduce_dict({raw: 1})
-
-    def coproduct_mono(self, mono):
-        acc = self.mat.coproduct_mono(mono)
-        return self._reduce_tensor(acc)
-
-    def _reduce_tensor(self, acc: dict) -> dict:
-        by_right: dict = {}
-        for (a, b), c in acc.items():
-            by_right.setdefault(b, {})[a] = (by_right.setdefault(b, {}).get(a, 0) + c) % self.p
-        mid: dict = {}
-        for b, poly in by_right.items():
-            for a, c in self.reduce_dict(poly).items():
-                mid[(a, b)] = (mid.get((a, b), 0) + c) % self.p
-        by_left: dict = {}
-        for (a, b), c in mid.items():
-            by_left.setdefault(a, {})[b] = (by_left.setdefault(a, {}).get(b, 0) + c) % self.p
-        out: dict = {}
-        for a, poly in by_left.items():
-            for b, c in self.reduce_dict(poly).items():
-                out[(a, b)] = (out.get((a, b), 0) + c) % self.p
-        return {k: v for k, v in out.items() if v}
-
-    def counit_mono(self, mono):
-        return self.mat.counit_mono(mono)
-
-    @lru_cache(maxsize=None)
-    def _antipode_gens(self):
-        sig = {}
-        for i in range(self.N):
-            for j in range(self.N):
-                minor = self.mat.minor_element(j, i)
-                sign = (-1) ** (i + j)
-                sig[(i, j)] = Element(self, self.reduce_dict(
-                    {m: sign * c for m, c in minor.coeffs.items()}))
-        return sig
-
-    def antipode_mono(self, mono):
-        sig = self._antipode_gens()
-        result = self.one()
-        for idx, exp in enumerate(mono):
-            if not exp:
-                continue
-            i, jj = divmod(idx, self.N)
-            result = result * (sig[(i, jj)] ** exp)
-        return result.coeffs
 
     def filtration_monomials(self, d):
         red = self._reducer(d)

@@ -103,26 +103,60 @@ class RestrictResult:
 def restrict(m: Comodule, x) -> RestrictResult:
     """The greatest subcomodule M_X with coaction landing in M_X (x) X."""
     g = m.group
-    p = g.p
-    mats = coefficient_matrices(m)
     if isinstance(x, CanonicalLevel):
         if x.group != g:
             raise ValueError("filtration level group does not match the comodule")
-        inside = [b for h, b in mats.items() if g.degree(h) <= x.d]
-        outside = [b for h, b in mats.items() if g.degree(h) > x.d]
     elif isinstance(x, ExplicitSubspace):
         if x.group != g:
             raise ValueError("subspace group does not match the comodule")
         if not x.contains_unit():
             warnings.warn("X does not contain the unit; M_X will be 0",
                           stacklevel=2)
-        inside, outside = _split_against_subspace(g, mats, x)
     else:
         raise TypeError(f"not a filtration level: {x!r}")
+    mats = coefficient_matrices(m)
+    v, iterations = _greatest_fixpoint(g, mats, x, Subspace.full(m.dim, g.p))
+    return RestrictResult(v, _induced_comodule(m, v, mats), iterations)
 
-    v = Subspace.full(m.dim, p)
+
+def _split(g: Group, mats: dict, x, n: int):
+    """Split coefficient matrices against X into (inside, outside).
+
+    `mats` maps each right-leg monomial h to B_h with n columns; rows past n
+    are left legs outside the ambient, which must vanish.  Against an explicit
+    X the inside matrices are those of X's RREF pivots, one per basis vector
+    of X, and every other monomial contributes its residual to the outside.
+    Support monomials absent from X's span are outside as they stand.
+    """
+    p = g.p
+    if isinstance(x, CanonicalLevel):
+        inside = [b for h, b in mats.items() if g.degree(h) <= x.d]
+        outside = [b for h, b in mats.items() if g.degree(h) > x.d]
+    else:
+        rows = next(iter(mats.values())).shape[0] if mats else n
+        zero = np.zeros((rows, n), dtype=np.int64)
+        inside = [mats.get(x.monos[c], zero) for c in x.space.pivots]
+        span, pivots = set(x.monos), set(x.space.pivots)
+        outside = [b for h, b in mats.items() if h not in span]
+        for c, h in enumerate(x.monos):
+            if c in pivots:
+                continue
+            resid = mats.get(h, zero)
+            for s, piv_mat in enumerate(inside):
+                coef = int(x.space.basis[s, c])
+                if coef:
+                    resid = (resid - coef * piv_mat) % p
+            outside.append(resid)
+    outside = [b for b in outside if np.any(b)] + [b[n:] for b in inside if np.any(b[n:])]
+    return [b[:n] for b in inside], outside
+
+
+def _greatest_fixpoint(g: Group, mats: dict, x, start: Subspace) -> tuple[Subspace, int]:
+    """The greatest V <= start with B_h V <= V inside X and B_h V = 0 outside it."""
+    inside, outside = _split(g, mats, x, start.ambient_dim)
+    v = start
     if outside:
-        v = v.intersect(kernel(np.vstack(outside), p))
+        v = v.intersect(kernel(np.vstack(outside), g.p))
     iterations = 0
     while True:
         iterations += 1
@@ -130,51 +164,8 @@ def restrict(m: Comodule, x) -> RestrictResult:
         for b in inside:
             nxt = nxt.intersect(preimage(b, nxt))
         if nxt == v:
-            break
+            return v, iterations
         v = nxt
-    sub = _induced_comodule(m, v, mats)
-    return RestrictResult(v, sub, iterations)
-
-
-def _split_against_subspace(g: Group, mats: dict, x: ExplicitSubspace):
-    """Rewrite the coefficient matrices in a basis of X plus a complement.
-
-    Returns (inside, outside): 'inside' are the matrices paired with X's
-    basis vectors; 'outside' rows must annihilate any X-comodule vector.
-    Support monomials absent from X's span extend the ambient automatically.
-    """
-    p = g.p
-    span = list(x.monos)
-    index = {m: i for i, m in enumerate(span)}
-    extra = sorted((h for h in mats if h not in index), key=g.mono_key)
-    for h in extra:
-        index[h] = len(span)
-        span.append(h)
-    S = len(span)
-    dim = next(iter(mats.values())).shape[0] if mats else 0
-    xb = np.zeros((x.space.dim, S), dtype=np.int64)
-    xb[:, : len(x.monos)] = x.space.basis
-    pivots = list(x.space.pivots)
-
-    def bmat(c: int) -> np.ndarray:
-        h = span[c]
-        return mats.get(h, np.zeros((dim, dim), dtype=np.int64))
-
-    piv_mats = [bmat(c) for c in pivots]
-    inside = list(piv_mats)
-    outside = []
-    pivset = set(pivots)
-    for c in range(S):
-        if c in pivset:
-            continue
-        resid = bmat(c).astype(np.int64)
-        for s, c_piv in enumerate(pivots):
-            coef = int(xb[s, c])
-            if coef:
-                resid = (resid - coef * piv_mats[s]) % p
-        if np.any(resid % p):
-            outside.append(resid % p)
-    return inside, outside
 
 
 def _induced_comodule(m: Comodule, v: Subspace, mats: dict) -> Comodule:
@@ -234,123 +225,81 @@ def filtration_dims(m, d_max: int) -> FiltrationResult:
 
 
 class ClosureResult:
-    def __init__(self, subspace: ExplicitSubspace, is_subcoalgebra: bool):
+    def __init__(self, subspace: ExplicitSubspace, delta_matrix):
         self.subspace = subspace
-        self.is_subcoalgebra = is_subcoalgebra
+        self.delta_matrix = delta_matrix  # structure constants, None if not a sub-coalgebra
 
     @property
     def dim(self) -> int:
         return self.subspace.space.dim
 
+    @property
+    def is_subcoalgebra(self) -> bool:
+        return self.delta_matrix is not None
+
 
 def coalgebra_closure(g: Group, x) -> ClosureResult:
     """O(G)_X: the greatest D <= X with Delta(D) <= D (x) X.
 
-    The greatest fixed point of this iteration is automatically a
-    sub-coalgebra contained in X; the sub-coalgebra property
-    Delta(D) <= D (x) D is verified independently and reported.
+    This is the fixpoint of `restrict` run on the coproduct itself.  Its
+    greatest fixed point is automatically a sub-coalgebra contained in X; the
+    sub-coalgebra property Delta(D) <= D (x) D is verified independently by
+    building D's structure constants, which are kept for `SubCoalgebra`.
     """
     if isinstance(x, CanonicalLevel):
         x = ExplicitSubspace.canonical(x.group, x.d)
     if x.group != g:
         raise ValueError("subspace group does not match")
-    p = g.p
-    span_r = list(x.monos)  # right-leg ambient (compared against X)
-    span_l = list(x.monos)  # left-leg ambient (compared against D)
-    idx_r = {m: i for i, m in enumerate(span_r)}
-    idx_l = {m: i for i, m in enumerate(span_l)}
-    cops = {m: g.coproduct_mono(m) for m in x.monos}
-    for cop in cops.values():
-        for (a, b) in cop:
-            if a not in idx_l:
-                idx_l[a] = len(span_l)
-                span_l.append(a)
-            if b not in idx_r:
-                idx_r[b] = len(span_r)
-                span_r.append(b)
-    SL_, SR = len(span_l), len(span_r)
-    S = len(x.monos)
-    # B_c: for each right mono index c, the (SL_, S) matrix of left legs
-    bmats = {c: np.zeros((SL_, S), dtype=np.int64) for c in range(SR)}
-    for col, m in enumerate(x.monos):
-        for (a, b), coeff in cops[m].items():
-            bmats[idx_r[b]][idx_l[a], col] = coeff % p
-    xb = np.zeros((x.space.dim, SR), dtype=np.int64)
-    xb[:, :S] = x.space.basis
-    pivots = list(x.space.pivots)
-    piv_mats = [bmats[c] for c in pivots]
-    # kernel constraints: right legs transverse to X, and left legs outside span(D)
-    constraint_rows = []
-    pivset = set(pivots)
-    for c in range(SR):
-        if c in pivset:
-            continue
-        resid = bmats[c].copy()
-        for s, c_piv in enumerate(pivots):
-            coef = int(xb[s, c])
-            if coef:
-                resid = (resid - coef * piv_mats[s]) % p
-        if np.any(resid % p):
-            constraint_rows.append(resid % p)
-    for bm in piv_mats:
-        if SL_ > S and np.any(bm[S:]):
-            constraint_rows.append(bm[S:])
-    v = x.space
-    if constraint_rows:
-        v = v.intersect(kernel(np.vstack(constraint_rows), p))
-    while True:
-        nxt = v
-        for bm in piv_mats:
-            nxt = nxt.intersect(preimage(bm[:S], nxt))
-        if nxt == v:
-            break
-        v = nxt
-    closed = ExplicitSubspace(g, x.monos, v)
-    return ClosureResult(closed, _check_subcoalgebra(g, closed))
+    mats = coproduct_matrices(g, x.monos)
+    v, _ = _greatest_fixpoint(g, mats, x, x.space)
+    return ClosureResult(ExplicitSubspace(g, x.monos, v),
+                         structure_constants(g, x.monos, v, mats))
 
 
-def _check_subcoalgebra(g: Group, d: ExplicitSubspace) -> bool:
-    """Verify Delta(D) <= D (x) D for every basis vector of D."""
+def coproduct_matrices(g: Group, monos) -> dict:
+    """The coefficient matrices of Delta on span(monos), as for a comodule.
+
+    B_h[a, k] is the coefficient of l_a (x) h in Delta(monos[k]).  The left
+    legs l_a are the monos followed by every stray leg outside their span,
+    so B_h has len(monos) columns and at least as many rows.
+    """
+    index = {m: i for i, m in enumerate(monos)}
+    terms = []
+    for k, m in enumerate(monos):
+        for (a, b), c in g.coproduct_mono(m).items():
+            terms.append((b, index.setdefault(a, len(index)), k, c))
+    mats: dict = {}
+    for b, row, k, c in terms:
+        if b not in mats:
+            mats[b] = np.zeros((len(index), len(monos)), dtype=np.int64)
+        mats[b][row, k] = c % g.p
+    return mats
+
+
+def structure_constants(g: Group, monos, space: Subspace, mats: dict | None = None):
+    """The coproduct of a subspace of span(monos) in its RREF basis b_0..b_{s-1}.
+
+    Returns D of shape (s*s, s) with Delta(b_k) = sum_{a,b} D[a*s+b, k]
+    b_a (x) b_b, or None when the space is not a sub-coalgebra.  `mats` may
+    pass in `coproduct_matrices(g, monos)` when it is already at hand.
+    """
     p = g.p
-    monos = d.monos
-    space = d.space
-    if space.dim == 0:
-        return True
-    # shared ambient extension for stray coproduct legs
-    span_l = list(monos)
-    span_r = list(monos)
-    idx_l = {m: i for i, m in enumerate(span_l)}
-    idx_r = {m: i for i, m in enumerate(span_r)}
-    cops = {m: g.coproduct_mono(m) for m in monos}
-    for cop in cops.values():
-        for (a, b) in cop:
-            if a not in idx_l:
-                idx_l[a] = len(span_l)
-                span_l.append(a)
-            if b not in idx_r:
-                idx_r[b] = len(span_r)
-                span_r.append(b)
-    S = len(monos)
-    db = np.zeros((space.dim, len(span_r)), dtype=np.int64)
-    db[:, :S] = space.basis
-    pivots = list(space.pivots)
-    for row in space.basis:
-        t = np.zeros((len(span_l), len(span_r)), dtype=np.int64)
-        for col in np.nonzero(row)[0]:
-            for (a, b), c in cops[monos[int(col)]].items():
-                t[idx_l[a], idx_r[b]] = (t[idx_l[a], idx_r[b]]
-                                         + int(row[col]) * c) % p
-        # decompose against D's RREF basis on the right leg
-        alpha = t[:, pivots]
-        resid = (t - alpha @ db) % p
-        if np.any(resid):
-            return False
-        # each right-pivot component must itself lie in D (left leg)
-        if np.any(alpha[S:, :]):
-            return False
-        if any(not space.contains(alpha[:S, s]) for s in range(space.dim)):
-            return False
-    return True
+    if mats is None:
+        mats = coproduct_matrices(g, monos)
+    inside, outside = _split(g, mats, ExplicitSubspace(g, monos, space), len(monos))
+    s = space.dim
+    basis_t = space.basis.T
+    if any(np.any(b @ basis_t % p) for b in outside):
+        return None
+    delta = np.zeros((s * s, s), dtype=np.int64)
+    for b, mat in enumerate(inside):
+        # column k: the left leg paired with b_b in Delta(b_k); it must lie in the space
+        legs = mat @ basis_t % p
+        coords = legs[list(space.pivots)]
+        if np.any((legs - basis_t @ coords) % p):
+            return None
+        delta[b::s] = coords
+    return delta
 
 
 def subspace_tensor(u: Subspace, v: Subspace) -> Subspace:

@@ -167,3 +167,47 @@ def test_cache_ignores_corrupt_and_stale_records(tmp_path, capsys):
     path.write_text(json.dumps(record))
     payload = run_json(capsys, *argv)
     assert [r["dim"] for r in payload["rows"]] == [1, 2, 3]
+
+
+@pytest.mark.parametrize("content, needle", [
+    (None, "cannot read"),                                 # missing file
+    ("{not json", "cannot read"),                          # not JSON
+    ("[3]", "JSON object"),                                # not an object
+    (json.dumps({"max_dmx": 1}), "'max_dmx'"),             # unknown key
+    (json.dumps({"max_dmax": -5}), "max_dmax"),            # below 1
+    (json.dumps({"max_chain_dim": 0}), "max_chain_dim"),
+    (json.dumps({"max_dmax": "many"}), "max_dmax"),
+])
+def test_bad_config_is_a_one_line_usage_error(tmp_path, capsys, monkeypatch,
+                                              content, needle):
+    cfg = tmp_path / "limits.json"
+    if content is not None:
+        cfg.write_text(content)
+    monkeypatch.setenv("COMODFILT_CONFIG", str(cfg))
+    code, out, err = run(capsys, "dims", "--group", "Ga@p=2", "--dmax", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert needle in err
+
+
+def test_unreadable_config_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COMODFILT_CONFIG", str(tmp_path))  # a directory
+    code, _, err = run(capsys, "dims", "--group", "Ga@p=2", "--dmax", "2")
+    assert code == 1 and err.startswith("error: cannot read")
+
+
+def test_cache_store_leaves_no_partial_record(tmp_path, monkeypatch):
+    from comodfilt import cli
+
+    def failing_dump(obj, fh, **kwargs):
+        fh.write('{"fingerprint": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.json, "dump", failing_dump)
+    with pytest.raises(OSError, match="disk full"):
+        cli.cache_store(str(tmp_path), "f" * 64, {"rows": []})
+    assert os.listdir(tmp_path) == []
+    monkeypatch.undo()
+    cli.cache_store(str(tmp_path), "f" * 64, {"rows": []})
+    assert cli.cache_lookup(str(tmp_path), "f" * 64) == {"rows": []}
+    assert os.listdir(tmp_path) == ["f" * 64 + ".json"]

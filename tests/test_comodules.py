@@ -1,10 +1,13 @@
 """Comodule constructors, streams, and the module-expression language."""
 
+import random
+
 import pytest
 
 from comodfilt.comodules import (Comodule, ModuleExprError, StreamModule,
                                  build_module, detpow, direct_sum, dual,
-                                 frobenius_twist, natural, parse_module_expr,
+                                 frobenius_element, frobenius_twist, natural,
+                                 parse_module_expr,
                                  polyaffine, primitives, regular,
                                  regular_stream, sym_power, tensor,
                                  translationinvariants, trivial, twiststream)
@@ -88,6 +91,30 @@ def test_frobenius_twist():
     tw_gl = frobenius_twist(natural(GL2), 1)
     assert tw_gl.coefficient(0, 0) == GL2.element({(GL2.mat.gen_mono(0, 0), 0): 1}) ** 2
     assert tw_gl.validate().ok
+
+
+@pytest.mark.parametrize("spec", ["Ga@p=2", "Ga@p=3", "Gm@p=3", "M:2@p=2",
+                                  "U:3@p=2", "GL:2@p=2", "GL:2@p=3",
+                                  "SL:2@p=2", "SL:2@p=3"])
+def test_frobenius_element_is_the_p_power_map(spec):
+    # f^(p^r) computed monomialwise agrees with repeated multiplication
+    g = group_from_spec(spec)
+    rng = random.Random(spec)
+    basis = g.filtration_basis(2)
+    for r in ([1, 2] if g.p == 2 else [1]):
+        for _ in range(3):
+            f = g.element({rng.choice(basis): rng.randrange(1, g.p)
+                           for _ in range(3)})
+            assert frobenius_element(f, r) == f ** (g.p ** r)
+
+
+def test_direct_sum_of_many_summands():
+    a, b, c = regular(GM3, 1), dual(regular(GM3, 1)), trivial(GM3)
+    s = direct_sum(a, b, c)
+    nested = direct_sum(direct_sum(a, b), c)
+    assert s.basis_labels == nested.basis_labels and s.coeffs == nested.coeffs
+    for i in range(s.dim):
+        assert s.column(i) == {j: f for (j, i2), f in s.coeffs.items() if i2 == i}
 
 
 def test_sym_power():

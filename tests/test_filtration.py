@@ -8,8 +8,8 @@ from comodfilt.comodules import (build_module, direct_sum, dual, frobenius_twist
 from comodfilt.coordalg import group_from_spec
 from comodfilt.filtration import (CanonicalLevel, ExplicitSubspace,
                                   coalgebra_closure, coefficient_matrices,
-                                  filtration_dims, restrict, subspace_tensor,
-                                  tensor_containment)
+                                  filtration_dims, restrict, structure_constants,
+                                  subspace_tensor, tensor_containment)
 from comodfilt.linalg import Subspace
 
 GA2 = group_from_spec("Ga@p=2")
@@ -141,6 +141,26 @@ def test_closure_is_idempotent():
     once = coalgebra_closure(GA3, x)
     twice = coalgebra_closure(GA3, once.subspace)
     assert once.subspace.space == twice.subspace.space
+
+
+def test_structure_constants_of_ga_level_one():
+    # basis b_0 = 1, b_1 = t: Delta(1) = 1 (x) 1, Delta(t) = t (x) 1 + 1 (x) t;
+    # row a*2 + b holds the coefficient of b_a (x) b_b
+    delta = structure_constants(GA2, [0, 1], Subspace.full(2, 2))
+    assert delta.tolist() == [[1, 0],   # 1 (x) 1
+                              [0, 1],   # 1 (x) t
+                              [0, 1],   # t (x) 1
+                              [0, 0]]   # t (x) t
+
+
+def test_structure_constants_reject_a_non_subcoalgebra():
+    # over F_2, Delta(t^3) has the stray legs t (x) t^2 and t^2 (x) t
+    assert structure_constants(GA2, [0, 3], Subspace.full(2, 2)) is None
+    # the closure of that span is span{1}, with its one structure constant
+    res = coalgebra_closure(GA2, ExplicitSubspace.from_elements(
+        GA2, [GA2.one(), GA2.element({3: 1})]))
+    assert res.subspace.elements() == [GA2.one()]
+    assert res.delta_matrix.tolist() == [[1]]
 
 
 # ---------------------------------------------------------------------------
