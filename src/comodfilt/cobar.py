@@ -18,7 +18,8 @@ from .config import Limits, check_limit
 from .coordalg import Group, UnsupportedOperation
 from .filtration import (CanonicalLevel, ExplicitSubspace, InternalInvariantError,
                          coalgebra_closure, restrict, structure_constants)
-from .linalg import IncrementalRREF, Subspace, kernel, matrank, solvable
+from .linalg import (IncrementalRREF, Subspace, kernel, matmul_mod, matrank,
+                     solvable)
 
 
 class NotACComoduleError(ValueError):
@@ -100,7 +101,7 @@ class ChainComplex:
         self.diffs = diffs        # d^0 .. d^(n_max)
         self.n_max = len(dims) - 1
         for n in range(len(diffs) - 1):
-            if np.any((diffs[n + 1] @ diffs[n]) % p):
+            if np.any(matmul_mod(diffs[n + 1], diffs[n], p)):
                 raise InternalInvariantError(f"d^{n + 1} after d^{n} is nonzero")
 
 
@@ -161,18 +162,11 @@ def injective_test(c: SubCoalgebra, m: Comodule,
     lam = c.delta_matrix  # (s*s, s): lambda^k_{ab} = lam[a*s+b, k]
     # stage 1: the space W of comodule maps phi: C -> M,
     # phi(b_k) = v^k with F^c v^k = sum_a lambda^k_{ac} v^a for all c, k
+    # row (k, j), column (a, i): delta_ak F^c[j, i] - lambda^k_{ac} delta_ji
     acc = IncrementalRREF(s * mm, p)
+    eye_s, eye_m = np.eye(s, dtype=np.int64), np.eye(mm, dtype=np.int64)
     for cc in range(s):
-        rows = []
-        for k in range(s):
-            block = np.zeros((mm, s * mm), dtype=np.int64)
-            block[:, k * mm:(k + 1) * mm] += blocks[cc]
-            for a in range(s):
-                coef = int(lam[a * s + cc, k])
-                if coef:
-                    block[:, a * mm:(a + 1) * mm] -= coef * np.eye(mm, dtype=np.int64)
-            rows.append(block % p)
-        acc.add_rows(np.vstack(rows))
+        acc.add_rows(np.kron(eye_s, blocks[cc]) - np.kron(lam[cc::s].T, eye_m))
     w = kernel(acc.rows, p) if acc.rank else Subspace.full(s * mm, p)
     t = w.dim
     if t == 0:
@@ -180,15 +174,10 @@ def injective_test(c: SubCoalgebra, m: Comodule,
     check_limit(t * mm, limits.max_solver_unknowns, "retraction system unknowns")
     # stage 2: columns of the retraction are combinations of W's basis maps;
     # solve sum_a S^a F^a = I for the combination coefficients
-    mat = np.zeros((mm * mm, t * mm), dtype=np.int64)
-    for u in range(t):
-        wu = w.basis[u].reshape(s, mm)  # wu[a] = phi_u(b_a) in M
-        pu = np.zeros((mm, mm, mm), dtype=np.int64)  # pu[r, j, i]
-        for a in range(s):
-            pu += wu[a][:, None, None] * blocks[a][None, :, :]
-        pu %= p
-        # equation (r, i), unknown (u, j): coefficient pu[r, j, i]
-        mat[:, u * mm:(u + 1) * mm] = pu.transpose(0, 2, 1).reshape(mm * mm, mm)
+    # P[u, r, j, i] = sum_a phi_u(b_a)[r] F^a[j, i]; equation (r, i), unknown (u, j)
+    phis = w.basis.reshape(t, s, mm).transpose(0, 2, 1).reshape(t * mm, s)
+    prod = matmul_mod(phis, np.stack(blocks).reshape(s, mm * mm), p)
+    mat = prod.reshape(t, mm, mm, mm).transpose(1, 3, 0, 2).reshape(mm * mm, t * mm)
     rhs = np.eye(mm, dtype=np.int64).reshape(-1)
     return solvable(mat, rhs, p)
 

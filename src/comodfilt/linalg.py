@@ -218,25 +218,61 @@ def solvable(mat: np.ndarray, rhs: np.ndarray, p: int) -> bool:
     return solve(mat, rhs, p) is not None
 
 
-def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact a @ b mod p, routed through BLAS for large operands.
+def exact_dtype(inner: int, p: int):
+    """The cheapest dtype whose dot products of `inner` entries in [0, p) are exact.
 
-    Entries lie in [0, p); the float64 products stay below 2^53 whenever
-    p^2 * inner_dim does, which holds for every desk-scale system here.
+    Every partial sum is at most (p-1)^2 * inner.  float64 holds integers below
+    2^53 exactly, int64 below 2^63, and Python integers (`object`) never
+    overflow.
+    """
+    bound = (p - 1) ** 2 * inner
+    if bound < 1 << 53:
+        return np.float64
+    if bound < 1 << 63:
+        return np.int64
+    return object
+
+
+def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Exact a @ b mod p for entries in [0, p), in the dtype `exact_dtype` picks.
+
+    Large float64 products go through BLAS; small ones stay in int64, where the
+    conversions would cost more than they save.
     """
     inner = a.shape[1]
-    if inner * a.shape[0] * b.shape[1] < 1 << 17 or (p - 1) ** 2 * inner >= 1 << 53:
-        return (a @ b) % p
-    return np.mod((a.astype(np.float64) @ b.astype(np.float64)).round(),
-                  p).astype(np.int64)
+    dtype = exact_dtype(inner, p)
+    if dtype is np.float64 and a.shape[0] * inner * b.shape[1] < 1 << 17:
+        dtype = np.int64
+    prod = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
+    return np.mod(prod, p).astype(np.int64, copy=False)
+
+
+def _clear_pivots(target: np.ndarray, basis: np.ndarray, pivots: list[int], p: int):
+    """Subtract from `target`, in place, the combinations of `basis` rows that
+    clear its entries in the `pivots` columns (basis row r has its pivot 1 at
+    pivots[r]).  Only the target rows with a nonzero entry there, the basis
+    rows behind those entries and the columns those basis rows touch enter the
+    product.
+    """
+    coeff = target[:, pivots]
+    rows = np.flatnonzero(coeff.any(axis=1))
+    if rows.size == 0:
+        return
+    cols = np.flatnonzero(coeff[rows].any(axis=0))
+    coeff = np.mod(-coeff[np.ix_(rows, cols)], p)
+    used = basis[cols]
+    out = np.flatnonzero(used.any(axis=0))
+    block = np.ix_(rows, out)
+    target[block] = (target[block] + matmul_mod(coeff, used[:, out], p)) % p
 
 
 class IncrementalRREF:
     """Row-space accumulator for systems too large to materialize at once.
 
     Rows are fed in blocks; each block is reduced against the pivots found so
-    far using one matrix multiply, so feeding m rows costs O(m * rank * ncols)
-    arithmetic instead of a full dense elimination.
+    far using one matrix multiply over the block's support, so feeding m rows
+    costs at most O(m * rank * ncols) arithmetic instead of a full dense
+    elimination.
     """
 
     def __init__(self, ncols: int, p: int):
@@ -250,10 +286,7 @@ class IncrementalRREF:
         return self.rows.shape[0]
 
     def add_rows(self, block: np.ndarray):
-        b = np.mod(np.asarray(block, dtype=np.int64).reshape(-1, self.ncols), self.p)
-        if self.rank:
-            coeff = np.mod(-b[:, self.pivots], self.p)
-            b = (b + matmul_mod(coeff, self.rows, self.p)) % self.p
+        b = self.reduce(block)
         b = b[np.any(b, axis=1)]
         if b.shape[0] == 0:
             return
@@ -261,9 +294,7 @@ class IncrementalRREF:
         if extra.shape[0] == 0:
             return
         # reduce old rows against the new pivots, then merge and re-sort
-        if self.rank:
-            coeff = np.mod(-self.rows[:, piv_extra], self.p)
-            self.rows = (self.rows + matmul_mod(coeff, extra, self.p)) % self.p
+        _clear_pivots(self.rows, extra, piv_extra, self.p)
         merged = np.vstack([self.rows, extra])
         order = np.argsort(self.pivots + piv_extra, kind="stable")
         self.rows = merged[order]
@@ -272,7 +303,5 @@ class IncrementalRREF:
     def reduce(self, block: np.ndarray) -> np.ndarray:
         """Residue of the given rows modulo the accumulated row space."""
         b = np.mod(np.asarray(block, dtype=np.int64).reshape(-1, self.ncols), self.p)
-        if self.rank:
-            coeff = np.mod(-b[:, self.pivots], self.p)
-            b = (b + matmul_mod(coeff, self.rows, self.p)) % self.p
+        _clear_pivots(b, self.rows, self.pivots, self.p)
         return b

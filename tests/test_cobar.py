@@ -3,15 +3,17 @@
 import numpy as np
 import pytest
 
-from comodfilt.cobar import (NotACComoduleError, SubCoalgebra, cobar_complex,
-                             cohomology_dims, injective_test,
+from comodfilt.cobar import (ChainComplex, NotACComoduleError, SubCoalgebra,
+                             cobar_complex, cohomology_dims, injective_test,
                              injectivity_profile)
-from comodfilt.comodules import (build_module, direct_sum, regular,
-                                 regular_stream, translationinvariants,
-                                 trivial)
+from comodfilt.comodules import (StreamModule, build_module, direct_sum,
+                                 regular, regular_stream,
+                                 translationinvariants, trivial)
 from comodfilt.config import Limits, ResourceLimitError
 from comodfilt.coordalg import UnsupportedOperation, group_from_spec
-from comodfilt.filtration import CanonicalLevel, ExplicitSubspace, restrict
+from comodfilt.filtration import (CanonicalLevel, ExplicitSubspace,
+                                  InternalInvariantError, coalgebra_closure,
+                                  restrict)
 from comodfilt.linalg import Subspace, matrank
 
 GA2 = group_from_spec("Ga@p=2")
@@ -123,6 +125,17 @@ def test_level_inclusions_are_chain_maps():
         assert not np.any((cx_b.diffs[n] @ inc_n - inc_n1 @ cx_s.diffs[n]) % 2)
 
 
+def test_tampered_differential_fails_the_square_check():
+    # d^2 @ d^1 is 729 x 81 x 9, past the size at which matmul_mod uses BLAS
+    cx = cobar_complex(SubCoalgebra.canonical(GA2, 8), trivial(GA2), 2)
+    assert 729 * 81 * 9 >= 1 << 17
+    d1, d2 = cx.diffs[1], cx.diffs[2].copy()
+    j = int(np.flatnonzero(d1.any(axis=1))[0])
+    d2[0, j] ^= 1
+    with pytest.raises(InternalInvariantError):
+        ChainComplex(2, cx.dims, [cx.diffs[0], d1, d2])
+
+
 # ---------------------------------------------------------------------------
 # injectivity
 
@@ -164,6 +177,38 @@ def test_injectivity_over_a_proper_subcoalgebra():
     c = SubCoalgebra.from_explicit(x)
     level = restrict(regular(GA2, 2), x).comodule
     assert injective_test(c, level)
+
+
+INJECTIVITY_ORACLE_CASES = [
+    ("Ga@p=2", ["triv", "regular(2)", "regular(3)",
+                "sum(regular(1),twist(1,regular(1)))", "dual(regular(2))",
+                "translationinvariants", "primitives"], 4),
+    ("Ga@p=3", ["triv", "regular(2)", "primitives"], 4),
+    ("U:3@p=2", ["triv", "natural", "regular(2)", "dual(natural)"], 3),
+    ("U:2@p=3", ["triv", "natural", "regular(2)"], 3),
+]
+
+
+def test_injectivity_matches_vanishing_h1_over_unipotent_groups():
+    # every level C of a unipotent group is pointed irreducible, so M is
+    # injective over C iff H^1(C, M) = Ext^1_C(k, M) = 0: cobar ranks decide
+    # it without the retraction solve
+    verdicts = []
+    for spec, texts, d_max in INJECTIVITY_ORACLE_CASES:
+        g = group_from_spec(spec)
+        for text in texts:
+            m = build_module(text, g)
+            for d in range(d_max + 1):
+                closure = coalgebra_closure(g, CanonicalLevel(g, d))
+                c = SubCoalgebra.from_explicit(closure.subspace,
+                                               delta_matrix=closure.delta_matrix)
+                target = m.generate(m.sufficiency(d)) if isinstance(m, StreamModule) else m
+                level = restrict(target, CanonicalLevel(g, d)).comodule
+                h1 = cohomology_dims(cobar_complex(c, level, 1))[1]
+                verdict = injective_test(c, level)
+                assert verdict == (h1 == 0), (spec, text, d, h1)
+                verdicts.append(verdict)
+    assert len(verdicts) == 78 and 0 < sum(verdicts) < 78
 
 
 def test_resource_ceilings():

@@ -5,9 +5,9 @@ import random
 import numpy as np
 import pytest
 
-from comodfilt.linalg import (IncrementalRREF, Subspace, as_matrix, inv_mod,
-                              is_prime, kernel, matmul_mod, matrank, preimage,
-                              rref, solvable, solve)
+from comodfilt.linalg import (IncrementalRREF, Subspace, as_matrix, exact_dtype,
+                              inv_mod, is_prime, kernel, matmul_mod, matrank,
+                              preimage, rref, solvable, solve)
 
 
 def random_matrix(rng, rows, cols, p):
@@ -109,13 +109,28 @@ def test_solve_and_solvable():
     assert not solvable(as_matrix([[1, 1], [1, 1]], 2, 2), [1, 0], 2)
 
 
+def python_matmul_mod(a, b, p):
+    """Reference product in Python integers, which never overflow."""
+    cols = list(zip(*b.tolist()))
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in cols]
+            for row in a.tolist()]
+
+
 def test_matmul_mod_matches_exact_product():
     rng = np.random.default_rng(0)
-    for p in (2, 5, 97):
-        a = rng.integers(0, p, size=(70, 80))
-        b = rng.integers(0, p, size=(80, 60))
-        assert 70 * 80 * 60 >= 1 << 17  # exercises the BLAS path
-        assert np.array_equal(matmul_mod(a, b, p), (a @ b) % p)
+    # shapes on either side of the BLAS threshold; p = 2^31 - 1 and
+    # 4294967311 > 2^32 overflow int64 sums, p = 65521 does not reach 2^53
+    for p in (2, 97, 65521, 2 ** 31 - 1, 4294967311):
+        for rows, inner, cols in ((3, 1, 3), (3, 8, 3), (70, 80, 60)):
+            a = rng.integers(0, p, size=(rows, inner), dtype=np.int64)
+            b = rng.integers(0, p, size=(inner, cols), dtype=np.int64)
+            got = matmul_mod(a, b, p)
+            assert got.dtype == np.int64
+            assert got.tolist() == python_matmul_mod(a, b, p), (p, rows, inner, cols)
+    assert 70 * 80 * 60 >= 1 << 17  # exercises the BLAS path where it is exact
+    assert exact_dtype(80, 97) is np.float64
+    assert exact_dtype(1, 2 ** 31 - 1) is np.int64
+    assert exact_dtype(8, 2 ** 31 - 1) is object
 
 
 def test_incremental_rref_matches_dense():
@@ -132,4 +147,40 @@ def test_incremental_rref_matches_dense():
             red, piv = rref(stacked, p)
             assert np.array_equal(acc.rows, red) and acc.pivots == piv
             # rows already in the span reduce to zero
+            assert not np.any(acc.reduce(stacked))
+
+
+def sparse_block(rng, rows, ncols, p, support):
+    """Random rows whose nonzero entries lie in a few columns of `support`."""
+    b = np.zeros((rows, ncols), dtype=np.int64)
+    for r in range(rows):
+        for c in rng.sample(support, min(len(support), rng.randrange(1, 4))):
+            b[r, c] = rng.randrange(1, p)
+    return b
+
+
+def test_incremental_rref_matches_dense_on_sparse_blocks():
+    rng = random.Random(23)
+    for p in (2, 3, 65521):
+        for _ in range(10):
+            ncols = rng.randrange(40, 90)
+            acc = IncrementalRREF(ncols, p)
+            blocks = []
+            for kind in ("sparse", "zero", "off_pivots", "sparse", "off_pivots"):
+                rows = rng.randrange(1, 12)
+                if kind == "zero":
+                    b = np.zeros((rows, ncols), dtype=np.int64)
+                elif kind == "sparse":
+                    b = sparse_block(rng, rows, ncols, p,
+                                     rng.sample(range(ncols), ncols // 4))
+                else:
+                    free = [c for c in range(ncols) if c not in acc.pivots]
+                    b = sparse_block(rng, rows, ncols, p, free)
+                    # no stored pivot is touched, so the residue is the block
+                    assert np.array_equal(acc.reduce(b), b)
+                acc.add_rows(b)
+                blocks.append(b)
+            stacked = np.vstack(blocks)
+            red, piv = rref(stacked, p)
+            assert np.array_equal(acc.rows, red) and acc.pivots == piv
             assert not np.any(acc.reduce(stacked))
