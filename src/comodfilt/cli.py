@@ -24,6 +24,7 @@ from .coordalg import GroupSpecError, UnsupportedOperation, group_from_spec
 from .filtration import (CanonicalLevel, InternalInvariantError,
                          coalgebra_closure, filtration_dims)
 from .growth import classify
+from .linalg import DimensionMismatch
 from .suites import run_property_suite
 
 CACHE_ENV = "COMODFILT_CACHE"
@@ -279,6 +280,10 @@ def main(argv=None) -> int:
                 cache_store(cache, fingerprint, payload)
         _emit(payload, args.format)
         return 0
+    except (InternalInvariantError, AssertionError, DimensionMismatch) as exc:
+        # DimensionMismatch is a ValueError, but only an engine bug raises it
+        print(f"internal invariant violation: {exc}", file=sys.stderr)
+        return 3
     except (UsageError, GroupSpecError, ModuleExprError, UnsupportedOperation,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -286,9 +291,6 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 2
-    except (InternalInvariantError, AssertionError) as exc:
-        print(f"internal invariant violation: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

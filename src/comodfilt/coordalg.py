@@ -27,7 +27,7 @@ from math import comb
 
 import numpy as np
 
-from .linalg import check_prime, inv_mod, is_prime, rref
+from .linalg import check_prime, elimination_exact, inv_mod, is_prime, rref
 
 
 def binom(n: int, k: int) -> int:
@@ -847,6 +847,10 @@ def group_from_spec(spec: str) -> Group:
             f"bad group spec {spec!r}; expected e.g. Ga@p=2, GL:2@p=5, U:3@p=3")
     kind, n_str, p_str = m.groups()
     p = int(p_str)
+    # the size test first: trial division of a huge p would not end
+    if not elimination_exact(p):
+        raise GroupSpecError(f"p={p} is too large in spec {spec!r}: exact "
+                             f"elimination needs (p-1)^2 < 2^63")
     if not is_prime(p):
         raise GroupSpecError(f"p={p} is not prime in spec {spec!r}")
     if kind in ("Ga", "Gm"):

@@ -17,7 +17,8 @@ import numpy as np
 
 from .coordalg import Element, Group
 from .comodules import Comodule, StreamModule, tensor
-from .linalg import Subspace, kernel, preimage
+# preimage stays bound here: bench/test_bench.py checks that the tracer wraps it
+from .linalg import Subspace, kernel, matmul_mod, preimage  # noqa: F401
 
 
 class InternalInvariantError(AssertionError):
@@ -126,7 +127,9 @@ def _split(g: Group, mats: dict, x, n: int):
     are left legs outside the ambient, which must vanish.  Against an explicit
     X the inside matrices are those of X's RREF pivots, one per basis vector
     of X, and every other monomial contributes its residual to the outside.
-    Support monomials absent from X's span are outside as they stand.
+    Support monomials absent from X's span are outside as they stand.  Inside
+    is a list of n x n matrices; outside is one matrix, the nonzero rows of
+    the rest.
     """
     p = g.p
     if isinstance(x, CanonicalLevel):
@@ -147,46 +150,89 @@ def _split(g: Group, mats: dict, x, n: int):
                 if coef:
                     resid = (resid - coef * piv_mat) % p
             outside.append(resid)
-    outside = [b for b in outside if np.any(b)] + [b[n:] for b in inside if np.any(b[n:])]
-    return [b[:n] for b in inside], outside
+    outside = np.vstack([np.zeros((0, n), dtype=np.int64), *outside,
+                         *(b[n:] for b in inside)])
+    return [b[:n] for b in inside], outside[outside.any(axis=1)]
 
 
 def _greatest_fixpoint(g: Group, mats: dict, x, start: Subspace) -> tuple[Subspace, int]:
-    """The greatest V <= start with B_h V <= V inside X and B_h V = 0 outside it."""
-    inside, outside = _split(g, mats, x, start.ambient_dim)
+    """The greatest V <= start with B_h V <= V inside X and B_h V = 0 outside it.
+
+    Each pass keeps the x in V with B_h x in V for every inside h at once: one
+    kernel of the stacked residuals of B_h V modulo V, in V's coordinates.
+    Every pass contains the greatest fixpoint and the first pass that keeps
+    all of V is one, so the loop ends on it.  V = 0 and V = the whole ambient
+    are fixpoints as they stand.  For a coassociative coaction the second
+    pass always keeps V: B_k B_h = sum_g Delta(g)_{k,h} B_g.
+    """
+    p, n = g.p, start.ambient_dim
+    inside, outside = _split(g, mats, x, n)
     v = start
-    if outside:
-        v = v.intersect(kernel(np.vstack(outside), g.p))
+    if len(outside) and v.dim:
+        v = v.lift(kernel(matmul_mod(outside, v.basis.T, p), p))
     iterations = 0
-    while True:
+    while inside and 0 < v.dim < n:
         iterations += 1
-        nxt = v
-        for b in inside:
-            nxt = nxt.intersect(preimage(b, nxt))
-        if nxt == v:
-            return v, iterations
-        v = nxt
+        ker = kernel(_residual(_images(inside, v), v).reshape(-1, v.dim), p)
+        if ker.dim == v.dim:
+            break
+        v = v.lift(ker)
+    return v, iterations
+
+
+def _images(mats: list, v: Subspace) -> np.ndarray:
+    """W[h, :, a] = B_h v_a for the basis vectors v_a of V, as one product.
+
+    The B_h share one shape and are very sparse, so only their nonzero rows
+    enter the product.
+    """
+    nz = [np.flatnonzero(b.any(axis=1)) for b in mats]
+    w = np.zeros((len(mats), mats[0].shape[0], v.dim), dtype=np.int64)
+    counts = [r.size for r in nz]
+    if sum(counts):
+        rows = np.vstack([b[r] for b, r in zip(mats, nz)])
+        w[np.repeat(np.arange(len(mats)), counts), np.concatenate(nz)] = \
+            matmul_mod(rows, v.basis.T, v.p)
+    return w
+
+
+def _residual(w: np.ndarray, v: Subspace) -> np.ndarray:
+    """The images W (H, n, dim V) modulo V: W[:, nonpiv] - V[:, nonpiv]^T W[:, piv].
+
+    A vector y lies in V iff y = V^T y[piv], because V's RREF basis is the
+    identity in its pivot columns; so W[h, :, a] lies in V iff column a of
+    the residual of block h is zero.
+    """
+    hcount, k = w.shape[0], v.dim
+    piv = list(v.pivots)
+    nonpiv = np.ones(v.ambient_dim, dtype=bool)
+    nonpiv[piv] = False
+    nonpiv = np.flatnonzero(nonpiv)
+    top = w[:, piv, :].transpose(1, 0, 2).reshape(k, hcount * k)
+    back = matmul_mod(v.basis[:, nonpiv].T, top, v.p)
+    back = back.reshape(nonpiv.size, hcount, k).transpose(1, 0, 2)
+    return (w[:, nonpiv, :] - back) % v.p
 
 
 def _induced_comodule(m: Comodule, v: Subspace, mats: dict) -> Comodule:
-    """Express the coaction on the basis of V and re-validate it."""
+    """Express the coaction on the basis of V and re-validate it.
+
+    B_h v_a = sum_j W[h, piv_j, a] v_j, once the residual check has shown
+    that every B_h v_a lies in V.
+    """
     g = m.group
-    labels = [f"v{a + 1}" for a in range(v.dim)]
-    coaction = []
-    for a in range(v.dim):
-        vec = v.basis[a]
-        col: dict = {}
-        for h, b in mats.items():
-            w = (b @ vec) % g.p
-            cs = v.coords(w)
-            if cs is None:
-                raise InternalInvariantError(
-                    "induced coaction escapes the fixed-point subspace")
-            for bidx in np.nonzero(cs)[0]:
-                j = int(bidx)
-                col[j] = col.get(j, g.zero()) + g.element({h: int(cs[bidx])})
-        coaction.append(col)
-    sub = Comodule(g, labels, coaction)
+    coaction: list[dict] = [{} for _ in range(v.dim)]
+    if v.dim and mats:
+        monos = list(mats)
+        w = _images(list(mats.values()), v)
+        if np.any(_residual(w, v)):
+            raise InternalInvariantError(
+                "induced coaction escapes the fixed-point subspace")
+        coords = w[:, list(v.pivots), :].transpose(2, 0, 1)  # (a, h, j)
+        for a, h, j in zip(*np.nonzero(coords)):
+            coaction[a].setdefault(int(j), {})[monos[h]] = int(coords[a, h, j])
+    sub = Comodule(g, [f"v{a + 1}" for a in range(v.dim)],
+                   [{j: Element(g, f) for j, f in col.items()} for col in coaction])
     report = sub.validate()
     if not report.ok:
         raise InternalInvariantError(
@@ -283,23 +329,19 @@ def structure_constants(g: Group, monos, space: Subspace, mats: dict | None = No
     b_a (x) b_b, or None when the space is not a sub-coalgebra.  `mats` may
     pass in `coproduct_matrices(g, monos)` when it is already at hand.
     """
-    p = g.p
     if mats is None:
         mats = coproduct_matrices(g, monos)
     inside, outside = _split(g, mats, ExplicitSubspace(g, monos, space), len(monos))
     s = space.dim
-    basis_t = space.basis.T
-    if any(np.any(b @ basis_t % p) for b in outside):
+    if np.any(matmul_mod(outside, space.basis.T, g.p)):
         return None
-    delta = np.zeros((s * s, s), dtype=np.int64)
-    for b, mat in enumerate(inside):
-        # column k: the left leg paired with b_b in Delta(b_k); it must lie in the space
-        legs = mat @ basis_t % p
-        coords = legs[list(space.pivots)]
-        if np.any((legs - basis_t @ coords) % p):
-            return None
-        delta[b::s] = coords
-    return delta
+    if not s:
+        return np.zeros((0, 0), dtype=np.int64)
+    # W[b, :, k]: the left leg paired with b_b in Delta(b_k); it must lie in the space
+    w = _images(inside, space)
+    if np.any(_residual(w, space)):
+        return None
+    return w[:, list(space.pivots), :].transpose(1, 0, 2).reshape(s * s, s)
 
 
 def subspace_tensor(u: Subspace, v: Subspace) -> Subspace:

@@ -27,7 +27,16 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def elimination_exact(p: int) -> bool:
+    """Whether `rref` is exact mod p: it multiplies two entries in [0, p) in
+    int64, so (p-1)^2 must stay below 2^63, that is p <= 3037000500."""
+    return exact_dtype(1, p) is not object
+
+
 def check_prime(p: int) -> int:
+    if not elimination_exact(p):
+        raise ValueError(f"modulus {p} is too large for exact elimination "
+                         f"((p-1)^2 must be below 2^63)")
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
     return p
@@ -122,10 +131,10 @@ class Subspace:
 
     def coords(self, vec) -> np.ndarray | None:
         """Coordinates of vec in the RREF basis, or None if not a member."""
-        v = np.mod(np.asarray(vec, dtype=np.int64), self.p).copy()
-        cs = np.array([v[c] for c in self.pivots], dtype=np.int64)
+        v = np.mod(np.asarray(vec, dtype=np.int64), self.p)
+        cs = v[list(self.pivots)]
         if self.dim:
-            v = (v - cs @ self.basis) % self.p
+            v = (v - matmul_mod(cs[None, :], self.basis, self.p)[0]) % self.p
         if np.any(v):
             return None
         return cs
@@ -153,29 +162,47 @@ class Subspace:
         # x = a.basis^T u = b.basis^T v  <=>  (u, v) in kernel of [A^T, -B^T]
         m = np.hstack([self.basis.T, (-other.basis.T) % self.p])
         ker = kernel(m, self.p)
-        rows = (ker.basis[:, : self.dim] @ self.basis) % self.p
+        rows = matmul_mod(ker.basis[:, : self.dim], self.basis, self.p)
         return Subspace.from_rows(rows, self.ambient_dim, self.p)
+
+    def lift(self, sub: "Subspace") -> "Subspace":
+        """The subspace of self whose coordinates in self's basis form `sub`.
+
+        Both bases are in RREF, so their product is too: row r of the product
+        equals row r of sub.basis in self's pivot columns, and is zero before
+        the pivot of self's row at sub's leading entry.
+        """
+        if sub.ambient_dim != self.dim or sub.p != self.p:
+            raise DimensionMismatch(
+                f"coordinates in F_{sub.p}^{sub.ambient_dim} for a subspace of "
+                f"dim {self.dim} over F_{self.p}")
+        if sub.dim == self.dim:
+            return self
+        rows = matmul_mod(sub.basis, self.basis, self.p)
+        return Subspace(self.ambient_dim, self.p, rows,
+                        tuple(self.pivots[c] for c in sub.pivots))
 
     def vectors(self):
         """Iterate over all vectors of the subspace (small fields/dims only)."""
         from itertools import product
 
         for cs in product(range(self.p), repeat=self.dim):
-            yield (np.array(cs, dtype=np.int64) @ self.basis) % self.p if self.dim \
-                else np.zeros(self.ambient_dim, dtype=np.int64)
+            yield matmul_mod(np.array([cs], dtype=np.int64), self.basis, self.p)[0] \
+                if self.dim else np.zeros(self.ambient_dim, dtype=np.int64)
 
 
 def kernel(mat: np.ndarray, p: int) -> Subspace:
     """Null space {x : mat @ x = 0} of an (m, n) matrix, as a subspace of F_p^n."""
     a = np.mod(np.asarray(mat, dtype=np.int64), p)
-    nrows, ncols = a.shape
-    red, piv = rref(a, p)
-    free = [c for c in range(ncols) if c not in piv]
-    rows = np.zeros((len(free), ncols), dtype=np.int64)
-    for i, c in enumerate(free):
-        rows[i, c] = 1
-        for r, pc in enumerate(piv):
-            rows[i, pc] = (-red[r, c]) % p
+    ncols = a.shape[1]
+    red, piv = rref(a[a.any(axis=1)], p)
+    free = np.ones(ncols, dtype=bool)
+    free[piv] = False
+    free = np.flatnonzero(free)
+    # one row per free column c: x_c = 1 and x_pc = -red[r, c] at pivot pc
+    rows = np.zeros((free.size, ncols), dtype=np.int64)
+    rows[np.arange(free.size), free] = 1
+    rows[:, piv] = (-red[:, free].T) % p
     return Subspace.from_rows(rows, ncols, p)
 
 
@@ -189,7 +216,7 @@ def preimage(mat: np.ndarray, target: Subspace) -> Subspace:
     comp = complement_projection(target)
     if comp.shape[0] == 0:
         return Subspace.full(n, target.p)
-    return kernel((comp @ a) % target.p, target.p)
+    return kernel(matmul_mod(comp, a, target.p), target.p)
 
 
 def complement_projection(v: Subspace) -> np.ndarray:

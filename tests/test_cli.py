@@ -5,8 +5,10 @@ import os
 
 import pytest
 
-from comodfilt import __version__
+from comodfilt import __version__, cli
 from comodfilt.cli import main
+from comodfilt.cobar import NotACComoduleError
+from comodfilt.linalg import DimensionMismatch
 
 
 def run(capsys, *argv):
@@ -100,6 +102,31 @@ def test_usage_exit_codes(capsys):
         code, _, err = run(capsys, *argv)
         assert code == 1, argv
         assert err.strip()
+
+
+def test_primes_too_large_for_exact_elimination_are_usage_errors(capsys):
+    code, out, err = run(capsys, "dims", "--group", "Ga@p=4294967311", "--dmax", "1")
+    assert code == 1 and not out
+    assert err.startswith("error:") and "too large" in err and len(err.splitlines()) == 1
+    code, _, _ = run(capsys, "dims", "--group", "Ga@p=2147483647", "--dmax", "1")
+    assert code == 0
+    # rejected by size before any trial division
+    code, _, err = run(capsys, "dims", "--group", f"Ga@p={10 ** 40 + 1}", "--dmax", "1")
+    assert code == 1 and "too large" in err
+
+
+@pytest.mark.parametrize("exc, code, prefix", [
+    (DimensionMismatch("ambient mismatch: (3,p=2) vs (4,p=2)"), 3,
+     "internal invariant violation:"),
+    (NotACComoduleError("module does not fit the level"), 1, "error:"),
+])
+def test_engine_errors_map_to_their_exit_codes(capsys, monkeypatch, exc, code, prefix):
+    def failing_runner(args, limits):
+        raise exc
+    monkeypatch.setitem(cli._RUNNERS, "dims", failing_runner)
+    got, out, err = run(capsys, "dims", "--group", "Ga@p=2", "--dmax", "1", "--no-cache")
+    assert got == code and not out
+    assert err.startswith(prefix) and len(err.splitlines()) == 1
 
 
 def test_resource_exit_code(capsys):

@@ -5,13 +5,14 @@ import random
 import pytest
 
 from comodfilt.comodules import (Comodule, ModuleExprError, StreamModule,
+                                 ValidationReport,
                                  build_module, detpow, direct_sum, dual,
                                  frobenius_element, frobenius_twist, natural,
                                  parse_module_expr,
                                  polyaffine, primitives, regular,
                                  regular_stream, sym_power, tensor,
                                  translationinvariants, trivial, twiststream)
-from comodfilt.coordalg import UnsupportedOperation, group_from_spec
+from comodfilt.coordalg import TensorElement, UnsupportedOperation, group_from_spec
 
 GA2 = group_from_spec("Ga@p=2")
 GM3 = group_from_spec("Gm@p=3")
@@ -235,3 +236,84 @@ def test_build_module_compatibility_errors():
                  "sym(2,translationinvariants)"]:
         with pytest.raises(ModuleExprError):
             build_module(text, GA2)
+
+
+# ---------------------------------------------------------------------------
+# validate against the dense scan it replaced
+
+def reference_validate(m: Comodule) -> ValidationReport:
+    """Every (j, i) for the counit and every (i, l) for coassociativity."""
+    g = m.group
+    failures = []
+    for i in range(m.dim):
+        for j in range(m.dim):
+            want = 1 if i == j else 0
+            if g.counit(m.coefficient(j, i)) != want:
+                failures.append(f"counit axiom at basis index {i} "
+                                f"(epsilon(f[{j},{i}]) != {want})")
+                break
+        if failures:
+            break
+    for i in range(m.dim):
+        col = m.column(i)
+        for ell in range(m.dim):
+            lhs = TensorElement(g, {})
+            for j, fji in col.items():
+                felj = m.coefficient(ell, j)
+                if felj:
+                    lhs = lhs + TensorElement(
+                        g, {(ma, mb): ca * cb
+                            for ma, ca in felj.coeffs.items()
+                            for mb, cb in fji.coeffs.items()})
+            if lhs != g.coproduct(m.coefficient(ell, i)):
+                failures.append(f"coassociativity at basis index {i} (row {ell})")
+                break
+        if failures and "coassoc" in failures[-1]:
+            break
+    return ValidationReport(not failures, failures)
+
+
+def tampered(m: Comodule, j: int, i: int, f) -> Comodule:
+    """m with the single entry f_{ji} replaced by f (None drops it)."""
+    coaction = [dict(m.column(c)) for c in range(m.dim)]
+    coaction[i].pop(j, None)
+    if f is not None:
+        coaction[i][j] = f
+    return Comodule(m.group, m.basis_labels, coaction)
+
+
+TAMPER_MODULES = [
+    ("GL:2@p=2", "regular(2)"),
+    ("GL:2@p=3", "sym(2,natural)"),
+    ("GL:2@p=5", "tensor(natural,detpow(-1))"),
+    ("Ga@p=2", "regular(3)"),
+    ("Ga@p=3", "sum(regular(3),twist(1,regular(1)))"),
+    ("U:3@p=2", "regular(2)"),
+    ("U:3@p=3", "tensor(natural,dual(natural))"),
+]
+
+
+def test_validate_reports_match_the_dense_scan_on_tampered_modules():
+    rng = random.Random(31)
+    seen = set()
+    for spec, text in TAMPER_MODULES:
+        g = group_from_spec(spec)
+        m = build_module(text, g)
+        monos = m.support_monomials()
+        entries = sorted(m.coeffs)
+        j0, i0 = rng.choice(entries)
+        j1, i1 = rng.randrange(m.dim), rng.randrange(m.dim)
+        j2, i2 = rng.choice(entries)
+        cases = [
+            m,
+            tampered(m, j0, i0, None),                                 # drop an entry
+            tampered(m, j1, i1, m.coefficient(j1, i1) + g.one()),      # shift its counit
+            tampered(m, j2, i2, m.coefficient(j2, i2)
+                     + g.element({rng.choice(monos): 1})),             # add a monomial
+        ]
+        for case in cases:
+            got, want = case.validate(), reference_validate(case)
+            assert (got.ok, got.failures) == (want.ok, want.failures), (spec, text)
+            seen.update(f.split(" ")[0] for f in want.failures)
+            seen.add(want.ok)
+    assert seen == {True, False, "counit", "coassociativity"}

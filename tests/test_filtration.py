@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
-from comodfilt.comodules import (build_module, direct_sum, dual, frobenius_twist,
-                                 natural, regular, trivial)
+from comodfilt import filtration
+from comodfilt.comodules import (Comodule, build_module, direct_sum, dual,
+                                 frobenius_twist, natural, regular, trivial)
 from comodfilt.coordalg import group_from_spec
 from comodfilt.filtration import (CanonicalLevel, ExplicitSubspace,
-                                  coalgebra_closure, coefficient_matrices,
+                                  InternalInvariantError, coalgebra_closure,
+                                  coefficient_matrices, coproduct_matrices,
                                   filtration_dims, restrict, structure_constants,
                                   subspace_tensor, tensor_containment)
-from comodfilt.linalg import Subspace
+from comodfilt.linalg import Subspace, kernel, preimage
 
 GA2 = group_from_spec("Ga@p=2")
 GA3 = group_from_spec("Ga@p=3")
@@ -109,6 +111,121 @@ def test_restrict_is_functorial_for_inclusions():
         for row in ra.basis:
             padded = np.concatenate([row, np.zeros(b.dim, dtype=np.int64)])
             assert rs.contains(padded)
+
+
+# ---------------------------------------------------------------------------
+# the fixpoint against a reference: one preimage and one intersection per
+# inside monomial, iterated until nothing changes
+
+def reference_fixpoint(g, mats, x, start):
+    inside, outside = filtration._split(g, mats, x, start.ambient_dim)
+    v = start
+    if len(outside):
+        v = v.intersect(kernel(outside, g.p))
+    while True:
+        nxt = v
+        for b in inside:
+            nxt = nxt.intersect(preimage(b, nxt))
+        if nxt == v:
+            return v
+        v = nxt
+
+
+def reference_induced(m, v, mats):
+    """The coaction on V's basis, one coordinate vector at a time."""
+    g = m.group
+    coaction = []
+    for vec in v.basis:
+        col = {}
+        for h, b in mats.items():
+            cs = v.coords((b @ vec) % g.p)
+            for j in np.nonzero(cs)[0]:
+                col[int(j)] = col.get(int(j), g.zero()) + g.element({h: int(cs[j])})
+        coaction.append(col)
+    return Comodule(g, [f"v{a + 1}" for a in range(v.dim)], coaction)
+
+
+def explicit_levels(g, d):
+    """Level d without its last basis monomial, and with one of degree d+1."""
+    monos = g.filtration_basis(d)
+    extra = g.filtration_basis(d + 1)[len(monos)]
+    return [ExplicitSubspace(g, monos[:-1], Subspace.full(len(monos) - 1, g.p)),
+            ExplicitSubspace(g, monos + [extra], Subspace.full(len(monos) + 1, g.p))]
+
+
+@pytest.mark.parametrize("spec, text", [
+    ("Ga@p=2", "regular(3)"),
+    ("Gm@p=3", "tensor(regular(2),dual(regular(2)))"),
+    ("U:3@p=3", "regular(3)"),
+    ("GL:2@p=2", "regular(3)"),
+    ("SL:2@p=3", "sym(3,natural)"),
+])
+def test_restrict_matches_the_per_monomial_fixpoint(spec, text):
+    g = group_from_spec(spec)
+    m = build_module(text, g)
+    mats = coefficient_matrices(m)
+    levels = [CanonicalLevel(g, d) for d in range(4)] + explicit_levels(g, 1)
+    for x in levels:
+        res = restrict(m, x)
+        want = reference_fixpoint(g, mats, x, Subspace.full(m.dim, g.p))
+        assert res.subspace == want, (spec, text, x)
+        assert res.comodule == reference_induced(m, want, mats)
+
+
+def test_restrict_matches_the_per_monomial_fixpoint_on_explicit_subspaces():
+    # span{1, t, t^2 + t^4} over F_3, and level 1 of GL(2) plus a sum
+    ga3 = regular(GA3, 4)
+    x = ExplicitSubspace.from_elements(GA3, [GA3.one(), GA3.element({1: 1}),
+                                             GA3.element({2: 1, 4: 1})])
+    gl = regular(GL2, 2)
+    level = GL2.filtration_basis(1)
+    top = GL2.filtration_basis(2)[len(level):]
+    y = ExplicitSubspace.from_elements(
+        GL2, [GL2.element({h: 1}) for h in level] + [GL2.element({top[0]: 1, top[-1]: 1})])
+    dims = []
+    for m, z in ((ga3, x), (gl, y)):
+        want = reference_fixpoint(m.group, coefficient_matrices(m), z,
+                                  Subspace.full(m.dim, m.group.p))
+        assert restrict(m, z).subspace == want
+        dims.append(want.dim)
+    # Delta(t^2 + t^4) has the leg t (x) (2t + t^3), and t^3 is not in X
+    assert dims[0] == 2
+
+
+@pytest.mark.parametrize("spec", ["GL:2@p=2", "U:3@p=2", "SL:2@p=65521"])
+def test_closure_matches_the_per_monomial_fixpoint(spec):
+    g = group_from_spec(spec)
+    for d in range(4):
+        for x in [ExplicitSubspace.canonical(g, d), *explicit_levels(g, d)]:
+            want = reference_fixpoint(g, coproduct_matrices(g, x.monos), x, x.space)
+            got = coalgebra_closure(g, x)
+            assert got.subspace.space == want, (spec, d, x.monos)
+            assert got.is_subcoalgebra
+
+
+def test_fixpoint_iterates_until_nothing_shrinks():
+    # A coassociative coaction settles after one shrinking pass; plain
+    # matrices need not.  S shifts e0 -> e1 -> e2 -> e3 and the outside
+    # matrix O is nonzero only on e3, so V starts as span{e0, e1, e2, e4}
+    # and each pass drops the next vector of the chain: e2, e1, then e0.
+    shift = np.zeros((5, 5), dtype=np.int64)
+    shift[[1, 2, 3], [0, 1, 2]] = 1
+    kill = np.zeros((5, 5), dtype=np.int64)
+    kill[0, 3] = 1
+    mats = {0: np.eye(5, dtype=np.int64), 1: shift, 2: kill}
+    x, start = CanonicalLevel(GA2, 1), Subspace.full(5, 2)
+    v, iterations = filtration._greatest_fixpoint(GA2, mats, x, start)
+    assert v == reference_fixpoint(GA2, mats, x, start) == unit_rows([4], 5, 2)
+    assert iterations == 4
+
+
+def test_restrict_reports_an_escaping_fixpoint(monkeypatch):
+    # span{t} in regular(2) over Ga is not a subcomodule: Delta(t) has 1 (x) t
+    m = regular(GA2, 2)
+    monkeypatch.setattr(filtration, "_greatest_fixpoint",
+                        lambda g, mats, x, start: (unit_rows([1], 3, 2), 1))
+    with pytest.raises(InternalInvariantError, match="escapes"):
+        restrict(m, CanonicalLevel(GA2, 2))
 
 
 # ---------------------------------------------------------------------------

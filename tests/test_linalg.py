@@ -5,9 +5,9 @@ import random
 import numpy as np
 import pytest
 
-from comodfilt.linalg import (IncrementalRREF, Subspace, as_matrix, exact_dtype,
-                              inv_mod, is_prime, kernel, matmul_mod, matrank,
-                              preimage, rref, solvable, solve)
+from comodfilt.linalg import (IncrementalRREF, Subspace, as_matrix, elimination_exact,
+                              exact_dtype, inv_mod, is_prime, kernel, matmul_mod,
+                              matrank, preimage, rref, solvable, solve)
 
 
 def random_matrix(rng, rows, cols, p):
@@ -184,3 +184,28 @@ def test_incremental_rref_matches_dense_on_sparse_blocks():
             red, piv = rref(stacked, p)
             assert np.array_equal(acc.rows, red) and acc.pivots == piv
             assert not np.any(acc.reduce(stacked))
+
+
+def test_membership_is_exact_at_p_2_31_minus_1():
+    # int64 sums of three products of entries near 2^31 overflow
+    rng = random.Random(29)
+    p = 2 ** 31 - 1
+    for _ in range(100):
+        rows = [[rng.randrange(p) for _ in range(7)] for _ in range(rng.randrange(3, 6))]
+        space = Subspace.from_rows(rows, 7, p)
+        combo = [rng.randrange(p) for _ in rows]
+        vec = [sum(c * row[j] for c, row in zip(combo, rows)) % p for j in range(7)]
+        cs = space.coords(vec)
+        assert cs is not None
+        assert python_matmul_mod(cs[None, :], space.basis, p) == [vec]
+
+
+def test_large_primes_are_rejected_before_elimination():
+    p = 2 ** 31 - 1
+    assert Subspace.from_rows([[p - 1, p - 2]], 2, p).basis.tolist() == [[1, 2]]
+    assert elimination_exact(p) and elimination_exact(3037000493)
+    assert not elimination_exact(4294967311)
+    with pytest.raises(ValueError, match="too large"):
+        Subspace.from_rows([[4294967310, 4294967309]], 2, 4294967311)
+    with pytest.raises(ValueError, match="too large"):
+        IncrementalRREF(2, 4294967311)
