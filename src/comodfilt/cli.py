@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -39,7 +40,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="comodfilt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -1,12 +1,17 @@
 """Cobar complexes of finite-dimensional sub-coalgebras and injectivity tests.
 
-CH^n(C, M) = M (x) C^(x n) with differential d^n = sum_{i=0}^{n+1} (-1)^i d_i:
-d_0 inserts the coaction, d_i (1 <= i <= n) applies Delta_C to the i-th
-tensor factor, and d_{n+1} appends the unit.  Cohomology dimensions come from
-exact ranks.  Injectivity of a C-comodule M is decided by solvability of the
-retraction system for the canonical embedding M -> M^{triv} (x) C, solved in
-two stages: first the space of comodule maps C -> M, then the normalization
-sum_a S^a F^a = I inside that space.
+Cohomology is computed on the normalized cobar complex CH^n(C, M) =
+M (x) Cbar^(x n), where Cbar = ker(epsilon) and C = k.1 + Cbar.  Its
+differential is d^n = rho_bar (x) I + sum_{i=1}^{n} (-1)^i I (x) delta_bar (x) I:
+rho_bar is the coaction followed by the projection C -> Cbar, delta_bar the
+reduced coproduct Delta(x) - x (x) 1 - 1 (x) x on the i-th tensor factor.  There
+is no unit face.  It has dimension m (s-1)^n instead of the m s^n of the full
+complex M (x) C^(x n), and computes the same Ext_C(k, M) (Ravenel, Complex
+Cobordism and Stable Homotopy Groups of Spheres, App. A1).  Cohomology
+dimensions come from exact ranks.  Injectivity of a C-comodule M is decided by
+solvability of the retraction system for the canonical embedding
+M -> M^{triv} (x) C, solved in two stages: first the space of comodule maps
+C -> M, then the normalization sum_a S^a F^a = I inside that space.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from .coordalg import Group, UnsupportedOperation
 from .filtration import (CanonicalLevel, ExplicitSubspace, InternalInvariantError,
                          coalgebra_closure, restrict, structure_constants)
 from .linalg import (IncrementalRREF, Subspace, kernel, matmul_mod, matrank,
-                     solvable)
+                     rref, solvable)
 
 
 class NotACComoduleError(ValueError):
@@ -105,9 +110,60 @@ class ChainComplex:
                 raise InternalInvariantError(f"d^{n + 1} after d^{n} is nonzero")
 
 
+def _normalized_factors(c: SubCoalgebra, blocks: list[np.ndarray]):
+    """The coaction and the coproduct restricted to Cbar = ker(epsilon).
+
+    C = k.1 + Cbar.  The new basis of C is the unit followed by an RREF basis
+    e_1..e_t of ker(epsilon), t = s - 1, written as the rows of `r` in c's
+    basis; one inversion of `r` gives the Cbar-coordinates of each b_a.
+    Returns rho_bar, shape (m*t, m), whose row (j, r) holds the e_r-component
+    of the coaction, and delta_bar, shape (t*t, t), the reduced coproduct
+    Delta(e_k) - e_k (x) 1 - 1 (x) e_k = sum delta_bar[r*t+u, k] e_r (x) e_u.
+    """
+    p = c.group.p
+    s = c.dim
+    mm = blocks[0].shape[0]
+    counit = np.array([c.group.counit_mono(mono) % p for mono in c.monos],
+                      dtype=np.int64)
+    eps = matmul_mod(c.space.basis, counit[:, None], p)[:, 0]
+    kbar = kernel(eps[None, :], p).basis
+    t = kbar.shape[0]
+    r = np.vstack([c.unit[None, :], kbar])
+    inv = rref(np.hstack([r, np.eye(s, dtype=np.int64)]), p)[0][:, s:]
+    # b_a = sum_r inv[a, r] e_r, so the Cbar-coordinates of b_a are inv[a, 1:]
+    to_bar = inv[:, 1:].T                                            # [r, a]
+    g = matmul_mod(to_bar, np.stack(blocks).reshape(s, mm * mm), p)  # [r, j, i]
+    rho_bar = g.reshape(t, mm, mm).transpose(1, 0, 2).reshape(mm * t, mm)
+    x = matmul_mod(c.delta_matrix, kbar.T, p)                        # [a, b, k]
+    y = matmul_mod(to_bar, x.reshape(s, s * t), p)                   # [r, b, k]
+    y = y.reshape(t, s, t).transpose(1, 0, 2).reshape(s, t * t)      # [b, r, k]
+    z = matmul_mod(to_bar, y, p).reshape(t, t, t)                    # [u, r, k]
+    return rho_bar, z.transpose(1, 0, 2).reshape(t * t, t)
+
+
+def _add_kron(d: np.ndarray, left: int, a: np.ndarray, right: int, sign: int):
+    """d += sign * (I_left (x) a (x) I_right), written at a's nonzero entries.
+
+    The entries of one such term are distinct, so one fancy-index update is
+    exact.
+    """
+    ar, ac = a.shape
+    r, c = np.nonzero(a)
+    outer = np.arange(left)[:, None, None]
+    inner = np.arange(right)
+    rows = (outer * ar + r[:, None]) * right + inner
+    cols = (outer * ac + c[:, None]) * right + inner
+    d[rows.ravel(), cols.ravel()] += sign * np.broadcast_to(a[r, c][:, None], rows.shape).ravel()
+
+
 def cobar_complex(c: SubCoalgebra, m: Comodule, n_max: int,
                   limits: Limits | None = None) -> ChainComplex:
-    """Build CH^0..CH^(n_max) with all differentials (including d^(n_max))."""
+    """Build the normalized CH^0..CH^(n_max) with all differentials
+    (including d^(n_max)).
+
+    CH^n = M (x) Cbar^(x n) and d^n = rho_bar (x) I + sum_{i=1}^{n} (-1)^i
+    I (x) delta_bar (x) I, written entry by entry into one array per degree.
+    """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     limits = limits or Limits()
@@ -115,24 +171,18 @@ def cobar_complex(c: SubCoalgebra, m: Comodule, n_max: int,
     s = c.dim
     mm = m.dim
     blocks = c.coefficient_blocks(m)
+    # the ceiling stays on the full complex's top dimension m s^(n_max+1), so
+    # a job is accepted or refused regardless of which complex is built
     check_limit(mm * s ** (n_max + 1), limits.max_chain_dim, "chain-group dimension")
-    # F_op: M -> M (x) C, shape (mm*s, mm)
-    f_op = np.zeros((mm * s, mm), dtype=np.int64)
-    for a, blk in enumerate(blocks):
-        f_op[a::s, :] = blk  # row (j, a) = j*s + a
-    unit_col = c.unit.reshape(s, 1)
-    dims = [mm * s ** n for n in range(n_max + 2)]
+    rho_bar, delta_bar = _normalized_factors(c, blocks)
+    t = s - 1
+    dims = [mm * t ** n for n in range(n_max + 2)]
     diffs = []
     for n in range(n_max + 1):
-        d = np.kron(f_op, np.eye(s ** n, dtype=np.int64))
-        sign = -1
+        d = np.zeros((dims[n + 1], dims[n]), dtype=np.int64)
+        _add_kron(d, 1, rho_bar, t ** n, 1)
         for i in range(1, n + 1):
-            term = np.kron(np.kron(np.eye(mm * s ** (i - 1), dtype=np.int64),
-                                   c.delta_matrix),
-                           np.eye(s ** (n - i), dtype=np.int64))
-            d = d + sign * term
-            sign = -sign
-        d = d + sign * np.kron(np.eye(mm * s ** n, dtype=np.int64), unit_col)
+            _add_kron(d, mm * t ** (i - 1), delta_bar, t ** (n - i), (-1) ** i)
         diffs.append(d % p)
     return ChainComplex(p, dims[: n_max + 1], diffs)
 
@@ -146,6 +196,23 @@ def cohomology_dims(cx: ChainComplex) -> list[int]:
         out.append(cx.dims[n] - rank - prev_rank)
         prev_rank = rank
     return out
+
+
+def _stage1_rows(f: np.ndarray, lam_c: np.ndarray) -> np.ndarray:
+    """The nonzero rows of I_s (x) F^c - lambda_c^T (x) I_m, in order.
+
+    lam_c[a, k] = lambda^k_{ac}.  Row (k, j), column (a, i) holds
+    delta_ak F^c[j, i] - lambda^k_{ac} delta_ji, written by index into a
+    zeroed (k, j, a, i) array; entries lie in (-p, p).  The zero rows dropped
+    here are ones `IncrementalRREF.add_rows` would discard anyway.
+    """
+    s, mm = lam_c.shape[0], f.shape[0]
+    ks, js = np.arange(s), np.arange(mm)
+    blk = np.zeros((s, mm, s, mm), dtype=np.int64)
+    blk[ks, :, ks, :] = f
+    blk[:, js, :, js] -= lam_c.T
+    blk = blk.reshape(s * mm, s * mm)
+    return blk[blk.any(axis=1)]
 
 
 def injective_test(c: SubCoalgebra, m: Comodule,
@@ -162,11 +229,9 @@ def injective_test(c: SubCoalgebra, m: Comodule,
     lam = c.delta_matrix  # (s*s, s): lambda^k_{ab} = lam[a*s+b, k]
     # stage 1: the space W of comodule maps phi: C -> M,
     # phi(b_k) = v^k with F^c v^k = sum_a lambda^k_{ac} v^a for all c, k
-    # row (k, j), column (a, i): delta_ak F^c[j, i] - lambda^k_{ac} delta_ji
     acc = IncrementalRREF(s * mm, p)
-    eye_s, eye_m = np.eye(s, dtype=np.int64), np.eye(mm, dtype=np.int64)
     for cc in range(s):
-        acc.add_rows(np.kron(eye_s, blocks[cc]) - np.kron(lam[cc::s].T, eye_m))
+        acc.add_rows(_stage1_rows(blocks[cc], lam[cc::s]))
     w = kernel(acc.rows, p) if acc.rank else Subspace.full(s * mm, p)
     t = w.dim
     if t == 0:

@@ -27,7 +27,8 @@ from math import comb
 
 import numpy as np
 
-from .linalg import check_prime, elimination_exact, inv_mod, is_prime, rref
+from .linalg import (check_prime, elimination_exact, exact_dtype, inv_mod,
+                     is_prime, rref)
 
 
 def binom(n: int, k: int) -> int:
@@ -536,6 +537,12 @@ class Unitriangular(_PolynomialGroup):
         return result.coeffs
 
 
+def _product_dtype(inner: int, p: int):
+    """int64 where a sum of `inner` products of entries in [0, p) fits in it,
+    Python integers otherwise (see `linalg.exact_dtype`)."""
+    return object if exact_dtype(inner, p) is object else np.int64
+
+
 class _HomogeneousDetReducer:
     """Row-reduced image of det * O(M)_{deg-N} inside O(M)_deg.
 
@@ -570,8 +577,9 @@ class _HomogeneousDetReducer:
         red, piv = rref(w, p)
         # rows of det*monomial are independent, so all pivots land in the first block
         assert all(c < n for c in piv) and len(piv) == q
-        self.rows = red[:, :n]
-        self.qrows = red[:, n:]
+        self.dtype = _product_dtype(len(piv), p)
+        self.rows = red[:, :n].astype(self.dtype)
+        self.qrows = red[:, n:].astype(self.dtype)
         self.pivots = piv
         pivset = set(piv)
         self.complement = [m for i, m in enumerate(self.monos) if i not in pivset]
@@ -581,9 +589,9 @@ class _HomogeneousDetReducer:
         p = self.mat.p
         if not self.pivots:
             return vec % p, np.zeros(0, dtype=np.int64)
-        c = vec[self.pivots] % p
-        residue = (vec - c @ self.rows) % p
-        quotient = (c @ self.qrows) % p
+        c = (vec[self.pivots] % p).astype(self.dtype, copy=False)
+        residue = ((vec - c @ self.rows) % p).astype(np.int64, copy=False)
+        quotient = ((c @ self.qrows) % p).astype(np.int64, copy=False)
         return residue, quotient
 
 
@@ -785,7 +793,8 @@ class _SLReducer:
                 w[r, self.index[prod]] = dc % p
             w[r, self.index[qm]] = (w[r, self.index[qm]] - 1) % p
         red, piv = rref(w, p)
-        self.rows = red
+        self.dtype = _product_dtype(len(piv), p)
+        self.rows = red.astype(self.dtype)
         self.pivots = piv
         pivset = set(piv)
         self.complement = [m for i, m in enumerate(self.monos) if i not in pivset]
@@ -794,8 +803,8 @@ class _SLReducer:
         p = self.mat.p
         if not self.pivots:
             return vec % p
-        c = vec[self.pivots] % p
-        return (vec - c @ self.rows) % p
+        c = (vec[self.pivots] % p).astype(self.dtype, copy=False)
+        return ((vec - c @ self.rows) % p).astype(np.int64, copy=False)
 
 
 class SL(_DeterminantGroup):

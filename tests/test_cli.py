@@ -2,9 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import comodfilt
 from comodfilt import __version__, cli
 from comodfilt.cli import main
 from comodfilt.cobar import NotACComoduleError
@@ -238,3 +242,55 @@ def test_cache_store_leaves_no_partial_record(tmp_path, monkeypatch):
     cli.cache_store(str(tmp_path), "f" * 64, {"rows": []})
     assert cli.cache_lookup(str(tmp_path), "f" * 64) == {"rows": []}
     assert os.listdir(tmp_path) == ["f" * 64 + ".json"]
+
+
+def test_reused_parser_gives_the_same_answers(capsys, monkeypatch):
+    # main() parses every call with one parser built per process; fresh
+    # parsers must give the same output and exit codes
+    monkeypatch.delenv("COMODFILT_CACHE", raising=False)
+    argvs = [
+        ["dims", "--group", "GL:2@p=5", "--dmax", "3"],
+        ["cobar", "--group", "Ga@p=2", "--dmax", "2", "--format", "csv"],
+        ["dims", "--group", "Ga@p=2"],                         # usage error
+        ["filter", "--group", "Ga@p=2", "--module", "regular(2)", "--dmax", "3",
+         "--format", "csv"],
+        ["frobnicate"],                                        # usage error
+        ["inject", "--group", "Ga@p=2", "--dmax", "2"],
+        ["validate", "--suite", "--format", "csv"],
+        ["cobar", "--group", "Ga@p=2", "--dmax", "2"],
+    ]
+
+    def answers(fresh):
+        out = []
+        for argv in argvs:
+            if fresh:
+                cli._build_parser.cache_clear()
+            code, stdout, stderr = run(capsys, *argv)
+            stdout = "\n".join(line for line in stdout.splitlines()
+                               if '"timestamp"' not in line)
+            out.append((code, stdout, stderr))
+        return out
+
+    reused = answers(fresh=False)
+    assert [code for code, _, _ in reused] == [0, 0, 1, 0, 1, 0, 0, 0]
+    assert cli._build_parser() is cli._build_parser()
+    assert answers(fresh=True) == reused
+
+
+def test_normalized_cobar_runs_under_a_one_gib_address_space():
+    # passes max_chain_dim (top dimension 2^16); the full complex's d^15 would
+    # be a 65536 x 32768 int64 array (about 17 GB), while every normalized
+    # chain group has dimension 1
+    code = textwrap.dedent("""
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        from comodfilt.cli import main
+        sys.exit(main(["cobar", "--group", "Ga@p=2", "--dmax", "1",
+                       "--nmax", "15", "--format", "csv", "--no-cache"]))
+    """)
+    src = os.path.dirname(os.path.dirname(comodfilt.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["n,dim"] + [f"{n},1" for n in range(16)]

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from comodfilt.cobar import (ChainComplex, NotACComoduleError, SubCoalgebra,
-                             cobar_complex, cohomology_dims, injective_test,
-                             injectivity_profile)
+                             _stage1_rows, cobar_complex, cohomology_dims,
+                             injective_test, injectivity_profile)
 from comodfilt.comodules import (StreamModule, build_module, direct_sum,
                                  regular, regular_stream,
                                  translationinvariants, trivial)
@@ -18,6 +18,39 @@ from comodfilt.linalg import Subspace, matrank
 
 GA2 = group_from_spec("Ga@p=2")
 GM3 = group_from_spec("Gm@p=3")
+
+
+def reference_cobar_complex(c, m, n_max):
+    """Oracle: the full cobar complex M (x) C^(x n), with the unit face.
+
+    d^n = sum_{i=0}^{n+1} (-1)^i d_i: d_0 inserts the coaction, d_i applies
+    Delta_C to the i-th tensor factor and d_{n+1} appends the unit.  Built
+    densely from Kronecker products; it shares only `coefficient_blocks`,
+    `delta_matrix` and `unit` with the normalized complex.
+    """
+    p = c.group.p
+    s = c.dim
+    mm = m.dim
+    blocks = c.coefficient_blocks(m)
+    # F_op: M -> M (x) C, shape (mm*s, mm)
+    f_op = np.zeros((mm * s, mm), dtype=np.int64)
+    for a, blk in enumerate(blocks):
+        f_op[a::s, :] = blk  # row (j, a) = j*s + a
+    unit_col = c.unit.reshape(s, 1)
+    dims = [mm * s ** n for n in range(n_max + 2)]
+    diffs = []
+    for n in range(n_max + 1):
+        d = np.kron(f_op, np.eye(s ** n, dtype=np.int64))
+        sign = -1
+        for i in range(1, n + 1):
+            term = np.kron(np.kron(np.eye(mm * s ** (i - 1), dtype=np.int64),
+                                   c.delta_matrix),
+                           np.eye(s ** (n - i), dtype=np.int64))
+            d = d + sign * term
+            sign = -sign
+        d = d + sign * np.kron(np.eye(mm * s ** n, dtype=np.int64), unit_col)
+        diffs.append(d % p)
+    return ChainComplex(p, dims[: n_max + 1], diffs)
 
 
 def primitive_rank(g, d):
@@ -73,7 +106,7 @@ def test_coefficient_blocks_reject_escaping_coefficients():
 
 def test_differential_kills_primitives_in_degree_one():
     c = SubCoalgebra.canonical(GA2, 2)
-    cx = cobar_complex(c, trivial(GA2), 2)
+    cx = reference_cobar_complex(c, trivial(GA2), 2)
     # CH^1 = C with basis 1, t, t^2; t and t^2 are primitive, so d^1 kills them
     assert not np.any(cx.diffs[1][:, 1]) and not np.any(cx.diffs[1][:, 2])
     # d^2 after d^1 is checked at construction; spot-check the shapes too
@@ -112,8 +145,8 @@ def test_h1_nondecreasing_along_levels():
 def test_level_inclusions_are_chain_maps():
     small = SubCoalgebra.canonical(GA2, 2)
     big = SubCoalgebra.canonical(GA2, 4)
-    cx_s = cobar_complex(small, trivial(GA2), 2)
-    cx_b = cobar_complex(big, trivial(GA2), 2)
+    cx_s = reference_cobar_complex(small, trivial(GA2), 2)
+    cx_b = reference_cobar_complex(big, trivial(GA2), 2)
     inc = np.zeros((big.dim, small.dim), dtype=np.int64)
     for i, m in enumerate(small.monos):
         inc[big.index[m], i] = 1
@@ -125,11 +158,66 @@ def test_level_inclusions_are_chain_maps():
         assert not np.any((cx_b.diffs[n] @ inc_n - inc_n1 @ cx_s.diffs[n]) % 2)
 
 
+def test_normalized_complex_of_the_trivial_module():
+    c = SubCoalgebra.canonical(GA2, 2)
+    cx = cobar_complex(c, trivial(GA2), 2)
+    # CH^n = Cbar^(x n) with Cbar = span{t, t^2}, both primitive: d^1 = 0
+    assert cx.dims == [1, 2, 4]
+    assert not np.any(cx.diffs[1])
+    assert cx.diffs[2].shape == (8, 4)
+
+
+# (group, module, d, n_max): the cobar cases of the tests, the demos and the
+# benchmark, then a point level, a large prime, a deep complex, p = 3 and a
+# level whose counit is nonzero on several basis monomials
+COBAR_CASES = [
+    ("Ga@p=2", "regular(2)", 2, 2), ("Gm@p=3", "regular(1)", 1, 2),
+    ("U:2@p=2", "natural", 1, 2), ("Gm@p=3", "dual(regular(2))", 2, 2),
+    ("Ga@p=2", "sum(triv,regular(1))", 1, 2), ("Gm@p=3", "regular(2)", 2, 1),
+    *[("Ga@p=2", "triv", d, 2) for d in (1, 2, 3, 4, 5, 6, 8)],
+    ("Gm@p=3", "dual(regular(2))", 2, 3), ("Ga@p=2", "regular(2)", 4, 3),
+    ("U:3@p=2", "natural", 2, 2), ("GL:2@p=2", "natural", 1, 3),
+    ("Ga@p=2", "triv", 0, 2), ("SL:2@p=65521", "natural", 1, 3),
+    ("Ga@p=2", "triv", 3, 5), ("U:3@p=3", "natural", 1, 3),
+    ("SL:2@p=3", "sym(2,natural)", 2, 2),
+]
+
+
+def test_normalized_and_full_complexes_have_equal_cohomology():
+    def both(c, m, n):
+        cx = cobar_complex(c, m, n)
+        assert cx.dims == [m.dim * (c.dim - 1) ** k for k in range(n + 1)]
+        return cohomology_dims(cx), cohomology_dims(reference_cobar_complex(c, m, n))
+
+    for spec, text, d, n in COBAR_CASES:
+        g = group_from_spec(spec)
+        normalized, full = both(SubCoalgebra.canonical(g, d), build_module(text, g), n)
+        assert normalized == full, (spec, text, d, n)
+    # the closures of the injectivity oracle below, and a proper sub-coalgebra
+    for spec, texts, d_max in INJECTIVITY_ORACLE_CASES:
+        g = group_from_spec(spec)
+        for text in texts:
+            m = build_module(text, g)
+            for d in range(d_max + 1):
+                closure = coalgebra_closure(g, CanonicalLevel(g, d))
+                c = SubCoalgebra.from_explicit(closure.subspace,
+                                               delta_matrix=closure.delta_matrix)
+                target = m.generate(m.sufficiency(d)) if isinstance(m, StreamModule) else m
+                level = restrict(target, CanonicalLevel(g, d)).comodule
+                normalized, full = both(c, level, 1)
+                assert normalized == full, (spec, text, d)
+    x = ExplicitSubspace.from_elements(GA2, [GA2.one(), GA2.element({2: 1})])
+    c = SubCoalgebra.from_explicit(x)
+    normalized, full = both(c, restrict(regular(GA2, 2), x).comodule, 3)
+    assert normalized == full
+
+
 def test_tampered_differential_fails_the_square_check():
-    # d^2 @ d^1 is 729 x 81 x 9, past the size at which matmul_mod uses BLAS
+    # d^2 @ d^1 is 512 x 64 x 8, past the size at which matmul_mod uses BLAS
     cx = cobar_complex(SubCoalgebra.canonical(GA2, 8), trivial(GA2), 2)
-    assert 729 * 81 * 9 >= 1 << 17
     d1, d2 = cx.diffs[1], cx.diffs[2].copy()
+    assert d2.shape == (512, 64) and d1.shape == (64, 8)
+    assert 512 * 64 * 8 >= 1 << 17
     j = int(np.flatnonzero(d1.any(axis=1))[0])
     d2[0, j] ^= 1
     with pytest.raises(InternalInvariantError):
@@ -138,6 +226,41 @@ def test_tampered_differential_fails_the_square_check():
 
 # ---------------------------------------------------------------------------
 # injectivity
+
+def kronecker_rows(f, lam_c, p):
+    """The stage-1 block as Kronecker products, reduced, without zero rows."""
+    s, mm = lam_c.shape[0], f.shape[0]
+    blk = (np.kron(np.eye(s, dtype=np.int64), f)
+           - np.kron(lam_c.T, np.eye(mm, dtype=np.int64))) % p
+    return blk[blk.any(axis=1)]
+
+
+def test_stage1_rows_are_the_nonzero_kronecker_rows():
+    for spec, text, d in [("Ga@p=2", "regular(2)", 2), ("Gm@p=3", "dual(regular(2))", 2),
+                          ("U:3@p=3", "regular(2)", 2), ("GL:2@p=2", "natural", 1),
+                          ("SL:2@p=2", "regular(2)", 2), ("Ga@p=2", "triv", 3)]:
+        g = group_from_spec(spec)
+        c = SubCoalgebra.canonical(g, d)
+        blocks = c.coefficient_blocks(build_module(text, g))
+        s = c.dim
+        for cc in range(s):
+            lam_c = c.delta_matrix[cc::s]
+            got = _stage1_rows(blocks[cc], lam_c)
+            assert np.array_equal(got % g.p, kronecker_rows(blocks[cc], lam_c, g.p))
+    rng = np.random.default_rng(7)
+    for trial in range(60):
+        p = (2, 3, 65521)[trial % 3]
+        s, mm = (int(v) for v in rng.integers(1, 8, size=2))
+        f = rng.integers(0, p, size=(mm, mm)) * (rng.random((mm, mm)) < 0.2)
+        lam_c = rng.integers(0, p, size=(s, s)) * (rng.random((s, s)) < 0.2)
+        if trial % 4 == 0:
+            # diagonal entries F[j, j] - lambda^k_{kc} that cancel to zero
+            np.fill_diagonal(lam_c, 1)
+            np.fill_diagonal(f, 1)
+        got = _stage1_rows(f, lam_c)
+        assert got.shape[1] == s * mm
+        assert np.array_equal(got % p, kronecker_rows(f, lam_c, p))
+
 
 def test_regular_comodule_is_self_injective():
     for spec, d in [("Ga@p=2", 3), ("Gm@p=3", 2), ("U:2@p=2", 2)]:

@@ -3,6 +3,7 @@
 import random
 from math import comb
 
+import numpy as np
 import pytest
 
 from comodfilt.coordalg import (Element, GroupSpecError, UnsupportedOperation,
@@ -204,3 +205,32 @@ def test_truncated_exponential_degree():
     assert truncated_exponential_degree(2, 3) == 2
     assert truncated_exponential_degree(2, 5) == 4
     assert truncated_exponential_degree(3, 5) == 4
+
+
+def test_det_normal_forms_are_exact_at_p_2_31_minus_1():
+    # the reducers' products c @ rows exceed int64 at this prime; compare
+    # against the same reduction in Python integers
+    p = 2 ** 31 - 1
+    rng = random.Random(31)
+    sl = group_from_spec(f"SL:2@p={p}")._reducer(4)
+    gl = group_from_spec(f"GL:2@p={p}")._reducer(4)
+
+    def combination(c, rows):
+        return [sum(ci * int(r[k]) for ci, r in zip(c, rows.tolist()))
+                for k in range(rows.shape[1])]
+
+    for _ in range(50):
+        vec = [rng.randrange(p) for _ in sl.monos]
+        c = [vec[i] for i in sl.pivots]
+        want = [(v - w) % p for v, w in zip(vec, combination(c, sl.rows))]
+        got = sl.reduce_vec(np.array(vec, dtype=np.int64))
+        assert got.dtype == np.int64 and got.tolist() == want
+        assert not got[sl.pivots].any()
+
+        vec = [rng.randrange(p) for _ in gl.monos]
+        c = [vec[i] for i in gl.pivots]
+        residue, quotient = gl.split(np.array(vec, dtype=np.int64))
+        assert residue.tolist() == [(v - w) % p
+                                    for v, w in zip(vec, combination(c, gl.rows))]
+        assert quotient.tolist() == [w % p for w in combination(c, gl.qrows)]
+        assert residue.dtype == quotient.dtype == np.int64
