@@ -63,8 +63,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--no-cache", action="store_true")
         p.add_argument("--window", type=int,
                        help="trailing window length for growth classification")
-        for name in ["max-ambient", "max-coalgebra-dim", "max-chain-dim",
-                     "max-solver-unknowns", "max-dmax"]:
+        for name in ["max-coalgebra-dim", "max-chain-dim", "max-solver-unknowns",
+                     "max-dmax"]:
             p.add_argument(f"--{name}", type=int, help=argparse.SUPPRESS)
 
     common(sub.add_parser("dims", help="dimensions of O(G)_{<=d}"), dmax=True)

@@ -22,7 +22,8 @@ from .comodules import Comodule, StreamModule
 from .config import Limits, check_limit
 from .coordalg import Group, UnsupportedOperation
 from .filtration import (CanonicalLevel, ExplicitSubspace, InternalInvariantError,
-                         coalgebra_closure, restrict, structure_constants)
+                         _split, coaction, coalgebra_closure, restrict,
+                         structure_constants)
 from .linalg import (IncrementalRREF, Subspace, kernel, matmul_mod, matrank,
                      rref, solvable)
 
@@ -47,21 +48,16 @@ class SubCoalgebra:
         self.index = {m: i for i, m in enumerate(self.monos)}
         check_limit(space.dim, limits.max_coalgebra_dim, "sub-coalgebra dimension")
         self.dim = space.dim
+        self.x = ExplicitSubspace(group, self.monos, space)
         if delta_matrix is None:
             delta_matrix = structure_constants(group, self.monos, space)
         if delta_matrix is None:
             raise ValueError("the given subspace is not a sub-coalgebra")
         # delta_matrix: (s*s, s) with Delta(b_k) = sum_{a,b} D[a*s+b, k] b_a (x) b_b
         self.delta_matrix = delta_matrix
-        one = group.one_mono()
-        if one not in self.index:
+        self.unit = self.x.unit_coords()
+        if self.unit is None:
             raise UnsupportedOperation("sub-coalgebra does not contain the unit")
-        unit_vec = np.zeros(len(self.monos), dtype=np.int64)
-        unit_vec[self.index[one]] = 1
-        coords = space.coords(unit_vec)
-        if coords is None:
-            raise UnsupportedOperation("sub-coalgebra does not contain the unit")
-        self.unit = coords
 
     @staticmethod
     def canonical(group: Group, d: int, limits: Limits | None = None) -> "SubCoalgebra":
@@ -75,25 +71,25 @@ class SubCoalgebra:
         return SubCoalgebra(x.group, x.monos, x.space, limits=limits,
                             delta_matrix=delta_matrix)
 
-    def coefficient_blocks(self, m: Comodule) -> list[np.ndarray]:
-        """F^a matrices with Delta_M(m_i) = sum_{j,a} F^a[j,i] m_j (x) b_a."""
-        p = self.group.p
-        mm = m.dim
-        blocks = [np.zeros((mm, mm), dtype=np.int64) for _ in range(self.dim)]
-        for (j, i), f in m.coeffs.items():
-            vec = np.zeros(len(self.monos), dtype=np.int64)
-            for mono, c in f.coeffs.items():
-                if mono not in self.index:
-                    raise NotACComoduleError(
-                        f"coefficient f[{j},{i}] = {f} is not in the sub-coalgebra "
-                        f"(monomial {self.group.mono_str(mono)} outside the span)")
-                vec[self.index[mono]] = c % p
-            coords = self.space.coords(vec)
-            if coords is None:
-                raise NotACComoduleError(
-                    f"coefficient f[{j},{i}] = {f} is not in the sub-coalgebra")
-            for a in np.nonzero(coords)[0]:
-                blocks[int(a)][j, i] = int(coords[a])
+    def coefficient_blocks(self, m: Comodule) -> np.ndarray:
+        """F^a, stacked, with Delta_M(m_i) = sum_{j,a} F^a[j,i] m_j (x) b_a.
+
+        One split of M's coaction against C: F^a holds the coefficients of
+        b_a's pivot monomial.  A coefficient outside C is reported at the
+        first f_{ji} in `m.coeffs` order.
+        """
+        inside, outside, outside_row = _split(self.group, coaction(m), self.x, m.dim)
+        if len(outside):
+            r, i = np.nonzero(outside)
+            bad = set(zip(outside_row[r].tolist(), i.tolist()))
+            j, i = next(k for k in m.coeffs if k in bad)
+            f = m.coeffs[(j, i)]
+            stray = [self.group.mono_str(h) for h in f.coeffs if h not in self.index]
+            raise NotACComoduleError(
+                f"coefficient f[{j},{i}] = {f} is not in the sub-coalgebra"
+                + (f" (monomial {stray[0]} outside the span)" if stray else ""))
+        blocks = np.zeros((self.dim, m.dim, m.dim), dtype=np.int64)
+        blocks[inside.leg, inside.row] = inside.rows
         return blocks
 
 
@@ -110,7 +106,7 @@ class ChainComplex:
                 raise InternalInvariantError(f"d^{n + 1} after d^{n} is nonzero")
 
 
-def _normalized_factors(c: SubCoalgebra, blocks: list[np.ndarray]):
+def _normalized_factors(c: SubCoalgebra, blocks: np.ndarray):
     """The coaction and the coproduct restricted to Cbar = ker(epsilon).
 
     C = k.1 + Cbar.  The new basis of C is the unit followed by an RREF basis
@@ -132,7 +128,7 @@ def _normalized_factors(c: SubCoalgebra, blocks: list[np.ndarray]):
     inv = rref(np.hstack([r, np.eye(s, dtype=np.int64)]), p)[0][:, s:]
     # b_a = sum_r inv[a, r] e_r, so the Cbar-coordinates of b_a are inv[a, 1:]
     to_bar = inv[:, 1:].T                                            # [r, a]
-    g = matmul_mod(to_bar, np.stack(blocks).reshape(s, mm * mm), p)  # [r, j, i]
+    g = matmul_mod(to_bar, blocks.reshape(s, mm * mm), p)            # [r, j, i]
     rho_bar = g.reshape(t, mm, mm).transpose(1, 0, 2).reshape(mm * t, mm)
     x = matmul_mod(c.delta_matrix, kbar.T, p)                        # [a, b, k]
     y = matmul_mod(to_bar, x.reshape(s, s * t), p)                   # [r, b, k]
@@ -241,7 +237,7 @@ def injective_test(c: SubCoalgebra, m: Comodule,
     # solve sum_a S^a F^a = I for the combination coefficients
     # P[u, r, j, i] = sum_a phi_u(b_a)[r] F^a[j, i]; equation (r, i), unknown (u, j)
     phis = w.basis.reshape(t, s, mm).transpose(0, 2, 1).reshape(t * mm, s)
-    prod = matmul_mod(phis, np.stack(blocks).reshape(s, mm * mm), p)
+    prod = matmul_mod(phis, blocks.reshape(s, mm * mm), p)
     mat = prod.reshape(t, mm, mm, mm).transpose(1, 3, 0, 2).reshape(mm * mm, t * mm)
     rhs = np.eye(mm, dtype=np.int64).reshape(-1)
     return solvable(mat, rhs, p)

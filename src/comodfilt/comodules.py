@@ -57,18 +57,10 @@ class Comodule:
     def __init__(self, group: Group, basis_labels, coaction):
         self.group = group
         self.basis_labels = list(basis_labels)
-        # coaction: per column i, a dict {j: Element} (or list of pairs)
-        self.coeffs: dict = {}
-        for i, entries in enumerate(coaction):
-            items = entries.items() if isinstance(entries, dict) else entries
-            for j, el in items:
-                if el:
-                    cur = self.coeffs.get((j, i))
-                    self.coeffs[(j, i)] = el if cur is None else cur + el
-        self.coeffs = {k: v for k, v in self.coeffs.items() if v}
-        self._columns: list[dict] = [{} for _ in self.basis_labels]
-        for (j, i), f in self.coeffs.items():
-            self._columns[i][j] = f
+        # coaction: per column i, a dict {j: Element}
+        self._columns = [{j: el for j, el in col.items() if el} for col in coaction]
+        self.coeffs = {(j, i): el for i, col in enumerate(self._columns)
+                       for j, el in col.items()}
 
     @property
     def dim(self) -> int:

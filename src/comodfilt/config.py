@@ -19,7 +19,6 @@ class ResourceLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class Limits:
-    max_ambient: int = 5000          # largest dense ambient dimension
     max_coalgebra_dim: int = 30      # largest sub-coalgebra for cobar/injectivity
     max_chain_dim: int = 100000      # largest materialized CH^n
     max_solver_unknowns: int = 20000  # largest linear-solve unknown count

@@ -2,16 +2,17 @@
 
 M_X is the greatest subspace V of M with Delta(V) <= V (x) X, computed by a
 greatest-fixed-point iteration on the coefficient matrices of the coaction:
-one matrix B_h per monomial h appearing in the coefficients, with h either
-inside X (preimage constraint B_h V <= V) or outside (kernel constraint
-B_h V = 0, after projecting along X).  The same iteration run inside the
-coordinate algebra itself yields the largest sub-coalgebra contained in a
-finite-dimensional subspace X.
+one matrix B_h per monomial h appearing in the coefficients, kept as the
+nonzero rows of all B_h stacked (`Coaction`).  Writing the right legs h in a
+basis of X (`_split`) gives inside legs (constraint B_h V <= V) and outside
+rows (constraint B_h V = 0).  The same iteration run on the coproduct yields
+the largest sub-coalgebra contained in a finite-dimensional subspace X.
 """
 
 from __future__ import annotations
 
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,24 +71,44 @@ class ExplicitSubspace:
                                      for i, c in enumerate(row) if c})
                 for row in self.space.basis]
 
-    def contains_unit(self) -> bool:
-        one = self.group.one_mono()
-        if one not in self.monos:
-            return False
-        vec = np.zeros(len(self.monos), dtype=np.int64)
-        vec[self.monos.index(one)] = 1
-        return self.space.contains(vec)
+    def unit_coords(self) -> np.ndarray | None:
+        """The coordinates of the unit 1 in X's basis, or None if 1 is not in X."""
+        vec = np.array([m == self.group.one_mono() for m in self.monos], dtype=np.int64)
+        return self.space.coords(vec) if vec.any() else None
 
 
-def coefficient_matrices(m: Comodule) -> dict:
-    """One dim x dim matrix per support monomial h: B_h[j,i] = coeff of h in f_{ji}."""
-    mats: dict = {}
-    for (j, i), f in m.coeffs.items():
-        for mono, c in f.coeffs.items():
-            if mono not in mats:
-                mats[mono] = np.zeros((m.dim, m.dim), dtype=np.int64)
-            mats[mono][j, i] = c
-    return mats
+@dataclass
+class Coaction:
+    """The coefficient matrices B_h of a coaction, as their nonzero rows.
+
+    Row r of `rows` is B_h[row[r], :] for the right leg h = legs[leg[r]].
+    Every B_h has `height` rows and rows.shape[1] columns; rows past the
+    columns are left legs outside the ambient (stray legs of a coproduct).
+    """
+
+    legs: list
+    leg: np.ndarray
+    row: np.ndarray
+    rows: np.ndarray
+    height: int
+
+
+def _gather(entries: list, height: int, n: int) -> Coaction:
+    """A Coaction from (leg h, row, column, value) entries, one per position,
+    values reduced and nonzero; legs and rows come in order of appearance."""
+    legs, at = {}, {}  # leg h -> its index, (leg, row) -> the row's index
+    e = np.array([(at.setdefault((legs.setdefault(h, len(legs)), j), len(at)), i, c)
+                  for h, j, i, c in entries], dtype=np.int64).reshape(-1, 3)
+    rows = np.zeros((len(at), n), dtype=np.int64)
+    rows[e[:, 0], e[:, 1]] = e[:, 2]
+    leg, row = np.array(list(at), dtype=np.int64).reshape(-1, 2).T
+    return Coaction(list(legs), leg, row, rows, height)
+
+
+def coaction(m: Comodule) -> Coaction:
+    """B_h[j, i] = the coefficient of h in f_{ji}."""
+    return _gather([(h, j, i, c) for (j, i), f in m.coeffs.items()
+                    for h, c in f.coeffs.items()], m.dim, m.dim)
 
 
 class RestrictResult:
@@ -110,52 +131,57 @@ def restrict(m: Comodule, x) -> RestrictResult:
     elif isinstance(x, ExplicitSubspace):
         if x.group != g:
             raise ValueError("subspace group does not match the comodule")
-        if not x.contains_unit():
+        if x.unit_coords() is None:
             warnings.warn("X does not contain the unit; M_X will be 0",
                           stacklevel=2)
     else:
         raise TypeError(f"not a filtration level: {x!r}")
-    mats = coefficient_matrices(m)
-    v, iterations = _greatest_fixpoint(g, mats, x, Subspace.full(m.dim, g.p))
-    return RestrictResult(v, _induced_comodule(m, v, mats), iterations)
+    co = coaction(m)
+    v, iterations = _greatest_fixpoint(g, co, x, Subspace.full(m.dim, g.p))
+    return RestrictResult(v, _induced_comodule(m, v, co), iterations)
 
 
-def _split(g: Group, mats: dict, x, n: int):
-    """Split coefficient matrices against X into (inside, outside).
+def _split(g: Group, co: Coaction, x, n: int):
+    """Write the right legs of a coaction in a basis of X.
 
-    `mats` maps each right-leg monomial h to B_h with n columns; rows past n
-    are left legs outside the ambient, which must vanish.  Against an explicit
-    X the inside matrices are those of X's RREF pivots, one per basis vector
-    of X, and every other monomial contributes its residual to the outside.
-    Support monomials absent from X's span are outside as they stand.  Inside
-    is a list of n x n matrices; outside is one matrix, the nonzero rows of
-    the rest.
+    Returns (inside, outside, outside_row).  `inside` is a Coaction with n
+    rows per leg over X's basis: against a canonical level its legs are the
+    support monomials of degree <= d; against an explicit X they are X's
+    RREF basis vectors, whose coefficient is that of their pivot monomial.
+    `outside` stacks the nonzero rows that must vanish on M_X, and
+    `outside_row` holds the row j of each: the rows of legs outside X's
+    span, the residuals B_c - sum_s X[s, c] B_{pivot s} of X's non-pivot
+    monomials c, and the rows past n of the inside legs.
     """
-    p = g.p
     if isinstance(x, CanonicalLevel):
-        inside = [b for h, b in mats.items() if g.degree(h) <= x.d]
-        outside = [b for h, b in mats.items() if g.degree(h) > x.d]
+        basis, nonpiv = [h for h in co.legs if g.degree(h) <= x.d], []
     else:
-        rows = next(iter(mats.values())).shape[0] if mats else n
-        zero = np.zeros((rows, n), dtype=np.int64)
-        inside = [mats.get(x.monos[c], zero) for c in x.space.pivots]
-        span, pivots = set(x.monos), set(x.space.pivots)
-        outside = [b for h, b in mats.items() if h not in span]
-        for c, h in enumerate(x.monos):
-            if c in pivots:
-                continue
-            resid = mats.get(h, zero)
-            for s, piv_mat in enumerate(inside):
-                coef = int(x.space.basis[s, c])
-                if coef:
-                    resid = (resid - coef * piv_mat) % p
-            outside.append(resid)
-    outside = np.vstack([np.zeros((0, n), dtype=np.int64), *outside,
-                         *(b[n:] for b in inside)])
-    return [b[:n] for b in inside], outside[outside.any(axis=1)]
+        basis = [x.monos[c] for c in x.space.pivots]
+        nonpiv = [c for c in range(len(x.monos)) if c not in x.space.pivots]
+    # slot of each row's leg: t for basis[t], -2 - k for X's non-pivot
+    # monomial nonpiv[k], -1 outside X's span
+    slots = {x.monos[c]: -2 - k for k, c in enumerate(nonpiv)}
+    slots.update({h: t for t, h in enumerate(basis)})
+    slot = np.array([slots.get(h, -1) for h in co.legs], dtype=np.int64)[co.leg]
+    inside = (slot >= 0) & (co.row < n)
+    out = (slot == -1) | (slot >= 0) & ~inside
+    outside, outside_row = [co.rows[out]], [co.row[out]]
+    for k, c in enumerate(nonpiv):
+        resid = np.zeros((co.height, n), dtype=np.int64)
+        resid[co.row[slot == -2 - k]] = co.rows[slot == -2 - k]
+        for t in np.flatnonzero(x.space.basis[:, c]):
+            # reduced after each product: exact in int64 while (p-1)^2 < 2^63
+            r = slot == t
+            j, coef = co.row[r], int(x.space.basis[t, c])
+            resid[j] = (resid[j] - coef * co.rows[r]) % g.p
+        keep = np.flatnonzero(resid.any(axis=1))
+        outside.append(resid[keep])
+        outside_row.append(keep)
+    return (Coaction(basis, slot[inside], co.row[inside], co.rows[inside], n),
+            np.vstack(outside), np.concatenate(outside_row))
 
 
-def _greatest_fixpoint(g: Group, mats: dict, x, start: Subspace) -> tuple[Subspace, int]:
+def _greatest_fixpoint(g: Group, co: Coaction, x, start: Subspace) -> tuple[Subspace, int]:
     """The greatest V <= start with B_h V <= V inside X and B_h V = 0 outside it.
 
     Each pass keeps the x in V with B_h x in V for every inside h at once: one
@@ -166,12 +192,12 @@ def _greatest_fixpoint(g: Group, mats: dict, x, start: Subspace) -> tuple[Subspa
     pass always keeps V: B_k B_h = sum_g Delta(g)_{k,h} B_g.
     """
     p, n = g.p, start.ambient_dim
-    inside, outside = _split(g, mats, x, n)
+    inside, outside, _ = _split(g, co, x, n)
     v = start
     if len(outside) and v.dim:
         v = v.lift(kernel(matmul_mod(outside, v.basis.T, p), p))
     iterations = 0
-    while inside and 0 < v.dim < n:
+    while inside.legs and 0 < v.dim < n:
         iterations += 1
         ker = kernel(_residual(_images(inside, v), v).reshape(-1, v.dim), p)
         if ker.dim == v.dim:
@@ -180,19 +206,10 @@ def _greatest_fixpoint(g: Group, mats: dict, x, start: Subspace) -> tuple[Subspa
     return v, iterations
 
 
-def _images(mats: list, v: Subspace) -> np.ndarray:
-    """W[h, :, a] = B_h v_a for the basis vectors v_a of V, as one product.
-
-    The B_h share one shape and are very sparse, so only their nonzero rows
-    enter the product.
-    """
-    nz = [np.flatnonzero(b.any(axis=1)) for b in mats]
-    w = np.zeros((len(mats), mats[0].shape[0], v.dim), dtype=np.int64)
-    counts = [r.size for r in nz]
-    if sum(counts):
-        rows = np.vstack([b[r] for b, r in zip(mats, nz)])
-        w[np.repeat(np.arange(len(mats)), counts), np.concatenate(nz)] = \
-            matmul_mod(rows, v.basis.T, v.p)
+def _images(co: Coaction, v: Subspace) -> np.ndarray:
+    """W[h, :, a] = B_h v_a for the basis vectors v_a of V, as one product."""
+    w = np.zeros((len(co.legs), co.height, v.dim), dtype=np.int64)
+    w[co.leg, co.row] = matmul_mod(co.rows, v.basis.T, v.p)
     return w
 
 
@@ -214,25 +231,24 @@ def _residual(w: np.ndarray, v: Subspace) -> np.ndarray:
     return (w[:, nonpiv, :] - back) % v.p
 
 
-def _induced_comodule(m: Comodule, v: Subspace, mats: dict) -> Comodule:
+def _induced_comodule(m: Comodule, v: Subspace, co: Coaction) -> Comodule:
     """Express the coaction on the basis of V and re-validate it.
 
     B_h v_a = sum_j W[h, piv_j, a] v_j, once the residual check has shown
     that every B_h v_a lies in V.
     """
     g = m.group
-    coaction: list[dict] = [{} for _ in range(v.dim)]
-    if v.dim and mats:
-        monos = list(mats)
-        w = _images(list(mats.values()), v)
+    cols: list[dict] = [{} for _ in range(v.dim)]
+    if v.dim and co.legs:
+        w = _images(co, v)
         if np.any(_residual(w, v)):
             raise InternalInvariantError(
                 "induced coaction escapes the fixed-point subspace")
         coords = w[:, list(v.pivots), :].transpose(2, 0, 1)  # (a, h, j)
         for a, h, j in zip(*np.nonzero(coords)):
-            coaction[a].setdefault(int(j), {})[monos[h]] = int(coords[a, h, j])
+            cols[a].setdefault(int(j), {})[co.legs[h]] = int(coords[a, h, j])
     sub = Comodule(g, [f"v{a + 1}" for a in range(v.dim)],
-                   [{j: Element(g, f) for j, f in col.items()} for col in coaction])
+                   [{j: Element(g, f) for j, f in col.items()} for col in cols])
     report = sub.validate()
     if not report.ok:
         raise InternalInvariantError(
@@ -296,42 +312,36 @@ def coalgebra_closure(g: Group, x) -> ClosureResult:
         x = ExplicitSubspace.canonical(x.group, x.d)
     if x.group != g:
         raise ValueError("subspace group does not match")
-    mats = coproduct_matrices(g, x.monos)
-    v, _ = _greatest_fixpoint(g, mats, x, x.space)
+    co = coproduct_coaction(g, x.monos)
+    v, _ = _greatest_fixpoint(g, co, x, x.space)
     return ClosureResult(ExplicitSubspace(g, x.monos, v),
-                         structure_constants(g, x.monos, v, mats))
+                         structure_constants(g, x.monos, v, co))
 
 
-def coproduct_matrices(g: Group, monos) -> dict:
-    """The coefficient matrices of Delta on span(monos), as for a comodule.
+def coproduct_coaction(g: Group, monos) -> Coaction:
+    """The coaction Delta on span(monos), as for a comodule.
 
     B_h[a, k] is the coefficient of l_a (x) h in Delta(monos[k]).  The left
     legs l_a are the monos followed by every stray leg outside their span,
     so B_h has len(monos) columns and at least as many rows.
     """
     index = {m: i for i, m in enumerate(monos)}
-    terms = []
-    for k, m in enumerate(monos):
-        for (a, b), c in g.coproduct_mono(m).items():
-            terms.append((b, index.setdefault(a, len(index)), k, c))
-    mats: dict = {}
-    for b, row, k, c in terms:
-        if b not in mats:
-            mats[b] = np.zeros((len(index), len(monos)), dtype=np.int64)
-        mats[b][row, k] = c % g.p
-    return mats
+    entries = [(b, index.setdefault(a, len(index)), k, c % g.p)
+               for k, m in enumerate(monos)
+               for (a, b), c in g.coproduct_mono(m).items() if c % g.p]
+    return _gather(entries, len(index), len(monos))
 
 
-def structure_constants(g: Group, monos, space: Subspace, mats: dict | None = None):
+def structure_constants(g: Group, monos, space: Subspace, co: Coaction | None = None):
     """The coproduct of a subspace of span(monos) in its RREF basis b_0..b_{s-1}.
 
     Returns D of shape (s*s, s) with Delta(b_k) = sum_{a,b} D[a*s+b, k]
-    b_a (x) b_b, or None when the space is not a sub-coalgebra.  `mats` may
-    pass in `coproduct_matrices(g, monos)` when it is already at hand.
+    b_a (x) b_b, or None when the space is not a sub-coalgebra.  `co` may
+    pass in `coproduct_coaction(g, monos)` when it is already at hand.
     """
-    if mats is None:
-        mats = coproduct_matrices(g, monos)
-    inside, outside = _split(g, mats, ExplicitSubspace(g, monos, space), len(monos))
+    if co is None:
+        co = coproduct_coaction(g, monos)
+    inside, outside, _ = _split(g, co, ExplicitSubspace(g, monos, space), len(monos))
     s = space.dim
     if np.any(matmul_mod(outside, space.basis.T, g.p)):
         return None

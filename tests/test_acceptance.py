@@ -13,8 +13,7 @@ from comodfilt.cobar import SubCoalgebra, cobar_complex, cohomology_dims, \
 from comodfilt.comodules import build_module, regular, trivial
 from comodfilt.coordalg import group_from_spec
 from comodfilt.filtration import (CanonicalLevel, ExplicitSubspace,
-                                  coalgebra_closure, coefficient_matrices,
-                                  filtration_dims, restrict)
+                                  coalgebra_closure, filtration_dims, restrict)
 from comodfilt.growth import GrowthReport, classify
 from comodfilt.linalg import matrank
 from comodfilt.suites import run_property_suite
@@ -148,7 +147,10 @@ def test_criterion_07_maximality_oracle():
     assert len(all_subspaces_f2(4)) == 67  # 1 + 15 + 35 + 15 + 1
     for m in modules:
         assert m.dim <= 4
-        mats = coefficient_matrices(m)
+        mats = {}  # B_h[j, i] = coefficient of h in f_{ji}
+        for (j, i), f in m.coeffs.items():
+            for h, c in f.coeffs.items():
+                mats.setdefault(h, np.zeros((m.dim, m.dim), dtype=np.int64))[j, i] = c
         for d in (0, 1, 2):
             good_rows = []
             for basis in all_subspaces_f2(m.dim):

@@ -133,6 +133,14 @@ def test_engine_errors_map_to_their_exit_codes(capsys, monkeypatch, exc, code, p
     assert err.startswith(prefix) and len(err.splitlines()) == 1
 
 
+def test_a_module_outside_the_level_is_a_one_line_usage_error(capsys):
+    code, out, err = run(capsys, "cobar", "--group", "Ga@p=2", "--module", "regular(3)",
+                         "--dmax", "2", "--no-cache")
+    assert code == 1 and not out
+    assert err == ("error: coefficient f[0,3] = t^3 is not in the sub-coalgebra "
+                   "(monomial t^3 outside the span)\n")
+
+
 def test_resource_exit_code(capsys):
     code, _, err = run(capsys, "dims", "--group", "Ga@p=2", "--dmax", "99")
     assert code == 2 and "ceiling" in err
@@ -205,6 +213,7 @@ def test_cache_ignores_corrupt_and_stale_records(tmp_path, capsys):
     ("{not json", "cannot read"),                          # not JSON
     ("[3]", "JSON object"),                                # not an object
     (json.dumps({"max_dmx": 1}), "'max_dmx'"),             # unknown key
+    (json.dumps({"max_ambient": 5000}), "'max_ambient'"),  # a removed key
     (json.dumps({"max_dmax": -5}), "max_dmax"),            # below 1
     (json.dumps({"max_chain_dim": 0}), "max_chain_dim"),
     (json.dumps({"max_dmax": "many"}), "max_dmax"),

@@ -6,8 +6,8 @@ import pytest
 from comodfilt.cobar import (ChainComplex, NotACComoduleError, SubCoalgebra,
                              _stage1_rows, cobar_complex, cohomology_dims,
                              injective_test, injectivity_profile)
-from comodfilt.comodules import (StreamModule, build_module, direct_sum,
-                                 regular, regular_stream,
+from comodfilt.comodules import (Comodule, StreamModule, build_module,
+                                 direct_sum, regular, regular_stream,
                                  translationinvariants, trivial)
 from comodfilt.config import Limits, ResourceLimitError
 from comodfilt.coordalg import UnsupportedOperation, group_from_spec
@@ -102,6 +102,85 @@ def test_coefficient_blocks_reject_escaping_coefficients():
     blocks = c.coefficient_blocks(regular(GA2, 1))
     assert blocks[0].tolist() == [[1, 0], [0, 1]]
     assert blocks[1].tolist() == [[0, 1], [0, 0]]
+
+
+def reference_coefficient_blocks(c, m):
+    """Oracle: F^a one coefficient f_{ji} at a time, one `coords` call each,
+    failing at the first f_{ji} in `m.coeffs` order that is not in C."""
+    p = c.group.p
+    blocks = [np.zeros((m.dim, m.dim), dtype=np.int64) for _ in range(c.dim)]
+    for (j, i), f in m.coeffs.items():
+        vec = np.zeros(len(c.monos), dtype=np.int64)
+        for mono, coef in f.coeffs.items():
+            if mono not in c.index:
+                raise NotACComoduleError(
+                    f"coefficient f[{j},{i}] = {f} is not in the sub-coalgebra "
+                    f"(monomial {c.group.mono_str(mono)} outside the span)")
+            vec[c.index[mono]] = coef % p
+        coords = c.space.coords(vec)
+        if coords is None:
+            raise NotACComoduleError(
+                f"coefficient f[{j},{i}] = {f} is not in the sub-coalgebra")
+        for a in np.nonzero(coords)[0]:
+            blocks[int(a)][j, i] = int(coords[a])
+    return blocks
+
+
+def reversed_basis(m):
+    """m with its basis in reverse order: each column lists rows last to first."""
+    n = m.dim
+    return Comodule(m.group, m.basis_labels[::-1],
+                    [{n - 1 - j: f for j, f in m.column(n - 1 - i).items()}
+                     for i in range(n)])
+
+
+def blocks_or_message(fn, *args):
+    try:
+        return [b.tolist() for b in fn(*args)]
+    except NotACComoduleError as exc:
+        return str(exc)
+
+
+def test_coefficient_blocks_match_the_per_entry_reference():
+    cases = [(SubCoalgebra.canonical(group_from_spec(spec), d),
+              build_module(text, group_from_spec(spec)))
+             for spec, text, d, _ in COBAR_CASES]
+    for spec, texts, d_max in INJECTIVITY_ORACLE_CASES:
+        g = group_from_spec(spec)
+        for d in range(d_max + 1):
+            closure = coalgebra_closure(g, CanonicalLevel(g, d))
+            c = SubCoalgebra.from_explicit(closure.subspace,
+                                           delta_matrix=closure.delta_matrix)
+            for text in texts:
+                m = build_module(text, g)
+                target = m.generate(m.sufficiency(d)) if isinstance(m, StreamModule) else m
+                cases.append((c, restrict(target, CanonicalLevel(g, d)).comodule))
+    # C = span{1, t + t^2} over F_2: t + t^2 is primitive, and t^2 is a
+    # non-pivot column of C's basis
+    x = ExplicitSubspace.from_elements(GA2, [GA2.one(), GA2.element({1: 1, 2: 1})])
+    cx = SubCoalgebra.from_explicit(x)
+    assert cx.space.pivots == (0, 1)
+    level = restrict(regular(GA2, 2), x).comodule
+    assert level.dim == 2 and level.coefficient(0, 1) == GA2.element({1: 1, 2: 1})
+    cases.append((cx, level))
+    # failures: the first bad entry in m.coeffs order is neither the least
+    # (j, i) nor, in the last case, the first row that falls outside C
+    gl = group_from_spec("GL:2@p=2")
+    t, t3 = GA2.element({1: 1}), GA2.element({3: 1})
+    failing = [(cx, regular(GA2, 1)), (SubCoalgebra.canonical(GA2, 1), regular(GA2, 2)),
+               (SubCoalgebra.canonical(GA2, 2), regular(GA2, 3)),
+               (SubCoalgebra.canonical(GA2, 1), reversed_basis(regular(GA2, 3))),
+               (SubCoalgebra.canonical(gl, 1), build_module("detpow(-1)", gl)),
+               (cx, Comodule(GA2, ["a", "b"], [{0: t, 1: t3}, {1: GA2.one()}]))]
+    for c, m in cases + failing:
+        want = blocks_or_message(reference_coefficient_blocks, c, m)
+        assert blocks_or_message(c.coefficient_blocks, m) == want, (c.monos, m)
+    messages = [blocks_or_message(reference_coefficient_blocks, c, m) for c, m in failing]
+    assert all(isinstance(msg, str) for msg in messages)
+    assert messages[0] == "coefficient f[0,1] = t^1 is not in the sub-coalgebra"
+    assert messages[3] == ("coefficient f[3,0] = t^3 is not in the sub-coalgebra "
+                           "(monomial t^3 outside the span)")
+    assert messages[5] == "coefficient f[0,0] = t^1 is not in the sub-coalgebra"
 
 
 def test_differential_kills_primitives_in_degree_one():

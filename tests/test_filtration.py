@@ -7,9 +7,9 @@ from comodfilt import filtration
 from comodfilt.comodules import (Comodule, build_module, direct_sum, dual,
                                  frobenius_twist, natural, regular, trivial)
 from comodfilt.coordalg import group_from_spec
-from comodfilt.filtration import (CanonicalLevel, ExplicitSubspace,
-                                  InternalInvariantError, coalgebra_closure,
-                                  coefficient_matrices, coproduct_matrices,
+from comodfilt.filtration import (CanonicalLevel, Coaction, ExplicitSubspace,
+                                  InternalInvariantError, coaction,
+                                  coalgebra_closure, coproduct_coaction,
                                   filtration_dims, restrict, structure_constants,
                                   subspace_tensor, tensor_containment)
 from comodfilt.linalg import Subspace, kernel, preimage
@@ -27,12 +27,115 @@ def unit_rows(indices, ambient, p):
     return Subspace.from_rows(rows, ambient, p)
 
 
+# ---------------------------------------------------------------------------
+# the reference's own matrices: one dense matrix per right leg, split against
+# X matrix by matrix; they share no code with the engine's Coaction
+
+def coefficient_matrices(m):
+    """One dim x dim matrix per support monomial h: B_h[j,i] = coeff of h in f_{ji}."""
+    mats = {}
+    for (j, i), f in m.coeffs.items():
+        for mono, c in f.coeffs.items():
+            if mono not in mats:
+                mats[mono] = np.zeros((m.dim, m.dim), dtype=np.int64)
+            mats[mono][j, i] = c
+    return mats
+
+
+def coproduct_matrices(g, monos):
+    """B_h[a, k] = coeff of l_a (x) h in Delta(monos[k]); stray left legs
+    l_a outside span(monos) are the rows past len(monos)."""
+    index = {m: i for i, m in enumerate(monos)}
+    terms = []
+    for k, m in enumerate(monos):
+        for (a, b), c in g.coproduct_mono(m).items():
+            terms.append((b, index.setdefault(a, len(index)), k, c))
+    mats = {}
+    for b, row, k, c in terms:
+        if b not in mats:
+            mats[b] = np.zeros((len(index), len(monos)), dtype=np.int64)
+        mats[b][row, k] = c % g.p
+    return mats
+
+
+def dense_split(g, mats, x, n):
+    """(inside n x n matrices, outside nonzero rows) of `mats` against X."""
+    p = g.p
+    if isinstance(x, CanonicalLevel):
+        inside = [b for h, b in mats.items() if g.degree(h) <= x.d]
+        outside = [b for h, b in mats.items() if g.degree(h) > x.d]
+    else:
+        rows = next(iter(mats.values())).shape[0] if mats else n
+        zero = np.zeros((rows, n), dtype=np.int64)
+        inside = [mats.get(x.monos[c], zero) for c in x.space.pivots]
+        span, pivots = set(x.monos), set(x.space.pivots)
+        outside = [b for h, b in mats.items() if h not in span]
+        for c, h in enumerate(x.monos):
+            if c in pivots:
+                continue
+            resid = mats.get(h, zero)
+            for s, piv_mat in enumerate(inside):
+                coef = int(x.space.basis[s, c])
+                if coef:
+                    resid = (resid - coef * piv_mat) % p
+            outside.append(resid)
+    outside = np.vstack([np.zeros((0, n), dtype=np.int64), *outside,
+                         *(b[n:] for b in inside)])
+    return [b[:n] for b in inside], outside[outside.any(axis=1)]
+
+
+def as_coaction(mats):
+    """Hand dense matrices B_h, one shape for all, to the engine."""
+    legs = list(mats)
+    height, n = next(iter(mats.values())).shape
+    nz = [np.flatnonzero(b.any(axis=1)) for b in mats.values()]
+    rows = np.vstack([np.zeros((0, n), dtype=np.int64),
+                      *(b[r] for b, r in zip(mats.values(), nz))])
+    leg = np.repeat(np.arange(len(legs)), [r.size for r in nz])
+    return Coaction(legs, leg, np.concatenate([np.zeros(0, dtype=np.int64), *nz]),
+                    rows, height)
+
+
+def as_dense(co):
+    """The matrices B_h of a Coaction, one per leg."""
+    mats = {h: np.zeros((co.height, co.rows.shape[1]), dtype=np.int64) for h in co.legs}
+    for k, j, row in zip(co.leg, co.row, co.rows):
+        mats[co.legs[k]][j] = row
+    return mats
+
+
+def sorted_rows(a):
+    return sorted(map(tuple, np.asarray(a).tolist()))
+
+
 def test_coefficient_matrices():
     m = regular(GA2, 1)  # Delta(1) = 1(x)1, Delta(t) = 1(x)t + t(x)1
+    for mats in (coefficient_matrices(m), as_dense(coaction(m))):
+        assert set(mats) == {0, 1}
+        assert mats[0].tolist() == [[1, 0], [0, 1]]
+        assert mats[1].tolist() == [[0, 1], [0, 0]]
+
+
+@pytest.mark.parametrize("spec, text", [
+    ("Ga@p=2", "regular(3)"), ("Gm@p=3", "tensor(regular(2),dual(regular(2)))"),
+    ("GL:2@p=5", "tensor(natural,detpow(-1))"), ("SL:2@p=3", "sym(3,natural)"),
+    ("U:3@p=3", "dual(regular(2))"),
+])
+def test_coaction_holds_the_nonzero_rows_of_the_dense_matrices(spec, text):
+    g = group_from_spec(spec)
+    m = build_module(text, g)
+    co = coaction(m)
     mats = coefficient_matrices(m)
-    assert set(mats) == {0, 1}
-    assert mats[0].tolist() == [[1, 0], [0, 1]]
-    assert mats[1].tolist() == [[0, 1], [0, 0]]
+    assert co.legs == list(mats)
+    assert {h: b.tolist() for h, b in as_dense(co).items()} == \
+        {h: b.tolist() for h, b in mats.items()}
+    assert co.rows.any(axis=1).all()
+    for d in range(3):
+        # level d without its last monomial, so that Delta has stray legs
+        monos = g.filtration_basis(d)[: -1 if d else None]
+        got = as_dense(coproduct_coaction(g, monos))
+        assert {h: b.tolist() for h, b in got.items()} == \
+            {h: b.tolist() for h, b in coproduct_matrices(g, monos).items() if b.any()}
 
 
 def test_restrict_regular_ga():
@@ -118,7 +221,7 @@ def test_restrict_is_functorial_for_inclusions():
 # inside monomial, iterated until nothing changes
 
 def reference_fixpoint(g, mats, x, start):
-    inside, outside = filtration._split(g, mats, x, start.ambient_dim)
+    inside, outside = dense_split(g, mats, x, start.ambient_dim)
     v = start
     if len(outside):
         v = v.intersect(kernel(outside, g.p))
@@ -182,11 +285,16 @@ def test_restrict_matches_the_per_monomial_fixpoint_on_explicit_subspaces():
     top = GL2.filtration_basis(2)[len(level):]
     y = ExplicitSubspace.from_elements(
         GL2, [GL2.element({h: 1}) for h in level] + [GL2.element({top[0]: 1, top[-1]: 1})])
+    # the same X over GL(2) at p = 2^31 - 1, its last vector with entries near p
+    big = group_from_spec(f"GL:2@p={2**31 - 1}")
+    z = ExplicitSubspace.from_elements(
+        big, [big.element({h: 1}) for h in level]
+        + [big.element({top[0]: 1, top[1]: -1, top[-1]: -2})])
     dims = []
-    for m, z in ((ga3, x), (gl, y)):
-        want = reference_fixpoint(m.group, coefficient_matrices(m), z,
+    for m, w in ((ga3, x), (gl, y), (regular(big, 2), z)):
+        want = reference_fixpoint(m.group, coefficient_matrices(m), w,
                                   Subspace.full(m.dim, m.group.p))
-        assert restrict(m, z).subspace == want
+        assert restrict(m, w).subspace == want
         dims.append(want.dim)
     # Delta(t^2 + t^4) has the leg t (x) (2t + t^3), and t^3 is not in X
     assert dims[0] == 2
@@ -203,6 +311,66 @@ def test_closure_matches_the_per_monomial_fixpoint(spec):
             assert got.is_subcoalgebra
 
 
+def assert_same_split(g, co, mats, x, n):
+    inside, outside, outside_row = filtration._split(g, co, x, n)
+    want_inside, want_outside = dense_split(g, mats, x, n)
+    got = as_dense(inside)
+    assert [got[h].tolist() for h in inside.legs] == [b.tolist() for b in want_inside]
+    assert sorted_rows(outside) == sorted_rows(want_outside)
+    assert outside_row.shape == (len(outside),)
+
+
+def test_split_matches_the_dense_split():
+    for spec, text in [("Ga@p=3", "regular(4)"), ("GL:2@p=2", "regular(2)"),
+                       ("SL:2@p=3", "sym(3,natural)")]:
+        g = group_from_spec(spec)
+        m = build_module(text, g)
+        co, mats = coaction(m), coefficient_matrices(m)
+        for x in [CanonicalLevel(g, 1), *explicit_levels(g, 1)]:
+            assert_same_split(g, co, mats, x, m.dim)
+    # span{1, t, t^2 + t^4} over F_3: t^4 is a non-pivot column
+    x = ExplicitSubspace.from_elements(GA3, [GA3.one(), GA3.element({1: 1}),
+                                             GA3.element({2: 1, 4: 1})])
+    assert x.space.pivots == (0, 1, 2)
+    m = regular(GA3, 4)
+    assert_same_split(GA3, coaction(m), coefficient_matrices(m), x, m.dim)
+    # the coproduct against levels with stray legs and non-pivot columns
+    for spec in ["GL:2@p=2", "U:3@p=3"]:
+        g = group_from_spec(spec)
+        for x in explicit_levels(g, 2):
+            assert_same_split(g, coproduct_coaction(g, x.monos),
+                              coproduct_matrices(g, x.monos), x, len(x.monos))
+            y = coalgebra_closure(g, x).subspace
+            assert_same_split(g, coproduct_coaction(g, y.monos),
+                              coproduct_matrices(g, y.monos), y, len(y.monos))
+
+
+def test_split_and_fixpoint_are_exact_at_a_large_prime():
+    # p = 2^31 - 1: a product of two entries near p is below 2^62, but the
+    # residual of the non-pivot column 4 sums three such products, past 2^63
+    p = 2**31 - 1
+    g = group_from_spec(f"Ga@p={p}")
+    rng = np.random.default_rng(3)
+    near = lambda size: p - 1 - rng.integers(0, 50, size=size)
+    basis = np.hstack([np.eye(4, dtype=np.int64), near((4, 1)),
+                       np.zeros((4, 1), dtype=np.int64)])
+    basis[0, 4] = 0  # B_0 = I must not enter the residual, or M_X = 0
+    x = ExplicitSubspace(g, [0, 1, 2, 3, 4, 5], Subspace(6, p, basis, (0, 1, 2, 3)))
+    n = 8
+    mats = {h: np.zeros((n + 1, n), dtype=np.int64) for h in (0, 1, 2, 3, 4, 6)}
+    mats[0][:n] = np.eye(n, dtype=np.int64)
+    for h in (1, 2, 3):
+        mats[h][0, :2] = near(2)  # three pivots meet at row 0
+    mats[3][n, 5] = 1             # a stray row past n
+    mats[4][0, :3] = near(3)
+    mats[6][7, 6] = 1             # a leg outside X's span
+    assert_same_split(g, as_coaction(mats), mats, x, n)
+    start = Subspace.full(n, p)
+    v, _ = filtration._greatest_fixpoint(g, as_coaction(mats), x, start)
+    want = reference_fixpoint(g, mats, x, start)
+    assert v == want and 0 < want.dim < n
+
+
 def test_fixpoint_iterates_until_nothing_shrinks():
     # A coassociative coaction settles after one shrinking pass; plain
     # matrices need not.  S shifts e0 -> e1 -> e2 -> e3 and the outside
@@ -214,7 +382,7 @@ def test_fixpoint_iterates_until_nothing_shrinks():
     kill[0, 3] = 1
     mats = {0: np.eye(5, dtype=np.int64), 1: shift, 2: kill}
     x, start = CanonicalLevel(GA2, 1), Subspace.full(5, 2)
-    v, iterations = filtration._greatest_fixpoint(GA2, mats, x, start)
+    v, iterations = filtration._greatest_fixpoint(GA2, as_coaction(mats), x, start)
     assert v == reference_fixpoint(GA2, mats, x, start) == unit_rows([4], 5, 2)
     assert iterations == 4
 
@@ -223,7 +391,7 @@ def test_restrict_reports_an_escaping_fixpoint(monkeypatch):
     # span{t} in regular(2) over Ga is not a subcomodule: Delta(t) has 1 (x) t
     m = regular(GA2, 2)
     monkeypatch.setattr(filtration, "_greatest_fixpoint",
-                        lambda g, mats, x, start: (unit_rows([1], 3, 2), 1))
+                        lambda g, co, x, start: (unit_rows([1], 3, 2), 1))
     with pytest.raises(InternalInvariantError, match="escapes"):
         restrict(m, CanonicalLevel(GA2, 2))
 
