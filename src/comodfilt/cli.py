@@ -101,8 +101,22 @@ def _jobspec(args) -> dict:
     return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
 
 
+@functools.cache
+def _engine_digest() -> str:
+    """sha256 of the package's source files, read once per process, so that a
+    cached answer is served only to the engine that computed it."""
+    digest = hashlib.sha256()
+    here = os.path.dirname(os.path.abspath(__file__))
+    for name in sorted(os.listdir(here)):
+        if name.endswith(".py"):
+            with open(os.path.join(here, name), "rb") as fh:
+                digest.update(name.encode() + b"\0" + fh.read())
+    return digest.hexdigest()
+
+
 def _fingerprint(job: dict) -> str:
-    canon = json.dumps({**job, "engine": __version__}, sort_keys=True)
+    canon = json.dumps({**job, "engine": __version__, "source": _engine_digest()},
+                       sort_keys=True)
     return hashlib.sha256(canon.encode()).hexdigest()
 
 

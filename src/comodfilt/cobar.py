@@ -10,8 +10,12 @@ complex M (x) C^(x n), and computes the same Ext_C(k, M) (Ravenel, Complex
 Cobordism and Stable Homotopy Groups of Spheres, App. A1).  Cohomology
 dimensions come from exact ranks.  Injectivity of a C-comodule M is decided by
 solvability of the retraction system for the canonical embedding
-M -> M^{triv} (x) C, solved in two stages: first the space of comodule maps
-C -> M, then the normalization sum_a S^a F^a = I inside that space.
+M -> M^{triv} (x) C, solved in two stages.  Stage 1 finds the space W of
+comodule maps C -> M: its equations are built as (row, col, value) triples
+from the nonzeros of the coaction blocks F^c and the structure constants,
+and `sparse_kernel` peels the rows that force one unknown to 0 before it
+eliminates the small dense core that remains.  Stage 2 solves the
+normalization sum_a S^a F^a = I inside W, densely.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from .coordalg import Group, UnsupportedOperation
 from .filtration import (CanonicalLevel, ExplicitSubspace, InternalInvariantError,
                          _split, coaction, coalgebra_closure, restrict,
                          structure_constants)
-from .linalg import (IncrementalRREF, Subspace, kernel, matmul_mod, matrank,
-                     rref, solvable)
+from .linalg import (Subspace, kernel, matmul_mod, matrank, rref, solvable,
+                     sparse_kernel)
 
 
 class NotACComoduleError(ValueError):
@@ -194,21 +198,26 @@ def cohomology_dims(cx: ChainComplex) -> list[int]:
     return out
 
 
-def _stage1_rows(f: np.ndarray, lam_c: np.ndarray) -> np.ndarray:
-    """The nonzero rows of I_s (x) F^c - lambda_c^T (x) I_m, in order.
+def _stage1_triples(blocks: np.ndarray, lam: np.ndarray):
+    """The stage-1 system of all c at once, as (rows, cols, vals) triples.
 
-    lam_c[a, k] = lambda^k_{ac}.  Row (k, j), column (a, i) holds
-    delta_ak F^c[j, i] - lambda^k_{ac} delta_ji, written by index into a
-    zeroed (k, j, a, i) array; entries lie in (-p, p).  The zero rows dropped
-    here are ones `IncrementalRREF.add_rows` would discard anyway.
+    Row (c, k, j), column (a, i) holds delta_ak F^c[j, i] - lambda^k_{ac}
+    delta_ji, with lambda^k_{ac} = lam[a*s+c, k]: the first term is written
+    at the nonzeros of the F^c, one entry per k, the second at the nonzeros
+    of lambda, one entry per j.  The two terms meet only on the keys with
+    a = k and j = i; `sparse_kernel` sums them there, each in [0, p), so the
+    sum stays below p in absolute value.
     """
-    s, mm = lam_c.shape[0], f.shape[0]
-    ks, js = np.arange(s), np.arange(mm)
-    blk = np.zeros((s, mm, s, mm), dtype=np.int64)
-    blk[ks, :, ks, :] = f
-    blk[:, js, :, js] -= lam_c.T
-    blk = blk.reshape(s * mm, s * mm)
-    return blk[blk.any(axis=1)]
+    s, mm = blocks.shape[:2]
+    ks, js = np.arange(s)[:, None], np.arange(mm)[:, None]
+    c1, j, i = np.nonzero(blocks)
+    ac, k = np.nonzero(lam)
+    a, c2 = np.divmod(ac, s)
+    rows = np.concatenate([((c1 * s + ks) * mm + j).ravel(),
+                           ((c2 * s + k) * mm + js).ravel()])
+    cols = np.concatenate([(ks * mm + i).ravel(), (a * mm + js).ravel()])
+    vals = np.concatenate([np.tile(blocks[c1, j, i], s), -np.tile(lam[ac, k], mm)])
+    return rows, cols, vals
 
 
 def injective_test(c: SubCoalgebra, m: Comodule,
@@ -225,10 +234,7 @@ def injective_test(c: SubCoalgebra, m: Comodule,
     lam = c.delta_matrix  # (s*s, s): lambda^k_{ab} = lam[a*s+b, k]
     # stage 1: the space W of comodule maps phi: C -> M,
     # phi(b_k) = v^k with F^c v^k = sum_a lambda^k_{ac} v^a for all c, k
-    acc = IncrementalRREF(s * mm, p)
-    for cc in range(s):
-        acc.add_rows(_stage1_rows(blocks[cc], lam[cc::s]))
-    w = kernel(acc.rows, p) if acc.rank else Subspace.full(s * mm, p)
+    w = sparse_kernel(*_stage1_triples(blocks, lam), s * mm, p)
     t = w.dim
     if t == 0:
         return False

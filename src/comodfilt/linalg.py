@@ -206,6 +206,49 @@ def kernel(mat: np.ndarray, p: int) -> Subspace:
     return Subspace.from_rows(rows, ncols, p)
 
 
+def sparse_kernel(rows, cols, vals, ncols: int, p: int) -> Subspace:
+    """Null space of the matrix whose entries are given as (row, col, value)
+    triples, as a subspace of F_p^ncols; the same `Subspace` as `kernel` of
+    the dense matrix.
+
+    Entries sharing a (row, col) key are summed mod p, and zero sums dropped.
+    A row with exactly one nonzero entry among the live columns forces that
+    column to 0 in every kernel vector, so the column dies; rows are peeled
+    until none is left with a single live entry (structured Gaussian
+    elimination, LaMacchia and Odlyzko, CRYPTO '90).  `kernel` eliminates the
+    dense core that remains, the rows with live entries restricted to the
+    live columns, and its RREF basis is scattered back with zeros in the dead
+    columns, which keeps it in RREF.
+    """
+    key = np.asarray(rows, dtype=np.int64) * ncols + np.asarray(cols, dtype=np.int64)
+    if key.size == 0:
+        return Subspace.full(ncols, p)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.diff(key, prepend=key[0] - 1))
+    vals = np.add.reduceat(np.mod(np.asarray(vals, dtype=np.int64)[order], p), first) % p
+    key, vals = key[first[vals != 0]], vals[vals != 0]
+    # the keys are sorted, so each row's entries are consecutive
+    rows, cols = np.divmod(key, ncols)
+    rid = np.cumsum(np.diff(rows, prepend=rows[:1]) != 0)
+    live = np.ones(ncols, dtype=bool)
+    while True:
+        on = live[cols]
+        count = np.bincount(rid[on], minlength=rows.size)
+        dead = cols[on & (count[rid] == 1)]
+        if dead.size == 0:
+            break
+        live[dead] = False
+    core = on & (count[rid] > 1)
+    live_cols = np.flatnonzero(live)
+    dense = np.zeros((np.count_nonzero(count > 1), live_cols.size), dtype=np.int64)
+    dense[(np.cumsum(count > 1) - 1)[rid[core]], (np.cumsum(live) - 1)[cols[core]]] = vals[core]
+    ker = kernel(dense, p)
+    basis = np.zeros((ker.dim, ncols), dtype=np.int64)
+    basis[:, live_cols] = ker.basis
+    return Subspace(ncols, p, basis, tuple(live_cols[list(ker.pivots)].tolist()))
+
+
 def preimage(mat: np.ndarray, target: Subspace) -> Subspace:
     """{x : mat @ x in target}, for mat mapping F_p^n -> F_p^m with target in F_p^m."""
     a = np.mod(np.asarray(mat, dtype=np.int64), target.p)
@@ -299,7 +342,9 @@ class IncrementalRREF:
     Rows are fed in blocks; each block is reduced against the pivots found so
     far using one matrix multiply over the block's support, so feeding m rows
     costs at most O(m * rank * ncols) arithmetic instead of a full dense
-    elimination.
+    elimination.  Library API: no engine code calls it since the retraction
+    solve moved to `sparse_kernel`, and it is kept for callers and for the
+    benchmark's tracer, which wraps `add_rows`.
     """
 
     def __init__(self, ncols: int, p: int):

@@ -208,6 +208,27 @@ def test_cache_ignores_corrupt_and_stale_records(tmp_path, capsys):
     assert [r["dim"] for r in payload["rows"]] == [1, 2, 3]
 
 
+def test_cache_key_holds_the_engine_digest(tmp_path, capsys, monkeypatch):
+    # the same job from unchanged sources hits the cache; from changed
+    # sources it misses and is computed again, with the same payload
+    calls = []
+    compute = cli._RUNNERS["dims"]
+    monkeypatch.setitem(cli._RUNNERS, "dims",
+                        lambda args, limits: calls.append(1) or compute(args, limits))
+    argv = ["dims", "--group", "Ga@p=2", "--dmax", "2", "--cache", str(tmp_path)]
+    first = run_json(capsys, *argv)
+    second = run_json(capsys, *argv)
+    assert len(calls) == 1 and len(os.listdir(tmp_path)) == 1
+    digest = cli._engine_digest()
+    assert len(digest) == 64 and cli._engine_digest() == digest
+    monkeypatch.setattr(cli, "_engine_digest", lambda: "0" * 64)
+    third = run_json(capsys, *argv)
+    assert len(calls) == 2 and len(os.listdir(tmp_path)) == 2
+    for payload in (first, second, third):
+        payload.pop("timestamp")
+    assert first == second == third and first["engine"] == {"version": __version__}
+
+
 @pytest.mark.parametrize("content, needle", [
     (None, "cannot read"),                                 # missing file
     ("{not json", "cannot read"),                          # not JSON

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from comodfilt.cobar import (ChainComplex, NotACComoduleError, SubCoalgebra,
-                             _stage1_rows, cobar_complex, cohomology_dims,
+                             _stage1_triples, cobar_complex, cohomology_dims,
                              injective_test, injectivity_profile)
 from comodfilt.comodules import (Comodule, StreamModule, build_module,
                                  direct_sum, regular, regular_stream,
@@ -14,7 +14,7 @@ from comodfilt.coordalg import UnsupportedOperation, group_from_spec
 from comodfilt.filtration import (CanonicalLevel, ExplicitSubspace,
                                   InternalInvariantError, coalgebra_closure,
                                   restrict)
-from comodfilt.linalg import Subspace, matrank
+from comodfilt.linalg import IncrementalRREF, Subspace, kernel, matrank, sparse_kernel
 
 GA2 = group_from_spec("Ga@p=2")
 GM3 = group_from_spec("Gm@p=3")
@@ -145,16 +145,7 @@ def test_coefficient_blocks_match_the_per_entry_reference():
     cases = [(SubCoalgebra.canonical(group_from_spec(spec), d),
               build_module(text, group_from_spec(spec)))
              for spec, text, d, _ in COBAR_CASES]
-    for spec, texts, d_max in INJECTIVITY_ORACLE_CASES:
-        g = group_from_spec(spec)
-        for d in range(d_max + 1):
-            closure = coalgebra_closure(g, CanonicalLevel(g, d))
-            c = SubCoalgebra.from_explicit(closure.subspace,
-                                           delta_matrix=closure.delta_matrix)
-            for text in texts:
-                m = build_module(text, g)
-                target = m.generate(m.sufficiency(d)) if isinstance(m, StreamModule) else m
-                cases.append((c, restrict(target, CanonicalLevel(g, d)).comodule))
+    cases += [(c, level) for _, _, _, c, level in injectivity_oracle_levels()]
     # C = span{1, t + t^2} over F_2: t + t^2 is primitive, and t^2 is a
     # non-pivot column of C's basis
     x = ExplicitSubspace.from_elements(GA2, [GA2.one(), GA2.element({1: 1, 2: 1})])
@@ -273,18 +264,9 @@ def test_normalized_and_full_complexes_have_equal_cohomology():
         normalized, full = both(SubCoalgebra.canonical(g, d), build_module(text, g), n)
         assert normalized == full, (spec, text, d, n)
     # the closures of the injectivity oracle below, and a proper sub-coalgebra
-    for spec, texts, d_max in INJECTIVITY_ORACLE_CASES:
-        g = group_from_spec(spec)
-        for text in texts:
-            m = build_module(text, g)
-            for d in range(d_max + 1):
-                closure = coalgebra_closure(g, CanonicalLevel(g, d))
-                c = SubCoalgebra.from_explicit(closure.subspace,
-                                               delta_matrix=closure.delta_matrix)
-                target = m.generate(m.sufficiency(d)) if isinstance(m, StreamModule) else m
-                level = restrict(target, CanonicalLevel(g, d)).comodule
-                normalized, full = both(c, level, 1)
-                assert normalized == full, (spec, text, d)
+    for spec, text, d, c, level in injectivity_oracle_levels():
+        normalized, full = both(c, level, 1)
+        assert normalized == full, (spec, text, d)
     x = ExplicitSubspace.from_elements(GA2, [GA2.one(), GA2.element({2: 1})])
     c = SubCoalgebra.from_explicit(x)
     normalized, full = both(c, restrict(regular(GA2, 2), x).comodule, 3)
@@ -314,6 +296,19 @@ def kronecker_rows(f, lam_c, p):
     return blk[blk.any(axis=1)]
 
 
+def densify(triples, nrows, ncols, p):
+    """The matrix of (rows, cols, vals) triples, duplicate keys summed, mod p."""
+    rows, cols, vals = triples
+    out = np.zeros((nrows, ncols), dtype=np.int64)
+    np.add.at(out, (rows, cols), vals)
+    return out % p
+
+
+def stacked_kronecker_rows(blocks, lam, p):
+    s = blocks.shape[0]
+    return np.vstack([kronecker_rows(blocks[cc], lam[cc::s], p) for cc in range(s)])
+
+
 def test_stage1_rows_are_the_nonzero_kronecker_rows():
     for spec, text, d in [("Ga@p=2", "regular(2)", 2), ("Gm@p=3", "dual(regular(2))", 2),
                           ("U:3@p=3", "regular(2)", 2), ("GL:2@p=2", "natural", 1),
@@ -321,24 +316,68 @@ def test_stage1_rows_are_the_nonzero_kronecker_rows():
         g = group_from_spec(spec)
         c = SubCoalgebra.canonical(g, d)
         blocks = c.coefficient_blocks(build_module(text, g))
-        s = c.dim
-        for cc in range(s):
-            lam_c = c.delta_matrix[cc::s]
-            got = _stage1_rows(blocks[cc], lam_c)
-            assert np.array_equal(got % g.p, kronecker_rows(blocks[cc], lam_c, g.p))
+        s, mm = c.dim, blocks.shape[1]
+        got = densify(_stage1_triples(blocks, c.delta_matrix), s * s * mm, s * mm, g.p)
+        assert np.array_equal(got[got.any(axis=1)],
+                              stacked_kronecker_rows(blocks, c.delta_matrix, g.p))
     rng = np.random.default_rng(7)
     for trial in range(60):
         p = (2, 3, 65521)[trial % 3]
         s, mm = (int(v) for v in rng.integers(1, 8, size=2))
-        f = rng.integers(0, p, size=(mm, mm)) * (rng.random((mm, mm)) < 0.2)
-        lam_c = rng.integers(0, p, size=(s, s)) * (rng.random((s, s)) < 0.2)
+        blocks = rng.integers(0, p, size=(s, mm, mm)) * (rng.random((s, mm, mm)) < 0.2)
+        lam = rng.integers(0, p, size=(s * s, s)) * (rng.random((s * s, s)) < 0.2)
         if trial % 4 == 0:
-            # diagonal entries F[j, j] - lambda^k_{kc} that cancel to zero
-            np.fill_diagonal(lam_c, 1)
-            np.fill_diagonal(f, 1)
-        got = _stage1_rows(f, lam_c)
-        assert got.shape[1] == s * mm
-        assert np.array_equal(got % p, kronecker_rows(f, lam_c, p))
+            # diagonal entries F^c[j, j] - lambda^k_{kc} that cancel to zero
+            for cc in range(s):
+                np.fill_diagonal(blocks[cc], 1)
+                np.fill_diagonal(lam[cc::s], 1)
+        got = densify(_stage1_triples(blocks, lam), s * s * mm, s * mm, p)
+        assert np.array_equal(got[got.any(axis=1)], stacked_kronecker_rows(blocks, lam, p))
+
+
+def reference_stage1_rows(f, lam_c):
+    """The nonzero rows of I_s (x) F^c - lambda_c^T (x) I_m, written by index
+    into a zeroed (k, j, a, i) array, with lam_c[a, k] = lambda^k_{ac}."""
+    s, mm = lam_c.shape[0], f.shape[0]
+    ks, js = np.arange(s), np.arange(mm)
+    blk = np.zeros((s, mm, s, mm), dtype=np.int64)
+    blk[ks, :, ks, :] = f
+    blk[:, js, :, js] -= lam_c.T
+    blk = blk.reshape(s * mm, s * mm)
+    return blk[blk.any(axis=1)]
+
+
+def reference_stage1_kernel(c, blocks):
+    """Oracle: the space of comodule maps C -> M, with the stage-1 rows of each
+    c fed densely to an `IncrementalRREF`."""
+    p, s, mm = c.group.p, c.dim, blocks.shape[1]
+    acc = IncrementalRREF(s * mm, p)
+    for cc in range(s):
+        acc.add_rows(reference_stage1_rows(blocks[cc], c.delta_matrix[cc::s]))
+    return kernel(acc.rows, p) if acc.rank else Subspace.full(s * mm, p)
+
+
+def test_stage1_kernel_matches_the_row_by_row_reference():
+    cases = [(SubCoalgebra.canonical(group_from_spec(spec), d),
+              build_module(text, group_from_spec(spec)))
+             for spec, text, d, _ in COBAR_CASES]
+    cases += [(c, level) for _, _, _, c, level in injectivity_oracle_levels()]
+    # the top level of `inject SL:2@p=2 regular(3) d3`, and levels of GL:2 and
+    # SL:2 at p = 2^31 - 1
+    for spec, text, d in [("SL:2@p=2", "regular(3)", 3),
+                          ("GL:2@p=2147483647", "regular(2)", 2),
+                          ("SL:2@p=2147483647", "regular(2)", 2)]:
+        g = group_from_spec(spec)
+        closure = coalgebra_closure(g, CanonicalLevel(g, d))
+        c = SubCoalgebra.from_explicit(closure.subspace, delta_matrix=closure.delta_matrix)
+        cases.append((c, restrict(build_module(text, g), CanonicalLevel(g, d)).comodule))
+    assert len(cases) == len(COBAR_CASES) + 78 + 3
+    assert cases[-3][0].dim * cases[-3][1].dim == 900
+    for c, m in cases:
+        blocks = c.coefficient_blocks(m)
+        want = reference_stage1_kernel(c, blocks)
+        got = sparse_kernel(*_stage1_triples(blocks, c.delta_matrix), c.dim * m.dim, c.group.p)
+        assert got == want and got.pivots == want.pivots, (c.monos, m.basis_labels)
 
 
 def test_regular_comodule_is_self_injective():
@@ -391,25 +430,31 @@ INJECTIVITY_ORACLE_CASES = [
 ]
 
 
+def injectivity_oracle_levels():
+    """(spec, text, d, C, M_X) for the 78 levels of INJECTIVITY_ORACLE_CASES:
+    C is the closure of X = O(G)_{<=d}."""
+    for spec, texts, d_max in INJECTIVITY_ORACLE_CASES:
+        g = group_from_spec(spec)
+        for d in range(d_max + 1):
+            closure = coalgebra_closure(g, CanonicalLevel(g, d))
+            c = SubCoalgebra.from_explicit(closure.subspace,
+                                           delta_matrix=closure.delta_matrix)
+            for text in texts:
+                m = build_module(text, g)
+                target = m.generate(m.sufficiency(d)) if isinstance(m, StreamModule) else m
+                yield spec, text, d, c, restrict(target, CanonicalLevel(g, d)).comodule
+
+
 def test_injectivity_matches_vanishing_h1_over_unipotent_groups():
     # every level C of a unipotent group is pointed irreducible, so M is
     # injective over C iff H^1(C, M) = Ext^1_C(k, M) = 0: cobar ranks decide
     # it without the retraction solve
     verdicts = []
-    for spec, texts, d_max in INJECTIVITY_ORACLE_CASES:
-        g = group_from_spec(spec)
-        for text in texts:
-            m = build_module(text, g)
-            for d in range(d_max + 1):
-                closure = coalgebra_closure(g, CanonicalLevel(g, d))
-                c = SubCoalgebra.from_explicit(closure.subspace,
-                                               delta_matrix=closure.delta_matrix)
-                target = m.generate(m.sufficiency(d)) if isinstance(m, StreamModule) else m
-                level = restrict(target, CanonicalLevel(g, d)).comodule
-                h1 = cohomology_dims(cobar_complex(c, level, 1))[1]
-                verdict = injective_test(c, level)
-                assert verdict == (h1 == 0), (spec, text, d, h1)
-                verdicts.append(verdict)
+    for spec, text, d, c, level in injectivity_oracle_levels():
+        h1 = cohomology_dims(cobar_complex(c, level, 1))[1]
+        verdict = injective_test(c, level)
+        assert verdict == (h1 == 0), (spec, text, d, h1)
+        verdicts.append(verdict)
     assert len(verdicts) == 78 and 0 < sum(verdicts) < 78
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from comodfilt.linalg import (IncrementalRREF, Subspace, as_matrix, elimination_exact,
                               exact_dtype, inv_mod, is_prime, kernel, matmul_mod,
-                              matrank, preimage, rref, solvable, solve)
+                              matrank, preimage, rref, solvable, solve, sparse_kernel)
 
 
 def random_matrix(rng, rows, cols, p):
@@ -209,3 +209,62 @@ def test_large_primes_are_rejected_before_elimination():
         Subspace.from_rows([[4294967310, 4294967309]], 2, 4294967311)
     with pytest.raises(ValueError, match="too large"):
         IncrementalRREF(2, 4294967311)
+
+
+def dense_of_triples(triples, nrows, ncols, p):
+    """The matrix of (row, col, value) triples, duplicates summed in Python
+    integers, mod p."""
+    out = [[0] * ncols for _ in range(nrows)]
+    for r, c, v in triples:
+        out[r][c] += v
+    return np.array([[x % p for x in row] for row in out], dtype=np.int64).reshape(nrows, ncols)
+
+
+def assert_sparse_kernel_matches(triples, nrows, ncols, p):
+    rows, cols, vals = (list(t) for t in zip(*triples)) if triples else ([], [], [])
+    got = sparse_kernel(rows, cols, vals, ncols, p)
+    want = kernel(dense_of_triples(triples, nrows, ncols, p), p)
+    assert got == want and got.pivots == want.pivots, (p, triples)
+    return got
+
+
+def test_sparse_kernel_matches_the_dense_kernel():
+    for p in (2, 3, 65521, 2 ** 31 - 1):
+        # no entries: the whole space
+        assert assert_sparse_kernel_matches([], 0, 4, p) == Subspace.full(4, p)
+        # all-zero columns 1 and 3 stay free
+        assert_sparse_kernel_matches([(0, 0, 1), (0, 2, 1), (1, 2, p - 1), (1, 4, 2)], 2, 5, p)
+        # duplicates summing to 0 mod p: row 0 vanishes and x1 stays free; in
+        # row 1 the pair on column 0 cancels, leaving a singleton on column 2
+        ker = assert_sparse_kernel_matches(
+            [(0, 1, p - 1), (0, 1, 1), (1, 0, 1), (1, 2, 1), (1, 0, p - 1), (2, 3, 1),
+             (2, 4, p - 1), (2, 3, 2 * p)], 3, 5, p)
+        assert ker.dim == 3 and not ker.basis[:, 2].any()
+        # values outside [0, p), summed past 2p before the reduction
+        assert_sparse_kernel_matches([(0, 0, -1), (0, 1, p - 1), (0, 1, p - 1),
+                                      (0, 1, p - 1), (1, 1, 3 * p + 1), (1, 2, -p)], 2, 3, p)
+        # only singleton rows: their columns die, the others stay free
+        ker = assert_sparse_kernel_matches([(0, 3, 5), (1, 0, 1), (2, 3, p - 1)], 3, 5, p)
+        assert ker.pivots == (1, 2, 4)
+        # a chain: only the singleton x0 = 0 peels at first, then x0 + x1 = 0
+        # leaves x1, and so on down to x3; x4 - x5 = 0 is the core
+        chain = [(0, 0, 1), (1, 0, 1), (1, 1, 1), (2, 1, 1), (2, 2, p - 1),
+                 (3, 2, 1), (3, 3, 1), (4, 3, 1), (4, 4, 1), (4, 5, p - 1),
+                 (5, 4, 1), (5, 5, p - 1)]
+        ker = assert_sparse_kernel_matches(chain, 6, 6, p)
+        assert ker.basis.tolist() == [[0, 0, 0, 0, 1, 1]]
+    rng = random.Random(31)
+    for trial in range(240):
+        p = (2, 3, 65521, 2 ** 31 - 1)[trial % 4]
+        nrows, ncols = rng.randrange(0, 9), rng.randrange(1, 10)
+        triples = []
+        for r in range(nrows):
+            # mostly one or two entries per row, sometimes repeated keys
+            for _ in range(rng.choice((1, 1, 2, 2, 3, 5))):
+                c = rng.randrange(ncols)
+                v = rng.randrange(-2 * p, 2 * p)
+                triples.append((r, c, v))
+                if rng.random() < 0.3:
+                    triples.append((r, c, rng.choice((-v, p - v, rng.randrange(p)))))
+        rng.shuffle(triples)
+        assert_sparse_kernel_matches(triples, nrows, ncols, p)

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from sympy import GF  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
-from comodfilt.linalg import Subspace, kernel, preimage  # noqa: E402
+from comodfilt.linalg import Subspace, kernel, preimage, sparse_kernel  # noqa: E402
 
 # sympy's DomainMatrix over GF(p) shares no code with linalg
 
@@ -143,3 +143,27 @@ def test_coords_matches_sympy(case, data):
     else:
         want = [int(red.to_list()[r][len(basis)]) % p for r in range(len(basis))]
         assert got is not None and got.tolist() == want and space.contains(vec)
+
+
+@oracle_settings
+@given(oracle_case(max_rows=8, max_cols=8), st.data())
+def test_sparse_kernel_matches_sympy(case, data):
+    p, ncols, rows = case
+    # each nonzero entry as one triple or as two that sum to it, plus pairs
+    # that cancel, in a drawn order
+    triples = []
+    for r, row in enumerate(rows):
+        for c, x in enumerate(row):
+            if x and data.draw(st.booleans()):
+                part = data.draw(st.integers(0, p - 1))
+                triples += [(r, c, part), (r, c, x - part)]
+            elif x:
+                triples.append((r, c, x))
+            if data.draw(st.integers(0, 7)) == 0:
+                v = data.draw(st.integers(1, p - 1))
+                triples += [(r, c, v), (r, c, p - v)]
+    triples = data.draw(st.permutations(triples))
+    r, c, v = (list(t) for t in zip(*triples)) if triples else ([], [], [])
+    got = sparse_kernel(r, c, v, ncols, p)
+    assert got.basis.tolist() == sympy_nullspace(rows, ncols, p)
+    assert list(got.pivots) == [row.index(1) for row in got.basis.tolist()]
