@@ -8,7 +8,6 @@ ceiling, 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import hashlib
 import json
@@ -63,9 +62,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--no-cache", action="store_true")
         p.add_argument("--window", type=int,
                        help="trailing window length for growth classification")
-        for name in ["max-coalgebra-dim", "max-chain-dim", "max-solver-unknowns",
-                     "max-dmax"]:
-            p.add_argument(f"--{name}", type=int, help=argparse.SUPPRESS)
 
     common(sub.add_parser("dims", help="dimensions of O(G)_{<=d}"), dmax=True)
     common(sub.add_parser("filter", help="dimensions of M_{O(G)_{<=d}}"),
@@ -84,16 +80,6 @@ def _build_parser() -> _Parser:
     common(vp, group=False, module=True)
     vp.add_argument("--group", help="group spec (required without --suite)")
     return parser
-
-
-def _limits(args):
-    limits = load_limits()
-    overrides = {}
-    for field in dataclasses.fields(limits):
-        val = getattr(args, field.name, None)
-        if val is not None:
-            overrides[field.name] = val
-    return dataclasses.replace(limits, **overrides) if overrides else limits
 
 
 def _jobspec(args) -> dict:
@@ -276,7 +262,7 @@ def _csv_cell(v) -> str:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        limits = _limits(args)
+        limits = load_limits()
         dmax = getattr(args, "dmax", None)
         if dmax is not None:
             if dmax < 0:

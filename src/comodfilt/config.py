@@ -1,7 +1,7 @@
 """Resource ceilings, optionally overridden by a JSON config file.
 
 The config file path is taken from the COMODFILT_CONFIG environment
-variable; CLI flags override config values, which override the defaults.
+variable; config values override the defaults.
 """
 
 from __future__ import annotations

@@ -12,10 +12,12 @@ hashable tuples whose shape depends on the group:
     GL(N)  (tuple of N*N exponents, j>=0)   (x-part times det(x)^{-j})
     SL(N)  tuple of N*N exponents           (normal form modulo det-1)
 
-GL(N) elements are kept in reduced form: when the det-inverse power is
-positive, the polynomial part lies in a fixed monomial complement of
-det * O(M).  SL(N) elements are reduced degreewise modulo (det - 1) by exact
-row reduction, with pivots chosen by graded-lex order; no Groebner machinery.
+GL(N) and SL(N) share one normal form: a homogeneous polynomial part of
+degree d lies in a fixed monomial complement of det * O(M)_{d-N}, chosen by
+exact row reduction with lex-largest pivots; no Groebner machinery.  GL(N)
+reduces the parts over det^{-j}, j >= 1, moving det*q over det^{-j} to q over
+det^{-(j-1)}; SL(N) reduces every part, from the top degree down, using
+det*q = q.
 """
 
 from __future__ import annotations
@@ -448,30 +450,22 @@ class MatMonoid(_PolynomialGroup):
                 return 0
         return 1
 
-    def det_element(self) -> Element:
-        coeffs: dict = {}
-        for perm in itertools.permutations(range(self.N)):
-            sign = _perm_sign(perm)
-            m = [0] * self.nvars
-            for i, j in enumerate(perm):
-                m[i * self.N + j] += 1
-            coeffs[tuple(m)] = coeffs.get(tuple(m), 0) + sign
-        return Element(self, coeffs)
-
-    def minor_element(self, drop_row: int, drop_col: int) -> Element:
-        """Determinant of the submatrix omitting the given row and column."""
+    def minor_element(self, drop_row: int | None = None,
+                      drop_col: int | None = None) -> Element:
+        """Determinant of the submatrix omitting the given row and column; of
+        the whole matrix when none is given."""
         rows = [i for i in range(self.N) if i != drop_row]
         cols = [j for j in range(self.N) if j != drop_col]
         coeffs: dict = {}
-        if not rows:
-            return self.one()
         for perm in itertools.permutations(range(len(cols))):
-            sign = _perm_sign(perm)
             m = [0] * self.nvars
             for a, b in enumerate(perm):
                 m[rows[a] * self.N + cols[b]] += 1
-            coeffs[tuple(m)] = coeffs.get(tuple(m), 0) + sign
+            coeffs[tuple(m)] = _perm_sign(perm)
         return Element(self, coeffs)
+
+    def det_element(self) -> Element:
+        return self.minor_element()
 
 
 def _perm_sign(perm) -> int:
@@ -537,36 +531,24 @@ class Unitriangular(_PolynomialGroup):
         return result.coeffs
 
 
-def _product_dtype(inner: int, p: int):
-    """int64 where a sum of `inner` products of entries in [0, p) fits in it,
-    Python integers otherwise (see `linalg.exact_dtype`)."""
-    return object if exact_dtype(inner, p) is object else np.int64
-
-
 class _HomogeneousDetReducer:
     """Row-reduced image of det * O(M)_{deg-N} inside O(M)_deg.
 
-    Columns are the degree-deg monomials in descending graded-lex order, so the
-    pivot monomials are the largest ones; the complement (non-pivot) monomials
-    give the canonical polynomial parts that may sit over a det-inverse power.
-    Quotients are tracked so an element can be rewritten p = det*q + r exactly.
+    Columns are the degree-deg monomials in descending lex order, so the pivot
+    monomials are the largest ones; the complement (non-pivot) monomials span
+    the normal forms of both GL(N) and SL(N) in this degree.  Quotients are
+    tracked so an element can be rewritten f = det*q + r exactly.
     """
 
     def __init__(self, mat: "MatMonoid", deg: int):
         self.mat = mat
         self.deg = deg
         p = mat.p
-        self.monos = sorted(_exp_tuples(mat.nvars, deg), key=lambda m: m, reverse=True)
+        self.monos = sorted(_exp_tuples(mat.nvars, deg), reverse=True)
         self.index = {m: i for i, m in enumerate(self.monos)}
         qdeg = deg - mat.N
         self.qmonos = sorted(_exp_tuples(mat.nvars, qdeg), reverse=True) if qdeg >= 0 else []
         n, q = len(self.monos), len(self.qmonos)
-        if q == 0:
-            self.rows = np.zeros((0, n), dtype=np.int64)
-            self.qrows = np.zeros((0, 0), dtype=np.int64)
-            self.pivots = []
-            self.complement = list(self.monos)
-            return
         det = mat.det_element()
         w = np.zeros((q, n + q), dtype=np.int64)
         for r, qm in enumerate(self.qmonos):
@@ -577,7 +559,8 @@ class _HomogeneousDetReducer:
         red, piv = rref(w, p)
         # rows of det*monomial are independent, so all pivots land in the first block
         assert all(c < n for c in piv) and len(piv) == q
-        self.dtype = _product_dtype(len(piv), p)
+        # int64 where the products c @ rows below fit in it, Python integers otherwise
+        self.dtype = object if exact_dtype(len(piv), p) is object else np.int64
         self.rows = red[:, :n].astype(self.dtype)
         self.qrows = red[:, n:].astype(self.dtype)
         self.pivots = piv
@@ -587,8 +570,6 @@ class _HomogeneousDetReducer:
     def split(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """vec = det*q + r with r supported on complement monomials; returns (r, q)."""
         p = self.mat.p
-        if not self.pivots:
-            return vec % p, np.zeros(0, dtype=np.int64)
         c = (vec[self.pivots] % p).astype(self.dtype, copy=False)
         residue = ((vec - c @ self.rows) % p).astype(np.int64, copy=False)
         quotient = ((c @ self.qrows) % p).astype(np.int64, copy=False)
@@ -604,7 +585,8 @@ class _DeterminantGroup(Group):
     polynomial parts and pushed into normal form by `reduce_dict`.
     """
 
-    _reducer_class: type
+    # homogeneous parts over det^{-j} are reduced for j >= _reduced_from
+    _reduced_from: int
 
     def __init__(self, p, N):
         super().__init__(p, N)
@@ -612,9 +594,9 @@ class _DeterminantGroup(Group):
         self.nvars = N * N
         self._reducers: dict = {}
 
-    def _reducer(self, deg: int):
+    def _reducer(self, deg: int) -> _HomogeneousDetReducer:
         if deg not in self._reducers:
-            self._reducers[deg] = self._reducer_class(self.mat, deg)
+            self._reducers[deg] = _HomogeneousDetReducer(self.mat, deg)
         return self._reducers[deg]
 
     def _split(self, mono) -> tuple:
@@ -624,7 +606,41 @@ class _DeterminantGroup(Group):
         raise NotImplementedError
 
     def reduce_dict(self, coeffs: dict) -> dict:
-        raise NotImplementedError
+        """Normal form: each homogeneous polynomial part over det^{-j}, for
+        j >= `_reduced_from`, lies in the monomial complement of det * O(M).
+
+        Parts are bucketed by (j, degree) and reduced from the top down: a part
+        det*q + r keeps r and moves q to det^{-(j-1)} in degree deg - N, which
+        `_join` turns into det^0 for SL (det*q = q there).  Every move lands in
+        a lower bucket, so each bucket is reduced once.
+        """
+        p = self.p
+        parts: dict = {}
+        for mono, c in coeffs.items():
+            e, j = self._split(mono)
+            part = parts.setdefault((j, sum(e)), {})
+            part[e] = (part.get(e, 0) + c) % p
+        out: dict = {}
+        while parts:
+            j, deg = max(parts)
+            part = parts.pop((j, deg))
+            red = self._reducer(deg) if j >= self._reduced_from else None
+            if red is None or not red.pivots:
+                for e, c in part.items():
+                    if c:
+                        out[self._join(e, j)] = c
+                continue
+            vec = np.zeros(len(red.monos), dtype=np.int64)
+            for e, c in part.items():
+                vec[red.index[e]] = c
+            residue, quotient = red.split(vec)
+            for i in residue.nonzero()[0].tolist():
+                out[self._join(red.monos[i], j)] = int(residue[i])
+            for i in quotient.nonzero()[0].tolist():
+                e, j2 = self._split(self._join(red.qmonos[i], j - 1))
+                part = parts.setdefault((j2, deg - self.N), {})
+                part[e] = (part.get(e, 0) + int(quotient[i])) % p
+        return out
 
     def one_mono(self):
         return self._join(self.mat.one_mono(), 0)
@@ -711,7 +727,7 @@ class GL(_DeterminantGroup):
     """General linear group GL(N): O(M)[det^{-1}] with det^{-1} of degree N."""
 
     kind = "GL"
-    _reducer_class = _HomogeneousDetReducer
+    _reduced_from = 1  # det^0 parts are plain polynomials
 
     def _split(self, mono):
         return mono
@@ -721,40 +737,6 @@ class GL(_DeterminantGroup):
 
     def detinv_mono(self):
         return ((0,) * self.nvars, 1)
-
-    def reduce_dict(self, coeffs: dict) -> dict:
-        """Push the element into reduced form: polynomial parts over det^{-j},
-        j >= 1, lie in the fixed monomial complement of det * O(M)."""
-        p = self.p
-        buckets: dict[int, dict] = {}
-        for (e, j), c in coeffs.items():
-            buckets.setdefault(j, {})[e] = (buckets.setdefault(j, {}).get(e, 0) + c) % p
-        out: dict = {}
-        if not buckets:
-            return {}
-        for j in range(max(buckets), -1, -1):
-            poly = {e: c for e, c in buckets.get(j, {}).items() if c}
-            if j == 0:
-                for e, c in poly.items():
-                    out[(e, 0)] = (out.get((e, 0), 0) + c) % p
-                continue
-            by_deg: dict[int, dict] = {}
-            for e, c in poly.items():
-                by_deg.setdefault(sum(e), {})[e] = c
-            for deg, homog in by_deg.items():
-                red = self._reducer(deg)
-                vec = np.zeros(len(red.monos), dtype=np.int64)
-                for e, c in homog.items():
-                    vec[red.index[e]] = c
-                residue, quotient = red.split(vec)
-                for i in np.nonzero(residue)[0]:
-                    key = (red.monos[i], j)
-                    out[key] = (out.get(key, 0) + int(residue[i])) % p
-                for i in np.nonzero(quotient)[0]:
-                    e2 = red.qmonos[i]
-                    buckets.setdefault(j - 1, {})[e2] = \
-                        (buckets.setdefault(j - 1, {}).get(e2, 0) + int(quotient[i])) % p
-        return {m: c for m, c in out.items() if c % p}
 
     def filtration_monomials(self, d):
         monos = [(e, 0) for deg in range(d + 1) for e in _exp_tuples(self.nvars, deg)]
@@ -768,50 +750,11 @@ class GL(_DeterminantGroup):
         return binom(d + n2, n2) + binom(d - self.N + n2, n2)
 
 
-class _SLReducer:
-    """Row-reduced image of (det - 1) * O(M)_{<=d-N} inside O(M)_{<=d}.
-
-    Columns in descending (degree, lex) order; reduction by these rows is the
-    degreewise normal form modulo (det - 1), stable under enlarging d.
-    """
-
-    def __init__(self, mat: "MatMonoid", d: int):
-        self.mat = mat
-        self.d = d
-        p = mat.p
-        self.monos = sorted((m for deg in range(d + 1) for m in _exp_tuples(mat.nvars, deg)),
-                            key=lambda m: (sum(m), m), reverse=True)
-        self.index = {m: i for i, m in enumerate(self.monos)}
-        qmonos = [m for deg in range(d - mat.N + 1) for m in _exp_tuples(mat.nvars, deg)] \
-            if d >= mat.N else []
-        n = len(self.monos)
-        det = mat.det_element()
-        w = np.zeros((len(qmonos), n), dtype=np.int64)
-        for r, qm in enumerate(qmonos):
-            for dm, dc in det.coeffs.items():
-                prod = tuple(a + b for a, b in zip(dm, qm))
-                w[r, self.index[prod]] = dc % p
-            w[r, self.index[qm]] = (w[r, self.index[qm]] - 1) % p
-        red, piv = rref(w, p)
-        self.dtype = _product_dtype(len(piv), p)
-        self.rows = red.astype(self.dtype)
-        self.pivots = piv
-        pivset = set(piv)
-        self.complement = [m for i, m in enumerate(self.monos) if i not in pivset]
-
-    def reduce_vec(self, vec: np.ndarray) -> np.ndarray:
-        p = self.mat.p
-        if not self.pivots:
-            return vec % p
-        c = (vec[self.pivots] % p).astype(self.dtype, copy=False)
-        return ((vec - c @ self.rows) % p).astype(np.int64, copy=False)
-
-
 class SL(_DeterminantGroup):
     """Special linear group SL(N): O(M)/(det - 1) in degreewise normal form."""
 
     kind = "SL"
-    _reducer_class = _SLReducer
+    _reduced_from = 0
 
     def _split(self, mono):
         return mono, 0
@@ -819,20 +762,8 @@ class SL(_DeterminantGroup):
     def _join(self, e, j):
         return e  # det^{-j} = 1
 
-    def reduce_dict(self, coeffs: dict) -> dict:
-        if not coeffs:
-            return {}
-        d = max(sum(m) for m in coeffs)
-        red = self._reducer(d)
-        vec = np.zeros(len(red.monos), dtype=np.int64)
-        for m, c in coeffs.items():
-            vec[red.index[m]] = (vec[red.index[m]] + c) % self.p
-        out_vec = red.reduce_vec(vec)
-        return {red.monos[i]: int(out_vec[i]) for i in np.nonzero(out_vec)[0]}
-
     def filtration_monomials(self, d):
-        red = self._reducer(d)
-        return list(red.complement)
+        return [e for deg in range(d + 1) for e in self._reducer(deg).complement]
 
     def filtration_dim(self, d):
         n2 = self.nvars

@@ -7,6 +7,7 @@ are equal as sets iff their basis arrays are equal entrywise.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +34,11 @@ def elimination_exact(p: int) -> bool:
     return exact_dtype(1, p) is not object
 
 
+@functools.cache
 def check_prime(p: int) -> int:
+    """p, once it is known to be a prime that elimination handles exactly;
+    memoized, since trial division at p near 2^31 takes milliseconds.  A bad
+    modulus raises on every call: exceptions are not cached."""
     if not elimination_exact(p):
         raise ValueError(f"modulus {p} is too large for exact elimination "
                          f"((p-1)^2 must be below 2^63)")
@@ -314,7 +319,9 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     if dtype is np.float64 and a.shape[0] * inner * b.shape[1] < 1 << 17:
         dtype = np.int64
     prod = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
-    return np.mod(prod, p).astype(np.int64, copy=False)
+    if dtype is np.float64:
+        prod = prod.astype(np.int64)  # exact: every entry is an integer below 2^53
+    return (prod % p).astype(np.int64, copy=False)
 
 
 def _clear_pivots(target: np.ndarray, basis: np.ndarray, pivots: list[int], p: int):

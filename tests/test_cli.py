@@ -141,13 +141,18 @@ def test_a_module_outside_the_level_is_a_one_line_usage_error(capsys):
                    "(monomial t^3 outside the span)\n")
 
 
-def test_resource_exit_code(capsys):
+def test_resource_exit_code(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "dims", "--group", "Ga@p=2", "--dmax", "99")
     assert code == 2 and "ceiling" in err
-    # the hidden override flag raises the ceiling
-    code, out, _ = run(capsys, "dims", "--group", "Ga@p=2", "--dmax", "99",
+    # the config file raises the ceiling; there is no command-line override
+    cfg = tmp_path / "limits.json"
+    cfg.write_text(json.dumps({"max_dmax": 200}))
+    monkeypatch.setenv("COMODFILT_CONFIG", str(cfg))
+    code, out, _ = run(capsys, "dims", "--group", "Ga@p=2", "--dmax", "99")
+    assert code == 0 and json.loads(out)["rows"][-1] == {"d": 99, "dim": 100}
+    code, _, err = run(capsys, "dims", "--group", "Ga@p=2", "--dmax", "99",
                        "--max-dmax", "200")
-    assert code == 0
+    assert code == 1 and "--max-dmax" in err
 
 
 def test_config_file_overrides(tmp_path, capsys, monkeypatch):

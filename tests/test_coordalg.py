@@ -1,5 +1,6 @@
 """Coordinate Hopf algebras: normal forms, structure maps, and Hopf axioms."""
 
+import itertools
 import random
 from math import comb
 
@@ -8,6 +9,7 @@ import pytest
 
 from comodfilt.coordalg import (Element, GroupSpecError, UnsupportedOperation,
                                 group_from_spec, truncated_exponential_degree)
+from comodfilt.linalg import exact_dtype, rref
 
 # (spec, max monomial degree for the random axiom sweeps, antipode degree cap)
 # The antipode cap is lower for the 3x3 general-linear groups: sigma multiplies
@@ -223,7 +225,7 @@ def test_det_normal_forms_are_exact_at_p_2_31_minus_1():
         vec = [rng.randrange(p) for _ in sl.monos]
         c = [vec[i] for i in sl.pivots]
         want = [(v - w) % p for v, w in zip(vec, combination(c, sl.rows))]
-        got = sl.reduce_vec(np.array(vec, dtype=np.int64))
+        got, _ = sl.split(np.array(vec, dtype=np.int64))
         assert got.dtype == np.int64 and got.tolist() == want
         assert not got[sl.pivots].any()
 
@@ -234,3 +236,209 @@ def test_det_normal_forms_are_exact_at_p_2_31_minus_1():
                                     for v, w in zip(vec, combination(c, gl.rows))]
         assert quotient.tolist() == [w % p for w in combination(c, gl.qrows)]
         assert residue.dtype == quotient.dtype == np.int64
+
+
+# ---------------------------------------------------------------------------
+# reference reductions: the former per-group GL and SL normal forms, kept as
+# oracles for the one top-down reduce_dict that GL and SL now share
+
+def reference_exp_tuples(nvars, total):
+    if nvars == 1:
+        yield (total,)
+        return
+    for first in range(total, -1, -1):
+        for rest in reference_exp_tuples(nvars - 1, total - first):
+            yield (first,) + rest
+
+
+def reference_product_dtype(inner, p):
+    return object if exact_dtype(inner, p) is object else np.int64
+
+
+def reference_det(mat):
+    """det as {exponent tuple: sign}, by the Leibniz formula."""
+    det = {}
+    for perm in itertools.permutations(range(mat.N)):
+        m = [0] * mat.nvars
+        for i, j in enumerate(perm):
+            m[i * mat.N + j] += 1
+        inversions = sum(perm[a] > perm[b] for a in range(mat.N)
+                         for b in range(a + 1, mat.N))
+        det[tuple(m)] = (-1) ** inversions
+    return det
+
+
+class ReferenceHomogeneousDetReducer:
+    """Row-reduced image of det * O(M)_{deg-N} inside O(M)_deg, with quotients."""
+
+    def __init__(self, mat, deg):
+        p = mat.p
+        self.p = p
+        self.monos = sorted(reference_exp_tuples(mat.nvars, deg), reverse=True)
+        self.index = {m: i for i, m in enumerate(self.monos)}
+        qdeg = deg - mat.N
+        self.qmonos = sorted(reference_exp_tuples(mat.nvars, qdeg), reverse=True) \
+            if qdeg >= 0 else []
+        n, q = len(self.monos), len(self.qmonos)
+        if q == 0:
+            self.pivots = []
+            return
+        w = np.zeros((q, n + q), dtype=np.int64)
+        for r, qm in enumerate(self.qmonos):
+            for dm, dc in reference_det(mat).items():
+                w[r, self.index[tuple(a + b for a, b in zip(dm, qm))]] = dc % p
+            w[r, n + r] = 1
+        red, piv = rref(w, p)
+        self.dtype = reference_product_dtype(len(piv), p)
+        self.rows = red[:, :n].astype(self.dtype)
+        self.qrows = red[:, n:].astype(self.dtype)
+        self.pivots = piv
+
+    def split(self, vec):
+        p = self.p
+        if not self.pivots:
+            return vec % p, np.zeros(0, dtype=np.int64)
+        c = (vec[self.pivots] % p).astype(self.dtype, copy=False)
+        residue = ((vec - c @ self.rows) % p).astype(np.int64, copy=False)
+        quotient = ((c @ self.qrows) % p).astype(np.int64, copy=False)
+        return residue, quotient
+
+
+class ReferenceSLReducer:
+    """Row-reduced image of (det - 1) * O(M)_{<=d-N} inside O(M)_{<=d}, columns
+    in descending (degree, lex) order: one elimination over all degrees."""
+
+    def __init__(self, mat, d):
+        p = mat.p
+        self.p = p
+        self.monos = sorted((m for deg in range(d + 1)
+                             for m in reference_exp_tuples(mat.nvars, deg)),
+                            key=lambda m: (sum(m), m), reverse=True)
+        self.index = {m: i for i, m in enumerate(self.monos)}
+        qmonos = [m for deg in range(d - mat.N + 1)
+                  for m in reference_exp_tuples(mat.nvars, deg)] if d >= mat.N else []
+        w = np.zeros((len(qmonos), len(self.monos)), dtype=np.int64)
+        for r, qm in enumerate(qmonos):
+            for dm, dc in reference_det(mat).items():
+                w[r, self.index[tuple(a + b for a, b in zip(dm, qm))]] = dc % p
+            w[r, self.index[qm]] = (w[r, self.index[qm]] - 1) % p
+        red, piv = rref(w, p)
+        self.dtype = reference_product_dtype(len(piv), p)
+        self.rows = red.astype(self.dtype)
+        self.pivots = piv
+        pivset = set(piv)
+        self.complement = [m for i, m in enumerate(self.monos) if i not in pivset]
+
+    def reduce_vec(self, vec):
+        p = self.p
+        if not self.pivots:
+            return vec % p
+        c = (vec[self.pivots] % p).astype(self.dtype, copy=False)
+        return ((vec - c @ self.rows) % p).astype(np.int64, copy=False)
+
+
+_reference_reducers = {}
+
+
+def reference_reducer(kind, g, deg):
+    key = (kind, g.spec(), deg)
+    if key not in _reference_reducers:
+        cls = ReferenceSLReducer if kind == "SL" else ReferenceHomogeneousDetReducer
+        _reference_reducers[key] = cls(g.mat, deg)
+    return _reference_reducers[key]
+
+
+def reference_sl_reduce(g, coeffs):
+    """The former SL.reduce_dict: one vector over all degrees up to the top."""
+    if not coeffs:
+        return {}
+    red = reference_reducer("SL", g, max(sum(m) for m in coeffs))
+    vec = np.zeros(len(red.monos), dtype=np.int64)
+    for m, c in coeffs.items():
+        vec[red.index[m]] = (vec[red.index[m]] + c) % g.p
+    out = red.reduce_vec(vec)
+    return {red.monos[i]: int(out[i]) for i in np.nonzero(out)[0]}
+
+
+def reference_gl_reduce(g, coeffs):
+    """The former GL.reduce_dict: det^{-j} buckets from the top j down, each
+    split by degree, quotients carried to j - 1, det^0 copied through."""
+    p = g.p
+    buckets = {}
+    for (e, j), c in coeffs.items():
+        buckets.setdefault(j, {})[e] = (buckets.setdefault(j, {}).get(e, 0) + c) % p
+    out = {}
+    if not buckets:
+        return {}
+    for j in range(max(buckets), -1, -1):
+        poly = {e: c for e, c in buckets.get(j, {}).items() if c}
+        if j == 0:
+            for e, c in poly.items():
+                out[(e, 0)] = (out.get((e, 0), 0) + c) % p
+            continue
+        by_deg = {}
+        for e, c in poly.items():
+            by_deg.setdefault(sum(e), {})[e] = c
+        for deg, homog in by_deg.items():
+            red = reference_reducer("GL", g, deg)
+            vec = np.zeros(len(red.monos), dtype=np.int64)
+            for e, c in homog.items():
+                vec[red.index[e]] = c
+            residue, quotient = red.split(vec)
+            for i in np.nonzero(residue)[0]:
+                key = (red.monos[i], j)
+                out[key] = (out.get(key, 0) + int(residue[i])) % p
+            for i in np.nonzero(quotient)[0]:
+                e2 = red.qmonos[i]
+                buckets.setdefault(j - 1, {})[e2] = \
+                    (buckets.setdefault(j - 1, {}).get(e2, 0) + int(quotient[i])) % p
+    return {m: c for m, c in out.items() if c % p}
+
+
+def random_exponents(rng, nvars, deg):
+    e = [0] * nvars
+    for _ in range(deg):
+        e[rng.randrange(nvars)] += 1
+    return tuple(e)
+
+
+def random_coeffs(rng, g, dmax, jmax):
+    """A dict of up to eight terms of degree <= dmax over det^{-j}, j <= jmax
+    (GL only), coefficients in (-2p, 2p): unreduced, possibly zero mod p."""
+    out = {}
+    for _ in range(rng.randrange(1, 9)):
+        e = random_exponents(rng, g.nvars, rng.randrange(dmax + 1))
+        mono = (e, rng.randrange(jmax + 1)) if g.kind == "GL" else e
+        out[mono] = rng.randrange(-2 * g.p + 1, 2 * g.p)
+    return out
+
+
+REDUCE_CASES = [
+    ("SL:2@p=2", 7, 0), ("SL:2@p=3", 7, 0), ("SL:2@p=2147483647", 7, 0),
+    ("SL:3@p=2", 7, 0), ("SL:3@p=5", 7, 0),
+    ("GL:2@p=2", 7, 3), ("GL:2@p=5", 7, 3), ("GL:2@p=2147483647", 7, 3),
+    ("GL:3@p=2", 5, 3),
+]
+
+
+@pytest.mark.parametrize("spec,dmax,jmax", REDUCE_CASES)
+def test_reduce_dict_matches_the_former_per_group_reductions(spec, dmax, jmax):
+    g = group_from_spec(spec)
+    reference = reference_gl_reduce if g.kind == "GL" else reference_sl_reduce
+    rng = random.Random(spec)
+    for _ in range(60):
+        coeffs = random_coeffs(rng, g, dmax, jmax)
+        got = g.reduce_dict(dict(coeffs))
+        assert got == reference(g, coeffs), coeffs
+        assert all(0 < c < g.p and type(c) is int for c in got.values())
+        # a normal form is its own normal form
+        assert g.reduce_dict(got) == got
+
+
+@pytest.mark.parametrize("spec", ["SL:2@p=2", "SL:2@p=3", "SL:3@p=2"])
+def test_sl_filtration_monomials_are_the_former_complement(spec):
+    g = group_from_spec(spec)
+    for d in range(7):
+        monos = g.filtration_monomials(d)
+        assert len(monos) == g.filtration_dim(d)
+        assert set(monos) == set(ReferenceSLReducer(g.mat, d).complement)

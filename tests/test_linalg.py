@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from comodfilt import linalg
 from comodfilt.linalg import (IncrementalRREF, Subspace, as_matrix, elimination_exact,
                               exact_dtype, inv_mod, is_prime, kernel, matmul_mod,
                               matrank, preimage, rref, solvable, solve, sparse_kernel)
@@ -210,6 +211,26 @@ def test_large_primes_are_rejected_before_elimination():
     with pytest.raises(ValueError, match="too large"):
         IncrementalRREF(2, 4294967311)
 
+
+
+def test_check_prime_runs_trial_division_once_per_prime(monkeypatch):
+    calls = []
+
+    def counting_is_prime(q):
+        calls.append(q)
+        return is_prime(q)
+
+    monkeypatch.setattr(linalg, "is_prime", counting_is_prime)
+    linalg.check_prime.cache_clear()
+    p = 2 ** 31 - 1
+    for _ in range(4):
+        assert Subspace.from_rows([[1, p - 1]], 2, p).basis.tolist() == [[1, p - 1]]
+    assert calls == [p]
+    # a bad modulus is refused on every call, not remembered as good
+    for k in range(3):
+        with pytest.raises(ValueError, match="not prime"):
+            Subspace.from_rows([[1, 2]], 2, 4)
+        assert calls == [p] + [4] * (k + 1)
 
 def dense_of_triples(triples, nrows, ncols, p):
     """The matrix of (row, col, value) triples, duplicates summed in Python
