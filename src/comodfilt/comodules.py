@@ -34,10 +34,10 @@ def frobenius_element(f: Element, r: int) -> Element:
     q = g.p ** r
     acc: dict = {}
     for m, c in f.coeffs.items():
-        # c^q = c in F_p; the monomial power may need normal-form reduction
-        for m2, c2 in g.frobenius_mono(m, q).items():
-            acc[m2] = acc.get(m2, 0) + c * c2
-    return Element(g, acc)
+        # c^q = c in F_p; the monomial powers are reduced together
+        m2 = g.frobenius_mono(m, q)
+        acc[m2] = acc.get(m2, 0) + c
+    return Element(g, g.reduce_dict(acc))
 
 
 class ValidationReport:
@@ -153,8 +153,9 @@ def natural(g: Group) -> Comodule:
             for i in range(j):
                 col[i] = g.element({g.gen_mono(i, j): 1})
         else:
+            # x_{i,j} is not in normal form over SL(1), where x_{1,1} = 1
             for i in range(N):
-                col[i] = g.element({g.gen_mono(i, j): 1})
+                col[i] = g.element(g.reduce_dict({g.gen_mono(i, j): 1}))
         coaction.append(col)
     return Comodule(g, labels, coaction)
 

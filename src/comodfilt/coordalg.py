@@ -12,12 +12,14 @@ hashable tuples whose shape depends on the group:
     GL(N)  (tuple of N*N exponents, j>=0)   (x-part times det(x)^{-j})
     SL(N)  tuple of N*N exponents           (normal form modulo det-1)
 
-GL(N) and SL(N) share one normal form: a homogeneous polynomial part of
-degree d lies in a fixed monomial complement of det * O(M)_{d-N}, chosen by
-exact row reduction with lex-largest pivots; no Groebner machinery.  GL(N)
-reduces the parts over det^{-j}, j >= 1, moving det*q over det^{-j} to q over
-det^{-(j-1)}; SL(N) reduces every part, from the top degree down, using
-det*q = q.
+Products and Frobenius powers of monomials are single monomials before normal
+form; `reduce_dict` is the one normalization, the identity where there are no
+relations.  GL(N) and SL(N) share one normal form: a homogeneous polynomial
+part of degree d lies in a fixed monomial complement of det * O(M)_{d-N},
+chosen by exact row reduction with lex-largest pivots; no Groebner machinery.
+GL(N) reduces the parts over det^{-j}, j >= 1, moving det*q over det^{-j} to q
+over det^{-(j-1)}; SL(N) reduces every part, from the top degree down, using
+det*q = q.  A coproduct is reduced in one pass per leg side.
 """
 
 from __future__ import annotations
@@ -150,13 +152,9 @@ class TensorElement:
         acc: dict = {}
         for (a1, b1), c1 in self.coeffs.items():
             for (a2, b2), c2 in other.coeffs.items():
-                left = g.product(Element(g, {a1: 1}), Element(g, {a2: 1}))
-                right = g.product(Element(g, {b1: 1}), Element(g, {b2: 1}))
-                for ml, cl in left.coeffs.items():
-                    for mr, cr in right.coeffs.items():
-                        key = (ml, mr)
-                        acc[key] = acc.get(key, 0) + c1 * c2 * cl * cr
-        return TensorElement(g, acc)
+                key = (g._mono_product(a1, a2), g._mono_product(b1, b2))
+                acc[key] = acc.get(key, 0) + c1 * c2
+        return TensorElement(g, g._reduce_tensor(acc))
 
     def __repr__(self):
         g = self.group
@@ -193,8 +191,8 @@ class Group:
     def mono_str(self, mono) -> str:
         raise NotImplementedError
 
-    def _mono_product(self, m1, m2) -> dict:
-        """Product of two canonical monomials as a canonical element dict."""
+    def _mono_product(self, m1, m2):
+        """Product of two canonical monomials: one monomial, before normal form."""
         raise NotImplementedError
 
     def coproduct_mono(self, mono) -> dict:
@@ -207,9 +205,18 @@ class Group:
     def antipode_mono(self, mono) -> dict:
         raise NotImplementedError
 
-    def frobenius_mono(self, mono, q: int) -> dict:
-        """mono^q for q a power of p, as a canonical element dict."""
+    def frobenius_mono(self, mono, q: int):
+        """mono^q for q a power of p: one monomial, before normal form."""
         raise NotImplementedError
+
+    def reduce_dict(self, coeffs: dict) -> dict:
+        """Normal form of {mono: coeff}: the identity where there are no
+        relations.  Products and Frobenius powers pass here once."""
+        return coeffs
+
+    def _reduce_tensor(self, coeffs: dict) -> dict:
+        """Normal form of {(mono, mono): coeff} in both legs."""
+        return coeffs
 
     def filtration_monomials(self, d: int) -> list:
         """Canonical ordered basis of O(G)_{<=d}."""
@@ -233,9 +240,9 @@ class Group:
         acc: dict = {}
         for m1, c1 in f1.coeffs.items():
             for m2, c2 in f2.coeffs.items():
-                for m, c in self._mono_product(m1, m2).items():
-                    acc[m] = acc.get(m, 0) + c1 * c2 * c
-        return Element(self, acc)
+                m = self._mono_product(m1, m2)
+                acc[m] = acc.get(m, 0) + c1 * c2
+        return Element(self, self.reduce_dict(acc))
 
     def coproduct(self, f: Element) -> TensorElement:
         acc: dict = {}
@@ -295,7 +302,7 @@ class Ga(Group):
         return "1" if mono == 0 else f"t^{mono}"
 
     def _mono_product(self, m1, m2):
-        return {m1 + m2: 1}
+        return m1 + m2
 
     def coproduct_mono(self, mono):
         # (t(x)1 + 1(x)t)^a
@@ -309,7 +316,7 @@ class Ga(Group):
         return {mono: (-1) ** mono % self.p}
 
     def frobenius_mono(self, mono, q):
-        return {mono * q: 1}
+        return mono * q
 
     def filtration_monomials(self, d):
         return list(range(d + 1))
@@ -336,7 +343,7 @@ class Gm(Group):
         return "1" if mono == 0 else f"t^{mono}"
 
     def _mono_product(self, m1, m2):
-        return {m1 + m2: 1}
+        return m1 + m2
 
     def coproduct_mono(self, mono):
         return {(mono, mono): 1}
@@ -348,7 +355,7 @@ class Gm(Group):
         return {-mono: 1}
 
     def frobenius_mono(self, mono, q):
-        return {mono * q: 1}
+        return mono * q
 
     def filtration_monomials(self, d):
         return list(range(-d, d + 1))
@@ -400,7 +407,7 @@ class _PolynomialGroup(Group):
         return tuple(m)
 
     def _mono_product(self, m1, m2):
-        return {tuple(a + b for a, b in zip(m1, m2)): 1}
+        return tuple(a + b for a, b in zip(m1, m2))
 
     def coproduct_gen(self, i, j) -> dict:
         raise NotImplementedError
@@ -422,7 +429,7 @@ class _PolynomialGroup(Group):
         return acc
 
     def frobenius_mono(self, mono, q):
-        return {tuple(e * q for e in mono): 1}
+        return tuple(e * q for e in mono)
 
     def filtration_monomials(self, d):
         return [m for deg in range(d + 1) for m in _exp_tuples(self.nvars, deg)]
@@ -498,36 +505,27 @@ class Unitriangular(_PolynomialGroup):
         return 1 if not any(mono) else 0
 
     @lru_cache(maxsize=None)
-    def _antipode_gen_cache(self):
-        # inverse of I + E for E the strict upper triangle of generators:
-        # (I+E)^{-1} = sum_k (-E)^k, nilpotent sum
-        N = self.N
-        E = [[self.element({self.gen_mono(i, j): 1}) if i < j else self.zero()
-              for j in range(N)] for i in range(N)]
-        total = [[self.one() if i == j else self.zero() for j in range(N)] for i in range(N)]
-        powk = E
-        sign = -1
-        for _ in range(1, N):
-            for i in range(N):
-                for j in range(N):
-                    total[i][j] = total[i][j] + powk[i][j].scale(sign)
-            nxt = [[self.zero() for _ in range(N)] for _ in range(N)]
-            for i in range(N):
-                for j in range(N):
-                    s = self.zero()
-                    for ell in range(N):
-                        s = s + powk[i][ell] * E[ell][j]
-                    nxt[i][j] = s
-            powk = nxt
-            sign = -sign
-        return {(i, j): total[i][j] for i, j in self.gens}
+    def _antipode_gens(self):
+        # Cramer's rule, as for GL and SL: sigma(x_{i,j}) = (-1)^{i+j} *
+        # minor_{j,i}(x), read on U, where det = 1, x_{a,a} = 1 and x_{a,b} = 0
+        # for a > b
+        mat = MatMonoid(self.p, self.N)
+        sig = {}
+        for i, j in self.gens:
+            acc: dict = {}
+            for m, c in mat.minor_element(j, i).coeffs.items():
+                if not any(e for (a, b), e in zip(mat.gens, m) if a > b):
+                    u = tuple(m[a * self.N + b] for a, b in self.gens)
+                    acc[u] = acc.get(u, 0) + (-1) ** (i + j) * c
+            sig[(i, j)] = self.element(acc)
+        return sig
 
     def antipode_mono(self, mono):
         result = self.one()
-        sigma = self._antipode_gen_cache()
+        sig = self._antipode_gens()
         for pr, e in zip(self.gens, mono):
             if e:
-                result = result * (sigma[pr] ** e)
+                result = result * (sig[pr] ** e)
         return result.coeffs
 
 
@@ -568,9 +566,10 @@ class _HomogeneousDetReducer:
         self.complement = [m for i, m in enumerate(self.monos) if i not in pivset]
 
     def split(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """vec = det*q + r with r supported on complement monomials; returns (r, q)."""
+        """vec = det*q + r with r supported on complement monomials; returns
+        (r, q).  vec is one vector or a block with one vector per row."""
         p = self.mat.p
-        c = (vec[self.pivots] % p).astype(self.dtype, copy=False)
+        c = (vec[..., self.pivots] % p).astype(self.dtype, copy=False)
         residue = ((vec - c @ self.rows) % p).astype(np.int64, copy=False)
         quotient = ((c @ self.qrows) % p).astype(np.int64, copy=False)
         return residue, quotient
@@ -582,7 +581,8 @@ class _DeterminantGroup(Group):
     A monomial is written as a polynomial exponent tuple e over a power
     det^{-j}; `_split` and `_join` convert, and SL, where det^{-1} = 1, always
     has j = 0.  Products, coproducts and antipodes are computed on the
-    polynomial parts and pushed into normal form by `reduce_dict`.
+    polynomial parts and pushed into normal form by one bucketed reduction,
+    `_reduce_tagged`.
     """
 
     # homogeneous parts over det^{-j} are reduced for j >= _reduced_from
@@ -605,42 +605,50 @@ class _DeterminantGroup(Group):
     def _join(self, e: tuple, j: int):
         raise NotImplementedError
 
-    def reduce_dict(self, coeffs: dict) -> dict:
-        """Normal form: each homogeneous polynomial part over det^{-j}, for
-        j >= `_reduced_from`, lies in the monomial complement of det * O(M).
+    def _reduce_tagged(self, coeffs: dict) -> dict:
+        """Normal form of {(mono, tag): c} in mono, each tag apart: every
+        homogeneous part over det^{-j}, j >= `_reduced_from`, in the monomial
+        complement of det * O(M).
 
-        Parts are bucketed by (j, degree) and reduced from the top down: a part
-        det*q + r keeps r and moves q to det^{-(j-1)} in degree deg - N, which
-        `_join` turns into det^0 for SL (det*q = q there).  Every move lands in
-        a lower bucket, so each bucket is reduced once.
+        Buckets (j, degree) are reduced from the top down, as one block with a
+        row per tag: a row det*q + r keeps r and moves q, under its tag, to
+        det^{-(j-1)} in degree deg - N, which `_join` turns into det^0 for SL
+        (det*q = q there).  Moves land in lower buckets, so each is reduced once.
         """
         p = self.p
         parts: dict = {}
-        for mono, c in coeffs.items():
+        for (mono, tag), c in coeffs.items():
             e, j = self._split(mono)
             part = parts.setdefault((j, sum(e)), {})
-            part[e] = (part.get(e, 0) + c) % p
+            part[e, tag] = (part.get((e, tag), 0) + c) % p
         out: dict = {}
         while parts:
             j, deg = max(parts)
             part = parts.pop((j, deg))
             red = self._reducer(deg) if j >= self._reduced_from else None
             if red is None or not red.pivots:
-                for e, c in part.items():
+                for (e, tag), c in part.items():
                     if c:
-                        out[self._join(e, j)] = c
+                        out[self._join(e, j), tag] = c
                 continue
-            vec = np.zeros(len(red.monos), dtype=np.int64)
-            for e, c in part.items():
-                vec[red.index[e]] = c
-            residue, quotient = red.split(vec)
-            for i in residue.nonzero()[0].tolist():
-                out[self._join(red.monos[i], j)] = int(residue[i])
-            for i in quotient.nonzero()[0].tolist():
+            tags = list(dict.fromkeys(tag for _, tag in part))
+            row = {tag: r for r, tag in enumerate(tags)}
+            block = np.zeros((len(tags), len(red.monos)), dtype=np.int64)
+            for (e, tag), c in part.items():
+                block[row[tag], red.index[e]] = c
+            residue, quotient = red.split(block)
+            for r, i in zip(*(a.tolist() for a in residue.nonzero())):
+                out[self._join(red.monos[i], j), tags[r]] = int(residue[r, i])
+            for r, i in zip(*(a.tolist() for a in quotient.nonzero())):
                 e, j2 = self._split(self._join(red.qmonos[i], j - 1))
                 part = parts.setdefault((j2, deg - self.N), {})
-                part[e] = (part.get(e, 0) + int(quotient[i])) % p
+                key = (e, tags[r])
+                part[key] = (part.get(key, 0) + int(quotient[r, i])) % p
         return out
+
+    def reduce_dict(self, coeffs: dict) -> dict:
+        tagged = self._reduce_tagged({(m, None): c for m, c in coeffs.items()})
+        return {m: c for (m, _), c in tagged.items()}
 
     def one_mono(self):
         return self._join(self.mat.one_mono(), 0)
@@ -665,7 +673,7 @@ class _DeterminantGroup(Group):
 
     def _mono_product(self, m1, m2):
         (e1, j1), (e2, j2) = self._split(m1), self._split(m2)
-        return self.reduce_dict({self._join(tuple(a + b for a, b in zip(e1, e2)), j1 + j2): 1})
+        return self._join(tuple(a + b for a, b in zip(e1, e2)), j1 + j2)
 
     def coproduct_mono(self, mono):
         e, j = self._split(mono)
@@ -673,22 +681,10 @@ class _DeterminantGroup(Group):
                                     for (a, b), c in self.mat.coproduct_mono(e).items()})
 
     def _reduce_tensor(self, acc: dict) -> dict:
-        # reduce left legs, then right legs
-        by_right: dict = {}
-        for (a, b), c in acc.items():
-            by_right.setdefault(b, {})[a] = (by_right.setdefault(b, {}).get(a, 0) + c) % self.p
-        mid: dict = {}
-        for b, poly in by_right.items():
-            for a, c in self.reduce_dict(poly).items():
-                mid[(a, b)] = (mid.get((a, b), 0) + c) % self.p
-        by_left: dict = {}
-        for (a, b), c in mid.items():
-            by_left.setdefault(a, {})[b] = (by_left.setdefault(a, {}).get(b, 0) + c) % self.p
-        out: dict = {}
-        for a, poly in by_left.items():
-            for b, c in self.reduce_dict(poly).items():
-                out[(a, b)] = (out.get((a, b), 0) + c) % self.p
-        return {k: v for k, v in out.items() if v}
+        # left legs tagged by their right legs, then right legs by their left
+        mid = self._reduce_tagged(acc)
+        out = self._reduce_tagged({(b, a): c for (a, b), c in mid.items()})
+        return {(a, b): c for (b, a), c in out.items()}
 
     def counit_mono(self, mono):
         return self.mat.counit_mono(self._split(mono)[0])
@@ -720,7 +716,7 @@ class _DeterminantGroup(Group):
 
     def frobenius_mono(self, mono, q):
         e, j = self._split(mono)
-        return self.reduce_dict({self._join(tuple(x * q for x in e), j * q): 1})
+        return self._join(tuple(x * q for x in e), j * q)
 
 
 class GL(_DeterminantGroup):

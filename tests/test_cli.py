@@ -76,6 +76,24 @@ def test_inject_profile(capsys):
     assert [r["injective"] for r in payload["rows"]] == [True, False, False]
 
 
+@pytest.mark.parametrize("argv,rows,verdicts", [
+    (("filter", "--group", "SL:1@p=2", "--dmax", "2"),
+     [{"d": d, "dim": 1} for d in range(3)], {"stabilized_at": 0}),
+    (("validate", "--group", "SL:1@p=3"),
+     [{"dim": 1, "failure": "", "ok": True, "target": "module"}], {"valid": True}),
+    (("inject", "--group", "SL:1@p=2", "--dmax", "2"),
+     [{"d": d, "injective": True} for d in range(3)], {"all_injective": True}),
+    (("cobar", "--group", "SL:1@p=2", "--dmax", "2", "--nmax", "2"),
+     [{"dim": 1, "n": 0}, {"dim": 0, "n": 1}, {"dim": 0, "n": 2}],
+     {"coalgebra_dim": 1}),
+])
+def test_natural_over_sl1_is_the_trivial_module(capsys, argv, rows, verdicts):
+    # x11 = det = 1 over SL(1), so natural has the coaction of triv
+    for module in ("natural", "triv"):
+        payload = run_json(capsys, *argv, "--module", module)
+        assert payload["rows"] == rows and payload["verdicts"] == verdicts
+
+
 def test_validate_module_and_suite(capsys):
     payload = run_json(capsys, "validate", "--group", "GL:2@p=2",
                        "--module", "sym(2,natural)")

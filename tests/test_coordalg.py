@@ -7,6 +7,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from comodfilt.comodules import frobenius_element
 from comodfilt.coordalg import (Element, GroupSpecError, UnsupportedOperation,
                                 group_from_spec, truncated_exponential_degree)
 from comodfilt.linalg import exact_dtype, rref
@@ -442,3 +443,148 @@ def test_sl_filtration_monomials_are_the_former_complement(spec):
         monos = g.filtration_monomials(d)
         assert len(monos) == g.filtration_dim(d)
         assert set(monos) == set(ReferenceSLReducer(g.mat, d).complement)
+
+
+# ---------------------------------------------------------------------------
+# reference structure maps: the former per-pair products and Frobenius powers
+# and the former per-leg coproduct reduction, on the reference reductions
+# above, as oracles for the one bucketed reduction that serves them now
+
+def reference_reduce(g, coeffs):
+    return (reference_gl_reduce if g.kind == "GL" else reference_sl_reduce)(g, coeffs)
+
+
+def reference_parts(g, mono):
+    return mono if g.kind == "GL" else (mono, 0)
+
+
+def reference_mono(g, e, j):
+    return (e, j) if g.kind == "GL" else e
+
+
+def reference_product(g, f1, f2):
+    """Each pair of monomials multiplied and reduced on its own."""
+    acc = {}
+    for m1, c1 in f1.coeffs.items():
+        for m2, c2 in f2.coeffs.items():
+            (e1, j1), (e2, j2) = reference_parts(g, m1), reference_parts(g, m2)
+            e = tuple(a + b for a, b in zip(e1, e2))
+            for m, c in reference_reduce(g, {reference_mono(g, e, j1 + j2): 1}).items():
+                acc[m] = acc.get(m, 0) + c1 * c2 * c
+    return Element(g, acc)
+
+
+def reference_frobenius(g, f, q):
+    """Each monomial raised to the q-th power and reduced on its own."""
+    acc = {}
+    for m, c in f.coeffs.items():
+        e, j = reference_parts(g, m)
+        power = reference_mono(g, tuple(x * q for x in e), j * q)
+        for m2, c2 in reference_reduce(g, {power: 1}).items():
+            acc[m2] = acc.get(m2, 0) + c * c2
+    return Element(g, acc)
+
+
+def reference_reduce_tensor(g, acc):
+    """Reduce the left legs once per right leg, then the right legs once per
+    left leg."""
+    p = g.p
+    by_right = {}
+    for (a, b), c in acc.items():
+        by_right.setdefault(b, {})[a] = (by_right.setdefault(b, {}).get(a, 0) + c) % p
+    mid = {}
+    for b, poly in by_right.items():
+        for a, c in reference_reduce(g, poly).items():
+            mid[(a, b)] = (mid.get((a, b), 0) + c) % p
+    by_left = {}
+    for (a, b), c in mid.items():
+        by_left.setdefault(a, {})[b] = (by_left.setdefault(a, {}).get(b, 0) + c) % p
+    out = {}
+    for a, poly in by_left.items():
+        for b, c in reference_reduce(g, poly).items():
+            out[(a, b)] = (out.get((a, b), 0) + c) % p
+    return {k: v for k, v in out.items() if v}
+
+
+def reference_coproduct_mono(g, mono):
+    e, j = reference_parts(g, mono)
+    return reference_reduce_tensor(g, {
+        (reference_mono(g, a, j), reference_mono(g, b, j)): c
+        for (a, b), c in g.mat.coproduct_mono(e).items()})
+
+
+def random_normal_monomial(rng, g, deg, j):
+    """A monomial of the reference normal form of a random x^e det^{-j},
+    sum(e) = deg (j = 0 over SL)."""
+    e = random_exponents(rng, g.nvars, deg)
+    return rng.choice(sorted(reference_reduce(g, {reference_mono(g, e, j): 1})))
+
+
+def random_normal_element(rng, g, deg, jmax):
+    monos = {random_normal_monomial(rng, g, rng.randrange(deg + 1),
+                                    rng.randrange(jmax + 1) if g.kind == "GL" else 0)
+             for _ in range(rng.randrange(1, 5))}
+    return Element(g, {m: rng.randrange(1, g.p) for m in monos})
+
+
+STRUCTURE_CASES = [f"{kind}:{n}@p={p}" for kind in ("GL", "SL") for n in (1, 2, 3)
+                   for p in (2, 3, 2 ** 31 - 1)]
+
+
+@pytest.mark.parametrize("spec", STRUCTURE_CASES)
+def test_structure_maps_match_the_former_per_monomial_reductions(spec):
+    # polynomial degrees <= 5, det^{-j} parts for j <= 2
+    g = group_from_spec(spec)
+    rng = random.Random(spec + " structure")
+    for _ in range(12):
+        m = random_normal_monomial(rng, g, rng.randrange(6),
+                                   rng.randrange(3) if g.kind == "GL" else 0)
+        assert g.coproduct_mono(m) == reference_coproduct_mono(g, m), m
+        d1 = rng.randrange(6)
+        f1 = random_normal_element(rng, g, d1, 2)
+        f2 = random_normal_element(rng, g, 5 - d1, 2)
+        assert g.product(f1, f2) == reference_product(g, f1, f2), (f1, f2)
+        # q * degree <= 5; at the large prime f is a constant, since the
+        # reference walks every power of det^{-1} below q
+        q = g.p
+        f = random_normal_element(rng, g, 5 // q, 2 if q < 5 else 0)
+        assert frobenius_element(f, 1) == reference_frobenius(g, f, q), f
+    # and one coproduct with many legs sharing buckets in both passes
+    m = random_normal_monomial(rng, g, 5, 2 if g.kind == "GL" else 0)
+    assert g.coproduct_mono(m) == reference_coproduct_mono(g, m), m
+
+
+UNITRIANGULAR_CASES = ["U:2@p=2", "U:3@p=3", "U:4@p=2", "U:4@p=5", "U:5@p=3"]
+
+
+def reference_unitriangular_antipode_gens(g):
+    """The former series: (I + E)^{-1} = sum_k (-E)^k for E the strict upper
+    triangle of generators."""
+    N = g.N
+    E = [[g.element({g.gen_mono(i, j): 1}) if i < j else g.zero()
+          for j in range(N)] for i in range(N)]
+    total = [[g.one() if i == j else g.zero() for j in range(N)] for i in range(N)]
+    powk = E
+    sign = -1
+    for _ in range(1, N):
+        for i in range(N):
+            for j in range(N):
+                total[i][j] = total[i][j] + powk[i][j].scale(sign)
+        nxt = [[g.zero() for _ in range(N)] for _ in range(N)]
+        for i in range(N):
+            for j in range(N):
+                s = g.zero()
+                for ell in range(N):
+                    s = s + powk[i][ell] * E[ell][j]
+                nxt[i][j] = s
+        powk = nxt
+        sign = -sign
+    return {(i, j): total[i][j] for i, j in g.gens}
+
+
+@pytest.mark.parametrize("spec", UNITRIANGULAR_CASES)
+def test_unitriangular_antipode_is_the_former_nilpotent_series(spec):
+    g = group_from_spec(spec)
+    want = reference_unitriangular_antipode_gens(g)
+    for i, j in g.gens:
+        assert g.antipode(g.element({g.gen_mono(i, j): 1})) == want[(i, j)], (i, j)
