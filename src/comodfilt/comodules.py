@@ -106,7 +106,6 @@ class Comodule:
                 failures.append(f"counit axiom at basis index {i} "
                                 f"(epsilon(f[{j},{i}]) != {int(i == j)})")
                 break
-        delta: dict = {}  # coproduct_mono of each support monomial, computed once
         for i in range(self.dim):
             col = self.column(i)
             # diff[l] = sum_j f_{lj} (x) f_{ji} - Delta(f_{li}), over j in column i
@@ -120,9 +119,8 @@ class Comodule:
             for ell, f in col.items():
                 acc = diff.setdefault(ell, {})
                 for m, c in f.coeffs.items():
-                    if m not in delta:
-                        delta[m] = g.coproduct_mono(m)
-                    for mm, cc in delta[m].items():
+                    # read from the group's table: each Delta(m) is computed once
+                    for mm, cc in g.coproduct_mono(m).items():
                         acc[mm] = acc.get(mm, 0) - c * cc
             bad = [ell for ell, acc in diff.items()
                    if any(c % g.p for c in acc.values())]

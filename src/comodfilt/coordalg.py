@@ -19,7 +19,14 @@ part of degree d lies in a fixed monomial complement of det * O(M)_{d-N},
 chosen by exact row reduction with lex-largest pivots; no Groebner machinery.
 GL(N) reduces the parts over det^{-j}, j >= 1, moving det*q over det^{-j} to q
 over det^{-(j-1)}; SL(N) reduces every part, from the top degree down, using
-det*q = q.  A coproduct is reduced in one pass per leg side.
+det*q = q.
+
+Every group keeps a table of Delta(m) for each monomial m it was asked for,
+and GL(N) and SL(N) keep a second table of the normal form NF(m) of each
+single monomial, filled in batches by the bucketed reduction.  Normal form is
+linear, so an element reduces to sum c*NF(m) and a tensor, in both legs, to
+sum c*NF(a)(x)NF(b).  The tables live as long as the group, which
+`group_from_spec` shares per process; nothing is computed ahead of a request.
 """
 
 from __future__ import annotations
@@ -40,6 +47,21 @@ def binom(n: int, k: int) -> int:
     if n < 0 or k < 0 or k > n:
         return 0
     return comb(n, k)
+
+
+def _tabled(coproduct):
+    """`coproduct_mono` from a from-scratch coproduct: Delta(mono) is computed
+    once per group instance and kept in the instance's table `_delta`."""
+
+    def coproduct_mono(self, mono) -> dict:
+        """Delta of a canonical monomial: dict (mono, mono) -> coeff, legs
+        canonical.  Shared with the group's table: do not mutate."""
+        delta = self._delta.get(mono)
+        if delta is None:
+            delta = self._delta[mono] = coproduct(self, mono)
+        return delta
+
+    return coproduct_mono
 
 
 class UnsupportedOperation(ValueError):
@@ -176,6 +198,7 @@ class Group:
     def __init__(self, p: int, N: int = 1):
         self.p = check_prime(p)
         self.N = N
+        self._delta: dict = {}  # monomial -> Delta(monomial), see `_tabled`
 
     # --- monomial protocol, overridden per group -------------------------
     def one_mono(self):
@@ -196,7 +219,9 @@ class Group:
         raise NotImplementedError
 
     def coproduct_mono(self, mono) -> dict:
-        """Delta of a canonical monomial: dict (mono, mono) -> coeff, legs canonical."""
+        """Delta of a canonical monomial: dict (mono, mono) -> coeff, legs
+        canonical.  Subclasses define it under `_tabled`: the dict is shared
+        with the group's table, do not mutate."""
         raise NotImplementedError
 
     def counit_mono(self, mono) -> int:
@@ -304,6 +329,7 @@ class Ga(Group):
     def _mono_product(self, m1, m2):
         return m1 + m2
 
+    @_tabled
     def coproduct_mono(self, mono):
         # (t(x)1 + 1(x)t)^a
         return {(i, mono - i): binom(mono, i) % self.p for i in range(mono + 1)
@@ -345,6 +371,7 @@ class Gm(Group):
     def _mono_product(self, m1, m2):
         return m1 + m2
 
+    @_tabled
     def coproduct_mono(self, mono):
         return {(mono, mono): 1}
 
@@ -412,7 +439,8 @@ class _PolynomialGroup(Group):
     def coproduct_gen(self, i, j) -> dict:
         raise NotImplementedError
 
-    def coproduct_mono(self, mono):
+    def _expand_coproduct(self, mono) -> dict:
+        """Delta of a monomial, expanded one generator factor at a time."""
         acc = {(self.one_mono(), self.one_mono()): 1}
         for idx, e in enumerate(mono):
             if not e:
@@ -427,6 +455,8 @@ class _PolynomialGroup(Group):
                         nxt[key] = (nxt.get(key, 0) + c * gc) % self.p
                 acc = {k: v for k, v in nxt.items() if v}
         return acc
+
+    coproduct_mono = _tabled(_expand_coproduct)
 
     def frobenius_mono(self, mono, q):
         return tuple(e * q for e in mono)
@@ -581,8 +611,9 @@ class _DeterminantGroup(Group):
     A monomial is written as a polynomial exponent tuple e over a power
     det^{-j}; `_split` and `_join` convert, and SL, where det^{-1} = 1, always
     has j = 0.  Products, coproducts and antipodes are computed on the
-    polynomial parts and pushed into normal form by one bucketed reduction,
-    `_reduce_tagged`.
+    polynomial parts and pushed into normal form through the table `_nf` of
+    single-monomial normal forms, which one bucketed reduction,
+    `_reduce_tagged`, fills.
     """
 
     # homogeneous parts over det^{-j} are reduced for j >= _reduced_from
@@ -593,6 +624,7 @@ class _DeterminantGroup(Group):
         self.mat = MatMonoid(p, N)
         self.nvars = N * N
         self._reducers: dict = {}
+        self._nf: dict = {}  # monomial -> its normal form, as (mono, coeff) pairs
 
     def _reducer(self, deg: int) -> _HomogeneousDetReducer:
         if deg not in self._reducers:
@@ -646,9 +678,27 @@ class _DeterminantGroup(Group):
                 part[key] = (part.get(key, 0) + int(quotient[r, i])) % p
         return out
 
+    def _normal_forms(self, monos) -> dict:
+        """The table NF, with an entry for each of `monos`: the missing ones are
+        reduced in one `_reduce_tagged` call, each monomial its own tag."""
+        nf = self._nf
+        missing = {(m, m): 1 for m in monos if m not in nf}
+        if missing:
+            forms: dict = {m: [] for m, _ in missing}
+            for (m, tag), c in self._reduce_tagged(missing).items():
+                forms[tag].append((m, c))
+            for m, form in forms.items():
+                nf[m] = tuple(form)
+        return nf
+
     def reduce_dict(self, coeffs: dict) -> dict:
-        tagged = self._reduce_tagged({(m, None): c for m, c in coeffs.items()})
-        return {m: c for (m, _), c in tagged.items()}
+        nf = self._normal_forms(coeffs)
+        acc: dict = {}
+        for m, c in coeffs.items():
+            for m2, c2 in nf[m]:
+                acc[m2] = acc.get(m2, 0) + c * c2
+        p = self.p
+        return {m: r for m, c in acc.items() if (r := c % p)}
 
     def one_mono(self):
         return self._join(self.mat.one_mono(), 0)
@@ -675,16 +725,24 @@ class _DeterminantGroup(Group):
         (e1, j1), (e2, j2) = self._split(m1), self._split(m2)
         return self._join(tuple(a + b for a, b in zip(e1, e2)), j1 + j2)
 
+    @_tabled
     def coproduct_mono(self, mono):
         e, j = self._split(mono)
         return self._reduce_tensor({(self._join(a, j), self._join(b, j)): c
-                                    for (a, b), c in self.mat.coproduct_mono(e).items()})
+                                    for (a, b), c in self.mat._expand_coproduct(e).items()})
 
     def _reduce_tensor(self, acc: dict) -> dict:
-        # left legs tagged by their right legs, then right legs by their left
-        mid = self._reduce_tagged(acc)
-        out = self._reduce_tagged({(b, a): c for (a, b), c in mid.items()})
-        return {(a, b): c for (b, a), c in out.items()}
+        # normal form is linear in each leg: sum c * NF(a) (x) NF(b)
+        nf = self._normal_forms({m: None for pair in acc for m in pair})
+        out: dict = {}
+        for (a, b), c in acc.items():
+            right = nf[b]
+            for a2, ca in nf[a]:
+                for b2, cb in right:
+                    key = (a2, b2)
+                    out[key] = out.get(key, 0) + c * ca * cb
+        p = self.p
+        return {k: r for k, c in out.items() if (r := c % p)}
 
     def counit_mono(self, mono):
         return self.mat.counit_mono(self._split(mono)[0])

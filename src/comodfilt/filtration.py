@@ -136,8 +136,12 @@ def restrict(m: Comodule, x) -> RestrictResult:
                           stacklevel=2)
     else:
         raise TypeError(f"not a filtration level: {x!r}")
-    co = coaction(m)
-    v, iterations = _greatest_fixpoint(g, co, x, Subspace.full(m.dim, g.p))
+    return _restrict(m, x, coaction(m))
+
+
+def _restrict(m: Comodule, x, co: Coaction) -> RestrictResult:
+    """`restrict` on the prebuilt `co = coaction(m)`."""
+    v, iterations = _greatest_fixpoint(m.group, co, x, Subspace.full(m.dim, m.group.p))
     return RestrictResult(v, _induced_comodule(m, v, co), iterations)
 
 
@@ -274,12 +278,16 @@ def filtration_dims(m, d_max: int) -> FiltrationResult:
     dims = []
     stabilized = None
     if isinstance(m, StreamModule):
+        gen = co = None  # `generate` caches, so a repeated generation is `gen` itself
         for d in range(d_max + 1):
-            gen = m.generate(m.sufficiency(d))
-            dims.append(restrict(gen, CanonicalLevel(m.group, d)).dim)
+            nxt = m.generate(m.sufficiency(d))
+            if nxt is not gen:
+                gen, co = nxt, coaction(nxt)
+            dims.append(_restrict(gen, CanonicalLevel(m.group, d), co).dim)
     else:
+        co = coaction(m)
         for d in range(d_max + 1):
-            dim = restrict(m, CanonicalLevel(m.group, d)).dim
+            dim = _restrict(m, CanonicalLevel(m.group, d), co).dim
             dims.append(dim)
             if stabilized is None and dim == m.dim:
                 stabilized = d

@@ -7,9 +7,11 @@ from math import comb
 import numpy as np
 import pytest
 
-from comodfilt.comodules import frobenius_element
+from comodfilt import cli
+from comodfilt.comodules import frobenius_element, regular
 from comodfilt.coordalg import (Element, GroupSpecError, UnsupportedOperation,
                                 group_from_spec, truncated_exponential_degree)
+from comodfilt.filtration import CanonicalLevel, coalgebra_closure
 from comodfilt.linalg import exact_dtype, rref
 
 # (spec, max monomial degree for the random axiom sweeps, antipode degree cap)
@@ -363,16 +365,17 @@ def reference_sl_reduce(g, coeffs):
 
 def reference_gl_reduce(g, coeffs):
     """The former GL.reduce_dict: det^{-j} buckets from the top j down, each
-    split by degree, quotients carried to j - 1, det^0 copied through."""
+    split by degree, quotients carried to j - 1, det^0 copied through.  Only
+    the buckets present and those that quotients land in are visited, so a
+    det^{-q} at a large prime q is one bucket, not q of them."""
     p = g.p
     buckets = {}
     for (e, j), c in coeffs.items():
         buckets.setdefault(j, {})[e] = (buckets.setdefault(j, {}).get(e, 0) + c) % p
     out = {}
-    if not buckets:
-        return {}
-    for j in range(max(buckets), -1, -1):
-        poly = {e: c for e, c in buckets.get(j, {}).items() if c}
+    while buckets:
+        j = max(buckets)
+        poly = {e: c for e, c in buckets.pop(j).items() if c}
         if j == 0:
             for e, c in poly.items():
                 out[(e, 0)] = (out.get((e, 0), 0) + c) % p
@@ -506,11 +509,37 @@ def reference_reduce_tensor(g, acc):
     return {k: v for k, v in out.items() if v}
 
 
+def reference_matrix_coproduct(g, e):
+    """Delta of the polynomial part x^e in O(M(N)), expanded from scratch one
+    generator factor at a time: Delta(x_{i,j}) = sum_l x_{i,l} (x) x_{l,j},
+    with x_{i,j} at position i*N + j of an exponent tuple."""
+    N, p = g.N, g.p
+
+    def unit(i, j):
+        m = [0] * (N * N)
+        m[i * N + j] = 1
+        return tuple(m)
+
+    acc = {((0,) * (N * N), (0,) * (N * N)): 1}
+    for idx, power in enumerate(e):
+        i, j = divmod(idx, N)
+        legs = [(unit(i, ell), unit(ell, j)) for ell in range(N)]
+        for _ in range(power):
+            nxt = {}
+            for (a, b), c in acc.items():
+                for ga, gb in legs:
+                    key = (tuple(x + y for x, y in zip(a, ga)),
+                           tuple(x + y for x, y in zip(b, gb)))
+                    nxt[key] = (nxt.get(key, 0) + c) % p
+            acc = {key: c for key, c in nxt.items() if c}
+    return acc
+
+
 def reference_coproduct_mono(g, mono):
     e, j = reference_parts(g, mono)
     return reference_reduce_tensor(g, {
         (reference_mono(g, a, j), reference_mono(g, b, j)): c
-        for (a, b), c in g.mat.coproduct_mono(e).items()})
+        for (a, b), c in reference_matrix_coproduct(g, e).items()})
 
 
 def random_normal_monomial(rng, g, deg, j):
@@ -544,14 +573,70 @@ def test_structure_maps_match_the_former_per_monomial_reductions(spec):
         f1 = random_normal_element(rng, g, d1, 2)
         f2 = random_normal_element(rng, g, 5 - d1, 2)
         assert g.product(f1, f2) == reference_product(g, f1, f2), (f1, f2)
-        # q * degree <= 5; at the large prime f is a constant, since the
-        # reference walks every power of det^{-1} below q
+        # q * degree <= 5; at the large prime f has polynomial degree 0, so a
+        # det^{-1} part becomes det^{-q} and the NF table meets a det power of
+        # 2^31 - 1 (a positive degree would need a degree-q reducer)
         q = g.p
-        f = random_normal_element(rng, g, 5 // q, 2 if q < 5 else 0)
+        f = random_normal_element(rng, g, 5 // q, 2 if q < 5 else 1)
         assert frobenius_element(f, 1) == reference_frobenius(g, f, q), f
     # and one coproduct with many legs sharing buckets in both passes
     m = random_normal_monomial(rng, g, 5, 2 if g.kind == "GL" else 0)
     assert g.coproduct_mono(m) == reference_coproduct_mono(g, m), m
+
+
+# ---------------------------------------------------------------------------
+# the per-group tables of Delta(m) and, over GL and SL, of NF(m)
+
+# each of these groups is also used by `validate --suite`
+TABLE_SPECS = ["Ga@p=2", "Gm@p=3", "M:2@p=5", "U:3@p=2", "GL:2@p=2", "SL:3@p=2"]
+
+
+def fresh_group(g):
+    """A new instance of g's group, with empty tables."""
+    return type(g)(g.p) if g.kind in ("Ga", "Gm") else type(g)(g.p, g.N)
+
+
+def table_snapshot(g):
+    """Copies of the table entries: Delta(m) dicts, and NF(m) over GL and SL."""
+    return ({m: dict(delta) for m, delta in g._delta.items()},
+            dict(getattr(g, "_nf", {})))
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS)
+def test_structure_map_tables_cannot_change_answers(spec, capsys):
+    g = group_from_spec(spec)
+    monos = g.filtration_basis(3)
+    # products are not in normal form over SL; over the others reduce_dict is
+    # the identity or a det^{-j} reduction
+    unreduced = [g._mono_product(a, b) for a in monos for b in g.filtration_basis(1)]
+    rng = random.Random(spec + " tables")
+    mixed = {m: rng.randrange(1, g.p) for m in rng.sample(unreduced, 8)}
+    for m in monos:
+        g.coproduct_mono(m)
+    for m in unreduced:
+        g.reduce_dict({m: 1})
+    before = table_snapshot(g)
+
+    # the consumers of the tables, all on the shared instance
+    assert cli.main(["validate", "--suite", "--no-cache"]) == 0
+    capsys.readouterr()
+    assert regular(g, 3).validate().ok
+    assert coalgebra_closure(g, CanonicalLevel(g, 3)).is_subcoalgebra
+    for m in monos:
+        g.coproduct(g.element({m: 1}))
+
+    # no consumer mutated a shared entry
+    delta, nf = table_snapshot(g)
+    assert {m: delta[m] for m in before[0]} == before[0]
+    assert {m: nf[m] for m in before[1]} == before[1]
+    # and a group with empty tables gives the same answers
+    fresh = fresh_group(g)
+    assert fresh is not g and not fresh._delta
+    for m in monos:
+        assert fresh.coproduct_mono(m) == g.coproduct_mono(m), m
+    for m in monos + unreduced:
+        assert fresh.reduce_dict({m: 1}) == g.reduce_dict({m: 1}), m
+    assert fresh.reduce_dict(dict(mixed)) == g.reduce_dict(dict(mixed))
 
 
 UNITRIANGULAR_CASES = ["U:2@p=2", "U:3@p=3", "U:4@p=2", "U:4@p=5", "U:5@p=3"]

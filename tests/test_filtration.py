@@ -197,6 +197,26 @@ def test_filtration_dims_and_stabilization():
     assert res.stabilized_at is None  # streams have no finite stabilization
 
 
+def test_filtration_dims_builds_one_coaction_per_comodule(monkeypatch):
+    built = []
+
+    def counted(m):
+        built.append(m)
+        return coaction(m)
+
+    monkeypatch.setattr(filtration, "coaction", counted)
+    m = regular(GA2, 3)
+    assert filtration_dims(m, 4).dims == [restrict(m, CanonicalLevel(GA2, d)).dim
+                                          for d in range(5)]
+    # one for filtration_dims, then one for each of the five restrict calls
+    assert built[0] is m and len(built) == 6
+    built.clear()
+    # primitives over Ga@p=2 needs generations 0, 0, 1, 1, 2, 2, 2, 2, 3 for d <= 8
+    stream = build_module("primitives", GA2)
+    assert filtration_dims(stream, 8).dims == [1, 1, 2, 2, 3, 3, 3, 3, 4]
+    assert built == [stream.generate(n) for n in range(4)]
+
+
 def test_filtration_dims_monotone():
     for g, text in [(GA2, "regular(3)"), (GM3, "dual(regular(2))"),
                     (GL2, "sym(2,natural)"), (GA2, "translationinvariants")]:
