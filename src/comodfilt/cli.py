@@ -60,16 +60,16 @@ def _build_parser() -> _Parser:
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--cache", help="cache directory (default: $COMODFILT_CACHE)")
         p.add_argument("--no-cache", action="store_true")
-        p.add_argument("--window", type=int,
-                       help="trailing window length for growth classification")
 
     common(sub.add_parser("dims", help="dimensions of O(G)_{<=d}"), dmax=True)
     common(sub.add_parser("filter", help="dimensions of M_{O(G)_{<=d}}"),
            module=True, dmax=True)
     common(sub.add_parser("closure", help="coalgebra closures of the canonical levels"),
            dmax=True)
-    common(sub.add_parser("growth", help="growth class of a dimension sequence"),
-           module=True, dmax=True)
+    gp = sub.add_parser("growth", help="growth class of a dimension sequence")
+    common(gp, module=True, dmax=True)
+    gp.add_argument("--window", type=int,
+                    help="trailing window length for growth classification")
     common(sub.add_parser("cobar", help="cobar cohomology over O(G)_{<=d}"),
            module=True, dmax=True, nmax=True)
     common(sub.add_parser("inject", help="levelwise injectivity profile"),

@@ -15,7 +15,10 @@ comodule maps C -> M: its equations are built as (row, col, value) triples
 from the nonzeros of the coaction blocks F^c and the structure constants,
 and `sparse_kernel` peels the rows that force one unknown to 0 before it
 eliminates the small dense core that remains.  Stage 2 solves the
-normalization sum_a S^a F^a = I inside W, densely.
+normalization sum_a S^a F^a = I inside W, densely.  Every canonical level
+O(G)_{<=d} is a sub-coalgebra, so it is its own closure: the injectivity
+profile tests each level itself, and a level whose closed-form dimension
+passes the sub-coalgebra ceiling is refused before it is built.
 """
 
 from __future__ import annotations
@@ -26,8 +29,7 @@ from .comodules import Comodule, StreamModule
 from .config import Limits, check_limit
 from .coordalg import Group, UnsupportedOperation
 from .filtration import (CanonicalLevel, ExplicitSubspace, InternalInvariantError,
-                         _split, coaction, coalgebra_closure, restrict,
-                         structure_constants)
+                         _split, coaction, restrict, structure_constants)
 from .linalg import (Subspace, kernel, matmul_mod, matrank, rref, solvable,
                      sparse_kernel)
 
@@ -44,7 +46,7 @@ class SubCoalgebra:
     """
 
     def __init__(self, group: Group, monos, space: Subspace,
-                 limits: Limits | None = None, delta_matrix=None):
+                 limits: Limits | None = None):
         limits = limits or Limits()
         self.group = group
         self.monos = list(monos)
@@ -53,8 +55,7 @@ class SubCoalgebra:
         check_limit(space.dim, limits.max_coalgebra_dim, "sub-coalgebra dimension")
         self.dim = space.dim
         self.x = ExplicitSubspace(group, self.monos, space)
-        if delta_matrix is None:
-            delta_matrix = structure_constants(group, self.monos, space)
+        delta_matrix = structure_constants(group, self.monos, space)
         if delta_matrix is None:
             raise ValueError("the given subspace is not a sub-coalgebra")
         # delta_matrix: (s*s, s) with Delta(b_k) = sum_{a,b} D[a*s+b, k] b_a (x) b_b
@@ -65,15 +66,13 @@ class SubCoalgebra:
 
     @staticmethod
     def canonical(group: Group, d: int, limits: Limits | None = None) -> "SubCoalgebra":
+        """The level O(G)_{<=d}, refused before its basis is built when its
+        closed-form dimension passes the sub-coalgebra ceiling."""
+        check_limit(group.filtration_dim(d), (limits or Limits()).max_coalgebra_dim,
+                    "sub-coalgebra dimension")
         monos = group.filtration_basis(d)
         return SubCoalgebra(group, monos, Subspace.full(len(monos), group.p),
                             limits=limits)
-
-    @staticmethod
-    def from_explicit(x: ExplicitSubspace, limits: Limits | None = None,
-                      delta_matrix=None) -> "SubCoalgebra":
-        return SubCoalgebra(x.group, x.monos, x.space, limits=limits,
-                            delta_matrix=delta_matrix)
 
     def coefficient_blocks(self, m: Comodule) -> np.ndarray:
         """F^a, stacked, with Delta_M(m_i) = sum_{j,a} F^a[j,i] m_j (x) b_a.
@@ -251,13 +250,11 @@ def injective_test(c: SubCoalgebra, m: Comodule,
 
 def injectivity_profile(g: Group, m, d_max: int,
                         limits: Limits | None = None) -> list[bool]:
-    """Levelwise injectivity of M_X over the closure of X = O(G)_{<=d}."""
+    """Levelwise injectivity of M_X over X = O(G)_{<=d}, its own closure."""
     limits = limits or Limits()
     out = []
     for d in range(d_max + 1):
-        closure = coalgebra_closure(g, CanonicalLevel(g, d))
-        c = SubCoalgebra.from_explicit(closure.subspace, limits=limits,
-                                       delta_matrix=closure.delta_matrix)
+        c = SubCoalgebra.canonical(g, d, limits=limits)
         target = m.generate(m.sufficiency(d)) if isinstance(m, StreamModule) else m
         level = restrict(target, CanonicalLevel(g, d)).comodule
         out.append(injective_test(c, level, limits=limits))

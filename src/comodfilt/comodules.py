@@ -61,6 +61,7 @@ class Comodule:
         self._columns = [{j: el for j, el in col.items() if el} for col in coaction]
         self.coeffs = {(j, i): el for i, col in enumerate(self._columns)
                        for j, el in col.items()}
+        self._coaction = None  # its array form, built once by filtration.coaction
 
     @property
     def dim(self) -> int:

@@ -3,15 +3,15 @@
 M_X is the greatest subspace V of M with Delta(V) <= V (x) X, computed by a
 greatest-fixed-point iteration on the coefficient matrices of the coaction:
 one matrix B_h per monomial h appearing in the coefficients, kept as the
-nonzero rows of all B_h stacked (`Coaction`).  Writing the right legs h in a
-basis of X (`_split`) gives inside legs (constraint B_h V <= V) and outside
-rows (constraint B_h V = 0).  The same iteration run on the coproduct yields
-the largest sub-coalgebra contained in a finite-dimensional subspace X.
+nonzero rows of all B_h stacked (`Coaction`), built once per comodule and
+kept on it.  Writing the right legs h in a basis of X (`_split`) gives inside
+legs (constraint B_h V <= V) and outside rows (constraint B_h V = 0).  The
+same iteration run on the coproduct yields the largest sub-coalgebra
+contained in a finite-dimensional subspace X.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,9 +106,18 @@ def _gather(entries: list, height: int, n: int) -> Coaction:
 
 
 def coaction(m: Comodule) -> Coaction:
-    """B_h[j, i] = the coefficient of h in f_{ji}."""
-    return _gather([(h, j, i, c) for (j, i), f in m.coeffs.items()
-                    for h, c in f.coeffs.items()], m.dim, m.dim)
+    """B_h[j, i] = the coefficient of h in f_{ji}.
+
+    Built on the first call and kept on the comodule; its arrays are
+    read-only, since every later caller shares them.
+    """
+    if m._coaction is None:
+        co = _gather([(h, j, i, c) for (j, i), f in m.coeffs.items()
+                      for h, c in f.coeffs.items()], m.dim, m.dim)
+        for a in (co.leg, co.row, co.rows):
+            a.flags.writeable = False
+        m._coaction = co
+    return m._coaction
 
 
 class RestrictResult:
@@ -125,23 +134,12 @@ class RestrictResult:
 def restrict(m: Comodule, x) -> RestrictResult:
     """The greatest subcomodule M_X with coaction landing in M_X (x) X."""
     g = m.group
-    if isinstance(x, CanonicalLevel):
-        if x.group != g:
-            raise ValueError("filtration level group does not match the comodule")
-    elif isinstance(x, ExplicitSubspace):
-        if x.group != g:
-            raise ValueError("subspace group does not match the comodule")
-        if x.unit_coords() is None:
-            warnings.warn("X does not contain the unit; M_X will be 0",
-                          stacklevel=2)
-    else:
+    if not isinstance(x, (CanonicalLevel, ExplicitSubspace)):
         raise TypeError(f"not a filtration level: {x!r}")
-    return _restrict(m, x, coaction(m))
-
-
-def _restrict(m: Comodule, x, co: Coaction) -> RestrictResult:
-    """`restrict` on the prebuilt `co = coaction(m)`."""
-    v, iterations = _greatest_fixpoint(m.group, co, x, Subspace.full(m.dim, m.group.p))
+    if x.group != g:
+        raise ValueError("filtration level group does not match the comodule")
+    co = coaction(m)
+    v, iterations = _greatest_fixpoint(g, co, x, Subspace.full(m.dim, g.p))
     return RestrictResult(v, _induced_comodule(m, v, co), iterations)
 
 
@@ -203,7 +201,8 @@ def _greatest_fixpoint(g: Group, co: Coaction, x, start: Subspace) -> tuple[Subs
     iterations = 0
     while inside.legs and 0 < v.dim < n:
         iterations += 1
-        ker = kernel(_residual(_images(inside, v), v).reshape(-1, v.dim), p)
+        resid = v.residual(_images(inside, v).reshape(n, -1))
+        ker = kernel(resid.reshape(-1, v.dim), p)
         if ker.dim == v.dim:
             break
         v = v.lift(ker)
@@ -211,44 +210,30 @@ def _greatest_fixpoint(g: Group, co: Coaction, x, start: Subspace) -> tuple[Subs
 
 
 def _images(co: Coaction, v: Subspace) -> np.ndarray:
-    """W[h, :, a] = B_h v_a for the basis vectors v_a of V, as one product."""
-    w = np.zeros((len(co.legs), co.height, v.dim), dtype=np.int64)
-    w[co.leg, co.row] = matmul_mod(co.rows, v.basis.T, v.p)
-    return w
+    """W[:, h, a] = B_h v_a for the basis vectors v_a of V, as one product.
 
-
-def _residual(w: np.ndarray, v: Subspace) -> np.ndarray:
-    """The images W (H, n, dim V) modulo V: W[:, nonpiv] - V[:, nonpiv]^T W[:, piv].
-
-    A vector y lies in V iff y = V^T y[piv], because V's RREF basis is the
-    identity in its pivot columns; so W[h, :, a] lies in V iff column a of
-    the residual of block h is zero.
+    W has shape (n, legs, dim V), so W.reshape(n, -1) holds every image as a
+    column, ready for `Subspace.residual`.
     """
-    hcount, k = w.shape[0], v.dim
-    piv = list(v.pivots)
-    nonpiv = np.ones(v.ambient_dim, dtype=bool)
-    nonpiv[piv] = False
-    nonpiv = np.flatnonzero(nonpiv)
-    top = w[:, piv, :].transpose(1, 0, 2).reshape(k, hcount * k)
-    back = matmul_mod(v.basis[:, nonpiv].T, top, v.p)
-    back = back.reshape(nonpiv.size, hcount, k).transpose(1, 0, 2)
-    return (w[:, nonpiv, :] - back) % v.p
+    w = np.zeros((co.height, len(co.legs), v.dim), dtype=np.int64)
+    w[co.row, co.leg] = matmul_mod(co.rows, v.basis.T, v.p)
+    return w
 
 
 def _induced_comodule(m: Comodule, v: Subspace, co: Coaction) -> Comodule:
     """Express the coaction on the basis of V and re-validate it.
 
-    B_h v_a = sum_j W[h, piv_j, a] v_j, once the residual check has shown
+    B_h v_a = sum_j W[piv_j, h, a] v_j, once the residual check has shown
     that every B_h v_a lies in V.
     """
     g = m.group
     cols: list[dict] = [{} for _ in range(v.dim)]
     if v.dim and co.legs:
         w = _images(co, v)
-        if np.any(_residual(w, v)):
+        if np.any(v.residual(w.reshape(m.dim, -1))):
             raise InternalInvariantError(
                 "induced coaction escapes the fixed-point subspace")
-        coords = w[:, list(v.pivots), :].transpose(2, 0, 1)  # (a, h, j)
+        coords = w[list(v.pivots)].transpose(2, 1, 0)  # (a, h, j)
         for a, h, j in zip(*np.nonzero(coords)):
             cols[a].setdefault(int(j), {})[co.legs[h]] = int(coords[a, h, j])
     sub = Comodule(g, [f"v{a + 1}" for a in range(v.dim)],
@@ -277,20 +262,13 @@ def filtration_dims(m, d_max: int) -> FiltrationResult:
         raise ValueError("d_max must be >= 0")
     dims = []
     stabilized = None
-    if isinstance(m, StreamModule):
-        gen = co = None  # `generate` caches, so a repeated generation is `gen` itself
-        for d in range(d_max + 1):
-            nxt = m.generate(m.sufficiency(d))
-            if nxt is not gen:
-                gen, co = nxt, coaction(nxt)
-            dims.append(_restrict(gen, CanonicalLevel(m.group, d), co).dim)
-    else:
-        co = coaction(m)
-        for d in range(d_max + 1):
-            dim = _restrict(m, CanonicalLevel(m.group, d), co).dim
-            dims.append(dim)
-            if stabilized is None and dim == m.dim:
-                stabilized = d
+    stream = isinstance(m, StreamModule)
+    for d in range(d_max + 1):
+        # `generate` caches, so the levels of one generation share its coaction
+        target = m.generate(m.sufficiency(d)) if stream else m
+        dims.append(restrict(target, CanonicalLevel(m.group, d)).dim)
+        if stabilized is None and not stream and dims[-1] == m.dim:
+            stabilized = d
     return FiltrationResult(dims, stabilized)
 
 
@@ -314,7 +292,7 @@ def coalgebra_closure(g: Group, x) -> ClosureResult:
     This is the fixpoint of `restrict` run on the coproduct itself.  Its
     greatest fixed point is automatically a sub-coalgebra contained in X; the
     sub-coalgebra property Delta(D) <= D (x) D is verified independently by
-    building D's structure constants, which are kept for `SubCoalgebra`.
+    building D's structure constants, which the result keeps.
     """
     if isinstance(x, CanonicalLevel):
         x = ExplicitSubspace.canonical(x.group, x.d)
@@ -355,11 +333,11 @@ def structure_constants(g: Group, monos, space: Subspace, co: Coaction | None = 
         return None
     if not s:
         return np.zeros((0, 0), dtype=np.int64)
-    # W[b, :, k]: the left leg paired with b_b in Delta(b_k); it must lie in the space
+    # W[:, b, k]: the left leg paired with b_b in Delta(b_k); it must lie in the space
     w = _images(inside, space)
-    if np.any(_residual(w, space)):
+    if np.any(space.residual(w.reshape(len(monos), -1))):
         return None
-    return w[:, list(space.pivots), :].transpose(1, 0, 2).reshape(s * s, s)
+    return w[list(space.pivots)].reshape(s * s, s)
 
 
 def subspace_tensor(u: Subspace, v: Subspace) -> Subspace:

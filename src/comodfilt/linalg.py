@@ -134,19 +134,30 @@ class Subspace:
         v = np.mod(np.asarray(vec, dtype=np.int64), self.p)
         return self.coords(v) is not None
 
+    def residual(self, ys: np.ndarray) -> np.ndarray:
+        """The columns of ys (n, k), entries in [0, p), modulo the subspace V:
+        ys[off] - V[:, off]^T ys[pivots], with `off` the coordinates that are
+        not V's pivots.
+
+        A vector y lies in V iff y = V^T y[pivots], because V's RREF basis is
+        the identity in its pivot columns; so column c of ys lies in V iff
+        column c of the residual is zero.
+        """
+        piv = list(self.pivots)
+        off = np.ones(self.ambient_dim, dtype=bool)
+        off[piv] = False
+        return (ys[off] - matmul_mod(self.basis[:, off].T, ys[piv], self.p)) % self.p
+
     def coords(self, vec) -> np.ndarray | None:
         """Coordinates of vec in the RREF basis, or None if not a member."""
         v = np.mod(np.asarray(vec, dtype=np.int64), self.p)
-        cs = v[list(self.pivots)]
-        if self.dim:
-            v = (v - matmul_mod(cs[None, :], self.basis, self.p)[0]) % self.p
-        if np.any(v):
+        if np.any(self.residual(v[:, None])):
             return None
-        return cs
+        return v[list(self.pivots)]
 
     def contains_space(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        return all(self.contains(row) for row in other.basis)
+        return not np.any(self.residual(other.basis.T))
 
     def _check_ambient(self, other: "Subspace"):
         if self.ambient_dim != other.ambient_dim or self.p != other.p:

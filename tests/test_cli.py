@@ -330,6 +330,34 @@ def test_reused_parser_gives_the_same_answers(capsys, monkeypatch):
     assert answers(fresh=True) == reused
 
 
+def test_window_is_a_growth_option_only(capsys):
+    payload = run_json(capsys, "growth", "--group", "Ga@p=2", "--module", "primitives",
+                       "--dmax", "16", "--window", "8", "--no-cache")
+    assert payload["job"]["window"] == 8
+    code, out, err = run(capsys, "filter", "--group", "Ga@p=2", "--module", "primitives",
+                         "--dmax", "16", "--window", "3", "--no-cache")
+    assert code == 1 and not out
+    assert err == "error: unrecognized arguments: --window 3\n"
+
+
+def test_a_level_over_the_ceiling_is_refused_before_it_is_built():
+    # O(GL:2)_{<=40} has dimension 247,681; building its basis before the
+    # sub-coalgebra ceiling was checked ran out of a 1 GiB address space
+    code = textwrap.dedent("""
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        from comodfilt.cli import main
+        sys.exit(main(["cobar", "--group", "GL:2@p=2", "--dmax", "40", "--no-cache"]))
+    """)
+    src = os.path.dirname(os.path.dirname(comodfilt.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2 and not proc.stdout
+    assert proc.stderr == ("resource limit: sub-coalgebra dimension = 247681 "
+                           "exceeds the configured ceiling 30\n")
+
+
 def test_normalized_cobar_runs_under_a_one_gib_address_space():
     # passes max_chain_dim (top dimension 2^16); the full complex's d^15 would
     # be a 65536 x 32768 int64 array (about 17 GB), while every normalized

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from comodfilt import cobar, filtration
 from comodfilt.cobar import (ChainComplex, NotACComoduleError, SubCoalgebra,
                              _stage1_triples, cobar_complex, cohomology_dims,
                              injective_test, injectivity_profile)
@@ -12,8 +13,8 @@ from comodfilt.comodules import (Comodule, StreamModule, build_module,
 from comodfilt.config import Limits, ResourceLimitError
 from comodfilt.coordalg import UnsupportedOperation, group_from_spec
 from comodfilt.filtration import (CanonicalLevel, ExplicitSubspace,
-                                  InternalInvariantError, coalgebra_closure,
-                                  restrict)
+                                  InternalInvariantError, coaction,
+                                  coalgebra_closure, restrict)
 from comodfilt.linalg import IncrementalRREF, Subspace, kernel, matrank, sparse_kernel
 
 GA2 = group_from_spec("Ga@p=2")
@@ -149,7 +150,7 @@ def test_coefficient_blocks_match_the_per_entry_reference():
     # C = span{1, t + t^2} over F_2: t + t^2 is primitive, and t^2 is a
     # non-pivot column of C's basis
     x = ExplicitSubspace.from_elements(GA2, [GA2.one(), GA2.element({1: 1, 2: 1})])
-    cx = SubCoalgebra.from_explicit(x)
+    cx = SubCoalgebra(x.group, x.monos, x.space)
     assert cx.space.pivots == (0, 1)
     level = restrict(regular(GA2, 2), x).comodule
     assert level.dim == 2 and level.coefficient(0, 1) == GA2.element({1: 1, 2: 1})
@@ -268,7 +269,7 @@ def test_normalized_and_full_complexes_have_equal_cohomology():
         normalized, full = both(c, level, 1)
         assert normalized == full, (spec, text, d)
     x = ExplicitSubspace.from_elements(GA2, [GA2.one(), GA2.element({2: 1})])
-    c = SubCoalgebra.from_explicit(x)
+    c = SubCoalgebra(x.group, x.monos, x.space)
     normalized, full = both(c, restrict(regular(GA2, 2), x).comodule, 3)
     assert normalized == full
 
@@ -368,8 +369,8 @@ def test_stage1_kernel_matches_the_row_by_row_reference():
                           ("GL:2@p=2147483647", "regular(2)", 2),
                           ("SL:2@p=2147483647", "regular(2)", 2)]:
         g = group_from_spec(spec)
-        closure = coalgebra_closure(g, CanonicalLevel(g, d))
-        c = SubCoalgebra.from_explicit(closure.subspace, delta_matrix=closure.delta_matrix)
+        x = coalgebra_closure(g, CanonicalLevel(g, d)).subspace
+        c = SubCoalgebra(x.group, x.monos, x.space)
         cases.append((c, restrict(build_module(text, g), CanonicalLevel(g, d)).comodule))
     assert len(cases) == len(COBAR_CASES) + 78 + 3
     assert cases[-3][0].dim * cases[-3][1].dim == 900
@@ -411,11 +412,61 @@ def test_injectivity_profile_detects_mock_injectivity():
     assert not all(profile)
 
 
+# d <= 2 for the groups with 6 or 9 variables
+LEVEL_CASES = ([(f"{kind}@p={p}", 3) for kind in ("Ga", "Gm", "M:1", "M:2", "U:2", "U:3",
+                                                 "GL:1", "GL:2", "SL:1", "SL:2")
+                for p in (2, 3)]
+               + [(f"{kind}@p={p}", 2) for kind in ("M:3", "U:4", "GL:3", "SL:3")
+                  for p in (2, 3)]
+               + [("GL:2@p=65521", 3), ("SL:2@p=65521", 3)])
+
+
+@pytest.mark.parametrize("spec, d_max", LEVEL_CASES)
+def test_every_canonical_level_is_its_own_closure(spec, d_max):
+    # what lets injectivity_profile test each level itself, without a closure
+    g = group_from_spec(spec)
+    for d in range(d_max + 1):
+        closure = coalgebra_closure(g, CanonicalLevel(g, d))
+        level = SubCoalgebra.canonical(g, d, limits=Limits(max_coalgebra_dim=10 ** 6))
+        assert closure.subspace.monos == level.monos, (spec, d)
+        assert closure.subspace.space == level.space, (spec, d)
+        assert np.array_equal(closure.delta_matrix, level.delta_matrix), (spec, d)
+
+
+def test_injectivity_profile_builds_each_coaction_once_and_no_closure(monkeypatch):
+    built = []
+
+    def counted(m):
+        if m._coaction is None:
+            built.append(m)
+        return coaction(m)
+
+    def no_closure(*args):
+        raise AssertionError("injectivity_profile computed a closure")
+
+    for module in (filtration, cobar):
+        monkeypatch.setattr(module, "coaction", counted)
+    monkeypatch.setattr(filtration, "coalgebra_closure", no_closure)
+    monkeypatch.setattr(cobar, "coalgebra_closure", no_closure, raising=False)
+    # a finite module: built once for all five levels, then once for each M_X
+    m = regular(GA2, 3)
+    assert injectivity_profile(GA2, m, 4) == [True] * 4 + [False]
+    assert built[0] is m and len(built) == 1 + 5
+    assert len({id(x) for x in built}) == len(built)
+    # a stream: once per generation (0, 0, 1, 1, 2, 2, 2, 2, 3 for d <= 8)
+    built.clear()
+    stream = build_module("primitives", GA2)
+    assert injectivity_profile(GA2, stream, 8) == [True] + [False] * 8
+    gens = [stream.generate(n) for n in range(4)]
+    assert [x for x in built if any(x is gen for gen in gens)] == gens
+    assert len(built) == len(gens) + 9
+
+
 def test_injectivity_over_a_proper_subcoalgebra():
     # span{1, t^2} over F_2 is a genuine sub-coalgebra; the induced level of
     # the regular comodule is injective over it
     x = ExplicitSubspace.from_elements(GA2, [GA2.one(), GA2.element({2: 1})])
-    c = SubCoalgebra.from_explicit(x)
+    c = SubCoalgebra(x.group, x.monos, x.space)
     level = restrict(regular(GA2, 2), x).comodule
     assert injective_test(c, level)
 
@@ -436,9 +487,8 @@ def injectivity_oracle_levels():
     for spec, texts, d_max in INJECTIVITY_ORACLE_CASES:
         g = group_from_spec(spec)
         for d in range(d_max + 1):
-            closure = coalgebra_closure(g, CanonicalLevel(g, d))
-            c = SubCoalgebra.from_explicit(closure.subspace,
-                                           delta_matrix=closure.delta_matrix)
+            x = coalgebra_closure(g, CanonicalLevel(g, d)).subspace
+            c = SubCoalgebra(x.group, x.monos, x.space)
             for text in texts:
                 m = build_module(text, g)
                 target = m.generate(m.sufficiency(d)) if isinstance(m, StreamModule) else m

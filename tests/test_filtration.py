@@ -174,12 +174,25 @@ def test_restrict_explicit_subspace_matches_canonical():
     assert res.subspace == restrict(m, CanonicalLevel(GA2, 1)).subspace
 
 
-def test_restrict_without_unit_warns_and_vanishes():
+def test_restrict_without_unit_can_vanish():
     m = regular(GA2, 2)
     x = ExplicitSubspace.from_elements(GA2, [GA2.element({1: 1})])
-    with pytest.warns(UserWarning):
-        res = restrict(m, x)
+    res = restrict(m, x)
     assert res.dim == 0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("spec, text", [("GL:2@p=3", "sym(2,natural)"),
+                                        ("SL:2@p=2", "natural")])
+def test_restrict_to_the_coefficient_space_keeps_all_of_m(spec, text):
+    # X = span{f_ji} does not contain 1, yet every f_ji lies in X, so M_X = M
+    g = group_from_spec(spec)
+    m = build_module(text, g)
+    x = ExplicitSubspace.from_elements(g, list(m.coeffs.values()))
+    assert x.unit_coords() is None
+    res = restrict(m, x)
+    assert res.subspace == Subspace.full(m.dim, g.p)
+    assert res.comodule.coeffs == m.coeffs
 
 
 def test_restrict_rejects_mismatched_group():
@@ -201,15 +214,21 @@ def test_filtration_dims_builds_one_coaction_per_comodule(monkeypatch):
     built = []
 
     def counted(m):
-        built.append(m)
+        if m._coaction is None:
+            built.append(m)
         return coaction(m)
 
     monkeypatch.setattr(filtration, "coaction", counted)
     m = regular(GA2, 3)
     assert filtration_dims(m, 4).dims == [restrict(m, CanonicalLevel(GA2, d)).dim
                                           for d in range(5)]
-    # one for filtration_dims, then one for each of the five restrict calls
-    assert built[0] is m and len(built) == 6
+    # built by filtration_dims, then shared by its five levels and the five
+    # restrict calls; the arrays are shared, so they are read-only
+    assert built == [m]
+    co = coaction(m)
+    assert not any(a.flags.writeable for a in (co.leg, co.row, co.rows))
+    with pytest.raises(ValueError):
+        co.rows[0, 0] = 1
     built.clear()
     # primitives over Ga@p=2 needs generations 0, 0, 1, 1, 2, 2, 2, 2, 3 for d <= 8
     stream = build_module("primitives", GA2)

@@ -167,3 +167,24 @@ def test_sparse_kernel_matches_sympy(case, data):
     got = sparse_kernel(r, c, v, ncols, p)
     assert got.basis.tolist() == sympy_nullspace(rows, ncols, p)
     assert list(got.pivots) == [row.index(1) for row in got.basis.tolist()]
+
+
+@oracle_settings
+@given(oracle_case(), st.data())
+def test_residual_vanishes_exactly_on_members(case, data):
+    p, ncols, rows = case
+    space = Subspace.from_rows(as_array(rows, ncols), ncols, p)
+    # columns that are combinations of the given rows, some pushed off the space
+    ys = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        combo = [data.draw(st.integers(0, p - 1)) for _ in rows]
+        y = [sum(c * row[j] for c, row in zip(combo, rows)) % p for j in range(ncols)]
+        if data.draw(st.booleans()):
+            y = [(x + data.draw(st.integers(0, p - 1))) % p for x in y]
+        ys.append(y)
+    res = space.residual(np.array(ys, dtype=np.int64).T)
+    assert res.shape == (ncols - space.dim, len(ys))
+    rank = len(sympy_rowspace(rows, ncols, p))
+    for c, y in enumerate(ys):
+        member = len(sympy_rowspace(rows + [y], ncols, p)) == rank
+        assert (not res[:, c].any()) == member == (space.coords(y) is not None)
