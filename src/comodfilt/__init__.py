@@ -19,7 +19,7 @@ from .filtration import (CanonicalLevel, ExplicitSubspace, FiltrationResult,
                          filtration_dims, restrict, structure_constants,
                          tensor_containment)
 from .growth import GrowthReport, classify, equal_growth
-from .linalg import IncrementalRREF, Subspace, kernel, matrank, preimage, rref
+from .linalg import Subspace, kernel, matrank, rref
 from .suites import run_property_suite
 
 __all__ = [name for name in dir() if not name.startswith("_")]

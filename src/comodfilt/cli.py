@@ -69,7 +69,8 @@ def _build_parser() -> _Parser:
     gp = sub.add_parser("growth", help="growth class of a dimension sequence")
     common(gp, module=True, dmax=True)
     gp.add_argument("--window", type=int,
-                    help="trailing window length for growth classification")
+                    help="test for polynomial growth on the trailing WINDOW >= 2 "
+                         "levels only; the other growth classes read every level")
     common(sub.add_parser("cobar", help="cobar cohomology over O(G)_{<=d}"),
            module=True, dmax=True, nmax=True)
     common(sub.add_parser("inject", help="levelwise injectivity profile"),
@@ -179,6 +180,8 @@ def _run_closure(args, limits) -> dict:
 
 
 def _run_growth(args, limits) -> dict:
+    if args.window is not None and args.window < 2:
+        raise UsageError("--window must be >= 2")
     g = group_from_spec(args.group)
     if args.module:
         m = build_module(args.module, g)

@@ -166,7 +166,7 @@ def detpow(g: Group, s: int) -> Comodule:
     if s >= 0:
         f = g.det_element() ** s
     else:
-        f = g.element({((0,) * g.nvars, -s): 1})
+        f = g.element({g.detinv_mono(): 1}) ** -s
     return Comodule(g, [f"det^{s}"], [{0: f}])
 
 
@@ -420,12 +420,22 @@ def regular_stream(g: Group) -> StreamModule:
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<name>[a-z]+)|(?P<int>-?\d+)|(?P<sym>[(),]))")
 
-_ARITIES = {
-    "triv": (), "natural": (), "primitives": (), "translationinvariants": (),
-    "detpow": ("int",), "regular": ("int",), "polyaffine": ("int",),
-    "twiststream": ("int",),
-    "dual": ("expr",), "twist": ("int", "expr"), "sym": ("int", "expr"),
-    "tensor": ("expr", "expr"), "sum": ("expr", "expr"),
+# name -> (argument kinds, builder): the builder takes the group and the
+# arguments, each "expr" argument already built as a finite Comodule
+_CONSTRUCTORS = {
+    "triv": ((), trivial),
+    "natural": ((), natural),
+    "detpow": (("int",), detpow),
+    "regular": (("int",), regular),
+    "dual": (("expr",), lambda g, m: dual(m)),
+    "twist": (("int", "expr"), lambda g, r, m: frobenius_twist(m, r)),
+    "sym": (("int", "expr"), lambda g, n, m: sym_power(n, m)),
+    "tensor": (("expr", "expr"), lambda g, m, n: tensor(m, n)),
+    "sum": (("expr", "expr"), lambda g, m, n: direct_sum(m, n)),
+    "polyaffine": (("int",), polyaffine),
+    "primitives": ((), primitives),
+    "translationinvariants": ((), translationinvariants),
+    "twiststream": (("int",), twiststream),
 }
 
 
@@ -466,13 +476,13 @@ def parse_module_expr(text: str):
     def expr():
         nonlocal idx
         name, off = expect("name", "a constructor name")
-        if name not in _ARITIES:
+        if name not in _CONSTRUCTORS:
             raise ModuleExprError(f"unknown constructor {name!r}", off)
-        arity = _ARITIES[name]
+        kinds = _CONSTRUCTORS[name][0]
         args = []
-        if arity:
+        if kinds:
             expect("sym", "'('")
-            for k, want in enumerate(arity):
+            for k, want in enumerate(kinds):
                 if k:
                     tk, val, off2 = peek()
                     if (tk, val) != ("sym", ","):
@@ -501,38 +511,15 @@ def build_module(expr, g: Group):
     if isinstance(expr, str):
         expr = parse_module_expr(expr)
     head, *args = expr
+    if head not in _CONSTRUCTORS:
+        raise ModuleExprError(f"unknown constructor {head!r}", 0)
+    kinds, build = _CONSTRUCTORS[head]
     try:
-        if head == "triv":
-            return trivial(g)
-        if head == "natural":
-            return natural(g)
-        if head == "detpow":
-            return detpow(g, args[0])
-        if head == "regular":
-            return regular(g, args[0])
-        if head == "polyaffine":
-            return polyaffine(g, args[0])
-        if head == "primitives":
-            return primitives(g)
-        if head == "translationinvariants":
-            return translationinvariants(g)
-        if head == "twiststream":
-            return twiststream(g, args[0])
-        if head == "dual":
-            return dual(_finite(build_module(args[0], g), head))
-        if head == "twist":
-            return frobenius_twist(_finite(build_module(args[1], g), head), args[0])
-        if head == "sym":
-            return sym_power(args[0], _finite(build_module(args[1], g), head))
-        if head == "tensor":
-            return tensor(_finite(build_module(args[0], g), head),
-                          _finite(build_module(args[1], g), head))
-        if head == "sum":
-            return direct_sum(_finite(build_module(args[0], g), head),
-                              _finite(build_module(args[1], g), head))
+        args = [_finite(build_module(a, g), head) if kind == "expr" else a
+                for kind, a in zip(kinds, args)]
+        return build(g, *args)
     except UnsupportedOperation as exc:
         raise ModuleExprError(str(exc), 0) from exc
-    raise ModuleExprError(f"unknown constructor {head!r}", 0)
 
 
 def _finite(m, ctor: str) -> Comodule:

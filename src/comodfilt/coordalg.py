@@ -75,8 +75,8 @@ class GroupSpecError(ValueError):
 # ---------------------------------------------------------------------------
 # elements
 
-class Element:
-    """Sparse algebra element: dict monomial -> coefficient in [1, p)."""
+class _SparseVector:
+    """Sparse vector over F_p: dict key -> coefficient in [1, p)."""
 
     __slots__ = ("group", "coeffs")
 
@@ -88,23 +88,29 @@ class Element:
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        return (isinstance(other, Element) and self.group == other.group
+        return (type(other) is type(self) and self.group == other.group
                 and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((id(self.group), tuple(sorted(self.coeffs.items(), key=lambda kv: self.group.mono_key(kv[0])))))
 
     def __add__(self, other):
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
             out[m] = out.get(m, 0) + c
-        return Element(self.group, out)
+        return type(self)(self.group, out)
 
     def __sub__(self, other):
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
             out[m] = out.get(m, 0) - c
-        return Element(self.group, out)
+        return type(self)(self.group, out)
+
+
+class Element(_SparseVector):
+    """Sparse algebra element: dict monomial -> coefficient in [1, p)."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash((id(self.group), tuple(sorted(self.coeffs.items(), key=lambda kv: self.group.mono_key(kv[0])))))
 
     def scale(self, a: int) -> "Element":
         return Element(self.group, {m: c * a for m, c in self.coeffs.items()})
@@ -141,33 +147,11 @@ class Element:
                           else g.mono_str(m) for m, c in terms)
 
 
-class TensorElement:
-    """Sparse element of O(G) tensor O(G): dict (mono, mono) -> coefficient."""
+class TensorElement(_SparseVector):
+    """Sparse element of O(G) tensor O(G): dict (mono, mono) -> coefficient.
+    Unhashable, like the dict it wraps."""
 
-    __slots__ = ("group", "coeffs")
-
-    def __init__(self, group: "Group", coeffs: dict):
-        self.group = group
-        self.coeffs = {mm: c % group.p for mm, c in coeffs.items() if c % group.p}
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        return (isinstance(other, TensorElement) and self.group == other.group
-                and self.coeffs == other.coeffs)
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for mm, c in other.coeffs.items():
-            out[mm] = out.get(mm, 0) + c
-        return TensorElement(self.group, out)
-
-    def __sub__(self, other):
-        out = dict(self.coeffs)
-        for mm, c in other.coeffs.items():
-            out[mm] = out.get(mm, 0) - c
-        return TensorElement(self.group, out)
+    __slots__ = ()
 
     def __mul__(self, other):
         g = self.group
@@ -613,7 +597,7 @@ class _DeterminantGroup(Group):
     has j = 0.  Products, coproducts and antipodes are computed on the
     polynomial parts and pushed into normal form through the table `_nf` of
     single-monomial normal forms, which one bucketed reduction,
-    `_reduce_tagged`, fills.
+    `_normal_forms`, fills.
     """
 
     # homogeneous parts over det^{-j} are reduced for j >= _reduced_from
@@ -637,58 +621,52 @@ class _DeterminantGroup(Group):
     def _join(self, e: tuple, j: int):
         raise NotImplementedError
 
-    def _reduce_tagged(self, coeffs: dict) -> dict:
-        """Normal form of {(mono, tag): c} in mono, each tag apart: every
-        homogeneous part over det^{-j}, j >= `_reduced_from`, in the monomial
-        complement of det * O(M).
+    def _normal_forms(self, monos) -> dict:
+        """The table NF, with an entry for each of `monos`.
 
-        Buckets (j, degree) are reduced from the top down, as one block with a
-        row per tag: a row det*q + r keeps r and moves q, under its tag, to
-        det^{-(j-1)} in degree deg - N, which `_join` turns into det^0 for SL
-        (det*q = q there).  Moves land in lower buckets, so each is reduced once.
+        The missing monomials are reduced together, one row each: every
+        homogeneous part over det^{-j}, j >= `_reduced_from`, goes into the
+        monomial complement of det * O(M), and each residue joins its row's
+        normal form.  Buckets (j, degree) are reduced from the top down, as one block with a
+        row per missing monomial: a row det*q + r keeps r and moves q, in the
+        same row, to det^{-(j-1)} in degree deg - N, which `_join` turns into
+        det^0 for SL (det*q = q there).  Moves land in lower buckets, so each
+        is reduced once.
         """
+        nf = self._nf
+        missing = [m for m in monos if m not in nf]
+        if not missing:
+            return nf
         p = self.p
-        parts: dict = {}
-        for (mono, tag), c in coeffs.items():
-            e, j = self._split(mono)
-            part = parts.setdefault((j, sum(e)), {})
-            part[e, tag] = (part.get((e, tag), 0) + c) % p
-        out: dict = {}
+        forms: list = [[] for _ in missing]
+        parts: dict = {}  # (j, degree) -> {(e, row): c}
+        for r, m in enumerate(missing):
+            e, j = self._split(m)
+            parts.setdefault((j, sum(e)), {})[e, r] = 1
         while parts:
             j, deg = max(parts)
             part = parts.pop((j, deg))
             red = self._reducer(deg) if j >= self._reduced_from else None
             if red is None or not red.pivots:
-                for (e, tag), c in part.items():
+                for (e, r), c in part.items():
                     if c:
-                        out[self._join(e, j), tag] = c
+                        forms[r].append((self._join(e, j), c))
                 continue
-            tags = list(dict.fromkeys(tag for _, tag in part))
-            row = {tag: r for r, tag in enumerate(tags)}
-            block = np.zeros((len(tags), len(red.monos)), dtype=np.int64)
-            for (e, tag), c in part.items():
-                block[row[tag], red.index[e]] = c
+            rows = list(dict.fromkeys(r for _, r in part))
+            at = {r: k for k, r in enumerate(rows)}
+            block = np.zeros((len(rows), len(red.monos)), dtype=np.int64)
+            for (e, r), c in part.items():
+                block[at[r], red.index[e]] = c
             residue, quotient = red.split(block)
-            for r, i in zip(*(a.tolist() for a in residue.nonzero())):
-                out[self._join(red.monos[i], j), tags[r]] = int(residue[r, i])
-            for r, i in zip(*(a.tolist() for a in quotient.nonzero())):
+            for k, i in zip(*(a.tolist() for a in residue.nonzero())):
+                forms[rows[k]].append((self._join(red.monos[i], j), int(residue[k, i])))
+            for k, i in zip(*(a.tolist() for a in quotient.nonzero())):
                 e, j2 = self._split(self._join(red.qmonos[i], j - 1))
                 part = parts.setdefault((j2, deg - self.N), {})
-                key = (e, tags[r])
-                part[key] = (part.get(key, 0) + int(quotient[r, i])) % p
-        return out
-
-    def _normal_forms(self, monos) -> dict:
-        """The table NF, with an entry for each of `monos`: the missing ones are
-        reduced in one `_reduce_tagged` call, each monomial its own tag."""
-        nf = self._nf
-        missing = {(m, m): 1 for m in monos if m not in nf}
-        if missing:
-            forms: dict = {m: [] for m, _ in missing}
-            for (m, tag), c in self._reduce_tagged(missing).items():
-                forms[tag].append((m, c))
-            for m, form in forms.items():
-                nf[m] = tuple(form)
+                key = (e, rows[k])
+                part[key] = (part.get(key, 0) + int(quotient[k, i])) % p
+        for m, form in zip(missing, forms):
+            nf[m] = tuple(form)
         return nf
 
     def reduce_dict(self, coeffs: dict) -> dict:

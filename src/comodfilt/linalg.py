@@ -171,15 +171,10 @@ class Subspace:
         return Subspace.from_rows(rows, self.ambient_dim, self.p)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection via the kernel of [A^T | B^T] stacking (Zassenhaus-free)."""
+        """The intersection with other: the members of self whose residual
+        modulo other is zero."""
         self._check_ambient(other)
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.ambient_dim, self.p)
-        # x = a.basis^T u = b.basis^T v  <=>  (u, v) in kernel of [A^T, -B^T]
-        m = np.hstack([self.basis.T, (-other.basis.T) % self.p])
-        ker = kernel(m, self.p)
-        rows = matmul_mod(ker.basis[:, : self.dim], self.basis, self.p)
-        return Subspace.from_rows(rows, self.ambient_dim, self.p)
+        return self.lift(kernel(other.residual(self.basis.T), self.p))
 
     def lift(self, sub: "Subspace") -> "Subspace":
         """The subspace of self whose coordinates in self's basis form `sub`.
@@ -268,21 +263,11 @@ def sparse_kernel(rows, cols, vals, ncols: int, p: int) -> Subspace:
 def preimage(mat: np.ndarray, target: Subspace) -> Subspace:
     """{x : mat @ x in target}, for mat mapping F_p^n -> F_p^m with target in F_p^m."""
     a = np.mod(np.asarray(mat, dtype=np.int64), target.p)
-    m, n = a.shape
+    m = a.shape[0]
     if m != target.ambient_dim:
         raise DimensionMismatch(f"map has codomain dim {m}, target ambient {target.ambient_dim}")
-    # mat @ x in target  <=>  q(mat @ x) = 0 for q the projection killing target.
-    comp = complement_projection(target)
-    if comp.shape[0] == 0:
-        return Subspace.full(n, target.p)
-    return kernel(matmul_mod(comp, a, target.p), target.p)
-
-
-def complement_projection(v: Subspace) -> np.ndarray:
-    """Rows spanning functionals vanishing exactly on v (kernel-of-rows form)."""
-    ker = kernel(v.basis, v.p) if v.dim else Subspace.full(v.ambient_dim, v.p)
-    # functionals on F^n vanishing on v = kernel of v.basis acting on the right
-    return ker.basis
+    # mat @ x lies in target iff its residual, which is linear in x, is zero
+    return kernel(target.residual(a), target.p)
 
 
 def solve(mat: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray | None:

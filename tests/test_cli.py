@@ -340,6 +340,14 @@ def test_window_is_a_growth_option_only(capsys):
     assert err == "error: unrecognized arguments: --window 3\n"
 
 
+def test_window_must_be_at_least_two(capsys):
+    argv = ["growth", "--group", "Ga@p=2", "--module", "primitives", "--dmax", "16",
+            "--no-cache", "--window"]
+    for window in ("1", "0"):
+        assert run(capsys, *argv, window) == (1, "", "error: --window must be >= 2\n")
+    assert run_json(capsys, *argv, "2")["job"]["window"] == 2
+
+
 def test_a_level_over_the_ceiling_is_refused_before_it_is_built():
     # O(GL:2)_{<=40} has dimension 247,681; building its basis before the
     # sub-coalgebra ceiling was checked ran out of a 1 GiB address space

@@ -1,11 +1,13 @@
 """Comodule constructors, streams, and the module-expression language."""
 
+import os
 import random
+import re
 
 import pytest
 
-from comodfilt.comodules import (Comodule, ModuleExprError, StreamModule,
-                                 ValidationReport,
+from comodfilt.comodules import (_CONSTRUCTORS, Comodule, ModuleExprError,
+                                 StreamModule, ValidationReport,
                                  build_module, detpow, direct_sum, dual,
                                  frobenius_element, frobenius_twist, natural,
                                  parse_module_expr,
@@ -49,6 +51,7 @@ def test_detpow():
     neg = detpow(GL2, -1)
     assert pos.dim == neg.dim == 1
     assert neg.coefficient(0, 0) == GL2.element({GL2.detinv_mono(): 1})
+    assert detpow(GL2, -3).coefficient(0, 0) == GL2.element({((0, 0, 0, 0), 3): 1})
     assert pos.validate().ok and neg.validate().ok
     with pytest.raises(UnsupportedOperation):
         detpow(SL2, 1)
@@ -236,6 +239,56 @@ def test_build_module_compatibility_errors():
                  "sym(2,translationinvariants)"]:
         with pytest.raises(ModuleExprError):
             build_module(text, GA2)
+
+
+@pytest.mark.parametrize("expr, message", [
+    (("foo",), "unknown constructor 'foo' (byte offset 0)"),
+    ("dual(primitives)", "dual cannot be applied to a stream module (byte offset 0)"),
+    ("twist(1,polyaffine(1))", "twist cannot be applied to a stream module (byte offset 0)"),
+    ("sym(2,translationinvariants)", "sym cannot be applied to a stream module (byte offset 0)"),
+    ("tensor(triv,polyaffine(1))", "tensor cannot be applied to a stream module (byte offset 0)"),
+    ("sum(primitives,triv)", "sum cannot be applied to a stream module (byte offset 0)"),
+    ("tensor(triv,natural)", "natural is not defined over Ga@p=2 (byte offset 0)"),
+])
+def test_build_module_error_texts(expr, message):
+    with pytest.raises(ModuleExprError) as e:
+        build_module(expr, GA2)
+    assert str(e.value) == message
+
+
+def test_engine_value_errors_pass_through_build_module_unchanged():
+    with pytest.raises(ValueError) as e:
+        build_module("regular(-1)", GA2)
+    assert type(e.value) is ValueError
+    assert str(e.value) == "regular truncation level must be >= 0"
+
+
+CATALOG = [group_from_spec(s) for s in
+           ["Ga@p=2", "Gm@p=3", "M:2@p=3", "U:3@p=2", "GL:2@p=2", "SL:2@p=3"]]
+
+
+def test_readme_grammar_is_the_constructor_table():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("## The module-expression language", 1)[1]
+    block = section.split("```", 2)[1]
+    grammar = {}
+    for alt in re.split(r"[|\n]", block.strip()):
+        m = re.fullmatch(r"\s*([a-z]+)(?:\(([a-z, ]+)\))?\s*", alt)
+        assert m, alt
+        grammar[m.group(1)] = len(m.group(2).split(",")) if m.group(2) else 0
+    assert grammar == {name: len(kinds) for name, (kinds, _) in _CONSTRUCTORS.items()}
+    # every constructor builds over some catalog group
+    for name, (kinds, _) in _CONSTRUCTORS.items():
+        args = ",".join("1" if kind == "int" else "triv" for kind in kinds)
+        built = []
+        for g in CATALOG:
+            try:
+                built.append(build_module(f"{name}({args})" if args else name, g))
+            except ModuleExprError:
+                pass
+        assert built, name
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ import pytest
 
 from comodfilt import cli
 from comodfilt.comodules import frobenius_element, regular
-from comodfilt.coordalg import (Element, GroupSpecError, UnsupportedOperation,
-                                group_from_spec, truncated_exponential_degree)
+from comodfilt.coordalg import (GL, SL, Element, GroupSpecError, TensorElement,
+                                UnsupportedOperation, group_from_spec,
+                                truncated_exponential_degree)
 from comodfilt.filtration import CanonicalLevel, coalgebra_closure
 from comodfilt.linalg import exact_dtype, rref
 
@@ -637,6 +638,59 @@ def test_structure_map_tables_cannot_change_answers(spec, capsys):
     for m in monos + unreduced:
         assert fresh.reduce_dict({m: 1}) == g.reduce_dict({m: 1}), m
     assert fresh.reduce_dict(dict(mixed)) == g.reduce_dict(dict(mixed))
+
+
+def random_det_monomials(rng, g, count, dmax, kmax, jmax):
+    """Monomials of GL or SL, not in normal form: a random exponent tuple of
+    degree <= dmax times up to kmax copies of the diagonal x11*...*xNN (the
+    leading term of det), over det^{-j}, j <= jmax, for GL."""
+    lead = max(g.mat.det_element().coeffs)
+    out = []
+    for _ in range(count):
+        k = rng.randrange(kmax + 1)
+        e = random_exponents(rng, g.nvars, rng.randrange(dmax + 1))
+        e = tuple(a + k * b for a, b in zip(e, lead))
+        out.append((e, rng.randrange(jmax + 1)) if g.kind == "GL" else e)
+    return out
+
+
+@pytest.mark.parametrize("kind", [GL, SL])
+@pytest.mark.parametrize("N, dmax, kmax", [(2, 4, 2), (3, 2, 1)])
+@pytest.mark.parametrize("p", [2, 3, 2 ** 31 - 1])
+def test_batch_normal_forms_match_single_ones(kind, N, dmax, kmax, p):
+    rng = random.Random(f"{kind.__name__}:{N}@p={p}")
+    batch, single = kind(p, N), kind(p, N)  # fresh tables, not the shared groups
+    monos = random_det_monomials(rng, batch, 12, dmax, kmax, 2)
+    if kind is GL:
+        monos += [batch.detinv_mono(), ((0,) * batch.nvars, 3)]
+    monos = list(dict.fromkeys(monos))
+    table = batch._normal_forms(monos)
+    for m in monos:
+        assert single._normal_forms([m])[m] == table[m], m
+        assert set(single._nf) <= set(monos)
+    assert set(batch._nf) == set(single._nf) == set(monos)
+    # the forms are in normal form, and some monomial actually reduced
+    assert any(table[m] != ((m, 1),) for m in monos)
+    for m in monos:
+        assert dict(table[m]) == batch.reduce_dict(dict(table[m]))
+
+
+def test_elements_and_tensors_share_one_sparse_rule():
+    g = group_from_spec("GL:2@p=3")
+    a, b = g.gen_mono(0, 0), g.gen_mono(1, 1)
+    coeffs = {(a, b): 4, (b, a): 3, (a, a): -1}
+    el, te = Element(g, coeffs), TensorElement(g, coeffs)
+    # both reduce mod p and drop zeros
+    assert el.coeffs == te.coeffs == {(a, b): 1, (a, a): 2}
+    assert el != te and te != el
+    assert el == Element(g, dict(coeffs)) and te == TensorElement(g, dict(coeffs))
+    for x in (el, te):
+        assert type(x + x) is type(x) and type(x - x) is type(x)
+        assert not x - x and (x + x).coeffs == {k: 2 * c % 3 for k, c in x.coeffs.items()}
+    f = g.element({a: 1, b: 2})
+    assert hash(f) == hash(g.element({b: 2, a: 1})) and {f: 0}[f + g.zero()] == 0
+    with pytest.raises(TypeError):
+        hash(te)
 
 
 UNITRIANGULAR_CASES = ["U:2@p=2", "U:3@p=3", "U:4@p=2", "U:4@p=5", "U:5@p=3"]

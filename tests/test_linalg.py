@@ -98,6 +98,24 @@ def test_preimage_characterization():
         assert {tuple(v) for v in pre.vectors()} == good
 
 
+def test_intersect_and_preimage_with_the_zero_and_the_full_subspace():
+    rng = random.Random(11)
+    for p in (2, 3):
+        for n in (1, 3, 4):
+            zero, full = Subspace.zero(n, p), Subspace.full(n, p)
+            for u in (zero, full, Subspace.from_rows(random_matrix(rng, 2, n, p), n, p)):
+                assert u.intersect(zero) == zero.intersect(u) == zero
+                assert u.intersect(full) == full.intersect(u) == u
+                assert u.intersect(u) == u
+            m = random_matrix(rng, n, 3, p)
+            assert preimage(m, full) == Subspace.full(3, p)
+            assert preimage(m, zero) == kernel(m, p)
+            with pytest.raises(linalg.DimensionMismatch):
+                preimage(m, Subspace.zero(n + 1, p))
+            with pytest.raises(linalg.DimensionMismatch):
+                full.intersect(Subspace.full(n + 1, p))
+
+
 def test_solve_and_solvable():
     rng = random.Random(13)
     for p in (2, 5):
