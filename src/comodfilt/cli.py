@@ -2,7 +2,7 @@
 
 Emits JSON (default) or CSV, caches results by job fingerprint, and maps
 failure classes to exit codes: 0 success, 1 usage/parse error, 2 resource
-ceiling, 3 internal invariant violation.
+ceiling or out of memory, 3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -263,6 +263,7 @@ def _csv_cell(v) -> str:
 
 
 def main(argv=None) -> int:
+    args = None
     try:
         args = _build_parser().parse_args(argv)
         limits = load_limits()
@@ -296,6 +297,11 @@ def main(argv=None) -> int:
         return 1
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # an allocation no ceiling foresaw, such as numpy's _ArrayMemoryError
+        command = getattr(args, "command", "comodfilt")
+        print(f"resource limit: out of memory in {command}", file=sys.stderr)
         return 2
 
 

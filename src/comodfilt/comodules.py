@@ -514,6 +514,10 @@ def build_module(expr, g: Group):
     if head not in _CONSTRUCTORS:
         raise ModuleExprError(f"unknown constructor {head!r}", 0)
     kinds, build = _CONSTRUCTORS[head]
+    if len(args) != len(kinds) or not all(
+            isinstance(a, tuple if kind == "expr" else int) for kind, a in zip(kinds, args)):
+        raise ModuleExprError(f"{head}({', '.join(kinds)}) cannot take the arguments "
+                              f"{tuple(args)!r}", 0)
     try:
         args = [_finite(build_module(a, g), head) if kind == "expr" else a
                 for kind, a in zip(kinds, args)]

@@ -23,8 +23,9 @@ det*q = q.
 
 Every group keeps a table of Delta(m) for each monomial m it was asked for,
 and GL(N) and SL(N) keep a second table of the normal form NF(m) of each
-single monomial, filled in batches by the bucketed reduction.  Normal form is
-linear, so an element reduces to sum c*NF(m) and a tensor, in both legs, to
+single monomial, filled one monomial at a time from one reducer row and the
+table entries of its quotient's monomials.  Normal form is linear, so an
+element reduces to sum c*NF(m) and a tensor, in both legs, to
 sum c*NF(a)(x)NF(b).  The tables live as long as the group, which
 `group_from_spec` shares per process; nothing is computed ahead of a request.
 """
@@ -38,8 +39,7 @@ from math import comb
 
 import numpy as np
 
-from .linalg import (check_prime, elimination_exact, exact_dtype, inv_mod,
-                     is_prime, rref)
+from .linalg import check_prime, elimination_exact, inv_mod, is_prime, rref
 
 
 def binom(n: int, k: int) -> int:
@@ -110,7 +110,7 @@ class Element(_SparseVector):
     __slots__ = ()
 
     def __hash__(self):
-        return hash((id(self.group), tuple(sorted(self.coeffs.items(), key=lambda kv: self.group.mono_key(kv[0])))))
+        return hash((self.group, tuple(sorted(self.coeffs.items(), key=lambda kv: self.group.mono_key(kv[0])))))
 
     def scale(self, a: int) -> "Element":
         return Element(self.group, {m: c * a for m, c in self.coeffs.items()})
@@ -549,15 +549,14 @@ class _HomogeneousDetReducer:
     Columns are the degree-deg monomials in descending lex order, so the pivot
     monomials are the largest ones; the complement (non-pivot) monomials span
     the normal forms of both GL(N) and SL(N) in this degree.  Quotients are
-    tracked so an element can be rewritten f = det*q + r exactly.
+    tracked so each pivot monomial can be rewritten x^e = det*Q - r exactly.
     """
 
     def __init__(self, mat: "MatMonoid", deg: int):
-        self.mat = mat
         self.deg = deg
         p = mat.p
         self.monos = sorted(_exp_tuples(mat.nvars, deg), reverse=True)
-        self.index = {m: i for i, m in enumerate(self.monos)}
+        index = {m: i for i, m in enumerate(self.monos)}
         qdeg = deg - mat.N
         self.qmonos = sorted(_exp_tuples(mat.nvars, qdeg), reverse=True) if qdeg >= 0 else []
         n, q = len(self.monos), len(self.qmonos)
@@ -566,27 +565,24 @@ class _HomogeneousDetReducer:
         for r, qm in enumerate(self.qmonos):
             for dm, dc in det.coeffs.items():
                 prod = tuple(a + b for a, b in zip(dm, qm))
-                w[r, self.index[prod]] = dc % p
+                w[r, index[prod]] = dc % p
             w[r, n + r] = 1
         red, piv = rref(w, p)
         # rows of det*monomial are independent, so all pivots land in the first block
         assert all(c < n for c in piv) and len(piv) == q
-        # int64 where the products c @ rows below fit in it, Python integers otherwise
-        self.dtype = object if exact_dtype(len(piv), p) is object else np.int64
-        self.rows = red[:, :n].astype(self.dtype)
-        self.qrows = red[:, n:].astype(self.dtype)
+        # row k is det*Q_k as x^{monos[pivots[k]]} + r_k, r_k on complement monomials
+        self.rows = red[:, :n]
+        self.qrows = red[:, n:]
         self.pivots = piv
-        pivset = set(piv)
-        self.complement = [m for i, m in enumerate(self.monos) if i not in pivset]
+        self.pivot_row = {self.monos[c]: k for k, c in enumerate(piv)}
+        self.complement = [m for m in self.monos if m not in self.pivot_row]
 
-    def split(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """vec = det*q + r with r supported on complement monomials; returns
-        (r, q).  vec is one vector or a block with one vector per row."""
-        p = self.mat.p
-        c = (vec[..., self.pivots] % p).astype(self.dtype, copy=False)
-        residue = ((vec - c @ self.rows) % p).astype(np.int64, copy=False)
-        quotient = ((c @ self.qrows) % p).astype(np.int64, copy=False)
-        return residue, quotient
+    def relation(self, k: int) -> tuple[list, list]:
+        """Row k as x^pivot = det*Q - r: (r, Q) as (exponent tuple, coefficient)
+        pairs, coefficients Python integers in [1, p)."""
+        row, qrow, piv = self.rows[k], self.qrows[k], self.pivots[k]
+        r = [(self.monos[i], int(row[i])) for i in np.flatnonzero(row).tolist() if i != piv]
+        return r, [(self.qmonos[i], int(qrow[i])) for i in np.flatnonzero(qrow).tolist()]
 
 
 class _DeterminantGroup(Group):
@@ -596,8 +592,8 @@ class _DeterminantGroup(Group):
     det^{-j}; `_split` and `_join` convert, and SL, where det^{-1} = 1, always
     has j = 0.  Products, coproducts and antipodes are computed on the
     polynomial parts and pushed into normal form through the table `_nf` of
-    single-monomial normal forms, which one bucketed reduction,
-    `_normal_forms`, fills.
+    single-monomial normal forms, which `_normal_forms` fills one monomial
+    at a time.
     """
 
     # homogeneous parts over det^{-j} are reduced for j >= _reduced_from
@@ -624,49 +620,40 @@ class _DeterminantGroup(Group):
     def _normal_forms(self, monos) -> dict:
         """The table NF, with an entry for each of `monos`.
 
-        The missing monomials are reduced together, one row each: every
-        homogeneous part over det^{-j}, j >= `_reduced_from`, goes into the
-        monomial complement of det * O(M), and each residue joins its row's
-        normal form.  Buckets (j, degree) are reduced from the top down, as one block with a
-        row per missing monomial: a row det*q + r keeps r and moves q, in the
-        same row, to det^{-(j-1)} in degree deg - N, which `_join` turns into
-        det^0 for SL (det*q = q there).  Moves land in lower buckets, so each
-        is reduced once.
+        One monomial x^e det^{-j} at a time: it is its own normal form unless
+        j >= `_reduced_from` and e is the pivot of a reducer row, x^e =
+        det*Q - r with r on complement monomials.  Then NF(x^e det^{-j}) =
+        -r det^{-j} + NF(Q det^{-(j-1)}), where `_join` turns det^{-(j-1)}
+        into det^0 for SL (det*q = q there).  The monomials of Q enter the
+        table first, through an explicit stack: a quotient chain is as long
+        as the det power.
         """
         nf = self._nf
-        missing = [m for m in monos if m not in nf]
-        if not missing:
-            return nf
         p = self.p
-        forms: list = [[] for _ in missing]
-        parts: dict = {}  # (j, degree) -> {(e, row): c}
-        for r, m in enumerate(missing):
-            e, j = self._split(m)
-            parts.setdefault((j, sum(e)), {})[e, r] = 1
-        while parts:
-            j, deg = max(parts)
-            part = parts.pop((j, deg))
-            red = self._reducer(deg) if j >= self._reduced_from else None
-            if red is None or not red.pivots:
-                for (e, r), c in part.items():
-                    if c:
-                        forms[r].append((self._join(e, j), c))
+        stack = list(monos)
+        while stack:
+            m = stack[-1]
+            if m in nf:
+                stack.pop()
                 continue
-            rows = list(dict.fromkeys(r for _, r in part))
-            at = {r: k for k, r in enumerate(rows)}
-            block = np.zeros((len(rows), len(red.monos)), dtype=np.int64)
-            for (e, r), c in part.items():
-                block[at[r], red.index[e]] = c
-            residue, quotient = red.split(block)
-            for k, i in zip(*(a.tolist() for a in residue.nonzero())):
-                forms[rows[k]].append((self._join(red.monos[i], j), int(residue[k, i])))
-            for k, i in zip(*(a.tolist() for a in quotient.nonzero())):
-                e, j2 = self._split(self._join(red.qmonos[i], j - 1))
-                part = parts.setdefault((j2, deg - self.N), {})
-                key = (e, rows[k])
-                part[key] = (part.get(key, 0) + int(quotient[k, i])) % p
-        for m, form in zip(missing, forms):
-            nf[m] = tuple(form)
+            e, j = self._split(m)
+            red = self._reducer(sum(e)) if j >= self._reduced_from else None
+            k = red.pivot_row.get(e) if red is not None else None
+            if k is None:
+                nf[stack.pop()] = ((m, 1),)
+                continue
+            residue, quotient = red.relation(k)
+            quotient = [(self._join(e2, j - 1), c) for e2, c in quotient]
+            pending = [m2 for m2, _ in quotient if m2 not in nf]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            form = {self._join(e2, j): -c for e2, c in residue}
+            for m2, c in quotient:
+                for m3, c3 in nf[m2]:
+                    form[m3] = form.get(m3, 0) + c * c3
+            nf[m] = tuple((m3, r) for m3, c in form.items() if (r := c % p))
         return nf
 
     def reduce_dict(self, coeffs: dict) -> dict:

@@ -383,3 +383,35 @@ def test_normalized_cobar_runs_under_a_one_gib_address_space():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["n,dim"] + [f"{n},1" for n in range(16)]
+
+
+@pytest.mark.parametrize("argv", [
+    # the dense W of structure_constants, (705, 705, 705) int64
+    ["closure", "--group", "SL:3@p=2", "--dmax", "4"],
+    # dense cobar differentials accepted by max_chain_dim
+    ["cobar", "--group", "SL:2@p=2", "--module", "natural", "--dmax", "2", "--nmax", "3"],
+    ["cobar", "--group", "GL:2@p=2", "--module", "regular(2)", "--dmax", "2", "--nmax", "2"],
+])
+def test_an_allocation_over_the_address_space_exits_2_without_a_traceback(argv):
+    # never run these jobs without the limit: the closure alone peaks at 5 GB
+    code = textwrap.dedent(f"""
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        from comodfilt.cli import main
+        sys.exit(main({argv + ["--no-cache"]!r}))
+    """)
+    src = os.path.dirname(os.path.dirname(comodfilt.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr == f"resource limit: out of memory in {argv[0]}\n"
+
+
+def test_a_thousand_step_quotient_chain_is_reduced_without_recursion(capsys):
+    # x^1024 det^-1000 over GL(1) reduces through x^(1024-k) det^-(1000-k),
+    # k = 1, ..., 1000, one normal-form table entry per step
+    payload = run_json(capsys, "validate", "--group", "GL:1@p=2", "--module",
+                       "tensor(twist(10,natural),detpow(-1000))", "--no-cache")
+    assert payload["rows"] == [{"target": "module", "dim": 1, "ok": True, "failure": ""}]
+    assert payload["verdicts"] == {"valid": True}

@@ -249,6 +249,13 @@ def test_build_module_compatibility_errors():
     ("tensor(triv,polyaffine(1))", "tensor cannot be applied to a stream module (byte offset 0)"),
     ("sum(primitives,triv)", "sum cannot be applied to a stream module (byte offset 0)"),
     ("tensor(triv,natural)", "natural is not defined over Ga@p=2 (byte offset 0)"),
+    # malformed ASTs, which only library callers can pass
+    (("detpow",), "detpow(int) cannot take the arguments () (byte offset 0)"),
+    (("tensor", ("triv",)),
+     "tensor(expr, expr) cannot take the arguments (('triv',),) (byte offset 0)"),
+    (("detpow", ("triv",)), "detpow(int) cannot take the arguments (('triv',),) (byte offset 0)"),
+    (("dual", 3), "dual(expr) cannot take the arguments (3,) (byte offset 0)"),
+    (("detpow", 1, 2), "detpow(int) cannot take the arguments (1, 2) (byte offset 0)"),
 ])
 def test_build_module_error_texts(expr, message):
     with pytest.raises(ModuleExprError) as e:

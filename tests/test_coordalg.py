@@ -214,32 +214,24 @@ def test_truncated_exponential_degree():
 
 
 def test_det_normal_forms_are_exact_at_p_2_31_minus_1():
-    # the reducers' products c @ rows exceed int64 at this prime; compare
-    # against the same reduction in Python integers
+    # products of two coefficients exceed int64 at this prime; compare
+    # against the reference reductions below, which multiply in Python integers
     p = 2 ** 31 - 1
     rng = random.Random(31)
-    sl = group_from_spec(f"SL:2@p={p}")._reducer(4)
-    gl = group_from_spec(f"GL:2@p={p}")._reducer(4)
-
-    def combination(c, rows):
-        return [sum(ci * int(r[k]) for ci, r in zip(c, rows.tolist()))
-                for k in range(rows.shape[1])]
-
+    sl, gl = group_from_spec(f"SL:2@p={p}"), group_from_spec(f"GL:2@p={p}")
+    monos = sorted(reference_exp_tuples(4, 4), reverse=True)
     for _ in range(50):
-        vec = [rng.randrange(p) for _ in sl.monos]
-        c = [vec[i] for i in sl.pivots]
-        want = [(v - w) % p for v, w in zip(vec, combination(c, sl.rows))]
-        got, _ = sl.split(np.array(vec, dtype=np.int64))
-        assert got.dtype == np.int64 and got.tolist() == want
-        assert not got[sl.pivots].any()
+        vec = [rng.randrange(p) for _ in monos]
+        coeffs = dict(zip(monos, vec))
+        got = sl.reduce_dict(coeffs)
+        assert got == reference_sl_reduce(sl, coeffs)
+        assert all(type(c) is int for c in got.values())
 
-        vec = [rng.randrange(p) for _ in gl.monos]
-        c = [vec[i] for i in gl.pivots]
-        residue, quotient = gl.split(np.array(vec, dtype=np.int64))
-        assert residue.tolist() == [(v - w) % p
-                                    for v, w in zip(vec, combination(c, gl.rows))]
-        assert quotient.tolist() == [w % p for w in combination(c, gl.qrows)]
-        assert residue.dtype == quotient.dtype == np.int64
+        vec = [rng.randrange(p) for _ in monos]
+        coeffs = {(e, 1): c for e, c in zip(monos, vec)}
+        got = gl.reduce_dict(coeffs)
+        assert got == reference_gl_reduce(gl, coeffs)
+        assert all(type(c) is int for c in got.values())
 
 
 # ---------------------------------------------------------------------------
@@ -667,12 +659,15 @@ def test_batch_normal_forms_match_single_ones(kind, N, dmax, kmax, p):
     table = batch._normal_forms(monos)
     for m in monos:
         assert single._normal_forms([m])[m] == table[m], m
-        assert set(single._nf) <= set(monos)
-    assert set(batch._nf) == set(single._nf) == set(monos)
-    # the forms are in normal form, and some monomial actually reduced
-    assert any(table[m] != ((m, 1),) for m in monos)
-    for m in monos:
-        assert dict(table[m]) == batch.reduce_dict(dict(table[m]))
+    assert set(monos) <= set(batch._nf)
+    assert any(table[m] != ((m, 1),) for m in monos)  # some monomial reduced
+    # every entry, requested or filled along a quotient chain, is in normal
+    # form and equals the form a fresh instance computes for its monomial
+    for m, form in list(batch._nf.items()):
+        assert form and all(0 < c < p for _, c in form), m
+        for m2, _ in form:
+            assert batch._normal_forms([m2])[m2] == ((m2, 1),), (m, m2)
+        assert kind(p, N)._normal_forms([m])[m] == form, m
 
 
 def test_elements_and_tensors_share_one_sparse_rule():
@@ -689,6 +684,9 @@ def test_elements_and_tensors_share_one_sparse_rule():
         assert not x - x and (x + x).coeffs == {k: 2 * c % 3 for k, c in x.coeffs.items()}
     f = g.element({a: 1, b: 2})
     assert hash(f) == hash(g.element({b: 2, a: 1})) and {f: 0}[f + g.zero()] == 0
+    # equal elements over two instances of one group hash alike
+    one, other = g.one(), GL(3, 2).one()  # GL(p, N)
+    assert one == other and hash(one) == hash(other) and len({one, other}) == 1
     with pytest.raises(TypeError):
         hash(te)
 
