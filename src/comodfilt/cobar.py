@@ -30,8 +30,7 @@ from .config import Limits, check_limit
 from .coordalg import Group, UnsupportedOperation
 from .filtration import (CanonicalLevel, ExplicitSubspace, InternalInvariantError,
                          _split, coaction, restrict, structure_constants)
-from .linalg import (Subspace, kernel, matmul_mod, matrank, rref, solvable,
-                     sparse_kernel)
+from .linalg import Subspace, kernel, matmul_mod, matrank, solvable, sparse_kernel
 
 
 class NotACComoduleError(ValueError):
@@ -112,9 +111,10 @@ class ChainComplex:
 def _normalized_factors(c: SubCoalgebra, blocks: np.ndarray):
     """The coaction and the coproduct restricted to Cbar = ker(epsilon).
 
-    C = k.1 + Cbar.  The new basis of C is the unit followed by an RREF basis
-    e_1..e_t of ker(epsilon), t = s - 1, written as the rows of `r` in c's
-    basis; one inversion of `r` gives the Cbar-coordinates of each b_a.
+    C = k.1 + Cbar, with Cbar spanned by the RREF basis e_1..e_t of
+    ker(epsilon), t = s - 1.  The Cbar-part b_a - epsilon(b_a).1 of b_a lies
+    in ker(epsilon), so its coordinates are its entries at the pivots: no
+    inverse is needed.
     Returns rho_bar, shape (m*t, m), whose row (j, r) holds the e_r-component
     of the coaction, and delta_bar, shape (t*t, t), the reduced coproduct
     Delta(e_k) - e_k (x) 1 - 1 (x) e_k = sum delta_bar[r*t+u, k] e_r (x) e_u.
@@ -125,15 +125,13 @@ def _normalized_factors(c: SubCoalgebra, blocks: np.ndarray):
     counit = np.array([c.group.counit_mono(mono) % p for mono in c.monos],
                       dtype=np.int64)
     eps = matmul_mod(c.space.basis, counit[:, None], p)[:, 0]
-    kbar = kernel(eps[None, :], p).basis
-    t = kbar.shape[0]
-    r = np.vstack([c.unit[None, :], kbar])
-    inv = rref(np.hstack([r, np.eye(s, dtype=np.int64)]), p)[0][:, s:]
-    # b_a = sum_r inv[a, r] e_r, so the Cbar-coordinates of b_a are inv[a, 1:]
-    to_bar = inv[:, 1:].T                                            # [r, a]
+    kbar = kernel(eps[None, :], p)
+    t, piv = kbar.dim, list(kbar.pivots)
+    # each product multiplies two entries below p: exact in int64
+    to_bar = (np.eye(s, dtype=np.int64)[piv] - np.outer(c.unit[piv], eps)) % p
     g = matmul_mod(to_bar, blocks.reshape(s, mm * mm), p)            # [r, j, i]
     rho_bar = g.reshape(t, mm, mm).transpose(1, 0, 2).reshape(mm * t, mm)
-    x = matmul_mod(c.delta_matrix, kbar.T, p)                        # [a, b, k]
+    x = matmul_mod(c.delta_matrix, kbar.basis.T, p)                  # [a, b, k]
     y = matmul_mod(to_bar, x.reshape(s, s * t), p)                   # [r, b, k]
     y = y.reshape(t, s, t).transpose(1, 0, 2).reshape(s, t * t)      # [b, r, k]
     z = matmul_mod(to_bar, y, p).reshape(t, t, t)                    # [u, r, k]

@@ -499,7 +499,10 @@ def parse_module_expr(text: str):
             idx += 1
         return (name, *args)
 
-    tree = expr()
+    try:
+        tree = expr()
+    except RecursionError:
+        raise ModuleExprError("expression nested too deeply", peek()[2]) from None
     tk, val, off = peek()
     if tk is not None:
         raise ModuleExprError(f"trailing input {val!r}", off)
@@ -510,6 +513,13 @@ def build_module(expr, g: Group):
     """Build a Comodule or StreamModule from an expression text or AST."""
     if isinstance(expr, str):
         expr = parse_module_expr(expr)
+    try:
+        return _build(expr, g)
+    except RecursionError:
+        raise ModuleExprError("expression nested too deeply", 0) from None
+
+
+def _build(expr, g: Group):
     head, *args = expr
     if head not in _CONSTRUCTORS:
         raise ModuleExprError(f"unknown constructor {head!r}", 0)
@@ -519,7 +529,7 @@ def build_module(expr, g: Group):
         raise ModuleExprError(f"{head}({', '.join(kinds)}) cannot take the arguments "
                               f"{tuple(args)!r}", 0)
     try:
-        args = [_finite(build_module(a, g), head) if kind == "expr" else a
+        args = [_finite(_build(a, g), head) if kind == "expr" else a
                 for kind, a in zip(kinds, args)]
         return build(g, *args)
     except UnsupportedOperation as exc:

@@ -315,9 +315,18 @@ class Ga(Group):
 
     @_tabled
     def coproduct_mono(self, mono):
-        # (t(x)1 + 1(x)t)^a
-        return {(i, mono - i): binom(mono, i) % self.p for i in range(mono + 1)
-                if binom(mono, i) % self.p}
+        # (t(x)1 + 1(x)t)^a.  By Lucas's theorem C(a, i) mod p is the product
+        # of C(a_k, i_k) over the base-p digits, nonzero iff every i_k <= a_k:
+        # such i are built most significant digit first, so they increase
+        p, digits, rest = self.p, [], mono
+        while rest:
+            rest, a_k = divmod(rest, p)
+            digits.append(a_k)
+        terms = {0: 1}
+        for a_k in reversed(digits):
+            terms = {i * p + i_k: c * binom(a_k, i_k) % p
+                     for i, c in terms.items() for i_k in range(a_k + 1)}
+        return {(i, mono - i): c for i, c in terms.items()}
 
     def counit_mono(self, mono):
         return 1 if mono == 0 else 0

@@ -203,10 +203,17 @@ class Subspace:
 
 
 def kernel(mat: np.ndarray, p: int) -> Subspace:
-    """Null space {x : mat @ x = 0} of an (m, n) matrix, as a subspace of F_p^n."""
+    """Null space {x : mat @ x = 0} of an (m, n) matrix, as a subspace of F_p^n.
+
+    One elimination, of mat with its columns reversed: read back in order,
+    each row of that RREF ends at its pivot, so the null vector of each free
+    column has its leading 1 there, and together they are already in RREF.
+    """
+    check_prime(p)
     a = np.mod(np.asarray(mat, dtype=np.int64), p)
     ncols = a.shape[1]
-    red, piv = rref(a[a.any(axis=1)], p)
+    red, piv = rref(a[a.any(axis=1), ::-1], p)
+    red, piv = red[:, ::-1], ncols - 1 - np.array(piv, dtype=np.int64)
     free = np.ones(ncols, dtype=bool)
     free[piv] = False
     free = np.flatnonzero(free)
@@ -214,7 +221,7 @@ def kernel(mat: np.ndarray, p: int) -> Subspace:
     rows = np.zeros((free.size, ncols), dtype=np.int64)
     rows[np.arange(free.size), free] = 1
     rows[:, piv] = (-red[:, free].T) % p
-    return Subspace.from_rows(rows, ncols, p)
+    return Subspace(ncols, p, rows, tuple(free.tolist()))
 
 
 def sparse_kernel(rows, cols, vals, ncols: int, p: int) -> Subspace:
@@ -320,34 +327,14 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return (prod % p).astype(np.int64, copy=False)
 
 
-def _clear_pivots(target: np.ndarray, basis: np.ndarray, pivots: list[int], p: int):
-    """Subtract from `target`, in place, the combinations of `basis` rows that
-    clear its entries in the `pivots` columns (basis row r has its pivot 1 at
-    pivots[r]).  Only the target rows with a nonzero entry there, the basis
-    rows behind those entries and the columns those basis rows touch enter the
-    product.
-    """
-    coeff = target[:, pivots]
-    rows = np.flatnonzero(coeff.any(axis=1))
-    if rows.size == 0:
-        return
-    cols = np.flatnonzero(coeff[rows].any(axis=0))
-    coeff = np.mod(-coeff[np.ix_(rows, cols)], p)
-    used = basis[cols]
-    out = np.flatnonzero(used.any(axis=0))
-    block = np.ix_(rows, out)
-    target[block] = (target[block] + matmul_mod(coeff, used[:, out], p)) % p
-
-
 class IncrementalRREF:
     """Row-space accumulator for systems too large to materialize at once.
 
-    Rows are fed in blocks; each block is reduced against the pivots found so
-    far using one matrix multiply over the block's support, so feeding m rows
-    costs at most O(m * rank * ncols) arithmetic instead of a full dense
-    elimination.  Library API: no engine code calls it since the retraction
-    solve moved to `sparse_kernel`, and it is kept for callers and for the
-    benchmark's tracer, which wraps `add_rows`.
+    Each block is reduced against the stored rows it touches with one matrix
+    product; its remainder is put in RREF, then so are the stored rows
+    stacked over it.  Library API: no engine code calls it since the
+    retraction solve moved to `sparse_kernel`; the tests use it as an oracle
+    and the benchmark's tracer wraps `add_rows`.
     """
 
     def __init__(self, ncols: int, p: int):
@@ -362,21 +349,16 @@ class IncrementalRREF:
 
     def add_rows(self, block: np.ndarray):
         b = self.reduce(block)
-        b = b[np.any(b, axis=1)]
-        if b.shape[0] == 0:
-            return
-        extra, piv_extra = rref(b, self.p)
-        if extra.shape[0] == 0:
-            return
-        # reduce old rows against the new pivots, then merge and re-sort
-        _clear_pivots(self.rows, extra, piv_extra, self.p)
-        merged = np.vstack([self.rows, extra])
-        order = np.argsort(self.pivots + piv_extra, kind="stable")
-        self.rows = merged[order]
-        self.pivots = sorted(self.pivots + piv_extra)
+        extra, _ = rref(b[b.any(axis=1)], self.p)
+        if extra.shape[0]:
+            self.rows, self.pivots = rref(np.vstack([self.rows, extra]), self.p)
 
     def reduce(self, block: np.ndarray) -> np.ndarray:
         """Residue of the given rows modulo the accumulated row space."""
         b = np.mod(np.asarray(block, dtype=np.int64).reshape(-1, self.ncols), self.p)
-        _clear_pivots(b, self.rows, self.pivots, self.p)
+        coeff = b[:, self.pivots]
+        touched = np.flatnonzero(coeff.any(axis=0))
+        used = self.rows[touched]
+        cols = np.flatnonzero(used.any(axis=0))  # the product skips the other columns
+        b[:, cols] = (b[:, cols] - matmul_mod(coeff[:, touched], used[:, cols], self.p)) % self.p
         return b

@@ -408,6 +408,40 @@ def test_an_allocation_over_the_address_space_exits_2_without_a_traceback(argv):
     assert proc.stderr == f"resource limit: out of memory in {argv[0]}\n"
 
 
+def run_fresh(argv, timeout=60):
+    """main(argv) in a fresh interpreter, whose stack holds no pytest frames."""
+    code = f"import sys; from comodfilt.cli import main; sys.exit(main({argv!r}))"
+    src = os.path.dirname(os.path.dirname(comodfilt.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+@pytest.mark.parametrize("group, r", [("Ga@p=2", 40), ("Ga@p=3", 25)])
+def test_deep_frobenius_twists_over_ga_validate_within_seconds(group, r):
+    # t^(p^r) has p^r + 1 binomials, but only two nonzero ones mod p
+    proc = run_fresh(["validate", "--group", group, "--module",
+                      f"twist({r},regular(1))", "--format", "csv", "--no-cache"],
+                     timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["target,dim,ok,failure", "module,2,true,"]
+
+
+def test_a_deeply_nested_expression_ends_in_one_line():
+    def nested(levels):
+        return ["validate", "--group", "Ga@p=2", "--module",
+                "dual(" * levels + "regular(1)" + ")" * levels, "--format", "csv",
+                "--no-cache"]
+
+    proc = run_fresh(nested(1000))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: expression nested too deeply")
+    proc = run_fresh(nested(400))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1] == "module,2,true,"
+
+
 def test_a_thousand_step_quotient_chain_is_reduced_without_recursion(capsys):
     # x^1024 det^-1000 over GL(1) reduces through x^(1024-k) det^-(1000-k),
     # k = 1, ..., 1000, one normal-form table entry per step

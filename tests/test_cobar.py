@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from comodfilt import cobar, filtration
+from comodfilt import cobar, filtration, linalg
 from comodfilt.cobar import (ChainComplex, NotACComoduleError, SubCoalgebra,
-                             _stage1_triples, cobar_complex, cohomology_dims,
-                             injective_test, injectivity_profile)
+                             _normalized_factors, _stage1_triples, cobar_complex,
+                             cohomology_dims, injective_test, injectivity_profile)
 from comodfilt.comodules import (Comodule, StreamModule, build_module,
                                  direct_sum, regular, regular_stream,
                                  translationinvariants, trivial)
@@ -15,7 +15,8 @@ from comodfilt.coordalg import UnsupportedOperation, group_from_spec
 from comodfilt.filtration import (CanonicalLevel, ExplicitSubspace,
                                   InternalInvariantError, coaction,
                                   coalgebra_closure, restrict)
-from comodfilt.linalg import IncrementalRREF, Subspace, kernel, matrank, sparse_kernel
+from comodfilt.linalg import (IncrementalRREF, Subspace, kernel, matrank, rref,
+                              sparse_kernel)
 
 GA2 = group_from_spec("Ga@p=2")
 GM3 = group_from_spec("Gm@p=3")
@@ -272,6 +273,24 @@ def test_normalized_and_full_complexes_have_equal_cohomology():
     c = SubCoalgebra(x.group, x.monos, x.space)
     normalized, full = both(c, restrict(regular(GA2, 2), x).comodule, 3)
     assert normalized == full
+
+
+def test_the_normalized_factors_eliminate_once(monkeypatch):
+    calls = []
+
+    def counted(mat, p):
+        calls.append(np.shape(mat))
+        return rref(mat, p)
+
+    monkeypatch.setattr(linalg, "rref", counted)
+    for spec, text, d, _ in COBAR_CASES:
+        g = group_from_spec(spec)
+        c = SubCoalgebra.canonical(g, d)
+        blocks = c.coefficient_blocks(build_module(text, g))
+        calls.clear()
+        _normalized_factors(c, blocks)
+        # the kernel of epsilon, and no inverse of the new basis of C
+        assert len(calls) == 1, (spec, text, d, calls)
 
 
 def test_tampered_differential_fails_the_square_check():

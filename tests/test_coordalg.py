@@ -92,6 +92,19 @@ def test_ga_coproduct_binomials():
     assert g.antipode(g.element({1: 1})) == g.element({1: -1})
 
 
+def test_ga_coproduct_by_lucas_matches_the_binomial_formula():
+    groups = [group_from_spec(f"Ga@p={p}") for p in (2, 3, 5, 7)]
+    for a in range(400):
+        binomials = [comb(a, i) for i in range(a + 1)]
+        for g in groups:
+            want = {(i, a - i): c % g.p for i, c in enumerate(binomials) if c % g.p}
+            # the same keys, values and insertion order
+            assert list(g.coproduct_mono(a).items()) == list(want.items())
+    # a + 1 binomials of t^(2^40) would never finish; Lucas gives two terms
+    a = 2 ** 40
+    assert groups[0].coproduct_mono(a) == {(0, a): 1, (a, 0): 1}
+
+
 def test_gm_grouplike():
     g = group_from_spec("Gm@p=3")
     assert g.coproduct_mono(4) == {(4, 4): 1}

@@ -1,0 +1,140 @@
+"""The laws of the filtration functor M -> M_X stated in the paper's abstract,
+as property tests over random subspaces X of O(G)_{<=d}, d <= 3:
+
+(a) M_X = M_{O(G)_X}, with O(G)_X the coalgebra closure of X;
+(b) X <= Y implies M_X <= M_Y, and M_X restricted to X is all of M_X: its
+    coefficients lie in X, which is checked by plain membership as well;
+(c) (M + N)_X = M_X + N_X;
+(d) M_{O(G)_{<=d}} = M once d reaches the largest coefficient degree of M.
+
+Skipped where hypothesis is not installed; CI installs it.
+"""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from comodfilt.comodules import ModuleExprError, build_module, direct_sum  # noqa: E402
+from comodfilt.coordalg import group_from_spec  # noqa: E402
+from comodfilt.filtration import (CanonicalLevel, ExplicitSubspace,  # noqa: E402
+                                  coalgebra_closure, restrict)
+from comodfilt.linalg import Subspace  # noqa: E402
+
+GROUPS = [group_from_spec(spec)
+          for spec in ("Ga@p=2", "Ga@p=3", "U:3@p=2", "GL:2@p=3", "SL:2@p=2")]
+D_MAX = 3
+
+
+def catalog(g):
+    """The catalog modules defined over g."""
+    out = []
+    for text in ("regular(2)", "natural", "dual(natural)", "sym(2,natural)"):
+        try:
+            out.append(build_module(text, g))
+        except ModuleExprError:
+            pass  # natural is not defined over Ga
+    return out
+
+
+MODULES = {g: catalog(g) for g in GROUPS}
+
+law_settings = settings(derandomize=True, max_examples=40, deadline=None)
+
+
+def random_rows(rng, k, n, p):
+    """k random vectors of F_p^n: unit vectors (monomials), sparse
+    combinations or dense ones, so that X often holds whole coefficient
+    spaces and sometimes only mixtures of them."""
+    kind = rng.integers(3)
+    if kind == 0:
+        rows = np.zeros((k, n), dtype=np.int64)
+        rows[np.arange(k), rng.choice(n, size=k, replace=False)] = 1
+        return rows
+    rows = rng.integers(0, p, size=(k, n), dtype=np.int64)
+    if kind == 1:
+        rows[rng.random((k, n)) < 0.7] = 0
+    return rows
+
+
+def random_level(rng, g, d):
+    """A random X <= O(G)_{<=d}, over the monomial basis of that level: a
+    lower level O(G)_{<=e}, e < d, or nothing, plus random vectors."""
+    monos = g.filtration_basis(d)
+    n = len(monos)
+    e = int(rng.integers(-1, d))
+    # the basis is sorted by degree first: O(G)_{<=e} is its first monomials
+    low = len(g.filtration_basis(e)) if e >= 0 else 0
+    rows = np.vstack([np.eye(n, dtype=np.int64)[:low],
+                      random_rows(rng, int(rng.integers(0, n - low + 1)), n, g.p)])
+    return ExplicitSubspace(g, monos, Subspace.from_rows(rows, n, g.p))
+
+
+def lies_in(x, f):
+    """Whether the element f lies in X: a membership test of its coefficient
+    vector over X's monomials, which shares no code with the fixpoint."""
+    index = {h: i for i, h in enumerate(x.monos)}
+    if any(h not in index for h in f.coeffs):
+        return False
+    vec = np.zeros(len(x.monos), dtype=np.int64)
+    for h, c in f.coeffs.items():
+        vec[index[h]] = c
+    return x.space.contains(vec)
+
+
+@st.composite
+def levels(draw):
+    """(group, a catalog module over it, a random X <= O(G)_{<=d}, rng)."""
+    g = draw(st.sampled_from(GROUPS))
+    m = draw(st.sampled_from(MODULES[g]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return g, m, random_level(rng, g, draw(st.integers(0, D_MAX))), rng
+
+
+@law_settings
+@given(levels())
+def test_a_m_x_is_m_of_the_closure_of_x(case):
+    g, m, x, _ = case
+    closure = coalgebra_closure(g, x).subspace
+    assert x.space.contains_space(closure.space)
+    assert restrict(m, x).subspace == restrict(m, closure).subspace
+
+
+@law_settings
+@given(levels())
+def test_b_m_x_grows_with_x_and_lands_in_x(case):
+    g, m, x, rng = case
+    n = len(x.monos)
+    extra = random_rows(rng, int(rng.integers(0, n + 1)), n, g.p)
+    y = ExplicitSubspace(g, x.monos, Subspace.from_rows(
+        np.vstack([x.space.basis, extra]), n, g.p))
+    mx = restrict(m, x)
+    assert restrict(m, y).subspace.contains_space(mx.subspace)
+    assert restrict(mx.comodule, x).dim == mx.dim
+    assert all(lies_in(x, f) for f in mx.comodule.coeffs.values())
+
+
+@law_settings
+@given(levels(), st.data())
+def test_c_m_x_of_a_sum_is_the_sum_of_the_m_x(case, data):
+    g, m, x, _ = case
+    n = data.draw(st.sampled_from(MODULES[g]))
+    mx, nx = restrict(m, x).subspace, restrict(n, x).subspace
+    rows = np.zeros((mx.dim + nx.dim, m.dim + n.dim), dtype=np.int64)
+    rows[:mx.dim, :m.dim] = mx.basis
+    rows[mx.dim:, m.dim:] = nx.basis
+    want = Subspace.from_rows(rows, m.dim + n.dim, g.p)
+    assert restrict(direct_sum(m, n), x).subspace == want
+
+
+@pytest.mark.parametrize("g", GROUPS, ids=str)
+def test_d_m_of_a_level_past_the_coefficient_degrees_is_m(g):
+    for m in MODULES[g]:
+        top = max(g.degree(h) for f in m.coeffs.values() for h in f.coeffs)
+        assert top <= D_MAX
+        for d in range(top, D_MAX + 1):
+            assert restrict(m, CanonicalLevel(g, d)).dim == m.dim
+            level = ExplicitSubspace.canonical(g, d)
+            assert restrict(m, level).subspace == Subspace.full(m.dim, g.p)

@@ -152,6 +152,33 @@ def test_matmul_mod_matches_exact_product():
     assert exact_dtype(8, 2 ** 31 - 1) is object
 
 
+def test_kernel_and_every_result_built_on_it_eliminate_once(monkeypatch):
+    calls = []
+
+    def counted(mat, p):
+        calls.append(np.shape(mat))
+        return rref(mat, p)
+
+    monkeypatch.setattr(linalg, "rref", counted)
+    rng = random.Random(41)
+    for p in (2, 3, 65521):
+        for _ in range(10):
+            nrows, ncols = rng.randrange(1, 7), rng.randrange(1, 9)
+            mat = random_matrix(rng, nrows, ncols, p)
+            mat[0, rng.randrange(ncols)] = 1  # at least one triple
+            rows, cols = np.nonzero(mat)
+            target = Subspace.from_rows(random_matrix(rng, 2, nrows, p), nrows, p)
+            u, v = (Subspace.from_rows(random_matrix(rng, 3, ncols, p), ncols, p)
+                    for _ in range(2))
+            for result in (lambda: kernel(mat, p),
+                           lambda: sparse_kernel(rows, cols, mat[rows, cols], ncols, p),
+                           lambda: preimage(mat, target),
+                           lambda: u.intersect(v)):
+                calls.clear()
+                result()
+                assert len(calls) == 1, calls
+
+
 def test_incremental_rref_matches_dense():
     rng = random.Random(17)
     for p in (2, 3):
