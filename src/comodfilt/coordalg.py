@@ -28,6 +28,12 @@ table entries of its quotient's monomials.  Normal form is linear, so an
 element reduces to sum c*NF(m) and a tensor, in both legs, to
 sum c*NF(a)(x)NF(b).  The tables live as long as the group, which
 `group_from_spec` shares per process; nothing is computed ahead of a request.
+
+Delta(x^e) over the polynomial groups is expanded over integer leg codes
+sum e_k*B^k, radix B = deg(x^e) + 1, so a product of legs is one addition.
+Delta(f^p) is Delta(f) with both legs raised to the p-th power, so only the
+digits e_k % p are expanded factor by factor.  Ga keeps Lucas's theorem:
+factor by factor, digits near a large p would cost quadratic time.
 """
 
 from __future__ import annotations
@@ -398,7 +404,9 @@ class _PolynomialGroup(Group):
     """A polynomial coordinate algebra: one variable x_{i,j} per entry in `gens`.
 
     Monomials are exponent tuples in the order of `gens`; subclasses supply
-    `coproduct_gen` and `counit_mono`.
+    `coproduct_gen` and `counit_mono`.  `_codes` keeps, per radix B, each
+    Delta(x_k) as (left code, right code, coeff) triples and a code -> leg
+    table, so legs repeated across a degree share one tuple; GL and SL use it.
     """
 
     def __init__(self, p, N, gens):
@@ -406,6 +414,7 @@ class _PolynomialGroup(Group):
         self.gens = gens
         self.gen_index = {pr: k for k, pr in enumerate(gens)}
         self.nvars = len(gens)
+        self._codes: dict = {}  # radix B -> (coded Delta(x_k) per generator, code -> leg)
 
     def one_mono(self):
         return (0,) * self.nvars
@@ -433,21 +442,32 @@ class _PolynomialGroup(Group):
         raise NotImplementedError
 
     def _expand_coproduct(self, mono) -> dict:
-        """Delta of a monomial, expanded one generator factor at a time."""
-        acc = {(self.one_mono(), self.one_mono()): 1}
-        for idx, e in enumerate(mono):
-            if not e:
-                continue
-            gen_cop = self.coproduct_gen(*self.gens[idx])
-            for _ in range(e):
-                nxt: dict = {}
-                for (a, b), c in acc.items():
-                    for (ga, gb), gc in gen_cop.items():
-                        key = (tuple(x + y for x, y in zip(a, ga)),
-                               tuple(x + y for x, y in zip(b, gb)))
-                        nxt[key] = (nxt.get(key, 0) + c * gc) % self.p
-                acc = {k: v for k, v in nxt.items() if v}
-        return acc
+        """Delta of a monomial, expanded over leg codes of radix deg(mono) + 1."""
+        p, base = self.p, sum(mono) + 1
+        if base not in self._codes:
+            def code(m):
+                return sum(e * base ** k for k, e in enumerate(m))
+            self._codes[base] = ([[(code(a), code(b), c) for (a, b), c in self.coproduct_gen(*pr).items()]
+                                  for pr in self.gens], {})
+        gens, decode = self._codes[base]
+
+        def expand(e):
+            # Delta(x^e) = F(Delta(x^(e // p))) * prod_k Delta(x_k)^(e_k % p), F = p-th power
+            acc = ({(a * p, b * p): c for (a, b), c in expand([x // p for x in e]).items()}
+                   if max(e) >= p else {(0, 0): 1})
+            for legs, x in zip(gens, e):
+                for _ in range(x % p):
+                    nxt: dict = {}
+                    for (a, b), c in acc.items():
+                        for ga, gb, gc in legs:
+                            key = (a + ga, b + gb)
+                            nxt[key] = (nxt.get(key, 0) + c * gc) % p
+                    acc = {k: v for k, v in nxt.items() if v}
+            return acc
+        acc = expand(mono)
+        for leg in {leg for pair in acc for leg in pair} - decode.keys():
+            decode[leg] = tuple(leg // base ** k % base for k in range(self.nvars))
+        return {(decode[a], decode[b]): c for (a, b), c in acc.items()}
 
     coproduct_mono = _tabled(_expand_coproduct)
 

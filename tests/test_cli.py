@@ -427,6 +427,16 @@ def test_deep_frobenius_twists_over_ga_validate_within_seconds(group, r):
     assert proc.stdout.splitlines() == ["target,dim,ok,failure", "module,2,true,"]
 
 
+@pytest.mark.parametrize("group, r", [("U:2@p=2", 16), ("GL:2@p=2", 20)])
+def test_deep_frobenius_twists_over_matrix_groups_validate_within_seconds(group, r):
+    # Delta(x^(p^r)) is r Frobenius splits of Delta(x), not p^r factors
+    proc = run_fresh(["validate", "--group", group, "--module",
+                      f"twist({r},natural)", "--format", "csv", "--no-cache"],
+                     timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["target,dim,ok,failure", "module,2,true,"]
+
+
 def test_a_deeply_nested_expression_ends_in_one_line():
     def nested(levels):
         return ["validate", "--group", "Ga@p=2", "--module",

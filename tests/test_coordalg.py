@@ -515,21 +515,25 @@ def reference_reduce_tensor(g, acc):
     return {k: v for k, v in out.items() if v}
 
 
-def reference_matrix_coproduct(g, e):
-    """Delta of the polynomial part x^e in O(M(N)), expanded from scratch one
-    generator factor at a time: Delta(x_{i,j}) = sum_l x_{i,l} (x) x_{l,j},
-    with x_{i,j} at position i*N + j of an exponent tuple."""
-    N, p = g.N, g.p
+def reference_polynomial_coproduct(kind, N, p, e):
+    """Delta of x^e over M(N) (kind "M") or U(N) (kind "U"), expanded from
+    scratch one generator factor at a time: Delta(x_{i,j}) = sum_l x_{i,l} (x)
+    x_{l,j}, over all l for M(N) and over i <= l <= j for U(N), where x_{i,i}
+    = 1.  Exponent tuples list the generators x_{i,j} row by row, all of them
+    for M(N) and those with i < j for U(N)."""
+    gens = [(i, j) for i in range(N) for j in range(N) if kind == "M" or i < j]
+    index = {pr: k for k, pr in enumerate(gens)}
 
     def unit(i, j):
-        m = [0] * (N * N)
-        m[i * N + j] = 1
+        m = [0] * len(gens)
+        if (i, j) in index:  # not a diagonal entry of U(N)
+            m[index[(i, j)]] = 1
         return tuple(m)
 
-    acc = {((0,) * (N * N), (0,) * (N * N)): 1}
-    for idx, power in enumerate(e):
-        i, j = divmod(idx, N)
-        legs = [(unit(i, ell), unit(ell, j)) for ell in range(N)]
+    acc = {((0,) * len(gens), (0,) * len(gens)): 1}
+    for (i, j), power in zip(gens, e):
+        between = range(N) if kind == "M" else range(i, j + 1)
+        legs = [(unit(i, ell), unit(ell, j)) for ell in between]
         for _ in range(power):
             nxt = {}
             for (a, b), c in acc.items():
@@ -545,7 +549,7 @@ def reference_coproduct_mono(g, mono):
     e, j = reference_parts(g, mono)
     return reference_reduce_tensor(g, {
         (reference_mono(g, a, j), reference_mono(g, b, j)): c
-        for (a, b), c in reference_matrix_coproduct(g, e).items()})
+        for (a, b), c in reference_polynomial_coproduct("M", g.N, g.p, e).items()})
 
 
 def random_normal_monomial(rng, g, deg, j):
@@ -588,6 +592,61 @@ def test_structure_maps_match_the_former_per_monomial_reductions(spec):
     # and one coproduct with many legs sharing buckets in both passes
     m = random_normal_monomial(rng, g, 5, 2 if g.kind == "GL" else 0)
     assert g.coproduct_mono(m) == reference_coproduct_mono(g, m), m
+
+
+POLYNOMIAL_CASES = [f"{kind}:{n}@p={p}" for kind, n in (("M", 2), ("M", 3), ("U", 3), ("U", 4))
+                    for p in (2, 3, 5)]
+
+
+@pytest.mark.parametrize("spec", POLYNOMIAL_CASES)
+def test_coded_coproducts_match_the_factor_by_factor_expansion(spec):
+    g = group_from_spec(spec)
+    p = g.p
+    rng = random.Random(spec + " coded")
+    # one exponent of one base-p digit, then of two (a single Frobenius
+    # split), then of three (the split recurses); the other generators add
+    # at most degree 2
+    for low in (1, p, p * p):
+        for _ in range(3):
+            e = list(random_exponents(rng, g.nvars, rng.randrange(3)))
+            e[rng.randrange(g.nvars)] += low + rng.randrange(p - 1)
+            e = tuple(e)
+            assert g.coproduct_mono(e) == reference_polynomial_coproduct(g.kind, g.N, p, e), e
+
+
+@pytest.mark.parametrize("spec", ["GL:2@p=2", "GL:2@p=3", "SL:2@p=2", "SL:2@p=3",
+                                  "GL:3@p=2", "SL:3@p=2"])
+def test_det_group_coproducts_with_exponents_past_p_match_the_reference(spec):
+    g = group_from_spec(spec)
+    p = g.p
+    rng = random.Random(spec + " past p")
+    off_diagonal = [i * g.N + j for i in range(g.N) for j in range(g.N) if i != j]
+    for low in (p, p * p) if g.N == 2 else (p,):
+        for _ in range(3):
+            # an off-diagonal power times one more generator is not divisible
+            # by the diagonal leading term of det, so it is in normal form
+            e = list(random_exponents(rng, g.nvars, 1))
+            e[rng.choice(off_diagonal)] += low + rng.randrange(p)
+            m = reference_mono(g, tuple(e), rng.randrange(2) if g.kind == "GL" else 0)
+            assert reference_reduce(g, {m: 1}) == {m: 1}
+            assert g.coproduct_mono(m) == reference_coproduct_mono(g, m), m
+
+
+@pytest.mark.parametrize("spec", ["U:3@p=2", "M:2@p=3", "GL:2@p=2"])
+def test_coproduct_of_a_frobenius_power_is_the_power_of_the_coproduct(spec):
+    # Delta(f^p) through the engine's Frobenius split, against Delta(f)^p
+    # by repeated products in O(G) (x) O(G), which do not split
+    g = group_from_spec(spec)
+    rng = random.Random(spec + " frobenius law")
+    for _ in range(6):
+        f = (random_normal_element(rng, g, 2, 1) if g.kind == "GL" else
+             Element(g, {rng.choice(g.filtration_basis(2)): rng.randrange(1, g.p)
+                         for _ in range(rng.randrange(1, 4))}))
+        delta = g.coproduct(f)
+        power = delta
+        for _ in range(g.p - 1):
+            power = power * delta
+        assert g.coproduct(frobenius_element(f, 1)) == power, f
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,15 @@ as property tests over random subspaces X of O(G)_{<=d}, d <= 3:
 (b) X <= Y implies M_X <= M_Y, and M_X restricted to X is all of M_X: its
     coefficients lie in X, which is checked by plain membership as well;
 (c) (M + N)_X = M_X + N_X;
-(d) M_{O(G)_{<=d}} = M once d reaches the largest coefficient degree of M.
+(d) M_{O(G)_{<=d}} = M once d reaches the largest coefficient degree of M;
+(e) N_X = N cap M_X for a subcomodule N <= M.
 
 Skipped where hypothesis is not installed; CI installs it.
 """
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -138,3 +143,35 @@ def test_d_m_of_a_level_past_the_coefficient_degrees_is_m(g):
             assert restrict(m, CanonicalLevel(g, d)).dim == m.dim
             level = ExplicitSubspace.canonical(g, d)
             assert restrict(m, level).subspace == Subspace.full(m.dim, g.p)
+
+
+@law_settings
+@given(levels(), st.integers(1, D_MAX))
+def test_e_n_x_of_a_subcomodule_is_n_cap_m_x(case, d):
+    # N = regular(d - 1) <= M = regular(d): the filtration basis of N is the
+    # first dim N vectors of that of M
+    g, _, x, _ = case
+    n, m = build_module(f"regular({d - 1})", g), build_module(f"regular({d})", g)
+    nx = restrict(n, x).subspace
+    rows = np.zeros((nx.dim, m.dim), dtype=np.int64)
+    rows[:, :n.dim] = nx.basis
+    prefix = Subspace.from_rows(np.eye(m.dim, dtype=np.int64)[:n.dim], m.dim, g.p)
+    assert Subspace.from_rows(rows, m.dim, g.p) == restrict(m, x).subspace.intersect(prefix)
+
+
+def test_a_failing_property_is_reported_as_a_failure(tmp_path):
+    # on failure hypothesis imports libcst, whose import warns; under this
+    # project's warning filters that must not abort the session
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n\n\n"
+        "@settings(derandomize=True, database=None)\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 5\n")
+    config = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "pyproject.toml")
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "-c", config, "--rootdir", str(tmp_path), "test_fails.py"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "1 failed" in proc.stdout
