@@ -14,20 +14,24 @@ hashable tuples whose shape depends on the group:
 
 Products and Frobenius powers of monomials are single monomials before normal
 form; `reduce_dict` is the one normalization, the identity where there are no
-relations.  GL(N) and SL(N) share one normal form: a homogeneous polynomial
-part of degree d lies in a fixed monomial complement of det * O(M)_{d-N},
-chosen by exact row reduction with lex-largest pivots; no Groebner machinery.
-GL(N) reduces the parts over det^{-j}, j >= 1, moving det*q over det^{-j} to q
-over det^{-(j-1)}; SL(N) reduces every part, from the top degree down, using
-det*q = q.
+relations.  GL(N) and SL(N) share one normal form: a polynomial part is
+divided by det, whose lex-largest monomial (descending lex on row-major
+exponent tuples) is the diagonal x11*x22*...*xNN, so the remainder lies on
+the monomials with some diagonal exponent 0.  A single polynomial is a
+Groebner basis of the ideal it generates, so the remainder is unique; and
+since LM(det*q) = x11*...*xNN * LM(q), those monomials are in each degree d
+the complement of the leading monomials of det * O(M)_{d-N}.  GL(N) reduces
+the parts over det^{-j}, j >= 1, moving det*q over det^{-j} to q over
+det^{-(j-1)}; SL(N) reduces every part, using det*q = q.
 
 Every group keeps a table of Delta(m) for each monomial m it was asked for,
 and GL(N) and SL(N) keep a second table of the normal form NF(m) of each
-single monomial, filled one monomial at a time from one reducer row and the
-table entries of its quotient's monomials.  Normal form is linear, so an
-element reduces to sum c*NF(m) and a tensor, in both legs, to
-sum c*NF(a)(x)NF(b).  The tables live as long as the group, which
-`group_from_spec` shares per process; nothing is computed ahead of a request.
+single monomial, filled one monomial at a time by one division step,
+x^e = det*x^q - (det - x11*...*xNN)*x^q, from the table entries of the
+monomials on its right.  Normal form is linear, so an element reduces to
+sum c*NF(m) and a tensor, in both legs, to sum c*NF(a)(x)NF(b).  The tables
+live as long as the group, which `group_from_spec` shares per process, as
+does the antipode of each generator; nothing is computed ahead of a request.
 
 Delta(x^e) over the polynomial groups is expanded over integer leg codes
 sum e_k*B^k, radix B = deg(x^e) + 1, so a product of legs is one addition.
@@ -40,12 +44,10 @@ from __future__ import annotations
 
 import itertools
 import re
-from functools import lru_cache
+from functools import cached_property
 from math import comb
 
-import numpy as np
-
-from .linalg import check_prime, elimination_exact, inv_mod, is_prime, rref
+from .linalg import check_prime, elimination_exact, inv_mod, is_prime
 
 
 def binom(n: int, k: int) -> int:
@@ -547,7 +549,7 @@ class Unitriangular(_PolynomialGroup):
     def counit_mono(self, mono):
         return 1 if not any(mono) else 0
 
-    @lru_cache(maxsize=None)
+    @cached_property
     def _antipode_gens(self):
         # Cramer's rule, as for GL and SL: sigma(x_{i,j}) = (-1)^{i+j} *
         # minor_{j,i}(x), read on U, where det = 1, x_{a,a} = 1 and x_{a,b} = 0
@@ -565,53 +567,11 @@ class Unitriangular(_PolynomialGroup):
 
     def antipode_mono(self, mono):
         result = self.one()
-        sig = self._antipode_gens()
+        sig = self._antipode_gens
         for pr, e in zip(self.gens, mono):
             if e:
                 result = result * (sig[pr] ** e)
         return result.coeffs
-
-
-class _HomogeneousDetReducer:
-    """Row-reduced image of det * O(M)_{deg-N} inside O(M)_deg.
-
-    Columns are the degree-deg monomials in descending lex order, so the pivot
-    monomials are the largest ones; the complement (non-pivot) monomials span
-    the normal forms of both GL(N) and SL(N) in this degree.  Quotients are
-    tracked so each pivot monomial can be rewritten x^e = det*Q - r exactly.
-    """
-
-    def __init__(self, mat: "MatMonoid", deg: int):
-        self.deg = deg
-        p = mat.p
-        self.monos = sorted(_exp_tuples(mat.nvars, deg), reverse=True)
-        index = {m: i for i, m in enumerate(self.monos)}
-        qdeg = deg - mat.N
-        self.qmonos = sorted(_exp_tuples(mat.nvars, qdeg), reverse=True) if qdeg >= 0 else []
-        n, q = len(self.monos), len(self.qmonos)
-        det = mat.det_element()
-        w = np.zeros((q, n + q), dtype=np.int64)
-        for r, qm in enumerate(self.qmonos):
-            for dm, dc in det.coeffs.items():
-                prod = tuple(a + b for a, b in zip(dm, qm))
-                w[r, index[prod]] = dc % p
-            w[r, n + r] = 1
-        red, piv = rref(w, p)
-        # rows of det*monomial are independent, so all pivots land in the first block
-        assert all(c < n for c in piv) and len(piv) == q
-        # row k is det*Q_k as x^{monos[pivots[k]]} + r_k, r_k on complement monomials
-        self.rows = red[:, :n]
-        self.qrows = red[:, n:]
-        self.pivots = piv
-        self.pivot_row = {self.monos[c]: k for k, c in enumerate(piv)}
-        self.complement = [m for m in self.monos if m not in self.pivot_row]
-
-    def relation(self, k: int) -> tuple[list, list]:
-        """Row k as x^pivot = det*Q - r: (r, Q) as (exponent tuple, coefficient)
-        pairs, coefficients Python integers in [1, p)."""
-        row, qrow, piv = self.rows[k], self.qrows[k], self.pivots[k]
-        r = [(self.monos[i], int(row[i])) for i in np.flatnonzero(row).tolist() if i != piv]
-        return r, [(self.qmonos[i], int(qrow[i])) for i in np.flatnonzero(qrow).tolist()]
 
 
 class _DeterminantGroup(Group):
@@ -622,7 +582,9 @@ class _DeterminantGroup(Group):
     has j = 0.  Products, coproducts and antipodes are computed on the
     polynomial parts and pushed into normal form through the table `_nf` of
     single-monomial normal forms, which `_normal_forms` fills one monomial
-    at a time.
+    at a time by division by det.  Its leading monomial is the diagonal
+    x11*...*xNN, so a reduced part is in normal form exactly when no monomial
+    is a multiple of the diagonal (`_reducible`).
     """
 
     # homogeneous parts over det^{-j} are reduced for j >= _reduced_from
@@ -632,13 +594,15 @@ class _DeterminantGroup(Group):
         super().__init__(p, N)
         self.mat = MatMonoid(p, N)
         self.nvars = N * N
-        self._reducers: dict = {}
+        det = self.mat.det_element().coeffs
+        self._lead = max(det)  # x11*...*xNN, the lex-largest monomial of det
+        # det - x11*...*xNN, as (exponent tuple, coefficient) pairs
+        self._tail = [(t, c) for t, c in det.items() if t != self._lead]
         self._nf: dict = {}  # monomial -> its normal form, as (mono, coeff) pairs
 
-    def _reducer(self, deg: int) -> _HomogeneousDetReducer:
-        if deg not in self._reducers:
-            self._reducers[deg] = _HomogeneousDetReducer(self.mat, deg)
-        return self._reducers[deg]
+    def _reducible(self, e) -> bool:
+        """Whether x^e is a multiple of det's leading monomial x11*...*xNN."""
+        return all(a >= b for a, b in zip(e, self._lead))
 
     def _split(self, mono) -> tuple:
         raise NotImplementedError
@@ -650,12 +614,15 @@ class _DeterminantGroup(Group):
         """The table NF, with an entry for each of `monos`.
 
         One monomial x^e det^{-j} at a time: it is its own normal form unless
-        j >= `_reduced_from` and e is the pivot of a reducer row, x^e =
-        det*Q - r with r on complement monomials.  Then NF(x^e det^{-j}) =
-        -r det^{-j} + NF(Q det^{-(j-1)}), where `_join` turns det^{-(j-1)}
-        into det^0 for SL (det*q = q there).  The monomials of Q enter the
-        table first, through an explicit stack: a quotient chain is as long
-        as the det power.
+        j >= `_reduced_from` and x^e = x^q * x11*...*xNN.  Then x^e =
+        det*x^q - tail*x^q, tail = det - x11*...*xNN, so NF(x^e det^{-j}) =
+        NF(x^q det^{-(j-1)}) - sum_t c_t NF(x^(q+t) det^{-j}), where `_join`
+        turns det^{-(j-1)} into det^0 for SL (det*q = q there).  x^q has a
+        lower degree or det power, and each x^(q+t) is lex-smaller than x^e in
+        the same degree, so the recursion ends; its result, on monomials that
+        are not `_reducible`, is the unique remainder of the division.  The
+        entries it needs are filled first, through an explicit stack: a
+        quotient chain is as long as the det power.
         """
         nf = self._nf
         p = self.p
@@ -666,20 +633,19 @@ class _DeterminantGroup(Group):
                 stack.pop()
                 continue
             e, j = self._split(m)
-            red = self._reducer(sum(e)) if j >= self._reduced_from else None
-            k = red.pivot_row.get(e) if red is not None else None
-            if k is None:
+            if j < self._reduced_from or not self._reducible(e):
                 nf[stack.pop()] = ((m, 1),)
                 continue
-            residue, quotient = red.relation(k)
-            quotient = [(self._join(e2, j - 1), c) for e2, c in quotient]
-            pending = [m2 for m2, _ in quotient if m2 not in nf]
+            q = tuple(a - b for a, b in zip(e, self._lead))
+            terms = [(self._join(q, j - 1), 1)] + [
+                (self._join(tuple(a + b for a, b in zip(q, t)), j), -c) for t, c in self._tail]
+            pending = [m2 for m2, _ in terms if m2 not in nf]
             if pending:
                 stack.extend(pending)
                 continue
             stack.pop()
-            form = {self._join(e2, j): -c for e2, c in residue}
-            for m2, c in quotient:
+            form: dict = {}
+            for m2, c in terms:
                 for m3, c3 in nf[m2]:
                     form[m3] = form.get(m3, 0) + c * c3
             nf[m] = tuple((m3, r) for m3, c in form.items() if (r := c % p))
@@ -745,7 +711,7 @@ class _DeterminantGroup(Group):
         return Element(self, self.reduce_dict(
             {self._join(m, 0): c for m, c in self.mat.det_element().coeffs.items()}))
 
-    @lru_cache(maxsize=None)
+    @cached_property
     def _antipode_gens(self):
         # Cramer's rule: sigma(x_{i,j}) = (-1)^{i+j} * minor_{j,i}(x) * det^{-1}
         sig = {}
@@ -759,7 +725,7 @@ class _DeterminantGroup(Group):
 
     def antipode_mono(self, mono):
         e, j = self._split(mono)
-        sig = self._antipode_gens()
+        sig = self._antipode_gens
         result = self.det_element() ** j if j else self.one()  # sigma(det^-1) = det
         for pr, exp in zip(self.mat.gens, e):
             if exp:
@@ -790,7 +756,8 @@ class GL(_DeterminantGroup):
         monos = [(e, 0) for deg in range(d + 1) for e in _exp_tuples(self.nvars, deg)]
         for j in range(1, d // self.N + 1):
             for deg in range(d - j * self.N + 1):
-                monos.extend((e, j) for e in self._reducer(deg).complement)
+                monos.extend((e, j) for e in _exp_tuples(self.nvars, deg)
+                             if not self._reducible(e))
         return monos
 
     def filtration_dim(self, d):
@@ -811,7 +778,8 @@ class SL(_DeterminantGroup):
         return e  # det^{-j} = 1
 
     def filtration_monomials(self, d):
-        return [e for deg in range(d + 1) for e in self._reducer(deg).complement]
+        return [e for deg in range(d + 1) for e in _exp_tuples(self.nvars, deg)
+                if not self._reducible(e)]
 
     def filtration_dim(self, d):
         n2 = self.nvars

@@ -1,7 +1,9 @@
 """Coordinate Hopf algebras: normal forms, structure maps, and Hopf axioms."""
 
+import gc
 import itertools
 import random
+import weakref
 from math import comb
 
 import numpy as np
@@ -131,6 +133,21 @@ def test_unitriangular_coproduct_and_antipode():
     sig = g.antipode(g.element({x(0, 2): 1}))
     prod = tuple(a + b for a, b in zip(x(0, 1), x(1, 2)))
     assert sig == g.element({x(0, 2): -1, prod: 1})
+
+
+@pytest.mark.parametrize("spec", ["U:3@p=2", "GL:2@p=2", "SL:2@p=3"])
+def test_each_group_instance_keeps_its_own_antipode_table(spec):
+    shared = group_from_spec(spec)
+    # the process-wide instance builds its table first
+    shared.antipode(shared.element({shared.gen_mono(0, 1): 1}))
+    fresh = type(shared)(shared.p, shared.N)
+    assert fresh == shared and fresh is not shared
+    assert all(s.group is fresh for s in fresh._antipode_gens.values())
+    # the table lives and dies with its instance
+    ref = weakref.ref(fresh)
+    del fresh
+    gc.collect()
+    assert ref() is None
 
 
 def test_gl_det_inverse_cancels():
@@ -445,13 +462,41 @@ def test_reduce_dict_matches_the_former_per_group_reductions(spec, dmax, jmax):
         assert g.reduce_dict(got) == got
 
 
-@pytest.mark.parametrize("spec", ["SL:2@p=2", "SL:2@p=3", "SL:3@p=2"])
+def reference_gl_complement(g, deg):
+    red = reference_reducer("GL", g, deg)
+    pivots = set(red.pivots)
+    return [m for i, m in enumerate(red.monos) if i not in pivots]
+
+
+@pytest.mark.parametrize("spec", ["SL:2@p=2", "SL:2@p=3", "SL:3@p=2",
+                                  "GL:2@p=2", "GL:2@p=3", "GL:3@p=2"])
 def test_sl_filtration_monomials_are_the_former_complement(spec):
+    # SL: the non-pivots of one elimination over all degrees up to d; GL: all
+    # of det^0, and over each det^{-j}, j >= 1, the non-pivots of its degree
     g = group_from_spec(spec)
     for d in range(7):
         monos = g.filtration_monomials(d)
         assert len(monos) == g.filtration_dim(d)
-        assert set(monos) == set(ReferenceSLReducer(g.mat, d).complement)
+        if g.kind == "SL":
+            expected = set(ReferenceSLReducer(g.mat, d).complement)
+        else:
+            expected = {(e, j) for j in range(d // g.N + 1) for deg in range(d - j * g.N + 1)
+                        for e in (reference_exp_tuples(g.nvars, deg) if j == 0
+                                  else reference_gl_complement(g, deg))}
+        assert set(monos) == expected
+
+
+@pytest.mark.parametrize("N,dmax", [(1, 6), (2, 6), (3, 5), (4, 5)])
+@pytest.mark.parametrize("p", [2, 3])
+def test_reference_pivots_are_the_multiples_of_the_diagonal(N, dmax, p):
+    # descending lex puts x11*x22*...*xNN first in det, so the pivots of
+    # det * O(M)_{deg-N} are the multiples of that diagonal monomial
+    mat = group_from_spec(f"M:{N}@p={p}")
+    diagonal = [k * N + k for k in range(N)]
+    for deg in range(dmax + 1):
+        red = ReferenceHomogeneousDetReducer(mat, deg)
+        assert {red.monos[c] for c in red.pivots} == \
+            {m for m in red.monos if all(m[k] for k in diagonal)}
 
 
 # ---------------------------------------------------------------------------

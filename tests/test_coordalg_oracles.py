@@ -99,3 +99,26 @@ def test_coproducts_and_products_agree_with_sympy_division(spec, dmax):
         engine = sum(c * ring.mono(a, ring.x, ring.s) for a, c in prod.items())
         raw = ring.mono(m1, ring.x, ring.s) * ring.mono(m2, ring.x, ring.s)
         assert ring.in_ideal(raw - engine, legs=1), (m1, m2)
+
+
+def is_normal(g, mono):
+    """Normal form: no reduced part is a multiple of x11*x22*...*xNN."""
+    e, j = mono if g.kind == "GL" else (mono, 0)
+    return (g.kind == "GL" and j == 0) or not all(e[k * g.N + k] for k in range(g.N))
+
+
+@pytest.mark.parametrize("spec,k,j", [("SL:2@p=2", 32, 0), ("SL:2@p=2", 64, 0),
+                                      ("SL:2@p=3", 27, 0), ("GL:2@p=2", 32, 1)])
+def test_deep_products_agree_with_sympy_division(spec, k, j):
+    # (x11*x22)^k * (x12*x21)^k * det^-j, of degree 4k: the division by det
+    # runs k steps deep, far past the degrees of the random cases above
+    g = group_from_spec(spec)
+    ring = Ring(g)
+    m1, m2 = (k, 0, 0, k), (0, k, k, 0)
+    if g.kind == "GL":
+        m1, m2 = (m1, j), (m2, 0)
+    prod = g.product(g.element({m1: 1}), g.element({m2: 1})).coeffs
+    assert prod and all(is_normal(g, m) for m in prod)
+    engine = sum(c * ring.mono(a, ring.x, ring.s) for a, c in prod.items())
+    raw = ring.mono(m1, ring.x, ring.s) * ring.mono(m2, ring.x, ring.s)
+    assert ring.in_ideal(raw - engine, legs=1)
