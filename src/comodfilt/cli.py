@@ -274,6 +274,8 @@ def main(argv=None) -> int:
             if dmax > limits.max_dmax:
                 raise ResourceLimitError(
                     f"dmax = {dmax} exceeds the configured ceiling {limits.max_dmax}")
+        if getattr(args, "nmax", 1) < 1:
+            raise UsageError("--nmax must be >= 1")
         job = _jobspec(args)
         fingerprint = _fingerprint(job)
         cache = _cache_dir(args)

@@ -7,14 +7,27 @@ rho_bar is the coaction followed by the projection C -> Cbar, delta_bar the
 reduced coproduct Delta(x) - x (x) 1 - 1 (x) x on the i-th tensor factor.  There
 is no unit face.  It has dimension m (s-1)^n instead of the m s^n of the full
 complex M (x) C^(x n), and computes the same Ext_C(k, M) (Ravenel, Complex
-Cobordism and Stable Homotopy Groups of Spheres, App. A1).  Cohomology
-dimensions come from exact ranks.  Injectivity of a C-comodule M is decided by
-solvability of the retraction system for the canonical embedding
-M -> M^{triv} (x) C, solved in two stages.  Stage 1 finds the space W of
-comodule maps C -> M: its equations are built as (row, col, value) triples
-from the nonzeros of the coaction blocks F^c and the structure constants,
-and `sparse_kernel` peels the rows that force one unknown to 0 before it
-eliminates the small dense core that remains.  Stage 2 solves the
+Cobordism and Stable Homotopy Groups of Spheres, App. A1).  Two identities
+cut it into small pieces.  Delta keeps each monomial's block degree, so C is
+the direct sum of its blocks, and Ext_C(k, M) = Ext_{C0}(k, M_{C0}) with C0
+the unit's block and M_{C0} = restrict(M, C0).  Delta, epsilon and the
+coaction add torus weights, so every d^n is block diagonal by total weight.
+`cobar_complex` checks, in order: that M is a C-comodule (over the whole
+level), the chain-dimension ceiling (on the full complex), that C's basis
+vectors are block-homogeneous (else C0 = C), and that C0's and Cbar's basis
+vectors are weight-homogeneous and M's weights, read off its coaction, are
+consistent (else one weight block).  Either fallback gives the same ranks.
+Each d^n is emitted as (row, col, value) triples, which must join basis
+vectors of equal weight, and is kept as one dense array per weight block;
+d o d = 0 is checked and the ranks are taken block by block.
+
+Injectivity of a C-comodule M is decided by solvability of the retraction
+system for the canonical embedding M -> M^{triv} (x) C, solved in two
+stages.  Stage 1 finds the space W of comodule maps C -> M: its equations
+are built as (row, col, value) triples from the nonzeros of the coaction
+blocks F^c and the structure constants, and `sparse_kernel` peels the rows
+that force one unknown to 0 before it eliminates the small dense core that
+remains.  Stage 2 solves the
 normalization sum_a S^a F^a = I inside W, densely.  Every canonical level
 O(G)_{<=d} is a sub-coalgebra, so it is its own closure: the injectivity
 profile tests each level itself, and a level whose closed-form dimension
@@ -108,6 +121,21 @@ class ChainComplex:
                 raise InternalInvariantError(f"d^{n + 1} after d^{n} is nonzero")
 
 
+class BlockComplex:
+    """A direct sum of ChainComplexes, one per torus-weight block, each with
+    its own d o d = 0 check; `dims` and `diffs` run over all blocks."""
+
+    def __init__(self, p: int, n_max: int, parts: list[ChainComplex]):
+        self.p = p
+        self.n_max = n_max
+        self.parts = parts
+        self.dims = [sum(cx.dims[n] for cx in parts) for n in range(n_max + 1)]
+
+    @property
+    def diffs(self) -> list[np.ndarray]:
+        return [d for cx in self.parts for d in cx.diffs]
+
+
 def _normalized_factors(c: SubCoalgebra, blocks: np.ndarray):
     """The coaction and the coproduct restricted to Cbar = ker(epsilon).
 
@@ -116,8 +144,9 @@ def _normalized_factors(c: SubCoalgebra, blocks: np.ndarray):
     in ker(epsilon), so its coordinates are its entries at the pivots: no
     inverse is needed.
     Returns rho_bar, shape (m*t, m), whose row (j, r) holds the e_r-component
-    of the coaction, and delta_bar, shape (t*t, t), the reduced coproduct
-    Delta(e_k) - e_k (x) 1 - 1 (x) e_k = sum delta_bar[r*t+u, k] e_r (x) e_u.
+    of the coaction, delta_bar, shape (t*t, t), the reduced coproduct
+    Delta(e_k) - e_k (x) 1 - 1 (x) e_k = sum delta_bar[r*t+u, k] e_r (x) e_u,
+    and the e_r in C's basis, shape (t, s).
     """
     p = c.group.p
     s = c.dim
@@ -135,63 +164,156 @@ def _normalized_factors(c: SubCoalgebra, blocks: np.ndarray):
     y = matmul_mod(to_bar, x.reshape(s, s * t), p)                   # [r, b, k]
     y = y.reshape(t, s, t).transpose(1, 0, 2).reshape(s, t * t)      # [b, r, k]
     z = matmul_mod(to_bar, y, p).reshape(t, t, t)                    # [u, r, k]
-    return rho_bar, z.transpose(1, 0, 2).reshape(t * t, t)
+    return rho_bar, z.transpose(1, 0, 2).reshape(t * t, t), kbar.basis
 
 
-def _add_kron(d: np.ndarray, left: int, a: np.ndarray, right: int, sign: int):
-    """d += sign * (I_left (x) a (x) I_right), written at a's nonzero entries.
+def _row_codes(rows: np.ndarray, codes: np.ndarray):
+    """The code shared by the support of each row, or None if a row mixes codes."""
+    r, k = np.nonzero(rows)
+    out = np.zeros(len(rows), dtype=np.int64)
+    out[r] = codes[k]
+    return out if np.array_equal(out[r], codes[k]) else None
 
-    The entries of one such term are distinct, so one fancy-index update is
-    exact.
+
+def _unit_block(c: SubCoalgebra, limits: Limits) -> SubCoalgebra:
+    """C0, the span of C's basis vectors in the unit's block: C itself when
+    that is all of C or when a basis vector mixes blocks."""
+    g = c.group
+    blocks = _row_codes(c.space.basis, np.array([g.block(x) for x in c.monos], dtype=np.int64))
+    if blocks is None or not blocks.any():
+        return c
+    rows = c.space.basis[blocks == 0]
+    cols = np.flatnonzero(rows.any(axis=0))
+    return SubCoalgebra(g, [c.monos[k] for k in cols],
+                        Subspace.from_rows(rows[:, cols], len(cols), g.p), limits)
+
+
+def _module_codes(blocks: np.ndarray, code_b: np.ndarray):
+    """Weight codes of M's basis with wt(i) = wt(j) + wt(b_a) at every nonzero
+    F^a[j, i], each connected piece of M started at 0; None on a conflict."""
+    mm = blocks.shape[1]
+    nbrs: list[list] = [[] for _ in range(mm)]
+    a, j, i = np.nonzero(blocks)
+    for u, v, w in zip(j.tolist(), i.tolist(), code_b[a].tolist()):
+        nbrs[u].append((v, w))
+        nbrs[v].append((u, -w))
+    wt = [None] * mm
+    for start in range(mm):
+        if wt[start] is None:
+            wt[start], stack = 0, [start]
+            while stack:
+                u = stack.pop()
+                for v, w in nbrs[u]:
+                    if wt[v] is None:
+                        wt[v] = wt[u] + w
+                        stack.append(v)
+                    elif wt[v] != wt[u] + w:
+                        return None
+    return np.array(wt, dtype=np.int64)
+
+
+def _weight_codes(c: SubCoalgebra, blocks: np.ndarray, kbar: np.ndarray, n_max: int):
+    """Torus-weight codes of M's basis and of Cbar's basis e_r.
+
+    A weight w is coded as sum_k w_k R^k, which adds as w does and, since
+    |w_k| <= B < R/2 on every basis vector of CH^0..CH^(n_max+1), is
+    injective there.  C's basis vectors and the e_r must be weight-homogeneous
+    and M's walk consistent; otherwise every code is 0, one block.
     """
+    mono_w = np.array([c.group.weight(x) for x in c.monos], dtype=np.int64)
+    radix = 2 * (blocks.shape[1] + n_max) * int(np.abs(mono_w).max(initial=0)) + 1
+    code_m = code_e = None
+    if radix ** mono_w.shape[1] < 2 ** 62:
+        code_b = _row_codes(c.space.basis, mono_w @ radix ** np.arange(mono_w.shape[1]))
+        code_e = None if code_b is None else _row_codes(kbar, code_b)
+        code_m = None if code_e is None else _module_codes(blocks, code_b)
+    if code_m is None:
+        return np.zeros(blocks.shape[1], dtype=np.int64), np.zeros(len(kbar), dtype=np.int64)
+    return code_m, code_e
+
+
+def _kron_triples(left: int, a: np.ndarray, right: int, sign: int):
+    """(rows, cols, vals) of sign * (I_left (x) a (x) I_right) at a's nonzeros."""
     ar, ac = a.shape
     r, c = np.nonzero(a)
     outer = np.arange(left)[:, None, None]
     inner = np.arange(right)
     rows = (outer * ar + r[:, None]) * right + inner
     cols = (outer * ac + c[:, None]) * right + inner
-    d[rows.ravel(), cols.ravel()] += sign * np.broadcast_to(a[r, c][:, None], rows.shape).ravel()
+    vals = np.broadcast_to(sign * a[r, c][:, None], rows.shape)
+    return rows.ravel(), cols.ravel(), vals.ravel()
 
 
 def cobar_complex(c: SubCoalgebra, m: Comodule, n_max: int,
-                  limits: Limits | None = None) -> ChainComplex:
-    """Build the normalized CH^0..CH^(n_max) with all differentials
-    (including d^(n_max)).
+                  limits: Limits | None = None) -> BlockComplex:
+    """The normalized CH^0..CH^(n_max) over C0 and M_{C0}, with all
+    differentials (including d^(n_max)), one ChainComplex per weight block.
 
     CH^n = M (x) Cbar^(x n) and d^n = rho_bar (x) I + sum_{i=1}^{n} (-1)^i
-    I (x) delta_bar (x) I, written entry by entry into one array per degree.
+    I (x) delta_bar (x) I, emitted as (row, col, value) triples; every entry
+    must join two basis vectors of equal weight.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     limits = limits or Limits()
     p = c.group.p
-    s = c.dim
-    mm = m.dim
     blocks = c.coefficient_blocks(m)
     # the ceiling stays on the full complex's top dimension m s^(n_max+1), so
     # a job is accepted or refused regardless of which complex is built
-    check_limit(mm * s ** (n_max + 1), limits.max_chain_dim, "chain-group dimension")
-    rho_bar, delta_bar = _normalized_factors(c, blocks)
-    t = s - 1
-    dims = [mm * t ** n for n in range(n_max + 2)]
+    check_limit(m.dim * c.dim ** (n_max + 1), limits.max_chain_dim, "chain-group dimension")
+    c0 = _unit_block(c, limits)
+    if c0 is not c:
+        blocks = c0.coefficient_blocks(restrict(m, c0.x).comodule)
+    rho_bar, delta_bar, kbar = _normalized_factors(c0, blocks)
+    mm, t = blocks.shape[1], c0.dim - 1
+    code_m, code_e = _weight_codes(c0, blocks, kbar, n_max)
+    codes = [code_m]  # the weight code of each basis vector of CH^n
+    for _ in range(n_max + 1):
+        codes.append((codes[-1][:, None] + code_e).ravel())
+    # block label of each basis vector, its position in its block, block sizes
+    keys, label = np.unique(np.concatenate(codes), return_inverse=True)
+    label = np.split(label, np.cumsum([len(x) for x in codes])[:-1])
+    sizes = [np.bincount(x, minlength=len(keys)) for x in label]
+    local = []
+    for x, size in zip(label, sizes):
+        order = np.argsort(x, kind="stable")
+        pos = np.empty_like(x)
+        pos[order] = np.arange(len(x)) - (np.cumsum(size) - size)[x[order]]
+        local.append(pos)
     diffs = []
     for n in range(n_max + 1):
-        d = np.zeros((dims[n + 1], dims[n]), dtype=np.int64)
-        _add_kron(d, 1, rho_bar, t ** n, 1)
-        for i in range(1, n + 1):
-            _add_kron(d, mm * t ** (i - 1), delta_bar, t ** (n - i), (-1) ** i)
-        diffs.append(d % p)
-    return ChainComplex(p, dims[: n_max + 1], diffs)
+        terms = [_kron_triples(1, rho_bar, t ** n, 1)] + [
+            _kron_triples(mm * t ** (i - 1), delta_bar, t ** (n - i), (-1) ** i)
+            for i in range(1, n + 1)]
+        rows, cols, vals = (np.concatenate(x) for x in zip(*terms))
+        blk = label[n][cols]
+        if np.any(label[n + 1][rows] != blk):
+            raise InternalInvariantError(
+                f"d^{n} joins basis vectors of unequal torus weight")
+        # block b of d^n fills cells offset[b] .. offset[b] + cells[b] of one buffer
+        cells = sizes[n + 1] * sizes[n]
+        offset = np.cumsum(cells) - cells
+        flat = np.zeros(int(cells.sum()), dtype=np.int64)
+        np.add.at(flat, offset[blk] + local[n + 1][rows] * sizes[n][blk] + local[n][cols], vals)
+        flat %= p
+        diffs.append([flat[o:o + size].reshape(nr, nc) for o, size, nr, nc
+                      in zip(offset, cells, sizes[n + 1], sizes[n])])
+    parts = [ChainComplex(p, [int(sizes[n][b]) for n in range(n_max + 1)],
+                          [diffs[n][b] for n in range(n_max + 1)])
+             for b in range(len(keys)) if any(sizes[n][b] for n in range(n_max + 1))]
+    return BlockComplex(p, n_max, parts)
 
 
-def cohomology_dims(cx: ChainComplex) -> list[int]:
-    """dim H^n for n = 0..n_max (exact: d^(n_max) is materialized)."""
-    out = []
-    prev_rank = 0
-    for n in range(cx.n_max + 1):
-        rank = matrank(cx.diffs[n], cx.p)
-        out.append(cx.dims[n] - rank - prev_rank)
-        prev_rank = rank
+def cohomology_dims(cx) -> list[int]:
+    """dim H^n for n = 0..n_max (exact: d^(n_max) is materialized), summed
+    over the parts of a BlockComplex."""
+    out = [0] * (cx.n_max + 1)
+    for part in getattr(cx, "parts", [cx]):
+        prev_rank = 0
+        for n in range(cx.n_max + 1):
+            rank = matrank(part.diffs[n], cx.p)
+            out[n] += part.dims[n] - rank - prev_rank
+            prev_rank = rank
     return out
 
 

@@ -182,7 +182,16 @@ class TensorElement(_SparseVector):
 # the group catalog
 
 class Group:
-    """A catalog coordinate algebra O(G) over F_p."""
+    """A catalog coordinate algebra O(G) over F_p.
+
+    Each monomial has a block degree and a torus weight, both kept by Delta.
+    `block`: 0 over Ga and U, the exponent over Gm, |e| over M(N), |e| - N*j
+    on x^e*det^{-j} over GL(N), |e| mod N over SL(N); both legs of each term
+    of Delta(m) lie in m's block.  `weight`: (a,) for t^a over Ga, () over Gm,
+    sum_k e_k*(eps_i - eps_j) over the generators x_{i,j} of M, U, GL and SL,
+    where det has weight 0; it adds over the legs of Delta(m), the counit
+    vanishes off weight 0, and the GL/SL normal form keeps it.
+    """
 
     kind = "?"
     has_antipode = True
@@ -217,6 +226,12 @@ class Group:
         raise NotImplementedError
 
     def counit_mono(self, mono) -> int:
+        raise NotImplementedError
+
+    def block(self, mono) -> int:
+        raise NotImplementedError
+
+    def weight(self, mono) -> tuple:
         raise NotImplementedError
 
     def antipode_mono(self, mono) -> dict:
@@ -339,6 +354,12 @@ class Ga(Group):
     def counit_mono(self, mono):
         return 1 if mono == 0 else 0
 
+    def block(self, mono):
+        return 0
+
+    def weight(self, mono):
+        return (mono,)
+
     def antipode_mono(self, mono):
         return {mono: (-1) ** mono % self.p}
 
@@ -378,6 +399,12 @@ class Gm(Group):
 
     def counit_mono(self, mono):
         return 1
+
+    def block(self, mono):
+        return mono
+
+    def weight(self, mono):
+        return ()
 
     def antipode_mono(self, mono):
         return {-mono: 1}
@@ -440,6 +467,14 @@ class _PolynomialGroup(Group):
     def _mono_product(self, m1, m2):
         return tuple(a + b for a, b in zip(m1, m2))
 
+    def weight(self, mono):
+        # x_{i,j} has weight eps_i - eps_j under conjugation by the diagonal torus
+        w = [0] * self.N
+        for (i, j), e in zip(self.gens, mono):
+            w[i] += e
+            w[j] -= e
+        return tuple(w)
+
     def coproduct_gen(self, i, j) -> dict:
         raise NotImplementedError
 
@@ -495,6 +530,9 @@ class MatMonoid(_PolynomialGroup):
     def coproduct_gen(self, i, j) -> dict:
         return {(self.gen_mono(i, ell), self.gen_mono(ell, j)): 1 for ell in range(self.N)}
 
+    def block(self, mono):
+        return sum(mono)
+
     def counit_mono(self, mono):
         # epsilon(x_{i,j}) = delta_{i,j}
         for (i, j), e in zip(self.gens, mono):
@@ -548,6 +586,9 @@ class Unitriangular(_PolynomialGroup):
 
     def counit_mono(self, mono):
         return 1 if not any(mono) else 0
+
+    def block(self, mono):
+        return 0
 
     @cached_property
     def _antipode_gens(self):
@@ -707,6 +748,9 @@ class _DeterminantGroup(Group):
     def counit_mono(self, mono):
         return self.mat.counit_mono(self._split(mono)[0])
 
+    def weight(self, mono):
+        return self.mat.weight(self._split(mono)[0])  # det has weight 0
+
     def det_element(self) -> Element:
         return Element(self, self.reduce_dict(
             {self._join(m, 0): c for m, c in self.mat.det_element().coeffs.items()}))
@@ -752,6 +796,9 @@ class GL(_DeterminantGroup):
     def detinv_mono(self):
         return ((0,) * self.nvars, 1)
 
+    def block(self, mono):
+        return sum(mono[0]) - self.N * mono[1]
+
     def filtration_monomials(self, d):
         monos = [(e, 0) for deg in range(d + 1) for e in _exp_tuples(self.nvars, deg)]
         for j in range(1, d // self.N + 1):
@@ -776,6 +823,9 @@ class SL(_DeterminantGroup):
 
     def _join(self, e, j):
         return e  # det^{-j} = 1
+
+    def block(self, mono):
+        return sum(mono) % self.N
 
     def filtration_monomials(self, d):
         return [e for deg in range(d + 1) for e in _exp_tuples(self.nvars, deg)

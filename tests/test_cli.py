@@ -389,9 +389,6 @@ def test_normalized_cobar_runs_under_a_one_gib_address_space():
 @pytest.mark.parametrize("argv", [
     # the dense W of structure_constants, (705, 705, 705) int64
     ["closure", "--group", "SL:3@p=2", "--dmax", "4"],
-    # dense cobar differentials accepted by max_chain_dim
-    ["cobar", "--group", "SL:2@p=2", "--module", "natural", "--dmax", "2", "--nmax", "3"],
-    ["cobar", "--group", "GL:2@p=2", "--module", "regular(2)", "--dmax", "2", "--nmax", "2"],
 ])
 def test_an_allocation_over_the_address_space_exits_2_without_a_traceback(argv):
     # never run these jobs without the limit: the closure alone peaks at 5 GB
@@ -407,6 +404,44 @@ def test_an_allocation_over_the_address_space_exits_2_without_a_traceback(argv):
                           capture_output=True, text=True, timeout=300)
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
     assert proc.stderr == f"resource limit: out of memory in {argv[0]}\n"
+
+
+@pytest.mark.parametrize("argv, dims", [
+    # natural lies in the odd block of SL(2): M_{C0} = 0
+    pytest.param(["SL:2@p=2", "natural", "2", "3"], [0, 0, 0, 0], id="SL2-natural-d2-n3"),
+    # the unit's block of O(GL:2)_{<=2} is k.1
+    pytest.param(["GL:2@p=2", "regular(2)", "2", "2"], [1, 0, 0], id="GL2-regular2-d2-n2"),
+    # C is injective over itself; its weight blocks stay small
+    pytest.param(["U:3@p=2", "regular(2)", "2", "3"], [1, 0, 0, 0], id="U3-regular2-d2-n3"),
+])
+def test_the_frontier_cobar_jobs_answer_under_a_one_gib_address_space(argv, dims):
+    # each passes max_chain_dim; the dense normalized d^n of the first two
+    # ran out of a 1 GiB address space, and the third's d^3 is 65610 x 7290
+    group, module, dmax, nmax = argv
+    job = ["cobar", "--group", group, "--module", module, "--dmax", dmax,
+           "--nmax", nmax, "--format", "csv", "--no-cache"]
+    code = textwrap.dedent(f"""
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        from comodfilt.cli import main
+        sys.exit(main({job!r}))
+    """)
+    src = os.path.dirname(os.path.dirname(comodfilt.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == ["n,dim"] + [f"{n},{h}" for n, h in enumerate(dims)]
+
+
+def test_nmax_below_one_is_a_usage_error_before_the_level_is_built(capsys, monkeypatch):
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("the level was built")
+
+    monkeypatch.setattr(cli.SubCoalgebra, "canonical", unbuilt)
+    for nmax in ("0", "-1"):
+        assert run(capsys, "cobar", "--group", "Ga@p=2", "--dmax", "40", "--nmax", nmax,
+                   "--no-cache") == (1, "", "error: --nmax must be >= 1\n")
 
 
 def run_fresh(argv, timeout=60):

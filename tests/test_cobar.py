@@ -55,6 +55,41 @@ def reference_cobar_complex(c, m, n_max):
     return ChainComplex(p, dims[: n_max + 1], diffs)
 
 
+def _add_kron(d, left, a, right, sign):
+    """d += sign * (I_left (x) a (x) I_right), written at a's nonzero entries.
+
+    The entries of one such term are distinct, so one fancy-index update is
+    exact.
+    """
+    ar, ac = a.shape
+    r, c = np.nonzero(a)
+    outer = np.arange(left)[:, None, None]
+    inner = np.arange(right)
+    rows = (outer * ar + r[:, None]) * right + inner
+    cols = (outer * ac + c[:, None]) * right + inner
+    d[rows.ravel(), cols.ravel()] += sign * np.broadcast_to(a[r, c][:, None], rows.shape).ravel()
+
+
+def reference_normalized_complex(c, m, n_max):
+    """Oracle: the normalized complex M (x) Cbar^(x n) over all of C, with no
+    block or weight split, each d^n written into one dense array.
+
+    d^n = rho_bar (x) I + sum_{i=1}^{n} (-1)^i I (x) delta_bar (x) I.
+    """
+    p = c.group.p
+    mm, t = m.dim, c.dim - 1
+    rho_bar, delta_bar, _ = _normalized_factors(c, c.coefficient_blocks(m))
+    dims = [mm * t ** n for n in range(n_max + 2)]
+    diffs = []
+    for n in range(n_max + 1):
+        d = np.zeros((dims[n + 1], dims[n]), dtype=np.int64)
+        _add_kron(d, 1, rho_bar, t ** n, 1)
+        for i in range(1, n + 1):
+            _add_kron(d, mm * t ** (i - 1), delta_bar, t ** (n - i), (-1) ** i)
+        diffs.append(d % p)
+    return ChainComplex(p, dims[: n_max + 1], diffs)
+
+
 def primitive_rank(g, d):
     """Independent oracle: rank of {f in O(G)_<=d : Delta(f) = f(x)1 + 1(x)f}."""
     basis = g.filtration_basis(d)
@@ -232,7 +267,7 @@ def test_level_inclusions_are_chain_maps():
 
 def test_normalized_complex_of_the_trivial_module():
     c = SubCoalgebra.canonical(GA2, 2)
-    cx = cobar_complex(c, trivial(GA2), 2)
+    cx = reference_normalized_complex(c, trivial(GA2), 2)
     # CH^n = Cbar^(x n) with Cbar = span{t, t^2}, both primitive: d^1 = 0
     assert cx.dims == [1, 2, 4]
     assert not np.any(cx.diffs[1])
@@ -257,22 +292,29 @@ COBAR_CASES = [
 
 def test_normalized_and_full_complexes_have_equal_cohomology():
     def both(c, m, n):
-        cx = cobar_complex(c, m, n)
+        cx = reference_normalized_complex(c, m, n)
         assert cx.dims == [m.dim * (c.dim - 1) ** k for k in range(n + 1)]
-        return cohomology_dims(cx), cohomology_dims(reference_cobar_complex(c, m, n))
+        normalized = cohomology_dims(cx)
+        assert cohomology_dims(cobar_complex(c, m, n)) == normalized
+        return normalized, cohomology_dims(reference_cobar_complex(c, m, n))
 
     for spec, text, d, n in COBAR_CASES:
         g = group_from_spec(spec)
         normalized, full = both(SubCoalgebra.canonical(g, d), build_module(text, g), n)
         assert normalized == full, (spec, text, d, n)
-    # the closures of the injectivity oracle below, and a proper sub-coalgebra
+    # the closures of the injectivity oracle below, and proper sub-coalgebras:
+    # span{1, t^2}, and span{1, t + t^2}, whose basis vector t + t^2 mixes
+    # the weights 1 and 2, so the engine falls back to one block
     for spec, text, d, c, level in injectivity_oracle_levels():
         normalized, full = both(c, level, 1)
         assert normalized == full, (spec, text, d)
-    x = ExplicitSubspace.from_elements(GA2, [GA2.one(), GA2.element({2: 1})])
-    c = SubCoalgebra(x.group, x.monos, x.space)
-    normalized, full = both(c, restrict(regular(GA2, 2), x).comodule, 3)
-    assert normalized == full
+    for top, parts in (({2: 1}, 5), ({1: 1, 2: 1}, 1)):
+        x = ExplicitSubspace.from_elements(GA2, [GA2.one(), GA2.element(top)])
+        c = SubCoalgebra(x.group, x.monos, x.space)
+        level = restrict(regular(GA2, 2), x).comodule
+        normalized, full = both(c, level, 3)
+        assert normalized == full, top
+        assert len(cobar_complex(c, level, 3).parts) == parts, top
 
 
 def test_the_normalized_factors_eliminate_once(monkeypatch):
@@ -295,7 +337,7 @@ def test_the_normalized_factors_eliminate_once(monkeypatch):
 
 def test_tampered_differential_fails_the_square_check():
     # d^2 @ d^1 is 512 x 64 x 8, past the size at which matmul_mod uses BLAS
-    cx = cobar_complex(SubCoalgebra.canonical(GA2, 8), trivial(GA2), 2)
+    cx = reference_normalized_complex(SubCoalgebra.canonical(GA2, 8), trivial(GA2), 2)
     d1, d2 = cx.diffs[1], cx.diffs[2].copy()
     assert d2.shape == (512, 64) and d1.shape == (64, 8)
     assert 512 * 64 * 8 >= 1 << 17
@@ -303,6 +345,43 @@ def test_tampered_differential_fails_the_square_check():
     d2[0, j] ^= 1
     with pytest.raises(InternalInvariantError):
         ChainComplex(2, cx.dims, [cx.diffs[0], d1, d2])
+
+
+def test_tampered_weight_block_fails_the_square_check():
+    cx = cobar_complex(SubCoalgebra.canonical(GA2, 8), trivial(GA2), 2)
+    # one block per total t-degree 1..24 of CH^0..CH^2 (degree 0 is CH^0)
+    assert len(cx.parts) == 17 and cx.dims == [1, 8, 64]
+    part = next(x for x in cx.parts if x.diffs[1].any() and x.diffs[2].size)
+    d0, d1, d2 = part.diffs
+    d2 = d2.copy()
+    j = int(np.flatnonzero(d1.any(axis=1))[0])
+    d2[0, j] ^= 1
+    with pytest.raises(InternalInvariantError):
+        ChainComplex(2, part.dims, [d0, d1, d2])
+
+
+def test_the_engine_splits_by_the_unit_block_and_by_weight():
+    def parts(spec, text, d, n):
+        g = group_from_spec(spec)
+        cx = cobar_complex(SubCoalgebra.canonical(g, d), build_module(text, g), n)
+        return cx.dims, len(cx.parts)
+
+    # C0 = k: H^0 = M_{C0}, no higher chain groups
+    assert parts("GL:2@p=2", "natural", 1, 3) == ([0, 0, 0, 0], 0)
+    assert parts("Gm@p=3", "dual(regular(2))", 2, 3) == ([1, 0, 0, 0], 1)
+    # SL(2) at d = 2: C0 is 1 and the nine even monomials of degree 2
+    assert parts("SL:2@p=2", "triv", 2, 2) == ([1, 9, 81], 9)
+    # U(3): one block, split by weight alone
+    assert parts("U:3@p=2", "natural", 2, 2)[0] == [3, 27, 243]
+
+
+def test_an_entry_joining_unequal_weights_is_an_internal_invariant_error(monkeypatch):
+    # t^a given weight a^2: each basis is homogeneous and the walk consistent,
+    # but Delta(t^3) = t (x) t^2 + t^2 (x) t joins weight 9 to weight 5
+    monkeypatch.setattr(type(GA2), "weight", lambda self, mono: (mono * mono,))
+    c = SubCoalgebra.canonical(GA2, 3)
+    with pytest.raises(InternalInvariantError, match="unequal torus weight"):
+        cobar_complex(c, trivial(GA2), 2)
 
 
 # ---------------------------------------------------------------------------

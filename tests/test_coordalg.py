@@ -842,3 +842,51 @@ def test_unitriangular_antipode_is_the_former_nilpotent_series(spec):
     want = reference_unitriangular_antipode_gens(g)
     for i, j in g.gens:
         assert g.antipode(g.element({g.gen_mono(i, j): 1})) == want[(i, j)], (i, j)
+
+
+# ---------------------------------------------------------------------------
+# block degree and torus weight
+
+def exponent_tuples(nvars, dmax):
+    """Every exponent tuple in nvars variables of degree <= dmax."""
+    for deg in range(dmax + 1):
+        for combo in itertools.combinations_with_replacement(range(nvars), deg):
+            yield tuple(combo.count(k) for k in range(nvars))
+
+
+@pytest.mark.parametrize("spec", [f"{kind}@p={p}" for kind in
+                                  ("Ga", "Gm", "M:2", "U:3", "GL:2", "SL:2", "SL:3")
+                                  for p in (2, 3)])
+def test_structure_maps_keep_block_and_weight(spec):
+    g = group_from_spec(spec)
+    zero = g.weight(g.one_mono())
+    assert g.block(g.one_mono()) == 0 and not any(zero)
+    for m in g.filtration_basis(3):
+        for a, b in g.coproduct_mono(m):
+            assert g.block(a) == g.block(b) == g.block(m), (g.mono_str(m), a, b)
+            wa, wb = g.weight(a), g.weight(b)
+            assert tuple(x + y for x, y in zip(wa, wb, strict=True)) == g.weight(m), (
+                g.mono_str(m), a, b)
+        # the counit vanishes off weight 0; it is not confined to block 0, since
+        # each block is a sub-coalgebra with its own counit (epsilon(x11) = 1)
+        if g.counit_mono(m) % g.p:
+            assert g.weight(m) == zero, g.mono_str(m)
+    if isinstance(g, (GL, SL)):
+        # unreduced monomials, multiples of x11*...*xNN over det^-j included
+        for e in exponent_tuples(g.nvars, 4 if g.N == 2 else 3):
+            for j in range(3) if isinstance(g, GL) else [0]:
+                m = g._join(e, j)
+                for m2 in g.reduce_dict({m: 1}):
+                    assert (g.block(m2), g.weight(m2)) == (g.block(m), g.weight(m)), (e, j, m2)
+
+
+def test_block_and_weight_of_named_monomials():
+    gl, sl = group_from_spec("GL:2@p=2"), group_from_spec("SL:3@p=2")
+    assert gl.block(gl.detinv_mono()) == -2 and gl.weight(gl.detinv_mono()) == (0, 0)
+    assert gl.block(gl.gen_mono(0, 1)) == 1 and gl.weight(gl.gen_mono(0, 1)) == (1, -1)
+    assert sl.block(sl.gen_mono(2, 0)) == 1 and sl.weight(sl.gen_mono(2, 0)) == (-1, 0, 1)
+    assert sl.block(sl._mono_product(sl.gen_mono(0, 0), sl.gen_mono(1, 1))) == 2
+    assert group_from_spec("Ga@p=3").weight(5) == (5,)
+    assert group_from_spec("Gm@p=3").block(-4) == -4
+    assert group_from_spec("M:2@p=3").block((1, 2, 0, 1)) == 4
+    assert group_from_spec("U:3@p=2").weight((1, 0, 2)) == (1, 1, -2)
