@@ -27,11 +27,18 @@ stages.  Stage 1 finds the space W of comodule maps C -> M: its equations
 are built as (row, col, value) triples from the nonzeros of the coaction
 blocks F^c and the structure constants, and `sparse_kernel` peels the rows
 that force one unknown to 0 before it eliminates the small dense core that
-remains.  Stage 2 solves the
-normalization sum_a S^a F^a = I inside W, densely.  Every canonical level
-O(G)_{<=d} is a sub-coalgebra, so it is its own closure: the injectivity
-profile tests each level itself, and a level whose closed-form dimension
-passes the sub-coalgebra ceiling is refused before it is built.
+remains.  Stage 2 solves the normalization sum_a S^a F^a = I inside W for
+weight-0 retractions only: every structure map has torus weight 0, so M
+splits off M^{triv} (x) C iff a weight-0 retraction splits it.  W's RREF
+basis is weight-homogeneous, each map having the weight of its pivot; the
+unknowns kept pair a map with a basis vector of M of its own weight, the
+equations kept join two basis vectors of equal weight, and the dropped
+equations must vanish on the kept unknowns.  When a basis vector of C mixes
+weights or M's weights are inconsistent, all of M is one weight class: the
+unsplit system.  Every canonical level O(G)_{<=d} is a sub-coalgebra, so it
+is its own closure: the injectivity profile tests each level itself, and a
+level whose closed-form dimension passes the sub-coalgebra ceiling is
+refused before it is built.
 """
 
 from __future__ import annotations
@@ -43,7 +50,8 @@ from .config import Limits, check_limit
 from .coordalg import Group, UnsupportedOperation
 from .filtration import (CanonicalLevel, ExplicitSubspace, InternalInvariantError,
                          _split, coaction, restrict, structure_constants)
-from .linalg import Subspace, kernel, matmul_mod, matrank, solvable, sparse_kernel
+from .linalg import (Subspace, kernel, matmul_mod, matrank, solvable, sparse_kernel,
+                     stacked_matmul_mod)
 
 
 class NotACComoduleError(ValueError):
@@ -169,10 +177,10 @@ def _normalized_factors(c: SubCoalgebra, blocks: np.ndarray):
 
 def _row_codes(rows: np.ndarray, codes: np.ndarray):
     """The code shared by the support of each row, or None if a row mixes codes."""
-    r, k = np.nonzero(rows)
+    r, k = rows.nonzero()
     out = np.zeros(len(rows), dtype=np.int64)
     out[r] = codes[k]
-    return out if np.array_equal(out[r], codes[k]) else None
+    return out if (out[r] == codes[k]).all() else None
 
 
 def _unit_block(c: SubCoalgebra, limits: Limits) -> SubCoalgebra:
@@ -212,24 +220,25 @@ def _module_codes(blocks: np.ndarray, code_b: np.ndarray):
     return np.array(wt, dtype=np.int64)
 
 
-def _weight_codes(c: SubCoalgebra, blocks: np.ndarray, kbar: np.ndarray, n_max: int):
-    """Torus-weight codes of M's basis and of Cbar's basis e_r.
+def _weight_codes(c: SubCoalgebra, blocks: np.ndarray, terms: int):
+    """Torus-weight codes of M's basis and of C's basis b_a.
 
-    A weight w is coded as sum_k w_k R^k, which adds as w does and, since
-    |w_k| <= B < R/2 on every basis vector of CH^0..CH^(n_max+1), is
-    injective there.  C's basis vectors and the e_r must be weight-homogeneous
-    and M's walk consistent; otherwise every code is 0, one block.
+    A weight w is coded as sum_k w_k R^k, which adds as w does.  M's weights
+    come from a walk of at most m - 1 steps of C's, so every sum of one
+    weight of M and `terms` weights of C's basis vectors has |w_k| < R/2,
+    and the code is injective there.  When a basis vector of C mixes weights
+    or M's walk is inconsistent, every code is 0: one weight class.
     """
+    mm = blocks.shape[1]
     mono_w = np.array([c.group.weight(x) for x in c.monos], dtype=np.int64)
-    radix = 2 * (blocks.shape[1] + n_max) * int(np.abs(mono_w).max(initial=0)) + 1
-    code_m = code_e = None
+    radix = 2 * (mm - 1 + terms) * int(np.abs(mono_w).max(initial=0)) + 1
+    code_m = code_b = None
     if radix ** mono_w.shape[1] < 2 ** 62:
         code_b = _row_codes(c.space.basis, mono_w @ radix ** np.arange(mono_w.shape[1]))
-        code_e = None if code_b is None else _row_codes(kbar, code_b)
-        code_m = None if code_e is None else _module_codes(blocks, code_b)
+        code_m = None if code_b is None else _module_codes(blocks, code_b)
     if code_m is None:
-        return np.zeros(blocks.shape[1], dtype=np.int64), np.zeros(len(kbar), dtype=np.int64)
-    return code_m, code_e
+        return np.zeros(mm, dtype=np.int64), np.zeros(c.dim, dtype=np.int64)
+    return code_m, code_b
 
 
 def _kron_triples(left: int, a: np.ndarray, right: int, sign: int):
@@ -266,7 +275,11 @@ def cobar_complex(c: SubCoalgebra, m: Comodule, n_max: int,
         blocks = c0.coefficient_blocks(restrict(m, c0.x).comodule)
     rho_bar, delta_bar, kbar = _normalized_factors(c0, blocks)
     mm, t = blocks.shape[1], c0.dim - 1
-    code_m, code_e = _weight_codes(c0, blocks, kbar, n_max)
+    # a basis vector of CH^(n_max+1) has one weight of M and n_max + 1 of Cbar
+    code_m, code_b = _weight_codes(c0, blocks, n_max + 1)
+    code_e = _row_codes(kbar, code_b)
+    if code_e is None:
+        code_m, code_e = np.zeros(mm, dtype=np.int64), np.zeros(t, dtype=np.int64)
     codes = [code_m]  # the weight code of each basis vector of CH^n
     for _ in range(n_max + 1):
         codes.append((codes[-1][:, None] + code_e).ravel())
@@ -335,7 +348,9 @@ def _stage1_triples(blocks: np.ndarray, lam: np.ndarray):
     rows = np.concatenate([((c1 * s + ks) * mm + j).ravel(),
                            ((c2 * s + k) * mm + js).ravel()])
     cols = np.concatenate([(ks * mm + i).ravel(), (a * mm + js).ravel()])
-    vals = np.concatenate([np.tile(blocks[c1, j, i], s), -np.tile(lam[ac, k], mm)])
+    # each term's values, once per k and once per j
+    vals = np.concatenate([blocks[c1, j, i][None].repeat(s, 0).ravel(),
+                           -lam[ac, k][None].repeat(mm, 0).ravel()])
     return rows, cols, vals
 
 
@@ -358,14 +373,27 @@ def injective_test(c: SubCoalgebra, m: Comodule,
     if t == 0:
         return False
     check_limit(t * mm, limits.max_solver_unknowns, "retraction system unknowns")
-    # stage 2: columns of the retraction are combinations of W's basis maps;
-    # solve sum_a S^a F^a = I for the combination coefficients
-    # P[u, r, j, i] = sum_a phi_u(b_a)[r] F^a[j, i]; equation (r, i), unknown (u, j)
-    phis = w.basis.reshape(t, s, mm).transpose(0, 2, 1).reshape(t * mm, s)
-    prod = matmul_mod(phis, blocks.reshape(s, mm * mm), p)
-    mat = prod.reshape(t, mm, mm, mm).transpose(1, 3, 0, 2).reshape(mm * mm, t * mm)
-    rhs = np.eye(mm, dtype=np.int64).reshape(-1)
-    return solvable(mat, rhs, p)
+    # stage 2: a retraction sends m_j (x) b_a to psi_j(b_a), psi_j = sum_u
+    # X[u, j] phi_u in W, and needs sum_{j,a} F^a[j, i] psi_j(b_a) = m_i:
+    # unknown (u, j) is X[u, j], equation (r, i) the m_r-coordinate of m_i's
+    # image.  Every structure map has weight 0, so the weight-0 part of a
+    # retraction is one: keep the unknowns with wt(phi_u) = wt(m_j) and the
+    # equations with wt(m_r) = wt(m_i); the others join unequal weights
+    code_m, code_b = _weight_codes(c, blocks, 1)
+    # W's RREF basis is weight-homogeneous: phi_u has the weight
+    # wt(m_i) - wt(b_a) of its pivot column (a, i)
+    code_u = (code_m - code_b[:, None]).ravel()[list(w.pivots)]
+    u, j = np.nonzero(code_u[:, None] == code_m)
+    # P[k, r, i] = sum_a phi_u(b_a)[r] F^a[j, i] for the kept unknown k = (u, j)
+    phis = w.basis.reshape(t, s, mm).transpose(0, 2, 1)                 # [u, r, a]
+    prod = stacked_matmul_mod(phis[u], blocks.transpose(1, 0, 2)[j], p)  # [k, r, i]
+    prod = prod.reshape(len(u), mm * mm)
+    kept = (code_m[:, None] == code_m).ravel()
+    if prod[:, ~kept].any():
+        raise InternalInvariantError(
+            f"stage 2 of the retraction solve: an equation joining unequal torus "
+            f"weights is nonzero on a kept unknown (level dimension {mm})")
+    return solvable(prod[:, kept].T, np.eye(mm, dtype=np.int64).reshape(-1)[kept], p)
 
 
 def injectivity_profile(g: Group, m, d_max: int,

@@ -61,25 +61,27 @@ def as_matrix(rows, cols: int, p: int) -> np.ndarray:
 
 def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form mod p.  Returns (nonzero rows, pivot columns)."""
-    a = np.mod(np.asarray(mat, dtype=np.int64), p).copy()
+    a = np.ascontiguousarray(np.mod(np.asarray(mat, dtype=np.int64), p))
     nrows, ncols = a.shape
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        nz = a[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         i = r + nz[0]
         if i != r:
             a[[r, i]] = a[[i, r]]
-        a[r] = (a[r] * inv_mod(int(a[r, c]), p)) % p
+        lead = int(a[r, c])
+        if lead != 1:
+            a[r] = (a[r] * inv_mod(lead, p)) % p
         col = a[:, c].copy()
         col[r] = 0
-        rows_to_fix = np.nonzero(col)[0]
+        rows_to_fix = col.nonzero()[0]
         if rows_to_fix.size:
-            a[rows_to_fix] = (a[rows_to_fix] - np.outer(col[rows_to_fix], a[r])) % p
+            a[rows_to_fix] = (a[rows_to_fix] - col[rows_to_fix, None] * a[r]) % p
         pivots.append(c)
         r += 1
     return a[:r], pivots
@@ -243,12 +245,14 @@ def sparse_kernel(rows, cols, vals, ncols: int, p: int) -> Subspace:
         return Subspace.full(ncols, p)
     order = np.argsort(key, kind="stable")
     key = key[order]
-    first = np.flatnonzero(np.diff(key, prepend=key[0] - 1))
+    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
     vals = np.add.reduceat(np.mod(np.asarray(vals, dtype=np.int64)[order], p), first) % p
     key, vals = key[first[vals != 0]], vals[vals != 0]
     # the keys are sorted, so each row's entries are consecutive
     rows, cols = np.divmod(key, ncols)
-    rid = np.cumsum(np.diff(rows, prepend=rows[:1]) != 0)
+    step = np.zeros(rows.size, dtype=bool)
+    step[1:] = rows[1:] != rows[:-1]
+    rid = np.cumsum(step)
     live = np.ones(ncols, dtype=bool)
     while True:
         on = live[cols]
@@ -293,7 +297,11 @@ def solve(mat: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray | None:
 
 
 def solvable(mat: np.ndarray, rhs: np.ndarray, p: int) -> bool:
-    return solve(mat, rhs, p) is not None
+    """Whether mat @ x = rhs has a solution: it has none iff the rhs column
+    is a pivot of rref([mat | rhs]), so no x is built."""
+    aug = np.hstack([np.asarray(mat, dtype=np.int64),
+                     np.asarray(rhs, dtype=np.int64).reshape(-1, 1)])
+    return aug.shape[1] - 1 not in rref(aug, p)[1]
 
 
 def exact_dtype(inner: int, p: int):
@@ -312,16 +320,23 @@ def exact_dtype(inner: int, p: int):
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact a @ b mod p for entries in [0, p), in the dtype `exact_dtype` picks.
+    """Exact a @ b mod p for two matrices with entries in [0, p), by
+    `stacked_matmul_mod`'s rule."""
+    return stacked_matmul_mod(a, b, p)
+
+
+def stacked_matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Exact a[k] @ b[k] mod p for stacks of matrices (or for two matrices)
+    with entries in [0, p), in the dtype `exact_dtype` picks.
 
     Large float64 products go through BLAS; small ones stay in int64, where the
     conversions would cost more than they save.
     """
-    inner = a.shape[1]
+    inner = a.shape[-1]
     dtype = exact_dtype(inner, p)
-    if dtype is np.float64 and a.shape[0] * inner * b.shape[1] < 1 << 17:
+    if dtype is np.float64 and a.size * b.shape[-1] < 1 << 17:
         dtype = np.int64
-    prod = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
+    prod = np.matmul(a.astype(dtype, copy=False), b.astype(dtype, copy=False))
     if dtype is np.float64:
         prod = prod.astype(np.int64)  # exact: every entry is an integer below 2^53
     return (prod % p).astype(np.int64, copy=False)

@@ -499,3 +499,27 @@ def test_a_thousand_step_quotient_chain_is_reduced_without_recursion(capsys):
                        "tensor(twist(10,natural),detpow(-1000))", "--no-cache")
     assert payload["rows"] == [{"target": "module", "dim": 1, "ok": True, "failure": ""}]
     assert payload["verdicts"] == {"valid": True}
+
+
+def test_no_job_imports_numpy_ma():
+    # under numpy 2.x a plain np.unique(x) imports numpy.ma on its first call,
+    # about 13 ms in a fresh interpreter: more than a small job's whole run
+    jobs = [["filter", "--group", "GL:2@p=5", "--module", "tensor(natural,detpow(-1))",
+             "--dmax", "3"],
+            ["cobar", "--group", "U:3@p=2", "--module", "natural", "--dmax", "2",
+             "--nmax", "2"],
+            ["inject", "--group", "SL:2@p=2", "--module", "regular(3)", "--dmax", "3"],
+            ["validate", "--group", "U:3@p=3", "--module", "tensor(natural,dual(natural))"]]
+    code = textwrap.dedent(f"""
+        import contextlib, io, sys
+        from comodfilt.cli import main
+        for argv in {jobs!r}:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv + ["--no-cache"]) == 0, argv
+        print("numpy.ma" in sys.modules)
+    """)
+    src = os.path.dirname(os.path.dirname(comodfilt.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")

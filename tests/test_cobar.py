@@ -5,8 +5,9 @@ import pytest
 
 from comodfilt import cobar, filtration, linalg
 from comodfilt.cobar import (ChainComplex, NotACComoduleError, SubCoalgebra,
-                             _normalized_factors, _stage1_triples, cobar_complex,
-                             cohomology_dims, injective_test, injectivity_profile)
+                             _normalized_factors, _stage1_triples, _weight_codes,
+                             cobar_complex, cohomology_dims, injective_test,
+                             injectivity_profile)
 from comodfilt.comodules import (Comodule, StreamModule, build_module,
                                  direct_sum, regular, regular_stream,
                                  translationinvariants, trivial)
@@ -15,8 +16,8 @@ from comodfilt.coordalg import UnsupportedOperation, group_from_spec
 from comodfilt.filtration import (CanonicalLevel, ExplicitSubspace,
                                   InternalInvariantError, coaction,
                                   coalgebra_closure, restrict)
-from comodfilt.linalg import (IncrementalRREF, Subspace, kernel, matrank, rref,
-                              sparse_kernel)
+from comodfilt.linalg import (IncrementalRREF, Subspace, kernel, matmul_mod, matrank,
+                              rref, solve, sparse_kernel)
 
 GA2 = group_from_spec("Ga@p=2")
 GM3 = group_from_spec("Gm@p=3")
@@ -479,6 +480,97 @@ def test_stage1_kernel_matches_the_row_by_row_reference():
         assert got == want and got.pivots == want.pivots, (c.monos, m.basis_labels)
 
 
+def reference_injective_test(c, m):
+    """Oracle: the two-stage retraction solve with no weight split.  Stage 1
+    feeds the dense rows of each c to an `IncrementalRREF`
+    (`reference_stage1_kernel`); stage 2 is the full (m^2, t m) system over
+    all of W, built by one product and solved by `linalg.solve`."""
+    p, s, mm = c.group.p, c.dim, m.dim
+    if mm == 0:
+        return True
+    blocks = c.coefficient_blocks(m)
+    w = reference_stage1_kernel(c, blocks)
+    t = w.dim
+    if t == 0:
+        return False
+    # P[u, r, j, i] = sum_a phi_u(b_a)[r] F^a[j, i]; equation (r, i), unknown (u, j)
+    phis = w.basis.reshape(t, s, mm).transpose(0, 2, 1).reshape(t * mm, s)
+    prod = matmul_mod(phis, blocks.reshape(s, mm * mm), p)
+    mat = prod.reshape(t, mm, mm, mm).transpose(1, 3, 0, 2).reshape(mm * mm, t * mm)
+    return solve(mat, np.eye(mm, dtype=np.int64).reshape(-1), p) is not None
+
+
+def proper_subcoalgebra_levels():
+    """(C, M_C) for span{1, t^2} and span{1, t + t^2} over F_2, M = regular(2):
+    the basis vector t + t^2 mixes the weights 1 and 2."""
+    for top in ({2: 1}, {1: 1, 2: 1}):
+        x = ExplicitSubspace.from_elements(GA2, [GA2.one(), GA2.element(top)])
+        yield SubCoalgebra(x.group, x.monos, x.space), restrict(regular(GA2, 2), x).comodule
+
+
+def test_the_weight_zero_solve_matches_the_dense_reference():
+    cases = [(SubCoalgebra.canonical(group_from_spec(spec), d),
+              build_module(text, group_from_spec(spec)))
+             for spec, text, d, _ in COBAR_CASES]
+    cases += [(c, level) for _, _, _, c, level in injectivity_oracle_levels()]
+    cases += list(proper_subcoalgebra_levels())
+    for spec, text, d in [("GL:2@p=2147483647", "regular(2)", 2),
+                          ("SL:2@p=2147483647", "regular(2)", 2),
+                          ("GL:2@p=2147483647", "natural", 1),
+                          ("U:3@p=2", "regular(2)", 2), ("SL:2@p=3", "regular(2)", 2)]:
+        g = group_from_spec(spec)
+        cases.append((SubCoalgebra.canonical(g, d),
+                      restrict(build_module(text, g), CanonicalLevel(g, d)).comodule))
+    verdicts = []
+    for c, m in cases:
+        verdict = injective_test(c, m)
+        assert verdict == reference_injective_test(c, m), (c.monos, m.basis_labels)
+        verdicts.append(verdict)
+    assert len(cases) == len(COBAR_CASES) + 78 + 2 + 5
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def stage2_shapes(monkeypatch, spec, text, d):
+    """The stage-2 system shape `injective_test` hands to `solvable` at the
+    level O(G)_{<=d} of a module, and its verdict."""
+    shapes = []
+
+    def recorded(mat, rhs, p):
+        shapes.append(np.shape(mat))
+        return linalg.solvable(mat, rhs, p)
+
+    monkeypatch.setattr(cobar, "solvable", recorded)
+    g = group_from_spec(spec)
+    level = restrict(build_module(text, g), CanonicalLevel(g, d)).comodule
+    return shapes, injective_test(SubCoalgebra.canonical(g, d), level)
+
+
+def test_stage2_keeps_only_the_equal_weight_unknowns_and_equations(monkeypatch):
+    # the top level of `inject SL:2@p=2 regular(3) d3`: t = 30 and m = 30, so
+    # the unsplit stage 2 is 900 x 900
+    assert stage2_shapes(monkeypatch, "SL:2@p=2", "regular(3)", 3) == ([(230, 230)], True)
+    # U(3) at p = 3: the unsplit system is 400 x 400, one unknown is left
+    assert stage2_shapes(monkeypatch, "U:3@p=3", "regular(3)", 3) == ([(28, 1)], True)
+    # Gm's monomials have weight (): one class, the unsplit m^2 x t m system
+    # with m = t = 5
+    assert stage2_shapes(monkeypatch, "Gm@p=3", "regular(2)", 2) == ([(25, 25)], True)
+
+
+def test_a_dropped_equation_that_does_not_vanish_is_an_internal_invariant_error(monkeypatch):
+    # M's weights negated, C's kept: phi_u is given the weight -wt(m_i) -
+    # wt(b_a), so the kept unknowns are not the weight-0 ones, and an equation
+    # joining unequal weights is nonzero on them
+    def flipped(c, blocks, terms):
+        code_m, code_b = _weight_codes(c, blocks, terms)
+        return -code_m, code_b
+
+    monkeypatch.setattr(cobar, "_weight_codes", flipped)
+    ga3 = group_from_spec("Ga@p=3")
+    with pytest.raises(InternalInvariantError,
+                       match=r"stage 2 of the retraction solve.*level dimension 4"):
+        injective_test(SubCoalgebra.canonical(ga3, 3), regular(ga3, 3))
+
+
 def test_regular_comodule_is_self_injective():
     for spec, d in [("Ga@p=2", 3), ("Gm@p=3", 2), ("U:2@p=2", 2)]:
         g = group_from_spec(spec)
@@ -561,12 +653,17 @@ def test_injectivity_profile_builds_each_coaction_once_and_no_closure(monkeypatc
 
 
 def test_injectivity_over_a_proper_subcoalgebra():
-    # span{1, t^2} over F_2 is a genuine sub-coalgebra; the induced level of
-    # the regular comodule is injective over it
-    x = ExplicitSubspace.from_elements(GA2, [GA2.one(), GA2.element({2: 1})])
-    c = SubCoalgebra(x.group, x.monos, x.space)
-    level = restrict(regular(GA2, 2), x).comodule
-    assert injective_test(c, level)
+    # span{1, t^2} and span{1, t + t^2} over F_2 are genuine sub-coalgebras;
+    # the induced level of the regular comodule is injective over each.  The
+    # basis vector t + t^2 mixes weights, so that case is solved as one
+    # weight class, the unsplit system; the trivial module is not injective
+    (c2, level2), (c12, level12) = proper_subcoalgebra_levels()
+    assert _weight_codes(c2, c2.coefficient_blocks(level2), 1)[1].tolist() == [0, 2]
+    assert not any(x.any() for x in _weight_codes(c12, c12.coefficient_blocks(level12), 1))
+    for c, level in ((c2, level2), (c12, level12)):
+        assert injective_test(c, level) and reference_injective_test(c, level)
+        assert not injective_test(c, trivial(GA2))
+        assert not reference_injective_test(c, trivial(GA2))
 
 
 INJECTIVITY_ORACLE_CASES = [

@@ -6,7 +6,10 @@ as property tests over random subspaces X of O(G)_{<=d}, d <= 3:
     coefficients lie in X, which is checked by plain membership as well;
 (c) (M + N)_X = M_X + N_X;
 (d) M_{O(G)_{<=d}} = M once d reaches the largest coefficient degree of M;
-(e) N_X = N cap M_X for a subcomodule N <= M.
+(e) N_X = N cap M_X for a subcomodule N <= M;
+(f) f(M_X) <= N_X for a comodule map f: M -> N, here the coaction
+    Delta: M -> M^triv (x) O(G)_{<=D}, which is the direct sum over j of the
+    maps m_i -> f_ji into regular(D); so Delta(M_X) <= sum_j regular(D)_X.
 
 Skipped where hypothesis is not installed; CI installs it.
 """
@@ -157,6 +160,22 @@ def test_e_n_x_of_a_subcomodule_is_n_cap_m_x(case, d):
     rows[:, :n.dim] = nx.basis
     prefix = Subspace.from_rows(np.eye(m.dim, dtype=np.int64)[:n.dim], m.dim, g.p)
     assert Subspace.from_rows(rows, m.dim, g.p) == restrict(m, x).subspace.intersect(prefix)
+
+
+@law_settings
+@given(levels())
+def test_f_the_coaction_carries_m_x_into_the_x_part_of_the_regular_comodule(case):
+    g, m, x, _ = case
+    regular = build_module(f"regular({D_MAX})", g)
+    index = {h: k for k, h in enumerate(g.filtration_basis(D_MAX))}
+    # delta[j] is the matrix of m_i -> f_ji, into regular(D_MAX)'s basis
+    delta = np.zeros((m.dim, regular.dim, m.dim), dtype=np.int64)
+    for (j, i), f in m.coeffs.items():
+        for h, c in f.coeffs.items():
+            delta[j, index[h], i] = c % g.p
+    mx, rx = restrict(m, x).subspace, restrict(regular, x).subspace
+    for j in range(m.dim):
+        assert all(rx.contains(delta[j] @ v) for v in mx.basis)
 
 
 def test_a_failing_property_is_reported_as_a_failure(tmp_path):
