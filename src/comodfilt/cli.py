@@ -113,19 +113,38 @@ def _cache_dir(args):
     return args.cache or os.environ.get(CACHE_ENV)
 
 
+def _well_formed(record) -> bool:
+    """Whether a parsed cache record has the shape `cache_store` writes and
+    `_emit` reads: an object whose `engine` is an object and whose `payload`
+    is an object holding a list `rows` of objects with one set of keys."""
+    if not isinstance(record, dict) or not isinstance(record.get("engine"), dict):
+        return False
+    payload = record.get("payload")
+    rows = payload.get("rows") if isinstance(payload, dict) else None
+    return isinstance(rows, list) and all(
+        isinstance(row, dict) and row.keys() == rows[0].keys() for row in rows)
+
+
 def cache_lookup(directory: str, fingerprint: str):
+    """The cached payload, or None on a miss.  A cache file is outside input:
+    one that cannot be read or is not a record is reported in one warning
+    line and treated as a miss, and a record from another engine version is
+    a silent miss."""
     path = os.path.join(directory, fingerprint + ".json")
     if not os.path.exists(path):
         return None
     try:
         with open(path) as fh:
             record = json.load(fh)
-        if record.get("engine", {}).get("version") != __version__:
-            return None
-        return record["payload"]
-    except (json.JSONDecodeError, KeyError, OSError) as exc:
+    except (ValueError, OSError, RecursionError) as exc:
         print(f"warning: corrupt cache record {path}: {exc}", file=sys.stderr)
         return None
+    if not _well_formed(record):
+        print(f"warning: corrupt cache record {path}: not a cache record", file=sys.stderr)
+        return None
+    if record["engine"].get("version") != __version__:
+        return None
+    return record["payload"]
 
 
 def cache_store(directory: str, fingerprint: str, payload: dict):

@@ -24,11 +24,12 @@ d o d = 0 is checked and the ranks are taken block by block.
 Injectivity of a C-comodule M is decided by solvability of the retraction
 system for the canonical embedding M -> M^{triv} (x) C, solved in two
 stages.  Stage 1 finds the space W of comodule maps C -> M: its equations
-are built as (row, col, value) triples from the nonzeros of the coaction
-blocks F^c and the structure constants, and `sparse_kernel` peels the rows
-that force one unknown to 0 before it eliminates the small dense core that
-remains.  Stage 2 solves the normalization sum_a S^a F^a = I inside W for
-weight-0 retractions only: every structure map has torus weight 0, so M
+are I_s (x) F - L (x) I_m, from the coaction blocks F and the structure
+constants L, emitted as (row, col, value) triples by `_kron_triples` as the
+cobar differentials are, and `sparse_kernel` peels the rows that force one
+unknown to 0 before it eliminates the small dense core that remains.
+Stage 2 solves the normalization sum_a S^a F^a = I inside W for weight-0
+retractions only: every structure map has torus weight 0, so M
 splits off M^{triv} (x) C iff a weight-0 retraction splits it.  W's RREF
 basis is weight-homogeneous, each map having the weight of its pivot; the
 unknowns kept pair a map with a basis vector of M of its own weight, the
@@ -58,29 +59,27 @@ class NotACComoduleError(ValueError):
     pass
 
 
-class SubCoalgebra:
+class SubCoalgebra(ExplicitSubspace):
     """A finite-dimensional sub-coalgebra C of O(G), with structure constants.
 
-    Stores the coproduct as lambda[k] giving Delta(b_k) = sum lambda^k_{ab}
-    b_a (x) b_b, and the coordinates of the unit 1 in the basis.
+    It is its own filtration level X: `restrict(m, c)` gives M_C.  Stores the
+    coproduct as lambda[k] giving Delta(b_k) = sum lambda^k_{ab} b_a (x) b_b,
+    and the coordinates of the unit 1 in the basis.
     """
 
     def __init__(self, group: Group, monos, space: Subspace,
                  limits: Limits | None = None):
-        limits = limits or Limits()
-        self.group = group
-        self.monos = list(monos)
-        self.space = space
+        check_limit(space.dim, (limits or Limits()).max_coalgebra_dim,
+                    "sub-coalgebra dimension")
+        super().__init__(group, monos, space)
         self.index = {m: i for i, m in enumerate(self.monos)}
-        check_limit(space.dim, limits.max_coalgebra_dim, "sub-coalgebra dimension")
         self.dim = space.dim
-        self.x = ExplicitSubspace(group, self.monos, space)
         delta_matrix = structure_constants(group, self.monos, space)
         if delta_matrix is None:
             raise ValueError("the given subspace is not a sub-coalgebra")
         # delta_matrix: (s*s, s) with Delta(b_k) = sum_{a,b} D[a*s+b, k] b_a (x) b_b
         self.delta_matrix = delta_matrix
-        self.unit = self.x.unit_coords()
+        self.unit = self.unit_coords()
         if self.unit is None:
             raise UnsupportedOperation("sub-coalgebra does not contain the unit")
 
@@ -101,7 +100,7 @@ class SubCoalgebra:
         b_a's pivot monomial.  A coefficient outside C is reported at the
         first f_{ji} in `m.coeffs` order.
         """
-        inside, outside, outside_row = _split(self.group, coaction(m), self.x, m.dim)
+        inside, outside, outside_row = _split(self.group, coaction(m), self, m.dim)
         if len(outside):
             r, i = np.nonzero(outside)
             bad = set(zip(outside_row[r].tolist(), i.tolist()))
@@ -272,7 +271,7 @@ def cobar_complex(c: SubCoalgebra, m: Comodule, n_max: int,
     check_limit(m.dim * c.dim ** (n_max + 1), limits.max_chain_dim, "chain-group dimension")
     c0 = _unit_block(c, limits)
     if c0 is not c:
-        blocks = c0.coefficient_blocks(restrict(m, c0.x).comodule)
+        blocks = c0.coefficient_blocks(restrict(m, c0).comodule)
     rho_bar, delta_bar, kbar = _normalized_factors(c0, blocks)
     mm, t = blocks.shape[1], c0.dim - 1
     # a basis vector of CH^(n_max+1) has one weight of M and n_max + 1 of Cbar
@@ -334,24 +333,18 @@ def _stage1_triples(blocks: np.ndarray, lam: np.ndarray):
     """The stage-1 system of all c at once, as (rows, cols, vals) triples.
 
     Row (c, k, j), column (a, i) holds delta_ak F^c[j, i] - lambda^k_{ac}
-    delta_ji, with lambda^k_{ac} = lam[a*s+c, k]: the first term is written
-    at the nonzeros of the F^c, one entry per k, the second at the nonzeros
-    of lambda, one entry per j.  The two terms meet only on the keys with
-    a = k and j = i; `sparse_kernel` sums them there, each in [0, p), so the
-    sum stays below p in absolute value.
+    delta_ji.  With rows taken as (k, c, j) that is I_s (x) F - L (x) I_m,
+    F = blocks.reshape(s*m, m) and L[(k, c), a] = lambda^k_{ac} =
+    lam[a*s+c, k], emitted by `_kron_triples`; the rows are then renumbered
+    back to (c, k, j).  The two terms meet only on the keys with a = k and
+    j = i; `sparse_kernel` sums them there.
     """
     s, mm = blocks.shape[:2]
-    ks, js = np.arange(s)[:, None], np.arange(mm)[:, None]
-    c1, j, i = np.nonzero(blocks)
-    ac, k = np.nonzero(lam)
-    a, c2 = np.divmod(ac, s)
-    rows = np.concatenate([((c1 * s + ks) * mm + j).ravel(),
-                           ((c2 * s + k) * mm + js).ravel()])
-    cols = np.concatenate([(ks * mm + i).ravel(), (a * mm + js).ravel()])
-    # each term's values, once per k and once per j
-    vals = np.concatenate([blocks[c1, j, i][None].repeat(s, 0).ravel(),
-                           -lam[ac, k][None].repeat(mm, 0).ravel()])
-    return rows, cols, vals
+    lk = lam.reshape(s, s, s).transpose(2, 1, 0).reshape(s * s, s)
+    rows, cols, vals = (np.concatenate(x) for x in zip(
+        _kron_triples(s, blocks.reshape(s * mm, mm), 1, 1), _kron_triples(1, lk, mm, -1)))
+    k, c, j = np.unravel_index(rows, (s, s, mm))
+    return (c * s + k) * mm + j, cols, vals
 
 
 def injective_test(c: SubCoalgebra, m: Comodule,

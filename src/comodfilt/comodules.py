@@ -226,16 +226,11 @@ def direct_sum(*modules: Comodule) -> Comodule:
 def dual(m: Comodule) -> Comodule:
     """Dual comodule: Delta(m^i) = sum_j m^j (x) antipode(f_{ij})."""
     g = m.group
-    labels = [f"{a}^*" for a in m.basis_labels]
-    coaction = []
-    for i in range(m.dim):
-        col: dict = {}
-        for j in range(m.dim):
-            f = m.coefficient(i, j)
-            if f:
-                col[j] = g.antipode(f)
-        coaction.append(col)
-    return Comodule(g, labels, coaction)
+    # `coeffs` runs over the columns in order, so each column fills by j
+    coaction: list[dict] = [{} for _ in range(m.dim)]
+    for (i, j), f in m.coeffs.items():
+        coaction[i][j] = g.antipode(f)
+    return Comodule(g, [f"{a}^*" for a in m.basis_labels], coaction)
 
 
 def frobenius_twist(m: Comodule, r: int) -> Comodule:

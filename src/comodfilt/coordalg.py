@@ -635,11 +635,16 @@ class _DeterminantGroup(Group):
         super().__init__(p, N)
         self.mat = MatMonoid(p, N)
         self.nvars = N * N
-        det = self.mat.det_element().coeffs
-        self._lead = max(det)  # x11*...*xNN, the lex-largest monomial of det
-        # det - x11*...*xNN, as (exponent tuple, coefficient) pairs
-        self._tail = [(t, c) for t, c in det.items() if t != self._lead]
+        # x11*...*xNN, the lex-largest monomial of det
+        self._lead = tuple(int(i == j) for i in range(N) for j in range(N))
         self._nf: dict = {}  # monomial -> its normal form, as (mono, coeff) pairs
+
+    @cached_property
+    def _tail(self) -> list:
+        """det - x11*...*xNN, as (exponent tuple, coefficient) pairs: its N! - 1
+        terms are expanded on the first division by det, not when the group
+        is built."""
+        return [(t, c) for t, c in self.mat.det_element().coeffs.items() if t != self._lead]
 
     def _reducible(self, e) -> bool:
         """Whether x^e is a multiple of det's leading monomial x11*...*xNN."""

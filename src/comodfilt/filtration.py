@@ -212,30 +212,33 @@ def _greatest_fixpoint(g: Group, co: Coaction, x, start: Subspace) -> tuple[Subs
 def _images(co: Coaction, v: Subspace) -> np.ndarray:
     """W[:, h, a] = B_h v_a for the basis vectors v_a of V, as one product.
 
-    W has shape (n, legs, dim V), so W.reshape(n, -1) holds every image as a
-    column, ready for `Subspace.residual`.
+    W has shape (n, legs, dim V), so W.reshape(n, legs * dim V) holds every
+    image as a column, ready for `Subspace.residual`.
     """
     w = np.zeros((co.height, len(co.legs), v.dim), dtype=np.int64)
     w[co.row, co.leg] = matmul_mod(co.rows, v.basis.T, v.p)
     return w
 
 
-def _induced_comodule(m: Comodule, v: Subspace, co: Coaction) -> Comodule:
-    """Express the coaction on the basis of V and re-validate it.
+def _coordinates(co: Coaction, v: Subspace) -> np.ndarray | None:
+    """C[b, h, a] with B_h v_a = sum_b C[b, h, a] v_b, or None when some
+    image B_h v_a leaves V.  An image in V is V^T times its entries at V's
+    pivots, so C is W read at the pivots."""
+    w = _images(co, v)
+    if np.any(v.residual(w.reshape(co.height, len(co.legs) * v.dim))):
+        return None
+    return w[list(v.pivots)]
 
-    B_h v_a = sum_j W[piv_j, h, a] v_j, once the residual check has shown
-    that every B_h v_a lies in V.
-    """
+
+def _induced_comodule(m: Comodule, v: Subspace, co: Coaction) -> Comodule:
+    """Express the coaction on the basis of V and re-validate it."""
     g = m.group
+    coords = _coordinates(co, v)
+    if coords is None:
+        raise InternalInvariantError("induced coaction escapes the fixed-point subspace")
     cols: list[dict] = [{} for _ in range(v.dim)]
-    if v.dim and co.legs:
-        w = _images(co, v)
-        if np.any(v.residual(w.reshape(m.dim, -1))):
-            raise InternalInvariantError(
-                "induced coaction escapes the fixed-point subspace")
-        coords = w[list(v.pivots)].transpose(2, 1, 0)  # (a, h, j)
-        for a, h, j in zip(*np.nonzero(coords)):
-            cols[a].setdefault(int(j), {})[co.legs[h]] = int(coords[a, h, j])
+    for a, h, b in zip(*np.nonzero(coords.T)):  # in (a, h, b) order
+        cols[a].setdefault(int(b), {})[co.legs[h]] = int(coords[b, h, a])
     sub = Comodule(g, [f"v{a + 1}" for a in range(v.dim)],
                    [{j: Element(g, f) for j, f in col.items()} for col in cols])
     report = sub.validate()
@@ -328,27 +331,18 @@ def structure_constants(g: Group, monos, space: Subspace, co: Coaction | None = 
     if co is None:
         co = coproduct_coaction(g, monos)
     inside, outside, _ = _split(g, co, ExplicitSubspace(g, monos, space), len(monos))
-    s = space.dim
     if np.any(matmul_mod(outside, space.basis.T, g.p)):
         return None
-    if not s:
-        return np.zeros((0, 0), dtype=np.int64)
-    # W[:, b, k]: the left leg paired with b_b in Delta(b_k); it must lie in the space
-    w = _images(inside, space)
-    if np.any(space.residual(w.reshape(len(monos), -1))):
-        return None
-    return w[list(space.pivots)].reshape(s * s, s)
+    # C[a, b, k]: the left leg b_a paired with b_b in Delta(b_k)
+    coords = _coordinates(inside, space)
+    return None if coords is None else coords.reshape(space.dim ** 2, space.dim)
 
 
 def subspace_tensor(u: Subspace, v: Subspace) -> Subspace:
     """u (x) v inside F^(mu*mv) with index (i, j) -> i*mv + j."""
     if u.p != v.p:
         raise ValueError("field mismatch")
-    amb = u.ambient_dim * v.ambient_dim
-    if u.dim == 0 or v.dim == 0:
-        return Subspace.zero(amb, u.p)
-    rows = [np.kron(a, b) % u.p for a in u.basis for b in v.basis]
-    return Subspace.from_rows(np.array(rows), amb, u.p)
+    return Subspace.from_rows(np.kron(u.basis, v.basis), u.ambient_dim * v.ambient_dim, u.p)
 
 
 def tensor_containment(m: Comodule, n: Comodule, x) -> dict:

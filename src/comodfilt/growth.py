@@ -3,7 +3,8 @@
 Polynomial growth is detected by exact finite differences on a trailing
 window (the closed dimension formulas are eventually exactly polynomial,
 so no fitting tolerance is needed).  Logarithmic growth is the exact
-pattern of unit increments at the powers of the field characteristic.
+pattern of unit increments at the powers of the field characteristic; given
+p, it is tested first, since a window between two powers of p is flat.
 Exponential growth of exponent e is detected by two probes: a near-linear
 fit of log(dim) against d^e, and (given p) a geometric resampling at
 d = p^r fitting log_p(dim) against r^e.
@@ -42,13 +43,14 @@ def classify(seq, p: int | None = None, start: int = 0,
         raise ValueError("dimension sequences must be non-decreasing")
     if burn_in is None:
         burn_in = math.ceil(len(seq) / 3)
+    # the exact logarithmic pattern first: its trailing window can be flat
+    # between two powers of p, which the polynomial probe reads as degree 0
+    log = None if p is None else _logarithmic_probe(seq, p, start)
+    if log is not None:
+        return log
     poly = _polynomial_probe(seq, burn_in)
     if poly is not None:
         return poly
-    if p is not None:
-        log = _logarithmic_probe(seq, p, start)
-        if log is not None:
-            return log
     exp = _exponential_probe(seq, p, start)
     if exp is not None:
         return exp

@@ -88,8 +88,6 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def matrank(mat: np.ndarray, p: int) -> int:
-    if mat.size == 0:
-        return 0
     return rref(mat, p)[0].shape[0]
 
 
@@ -200,8 +198,7 @@ class Subspace:
         from itertools import product
 
         for cs in product(range(self.p), repeat=self.dim):
-            yield matmul_mod(np.array([cs], dtype=np.int64), self.basis, self.p)[0] \
-                if self.dim else np.zeros(self.ambient_dim, dtype=np.int64)
+            yield matmul_mod(np.array([cs], dtype=np.int64), self.basis, self.p)[0]
 
 
 def kernel(mat: np.ndarray, p: int) -> Subspace:
@@ -282,26 +279,22 @@ def preimage(mat: np.ndarray, target: Subspace) -> Subspace:
 
 
 def solve(mat: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray | None:
-    """One solution x of mat @ x = rhs, or None if inconsistent."""
+    """One solution x of mat @ x = rhs, or None if inconsistent: it has none
+    iff the rhs column is a pivot of rref([mat | rhs])."""
     a = np.mod(np.asarray(mat, dtype=np.int64), p)
     b = np.mod(np.asarray(rhs, dtype=np.int64), p).reshape(-1)
-    aug = np.hstack([a, b[:, None]])
-    red, piv = rref(aug, p)
+    red, piv = rref(np.hstack([a, b[:, None]]), p)
     n = a.shape[1]
     if n in piv:
         return None
     x = np.zeros(n, dtype=np.int64)
-    for r, c in enumerate(piv):
-        x[c] = red[r, n]
+    x[piv] = red[:, n]
     return x
 
 
 def solvable(mat: np.ndarray, rhs: np.ndarray, p: int) -> bool:
-    """Whether mat @ x = rhs has a solution: it has none iff the rhs column
-    is a pivot of rref([mat | rhs]), so no x is built."""
-    aug = np.hstack([np.asarray(mat, dtype=np.int64),
-                     np.asarray(rhs, dtype=np.int64).reshape(-1, 1)])
-    return aug.shape[1] - 1 not in rref(aug, p)[1]
+    """Whether mat @ x = rhs has a solution."""
+    return solve(mat, rhs, p) is not None
 
 
 def exact_dtype(inner: int, p: int):

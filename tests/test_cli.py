@@ -230,6 +230,27 @@ def test_cache_ignores_corrupt_and_stale_records(tmp_path, capsys):
     path.write_text(json.dumps(record))
     payload = run_json(capsys, *argv)
     assert [r["dim"] for r in payload["rows"]] == [1, 2, 3]
+    # a record of the wrong shape is one warning line and a miss, in either
+    # format, and is overwritten: the next run is a silent hit
+    record = json.loads(path.read_text())
+    for bad in ([], "x", {**record, "engine": "x"}, {**record, "payload": 3},
+                {**record, "payload": {"rows": 5}},
+                {**record, "payload": {**record["payload"], "rows": [1]}},
+                {**record, "payload": {**record["payload"], "rows": [{"d": 0}, {"e": 1}]}}):
+        for fmt in ("json", "csv"):
+            path.write_text(json.dumps(bad))
+            for warned in (True, False):
+                code, out, err = run(capsys, *argv, "--format", fmt)
+                assert code == 0, (bad, err)
+                if warned:
+                    assert len(err.splitlines()) == 1, (bad, err)
+                    assert err.startswith(f"warning: corrupt cache record {path}")
+                else:
+                    assert err == ""
+                if fmt == "csv":
+                    assert out.splitlines() == ["d,dim", "0,1", "1,2", "2,3"]
+                else:
+                    assert [r["dim"] for r in json.loads(out)["rows"]] == [1, 2, 3]
 
 
 def test_cache_key_holds_the_engine_digest(tmp_path, capsys, monkeypatch):
@@ -523,3 +544,16 @@ def test_no_job_imports_numpy_ma():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+@pytest.mark.parametrize("spec", ["GL:12@p=2", "SL:12@p=3"])
+def test_dims_over_a_large_det_group_builds_no_determinant(spec):
+    # det over GL(12) has 12! terms, about 479 million: building the group
+    # must not expand it, so the job ends within the timeout
+    src = os.path.dirname(os.path.dirname(comodfilt.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "comodfilt.cli", "dims", "--group", spec,
+                           "--dmax", "3", "--format", "csv", "--no-cache"],
+                          env=env, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "3,518665"

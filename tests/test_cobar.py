@@ -376,6 +376,26 @@ def test_the_engine_splits_by_the_unit_block_and_by_weight():
     assert parts("U:3@p=2", "natural", 2, 2)[0] == [3, 27, 243]
 
 
+def test_a_subcoalgebra_is_its_own_filtration_level():
+    # restrict(m, c) reads C as the explicit level X = span(C) it is
+    cases = [(SubCoalgebra.canonical(group_from_spec(spec), d), text)
+             for spec in ("GL:2@p=2", "U:3@p=2") for d in range(3)
+             for text in ("natural", "regular(2)")]
+    # C0 of `cobar GL:2@p=2 regular(2) d2`
+    c = SubCoalgebra.canonical(group_from_spec("GL:2@p=2"), 2)
+    c0 = cobar._unit_block(c, Limits())
+    assert c0.dim < c.dim
+    cases.append((c0, "regular(2)"))
+    dims = []
+    for c, text in cases:
+        m = build_module(text, c.group)
+        got = restrict(m, c)
+        want = restrict(m, ExplicitSubspace(c.group, c.monos, c.space))
+        assert got.subspace == want.subspace and got.comodule == want.comodule
+        dims.append((got.dim, m.dim))
+    assert any(0 < d < n for d, n in dims) and dims[-1][0] < dims[-1][1]
+
+
 def test_an_entry_joining_unequal_weights_is_an_internal_invariant_error(monkeypatch):
     # t^a given weight a^2: each basis is homogeneous and the walk consistent,
     # but Delta(t^3) = t (x) t^2 + t^2 (x) t joins weight 9 to weight 5

@@ -161,6 +161,14 @@ def test_gl_det_inverse_cancels():
     assert sig == g.element({(g.mat.gen_mono(1, 1), 1): 1})
 
 
+@pytest.mark.parametrize("kind", ["GL", "SL"])
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_closed_form_lead_is_the_largest_monomial_of_det(kind, N):
+    g = {"GL": GL, "SL": SL}[kind](3, N)
+    assert "_tail" not in vars(g)  # det is expanded on first use only
+    assert g._lead == max(g.mat.det_element().coeffs)
+
+
 def test_sl_det_is_one():
     g = group_from_spec("SL:2@p=3")
     x = g.gen_mono

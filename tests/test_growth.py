@@ -1,6 +1,6 @@
 """Growth classification of dimension sequences."""
 
-from math import comb
+from math import ceil, comb
 
 import pytest
 
@@ -32,6 +32,16 @@ def test_logarithmic_sequences():
     # the same shape is not logarithmic without knowing p
     seq2 = [log_floor(2, d) + 1 for d in range(1, 33)]
     assert classify(seq2, start=1).kind != "logarithmic"
+
+
+@pytest.mark.parametrize("p,n", [(3, 22), (5, 70), (5, 124)])
+@pytest.mark.parametrize("c", [1, 7])
+def test_logarithmic_sequences_with_a_flat_trailing_window(p, n, c):
+    # d = p^r + 1 .. n carries no step, so the window past the first
+    # ceil(n/3) values is constant: once read as polynomial(0)
+    seq = [c * (log_floor(p, d) + 1) for d in range(1, n + 1)]
+    assert len(set(seq[ceil(n / 3):])) == 1
+    assert classify(seq, p=p, start=1) == GrowthReport("logarithmic")
 
 
 def test_exponential_sequences():
