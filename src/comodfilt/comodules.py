@@ -62,6 +62,7 @@ class Comodule:
         self.coeffs = {(j, i): el for i, col in enumerate(self._columns)
                        for j, el in col.items()}
         self._coaction = None  # its array form, built once by filtration.coaction
+        self._report = None  # the axiom scan's outcome, kept by validate
 
     @property
     def dim(self) -> int:
@@ -93,8 +94,11 @@ class Comodule:
         and coproduct 0, so a basis index i can fail only at a row j (counit)
         or l (coassociativity) where column i or some f_{lj} with j in
         column i is nonzero.  Indices are scanned in increasing order, as a
-        dense scan would.
+        dense scan would.  The report is kept on the comodule, as its
+        coaction is, so the scan runs once per comodule.
         """
+        if self._report is not None:
+            return self._report
         g = self.group
         failures = []
         for i in range(self.dim):
@@ -128,7 +132,8 @@ class Comodule:
             if bad:
                 failures.append(f"coassociativity at basis index {i} (row {min(bad)})")
                 break
-        return ValidationReport(not failures, failures)
+        self._report = ValidationReport(not failures, failures)
+        return self._report
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ contained in a finite-dimensional subspace X.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -121,26 +122,58 @@ def coaction(m: Comodule) -> Coaction:
 
 
 class RestrictResult:
-    def __init__(self, subspace: Subspace, comodule: Comodule, iterations: int):
+    """M_X as a subspace of M; its induced comodule is built on first read.
+
+    `comodule` is M_X on the basis v1..vn of `subspace`, built from the
+    coordinates `restrict` kept and validated.  At V = M it is M's own
+    columns relabelled, with M's report; at V = 0 it is empty.
+    """
+
+    def __init__(self, m: Comodule, subspace: Subspace, coords: np.ndarray | None,
+                 iterations: int):
+        self._m = m
+        self._coords = coords  # C[b, h, a] of _coordinates, or None at V = 0, V = M
         self.subspace = subspace
-        self.comodule = comodule
         self.iterations = iterations
 
     @property
     def dim(self) -> int:
         return self.subspace.dim
 
+    @cached_property
+    def comodule(self) -> Comodule:
+        return _induced_comodule(self._m, self.subspace, self._coords)
+
 
 def restrict(m: Comodule, x) -> RestrictResult:
-    """The greatest subcomodule M_X with coaction landing in M_X (x) X."""
+    """The greatest subcomodule M_X with coaction landing in M_X (x) X.
+
+    M is validated first (once per comodule: the report is kept on it), and
+    a failure raises InternalInvariantError with its first failure.  The
+    fixpoint V is then checked exactly: every image B_h V must lie in V.
+    V = 0 and V = M pass that check vacuously, so neither takes a product;
+    for any other V the coordinates of B_h V are kept for `comodule`.  M
+    valid and V stable under every B_h certify M_X without building it: V
+    is a subcomodule, whose coaction is the restriction of M's (Jantzen,
+    Representations of Algebraic Groups, I.2).
+    """
     g = m.group
     if not isinstance(x, (CanonicalLevel, ExplicitSubspace)):
         raise TypeError(f"not a filtration level: {x!r}")
     if x.group != g:
         raise ValueError("filtration level group does not match the comodule")
+    report = m.validate()
+    if not report.ok:
+        raise InternalInvariantError(
+            f"{m!r} fails validation before restrict: {report.failures[0]}")
     co = coaction(m)
     v, iterations = _greatest_fixpoint(g, co, x, Subspace.full(m.dim, g.p))
-    return RestrictResult(v, _induced_comodule(m, v, co), iterations)
+    coords = None
+    if 0 < v.dim < m.dim:
+        coords = _coordinates(co, v)
+        if coords is None:
+            raise InternalInvariantError("induced coaction escapes the fixed-point subspace")
+    return RestrictResult(m, v, coords, iterations)
 
 
 def _split(g: Group, co: Coaction, x, n: int):
@@ -230,17 +263,25 @@ def _coordinates(co: Coaction, v: Subspace) -> np.ndarray | None:
     return w[list(v.pivots)]
 
 
-def _induced_comodule(m: Comodule, v: Subspace, co: Coaction) -> Comodule:
-    """Express the coaction on the basis of V and re-validate it."""
+def _induced_comodule(m: Comodule, v: Subspace, coords: np.ndarray | None) -> Comodule:
+    """The coaction on V's basis v1..vn, validated.
+
+    At V = M the basis is the identity: M's columns and M's report serve as
+    they stand.  Otherwise `coords` is C of `_coordinates`, or None at V = 0,
+    which has no columns.
+    """
     g = m.group
-    coords = _coordinates(co, v)
-    if coords is None:
-        raise InternalInvariantError("induced coaction escapes the fixed-point subspace")
+    labels = [f"v{a + 1}" for a in range(v.dim)]
+    if v.dim == m.dim:
+        sub = Comodule(g, labels, [m.column(i) for i in range(m.dim)])
+        sub._report = m.validate()
+        return sub
     cols: list[dict] = [{} for _ in range(v.dim)]
-    for a, h, b in zip(*np.nonzero(coords.T)):  # in (a, h, b) order
-        cols[a].setdefault(int(b), {})[co.legs[h]] = int(coords[b, h, a])
-    sub = Comodule(g, [f"v{a + 1}" for a in range(v.dim)],
-                   [{j: Element(g, f) for j, f in col.items()} for col in cols])
+    if v.dim:
+        legs = coaction(m).legs
+        for a, h, b in zip(*np.nonzero(coords.T)):  # in (a, h, b) order
+            cols[a].setdefault(int(b), {})[legs[h]] = int(coords[b, h, a])
+    sub = Comodule(g, labels, [{j: Element(g, f) for j, f in col.items()} for col in cols])
     report = sub.validate()
     if not report.ok:
         raise InternalInvariantError(

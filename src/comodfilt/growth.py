@@ -7,7 +7,10 @@ pattern of unit increments at the powers of the field characteristic; given
 p, it is tested first, since a window between two powers of p is flat.
 Exponential growth of exponent e is detected by two probes: a near-linear
 fit of log(dim) against d^e, and (given p) a geometric resampling at
-d = p^r fitting log_p(dim) against r^e.
+d = p^r fitting log_p(dim) against r^e.  Their residual gates, 0.05 *
+max(1, spread) and 0.35, are the classifier's only tolerance, so an
+exponential verdict's evidence holds its fit, the gate it passed and
+margin = gate - max_residual.
 """
 
 from __future__ import annotations
@@ -104,10 +107,13 @@ def _exponential_probe(seq, p, start):
     for e in (1, 2, 3):
         fit = _linear_fit([(start + i) ** e for i in range(len(seq)) if seq[i] > 0],
                           [math.log(x) for x in seq if x > 0])
-        if fit is not None and fit["slope"] > 0 and fit["max_residual"] < 0.05 * max(
-                1.0, fit["spread"]):
+        if fit is None or fit["slope"] <= 0:
+            continue
+        gate = 0.05 * max(1.0, fit["spread"])
+        if fit["max_residual"] < gate:
             return GrowthReport("exponential", e,
-                                {"probe": "direct", "fit": fit})
+                                {"probe": "direct", "fit": fit, "gate": gate,
+                                 "margin": gate - fit["max_residual"]})
     # probe B: resample at d = p^r and fit log_p(dim) against r^e
     if p is None:
         return None
@@ -120,14 +126,16 @@ def _exponential_probe(seq, p, start):
         q *= p
     if len(samples) < 4:
         return None
+    gate = 0.35
     for e in (1, 2, 3):
         # drop the earliest sample as burn-in; slope should be near 1
         pts = samples[1:]
         fit = _linear_fit([r ** e for r, _ in pts], [y for _, y in pts])
         if fit is not None and 0.8 <= fit["slope"] <= 1.25 and \
-                fit["max_residual"] < 0.35:
+                fit["max_residual"] < gate:
             return GrowthReport("exponential", e,
-                                {"probe": "geometric", "fit": fit,
+                                {"probe": "geometric", "fit": fit, "gate": gate,
+                                 "margin": gate - fit["max_residual"],
                                  "samples": samples})
     return None
 

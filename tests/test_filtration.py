@@ -236,6 +236,65 @@ def test_filtration_dims_builds_one_coaction_per_comodule(monkeypatch):
     assert built == [stream.generate(n) for n in range(4)]
 
 
+def test_dims_and_containment_build_no_induced_comodule(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an induced comodule was built")
+
+    monkeypatch.setattr(filtration, "_induced_comodule", refuse)
+    assert filtration_dims(regular(GA2, 3), 4).dims == [1, 2, 3, 4, 4]
+    assert filtration_dims(build_module("primitives", GA2), 4).dims == [1, 1, 2, 2, 3]
+    gl = group_from_spec("GL:2@p=5")
+    rep = tensor_containment(natural(gl), natural(gl), CanonicalLevel(gl, 2))
+    assert rep == {"lhs_dim": 4, "rhs_dim": 4, "contained": True}
+
+
+def test_the_axiom_scan_runs_once_per_comodule(monkeypatch):
+    scanned = []
+    validate = Comodule.validate
+
+    def counted(m):
+        if m._report is None:
+            scanned.append(m)
+        return validate(m)
+
+    monkeypatch.setattr(Comodule, "validate", counted)
+    m = regular(GA2, 3)
+    filtration_dims(m, 4)
+    assert scanned == [m]
+    # a comodule read at 0 < V < M is scanned; at V = M it carries M's report
+    restrict(m, CanonicalLevel(GA2, 1)).comodule
+    restrict(m, CanonicalLevel(GA2, 3)).comodule
+    assert scanned[0] is m and len(scanned) == 2
+    scanned.clear()
+    # primitives over Ga@p=2 needs generations 0, 0, 1, 1, 2, 2, 2, 2, 3 for d <= 8
+    stream = build_module("primitives", GA2)
+    filtration_dims(stream, 8)
+    assert scanned == [stream.generate(n) for n in range(4)]
+
+
+def test_restrict_rejects_a_module_that_is_not_a_comodule():
+    # f_00 = t over Ga@p=2: epsilon(t) = 0, so the counit axiom fails at 0
+    m = Comodule(GA2, ["a"], [{0: GA2.element({1: 1})}])
+    with pytest.raises(InternalInvariantError, match="counit axiom at basis index 0"):
+        restrict(m, CanonicalLevel(GA2, 1))
+
+
+def test_the_induced_comodule_is_built_on_first_read(monkeypatch):
+    m = regular(GA2, 3)
+    mats = coefficient_matrices(m)
+    t = ExplicitSubspace.from_elements(GA2, [GA2.element({1: 1})])
+    results = [restrict(m, x) for x in (t, CanonicalLevel(GA2, 1), CanonicalLevel(GA2, 3))]
+    assert [r.dim for r in results] == [0, 2, 4]  # V = 0, 0 < V < M, V = M
+    for res in results:
+        assert "comodule" not in vars(res)
+        assert res.comodule == reference_induced(m, res.subspace, mats)
+        assert res.comodule is res.comodule
+    # at V = M the induced comodule is M's columns, read without a product
+    monkeypatch.setattr(filtration, "_images", None)
+    full = restrict(m, CanonicalLevel(GA2, 4))
+    assert full.comodule.coeffs == m.coeffs and full.comodule.validate().ok
+
+
 def test_filtration_dims_monotone():
     for g, text in [(GA2, "regular(3)"), (GM3, "dual(regular(2))"),
                     (GL2, "sym(2,natural)"), (GA2, "translationinvariants")]:

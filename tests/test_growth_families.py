@@ -2,7 +2,9 @@
 c C(d+k, k) plus lower terms, logarithmic c (floor(log_p d) + 1) and
 exponential c b^d.  Each family is drawn where the classifier's trailing
 window can see its shape; the residual gates (0.05, 0.35) are the
-classifier's own.
+classifier's own.  Every exponential verdict, of the direct probe on c b^d
+or of the geometric probe on blockwise-constant c p^(floor(log_p d) + k),
+must record the gate it passed and a positive margin.
 
 Skipped where hypothesis is not installed; CI installs it.
 """
@@ -80,3 +82,33 @@ def test_logarithmic_families_are_logarithmic(family):
        st.sampled_from([None, 2, 3, 5]))
 def test_exponential_families_are_exponential_of_rate_one(b, c, n, p):
     assert classify([c * b ** d for d in range(n)], p=p) == GrowthReport("exponential", 1)
+
+
+@st.composite
+def blockwise_families(draw):
+    """(c p^(floor(log_p max(d, 1)) + k) for d < n, p): constant between two
+    powers of p, so only the geometric probe can read it as exponential."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(6, 90))
+    c, k = draw(st.integers(1, 50)), draw(st.integers(0, 2))
+    return [c * p ** (log_floor(p, max(d, 1)) + k) for d in range(n)], p
+
+
+@st.composite
+def power_families(draw):
+    """(c b^d for d < n, p or None), read by the direct probe."""
+    b, c, n = draw(st.integers(2, 10)), draw(st.integers(1, 1000)), draw(st.integers(6, 30))
+    return [c * b ** d for d in range(n)], draw(st.sampled_from([None, 2, 3, 5]))
+
+
+@family_settings
+@given(st.one_of(power_families(), blockwise_families()))
+def test_every_exponential_verdict_records_its_gate_and_a_positive_margin(case):
+    seq, p = case
+    rep = classify(seq, p=p)
+    if rep.kind != "exponential":
+        return
+    fit, probe = rep.evidence["fit"], rep.evidence["probe"]
+    gate = {"direct": 0.05 * max(1.0, fit["spread"]), "geometric": 0.35}[probe]
+    assert rep.evidence["gate"] == gate
+    assert rep.evidence["margin"] == gate - fit["max_residual"] > 0
