@@ -74,11 +74,10 @@ class SubCoalgebra(ExplicitSubspace):
         super().__init__(group, monos, space)
         self.index = {m: i for i, m in enumerate(self.monos)}
         self.dim = space.dim
-        delta_matrix = structure_constants(group, self.monos, space)
-        if delta_matrix is None:
+        # (s*s, s) with Delta(b_k) = sum_{a,b} D[a*s+b, k] b_a (x) b_b
+        self.delta_matrix = structure_constants(group, self.monos, space)
+        if self.delta_matrix is None:
             raise ValueError("the given subspace is not a sub-coalgebra")
-        # delta_matrix: (s*s, s) with Delta(b_k) = sum_{a,b} D[a*s+b, k] b_a (x) b_b
-        self.delta_matrix = delta_matrix
         self.unit = self.unit_coords()
         if self.unit is None:
             raise UnsupportedOperation("sub-coalgebra does not contain the unit")

@@ -183,15 +183,14 @@ def regular(g: Group, n: int) -> Comodule:
     index = {m: i for i, m in enumerate(basis)}
     coaction = []
     for m in basis:
-        col: dict = {}
+        col: dict = {}  # row j -> {right leg: coefficient}; the legs of a row are distinct
         for (a, b), c in g.coproduct_mono(m).items():
             if a not in index:
                 raise AssertionError(
                     f"filtration level {n} of {g.spec()} is not a sub-coalgebra "
                     f"(left leg {g.mono_str(a)} escapes)")
-            j = index[a]
-            col[j] = col.get(j, g.zero()) + g.element({b: c})
-        coaction.append(col)
+            col.setdefault(index[a], {})[b] = c
+        coaction.append({j: Element(g, f) for j, f in col.items()})
     return Comodule(g, [g.mono_str(m) for m in basis], coaction)
 
 
@@ -326,16 +325,17 @@ def polyaffine(g: Group, m: int) -> StreamModule:
         labels = [_poly_label(e) for e in basis]
         coaction = []
         for alpha in basis:
+            # per coordinate, the b <= a with binom(a, b) nonzero mod p; a
+            # product of nonzero factors is nonzero, and each beta is one row
+            factors = [[(b, c) for b in range(a + 1) if (c := binom(a, b) % g.p)]
+                       for a in alpha]
             col: dict = {}
-            for beta in itertools.product(*[range(a + 1) for a in alpha]):
+            for pick in itertools.product(*factors):
+                beta = tuple(b for b, _ in pick)
                 c = 1
-                for a, b in zip(alpha, beta):
-                    c = c * binom(a, b) % g.p
-                if not c:
-                    continue
-                j = index[tuple(beta)]
-                t_exp = sum(alpha) - sum(beta)
-                col[j] = col.get(j, g.zero()) + g.element({t_exp: c})
+                for _, f in pick:
+                    c = c * f % g.p
+                col[index[beta]] = Element(g, {sum(alpha) - sum(beta): c})
             coaction.append(col)
         return Comodule(g, labels, coaction)
 

@@ -19,8 +19,8 @@ import numpy as np
 
 from .coordalg import Element, Group
 from .comodules import Comodule, StreamModule, tensor
-# preimage stays bound here: bench/test_bench.py checks that the tracer wraps it
-from .linalg import Subspace, kernel, matmul_mod, preimage  # noqa: F401
+# kernel and preimage stay bound here: bench/test_bench.py checks the tracer wraps them
+from .linalg import Subspace, kernel, matmul_mod, preimage, sparse_kernel  # noqa: F401
 
 
 class InternalInvariantError(AssertionError):
@@ -129,10 +129,10 @@ class RestrictResult:
     columns relabelled, with M's report; at V = 0 it is empty.
     """
 
-    def __init__(self, m: Comodule, subspace: Subspace, coords: np.ndarray | None,
+    def __init__(self, m: Comodule, subspace: Subspace, coords: tuple | None,
                  iterations: int):
         self._m = m
-        self._coords = coords  # C[b, h, a] of _coordinates, or None at V = 0, V = M
+        self._coords = coords  # the triples of _coordinates, or None at V = 0, V = M
         self.subspace = subspace
         self.iterations = iterations
 
@@ -219,56 +219,72 @@ def _split(g: Group, co: Coaction, x, n: int):
 def _greatest_fixpoint(g: Group, co: Coaction, x, start: Subspace) -> tuple[Subspace, int]:
     """The greatest V <= start with B_h V <= V inside X and B_h V = 0 outside it.
 
-    Each pass keeps the x in V with B_h x in V for every inside h at once: one
-    kernel of the stacked residuals of B_h V modulo V, in V's coordinates.
-    Every pass contains the greatest fixpoint and the first pass that keeps
-    all of V is one, so the loop ends on it.  V = 0 and V = the whole ambient
-    are fixpoints as they stand.  For a coassociative coaction the second
-    pass always keeps V: B_k B_h = sum_g Delta(g)_{k,h} B_g.
+    The outside rows, mostly of one nonzero each, are peeled by
+    `sparse_kernel`.  Each pass then keeps the x in V with B_h x in V for
+    every inside h at once: one kernel, with a row per (coordinate, leg), of
+    the residuals of the nonzero images modulo V, in V's coordinates.  Every
+    pass contains the greatest fixpoint and the first pass that keeps all of
+    V is one, so the loop ends on it.  V = 0 and V = the whole ambient are
+    fixpoints as they stand.  For a coassociative coaction the second pass
+    always keeps V: B_k B_h = sum_g Delta(g)_{k,h} B_g.
     """
     p, n = g.p, start.ambient_dim
     inside, outside, _ = _split(g, co, x, n)
     v = start
     if len(outside) and v.dim:
-        v = v.lift(kernel(matmul_mod(outside, v.basis.T, p), p))
+        v = v.lift(sparse_kernel(*_triples(_on_basis(outside, v)), v.dim, p))
     iterations = 0
     while inside.legs and 0 < v.dim < n:
         iterations += 1
-        resid = v.residual(_images(inside, v).reshape(n, -1))
-        ker = kernel(resid.reshape(-1, v.dim), p)
+        keys, w = _images(inside, v)
+        j, c, vals = _triples(v.residual(w))
+        h, a = np.divmod(keys[c], v.dim)
+        ker = sparse_kernel(j * len(inside.legs) + h, a, vals, v.dim, p)
         if ker.dim == v.dim:
             break
         v = v.lift(ker)
     return v, iterations
 
 
-def _images(co: Coaction, v: Subspace) -> np.ndarray:
-    """W[:, h, a] = B_h v_a for the basis vectors v_a of V, as one product.
-
-    W has shape (n, legs, dim V), so W.reshape(n, legs * dim V) holds every
-    image as a column, ready for `Subspace.residual`.
-    """
-    w = np.zeros((co.height, len(co.legs), v.dim), dtype=np.int64)
-    w[co.row, co.leg] = matmul_mod(co.rows, v.basis.T, v.p)
-    return w
+def _on_basis(rows: np.ndarray, v: Subspace) -> np.ndarray:
+    """rows @ V^T; at V = the whole ambient, V's RREF basis is the identity."""
+    return rows if v.dim == v.ambient_dim else matmul_mod(rows, v.basis.T, v.p)
 
 
-def _coordinates(co: Coaction, v: Subspace) -> np.ndarray | None:
-    """C[b, h, a] with B_h v_a = sum_b C[b, h, a] v_b, or None when some
-    image B_h v_a leaves V.  An image in V is V^T times its entries at V's
-    pivots, so C is W read at the pivots."""
-    w = _images(co, v)
-    if np.any(v.residual(w.reshape(co.height, len(co.legs) * v.dim))):
+def _triples(mat: np.ndarray):
+    """(rows, cols, values) of the nonzero entries of a matrix, row by row."""
+    r, c = np.nonzero(mat)
+    return r, c, mat[r, c]
+
+
+def _images(co: Coaction, v: Subspace) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, W): column k of W, shape (n, K), is the image B_h v_a of a basis
+    vector of V keyed keys[k] = h * dim V + a, for the K nonzero images in
+    increasing order of key; no (n, legs, dim V) array is built."""
+    r, a, vals = _triples(_on_basis(co.rows, v))
+    keys, col = np.unique(co.leg[r] * v.dim + a, return_inverse=True)
+    w = np.zeros((co.height, keys.size), dtype=np.int64)
+    w[co.row[r], col] = vals
+    return keys, w
+
+
+def _coordinates(co: Coaction, v: Subspace) -> tuple | None:
+    """C[b, h, a] with B_h v_a = sum_b C[b, h, a] v_b, as its nonzero triples
+    (b, h * dim V + a, value), or None when some image B_h v_a leaves V.  An
+    image in V is V^T times its entries at V's pivots, so C is W read there."""
+    keys, w = _images(co, v)
+    if np.any(v.residual(w)):
         return None
-    return w[list(v.pivots)]
+    b, col, vals = _triples(w[list(v.pivots)])
+    return b, keys[col], vals
 
 
-def _induced_comodule(m: Comodule, v: Subspace, coords: np.ndarray | None) -> Comodule:
+def _induced_comodule(m: Comodule, v: Subspace, coords: tuple | None) -> Comodule:
     """The coaction on V's basis v1..vn, validated.
 
     At V = M the basis is the identity: M's columns and M's report serve as
-    they stand.  Otherwise `coords` is C of `_coordinates`, or None at V = 0,
-    which has no columns.
+    they stand.  Otherwise `coords` holds the triples of `_coordinates`, or
+    None at V = 0, which has no columns.
     """
     g = m.group
     labels = [f"v{a + 1}" for a in range(v.dim)]
@@ -279,8 +295,11 @@ def _induced_comodule(m: Comodule, v: Subspace, coords: np.ndarray | None) -> Co
     cols: list[dict] = [{} for _ in range(v.dim)]
     if v.dim:
         legs = coaction(m).legs
-        for a, h, b in zip(*np.nonzero(coords.T)):  # in (a, h, b) order
-            cols[a].setdefault(int(b), {})[legs[h]] = int(coords[b, h, a])
+        b, key, vals = coords
+        h, a = np.divmod(key, v.dim)
+        order = np.lexsort((b, h, a))  # in (a, h, b) order
+        for a, h, b, c in zip(*(t[order].tolist() for t in (a, h, b, vals))):
+            cols[a].setdefault(b, {})[legs[h]] = c
     sub = Comodule(g, labels, [{j: Element(g, f) for j, f in col.items()} for col in cols])
     report = sub.validate()
     if not report.ok:
@@ -316,18 +335,22 @@ def filtration_dims(m, d_max: int) -> FiltrationResult:
     return FiltrationResult(dims, stabilized)
 
 
+@dataclass
 class ClosureResult:
-    def __init__(self, subspace: ExplicitSubspace, delta_matrix):
-        self.subspace = subspace
-        self.delta_matrix = delta_matrix  # structure constants, None if not a sub-coalgebra
+    """O(G)_X in span(X's monomials); its structure constants are built on first read."""
+
+    subspace: ExplicitSubspace
+    is_subcoalgebra: bool
 
     @property
     def dim(self) -> int:
         return self.subspace.space.dim
 
-    @property
-    def is_subcoalgebra(self) -> bool:
-        return self.delta_matrix is not None
+    @cached_property
+    def delta_matrix(self) -> np.ndarray | None:
+        """The structure constants, or None if not a sub-coalgebra."""
+        x = self.subspace
+        return structure_constants(x.group, x.monos, x.space) if self.is_subcoalgebra else None
 
 
 def coalgebra_closure(g: Group, x) -> ClosureResult:
@@ -335,8 +358,9 @@ def coalgebra_closure(g: Group, x) -> ClosureResult:
 
     This is the fixpoint of `restrict` run on the coproduct itself.  Its
     greatest fixed point is automatically a sub-coalgebra contained in X; the
-    sub-coalgebra property Delta(D) <= D (x) D is verified independently by
-    building D's structure constants, which the result keeps.
+    sub-coalgebra property Delta(D) <= D (x) D is verified independently,
+    from the nonzero images of D's basis, without building D's structure
+    constants.
     """
     if isinstance(x, CanonicalLevel):
         x = ExplicitSubspace.canonical(x.group, x.d)
@@ -345,7 +369,7 @@ def coalgebra_closure(g: Group, x) -> ClosureResult:
     co = coproduct_coaction(g, x.monos)
     v, _ = _greatest_fixpoint(g, co, x, x.space)
     return ClosureResult(ExplicitSubspace(g, x.monos, v),
-                         structure_constants(g, x.monos, v, co))
+                         _subcoalgebra_coordinates(g, co, x.monos, v) is not None)
 
 
 def coproduct_coaction(g: Group, monos) -> Coaction:
@@ -362,21 +386,26 @@ def coproduct_coaction(g: Group, monos) -> Coaction:
     return _gather(entries, len(index), len(monos))
 
 
-def structure_constants(g: Group, monos, space: Subspace, co: Coaction | None = None):
+def structure_constants(g: Group, monos, space: Subspace):
     """The coproduct of a subspace of span(monos) in its RREF basis b_0..b_{s-1}.
 
     Returns D of shape (s*s, s) with Delta(b_k) = sum_{a,b} D[a*s+b, k]
-    b_a (x) b_b, or None when the space is not a sub-coalgebra.  `co` may
-    pass in `coproduct_coaction(g, monos)` when it is already at hand.
+    b_a (x) b_b, or None when the space is not a sub-coalgebra.
     """
-    if co is None:
-        co = coproduct_coaction(g, monos)
-    inside, outside, _ = _split(g, co, ExplicitSubspace(g, monos, space), len(monos))
-    if np.any(matmul_mod(outside, space.basis.T, g.p)):
+    coords = _subcoalgebra_coordinates(g, coproduct_coaction(g, monos), monos, space)
+    if coords is None:
         return None
-    # C[a, b, k]: the left leg b_a paired with b_b in Delta(b_k)
-    coords = _coordinates(inside, space)
-    return None if coords is None else coords.reshape(space.dim ** 2, space.dim)
+    # C[a, b, k] pairs the left leg b_a with b_b in Delta(b_k), at key b*s + k
+    a, key, vals = coords
+    d = np.zeros(space.dim ** 3, dtype=np.int64)
+    d[a * space.dim ** 2 + key] = vals
+    return d.reshape(space.dim ** 2, space.dim)
+
+
+def _subcoalgebra_coordinates(g: Group, co: Coaction, monos, space: Subspace):
+    """`_coordinates` of the coproduct `co`, or None if not a sub-coalgebra."""
+    inside, outside, _ = _split(g, co, ExplicitSubspace(g, monos, space), len(monos))
+    return None if np.any(_on_basis(outside, space)) else _coordinates(inside, space)
 
 
 def subspace_tensor(u: Subspace, v: Subspace) -> Subspace:

@@ -51,10 +51,11 @@ def check_filtration_multiplicativity(seed: int = 0, samples: int = 40) -> dict:
     failures = []
     for spec in ["Ga@p=2", "Gm@p=3", "GL:2@p=2", "SL:2@p=3", "U:3@p=2", "M:2@p=5"]:
         g = group_from_spec(spec)
+        bases = [g.filtration_basis(d) for d in range(4)]
         for _ in range(samples):
             d, e = rng.randint(0, 3), rng.randint(0, 3)
-            f = g.element({rng.choice(g.filtration_basis(d)): rng.randint(1, g.p - 1)})
-            h = g.element({rng.choice(g.filtration_basis(e)): rng.randint(1, g.p - 1)})
+            f = g.element({rng.choice(bases[d]): rng.randint(1, g.p - 1)})
+            h = g.element({rng.choice(bases[e]): rng.randint(1, g.p - 1)})
             prod = f * h
             if prod and prod.degree() > d + e:
                 failures.append(f"{spec}: deg({f} * {h}) = {prod.degree()} > {d + e}")

@@ -373,16 +373,7 @@ def test_window_must_be_at_least_two(capsys):
 def test_a_level_over_the_ceiling_is_refused_before_it_is_built():
     # O(GL:2)_{<=40} has dimension 247,681; building its basis before the
     # sub-coalgebra ceiling was checked ran out of a 1 GiB address space
-    code = textwrap.dedent("""
-        import resource, sys
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-        from comodfilt.cli import main
-        sys.exit(main(["cobar", "--group", "GL:2@p=2", "--dmax", "40", "--no-cache"]))
-    """)
-    src = os.path.dirname(os.path.dirname(comodfilt.__file__))
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = run_under_one_gib(["cobar", "--group", "GL:2@p=2", "--dmax", "40", "--no-cache"])
     assert proc.returncode == 2 and not proc.stdout
     assert proc.stderr == ("resource limit: sub-coalgebra dimension = 247681 "
                            "exceeds the configured ceiling 30\n")
@@ -392,39 +383,32 @@ def test_normalized_cobar_runs_under_a_one_gib_address_space():
     # passes max_chain_dim (top dimension 2^16); the full complex's d^15 would
     # be a 65536 x 32768 int64 array (about 17 GB), while every normalized
     # chain group has dimension 1
-    code = textwrap.dedent("""
-        import resource, sys
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-        from comodfilt.cli import main
-        sys.exit(main(["cobar", "--group", "Ga@p=2", "--dmax", "1",
-                       "--nmax", "15", "--format", "csv", "--no-cache"]))
-    """)
-    src = os.path.dirname(os.path.dirname(comodfilt.__file__))
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = run_under_one_gib(["cobar", "--group", "Ga@p=2", "--dmax", "1",
+                              "--nmax", "15", "--format", "csv", "--no-cache"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["n,dim"] + [f"{n},1" for n in range(16)]
 
 
 @pytest.mark.parametrize("argv", [
-    # the dense W of structure_constants, (705, 705, 705) int64
-    ["closure", "--group", "SL:3@p=2", "--dmax", "4"],
+    # the stacked nonzero rows of the coproduct's Coaction at d = 5, a dense
+    # (84783, 1947) int64 array (1.23 GiB)
+    ["closure", "--group", "SL:3@p=2", "--dmax", "5"],
 ])
 def test_an_allocation_over_the_address_space_exits_2_without_a_traceback(argv):
-    # never run these jobs without the limit: the closure alone peaks at 5 GB
-    code = textwrap.dedent(f"""
-        import resource, sys
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-        from comodfilt.cli import main
-        sys.exit(main({argv + ["--no-cache"]!r}))
-    """)
-    src = os.path.dirname(os.path.dirname(comodfilt.__file__))
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=300)
+    # never run these jobs without the limit
+    proc = run_under_one_gib(argv + ["--no-cache"])
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
     assert proc.stderr == f"resource limit: out of memory in {argv[0]}\n"
+
+
+def test_the_frontier_closure_answers_under_a_one_gib_address_space():
+    # level 4 of SL(3) has 705 monomials and 23,915 structure constants; a
+    # dense (705, 705, 705) int64 array of their images took 2.6 GiB
+    job = ["closure", "--group", "SL:3@p=2", "--dmax", "4", "--format", "csv", "--no-cache"]
+    proc = run_under_one_gib(job)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == ["d,dim,subcoalgebra,equals_level"] + [
+        f"{d},{dim},true,true" for d, dim in enumerate([1, 10, 55, 219, 705])]
 
 
 @pytest.mark.parametrize("argv, dims", [
@@ -441,16 +425,7 @@ def test_the_frontier_cobar_jobs_answer_under_a_one_gib_address_space(argv, dims
     group, module, dmax, nmax = argv
     job = ["cobar", "--group", group, "--module", module, "--dmax", dmax,
            "--nmax", nmax, "--format", "csv", "--no-cache"]
-    code = textwrap.dedent(f"""
-        import resource, sys
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-        from comodfilt.cli import main
-        sys.exit(main({job!r}))
-    """)
-    src = os.path.dirname(os.path.dirname(comodfilt.__file__))
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = run_under_one_gib(job)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines() == ["n,dim"] + [f"{n},{h}" for n, h in enumerate(dims)]
 
@@ -463,6 +438,20 @@ def test_nmax_below_one_is_a_usage_error_before_the_level_is_built(capsys, monke
     for nmax in ("0", "-1"):
         assert run(capsys, "cobar", "--group", "Ga@p=2", "--dmax", "40", "--nmax", nmax,
                    "--no-cache") == (1, "", "error: --nmax must be >= 1\n")
+
+
+def run_under_one_gib(argv):
+    """main(argv) in a fresh interpreter whose address space is capped at 1 GiB."""
+    code = textwrap.dedent(f"""
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        from comodfilt.cli import main
+        sys.exit(main({argv!r}))
+    """)
+    src = os.path.dirname(os.path.dirname(comodfilt.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
 
 
 def run_fresh(argv, timeout=60):

@@ -1,5 +1,7 @@
 """Greatest-fixed-point filtration M_X and the coalgebra closure O(G)_X."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -485,6 +487,65 @@ def test_fixpoint_iterates_until_nothing_shrinks():
     assert iterations == 4
 
 
+def assert_images_match(co, mats, v):
+    """`_images` against B_h V^T from the dense matrices: every column kept
+    is nonzero, the keys increase, and scattered back into (n, legs, dim V)
+    W is every image, zero or not."""
+    keys, w = filtration._images(co, v)
+    assert w.shape == (co.height, keys.size) and w.any(axis=0).all()
+    assert np.all(np.diff(keys) > 0)
+    dense = np.zeros((co.height, len(co.legs) * v.dim), dtype=np.int64)
+    dense[:, keys] = w
+    basis = v.basis.T.astype(object)  # exact at any p
+    want = np.stack([(mats[h].astype(object) @ basis) % v.p for h in co.legs], axis=1)
+    assert dense.reshape(co.height, len(co.legs), v.dim).tolist() == want.tolist()
+
+
+def test_images_keep_only_the_nonzero_columns():
+    rng = np.random.default_rng(5)
+    # regular levels: M_X, and a random V that mixes basis vectors
+    for spec, d in [("GL:2@p=2", 3), ("U:3@p=3", 3), ("SL:2@p=65521", 2)]:
+        g = group_from_spec(spec)
+        m = regular(g, d)
+        co, mats = coaction(m), coefficient_matrices(m)
+        for k in range(d + 1):
+            assert_images_match(co, mats, restrict(m, CanonicalLevel(g, k)).subspace)
+        rows = rng.integers(0, g.p, size=(3, m.dim))
+        assert_images_match(co, mats, Subspace.from_rows(rows, m.dim, g.p))
+    # an explicit X: the coproduct on span{1, t, t^2 + t^4}, with stray legs
+    x = ExplicitSubspace.from_elements(GA3, [GA3.one(), GA3.element({1: 1}),
+                                             GA3.element({2: 1, 4: 1})])
+    co = coproduct_coaction(GA3, x.monos)
+    assert co.height > len(x.monos)
+    assert_images_match(co, coproduct_matrices(GA3, x.monos), x.space)
+    # p = 2^31 - 1, entries near p, V with a non-pivot column
+    p = 2**31 - 1
+    near = lambda size: p - 1 - rng.integers(0, 50, size=size)
+    mats = {h: np.zeros((6, 5), dtype=np.int64) for h in range(3)}
+    mats[0][:5] = np.eye(5, dtype=np.int64)
+    mats[1][[0, 2, 5]] = near((3, 5))
+    mats[2][4, :2] = near(2)
+    basis = np.hstack([np.eye(3, dtype=np.int64), near((3, 2))])
+    assert_images_match(as_coaction(mats), mats, Subspace(5, p, basis, (0, 1, 2)))
+
+
+def test_the_fixpoint_allocates_no_dense_image_array():
+    # level 2 of GL(3)'s regular(3): the certificate's images of V (dim 55)
+    # under all 221 legs would fill a (221, 221, 55) int64 array, 21 MB
+    g = group_from_spec("GL:3@p=2")
+    m = regular(g, 3)
+    co = coaction(m)
+    assert m.validate().ok
+    tracemalloc.start()
+    try:
+        res = restrict(m, CanonicalLevel(g, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (m.dim, len(co.legs), res.dim) == (221, 221, 55)
+    assert peak < m.dim * len(co.legs) * res.dim * 8
+
+
 def test_restrict_reports_an_escaping_fixpoint(monkeypatch):
     # span{t} in regular(2) over Ga is not a subcomodule: Delta(t) has 1 (x) t
     m = regular(GA2, 2)
@@ -524,6 +585,22 @@ def test_closure_is_idempotent():
     once = coalgebra_closure(GA3, x)
     twice = coalgebra_closure(GA3, once.subspace)
     assert once.subspace.space == twice.subspace.space
+
+
+def test_closure_builds_its_structure_constants_on_first_read(monkeypatch):
+    def unbuilt(*args):
+        raise AssertionError("structure constants built")
+
+    g = group_from_spec("GL:2@p=2")
+    xs = [ExplicitSubspace.canonical(g, 2), *explicit_levels(g, 2)]
+    monkeypatch.setattr(filtration, "structure_constants", unbuilt)
+    results = [coalgebra_closure(g, x) for x in xs]
+    monkeypatch.undo()
+    for x, res in zip(xs, results):
+        assert res.is_subcoalgebra and "delta_matrix" not in vars(res)
+        want = structure_constants(g, x.monos, res.subspace.space)
+        assert np.array_equal(res.delta_matrix, want)
+        assert res.delta_matrix is res.delta_matrix
 
 
 def test_structure_constants_of_ga_level_one():
