@@ -296,8 +296,8 @@ def main(argv=None) -> int:
         if getattr(args, "nmax", 1) < 1:
             raise UsageError("--nmax must be >= 1")
         job = _jobspec(args)
-        fingerprint = _fingerprint(job)
         cache = _cache_dir(args)
+        fingerprint = _fingerprint(job) if cache else None
         payload = cache_lookup(cache, fingerprint) if cache else None
         if payload is None:
             body = _RUNNERS[args.command](args, limits)
@@ -305,7 +305,10 @@ def main(argv=None) -> int:
                        "verdicts": body["verdicts"],
                        "engine": {"version": __version__}}
             if cache:
-                cache_store(cache, fingerprint, payload)
+                try:
+                    cache_store(cache, fingerprint, payload)
+                except OSError as exc:
+                    print(f"warning: cannot store cache record: {exc}", file=sys.stderr)
         _emit(payload, args.format)
         return 0
     except (InternalInvariantError, AssertionError, DimensionMismatch) as exc:

@@ -67,10 +67,8 @@ class SubCoalgebra(ExplicitSubspace):
     and the coordinates of the unit 1 in the basis.
     """
 
-    def __init__(self, group: Group, monos, space: Subspace,
-                 limits: Limits | None = None):
-        check_limit(space.dim, (limits or Limits()).max_coalgebra_dim,
-                    "sub-coalgebra dimension")
+    def __init__(self, group: Group, monos, space: Subspace, limits: Limits = Limits()):
+        check_limit(space.dim, limits.max_coalgebra_dim, "sub-coalgebra dimension")
         super().__init__(group, monos, space)
         self.index = {m: i for i, m in enumerate(self.monos)}
         self.dim = space.dim
@@ -83,14 +81,12 @@ class SubCoalgebra(ExplicitSubspace):
             raise UnsupportedOperation("sub-coalgebra does not contain the unit")
 
     @staticmethod
-    def canonical(group: Group, d: int, limits: Limits | None = None) -> "SubCoalgebra":
+    def canonical(group: Group, d: int, limits: Limits = Limits()) -> "SubCoalgebra":
         """The level O(G)_{<=d}, refused before its basis is built when its
         closed-form dimension passes the sub-coalgebra ceiling."""
-        check_limit(group.filtration_dim(d), (limits or Limits()).max_coalgebra_dim,
-                    "sub-coalgebra dimension")
+        check_limit(group.filtration_dim(d), limits.max_coalgebra_dim, "sub-coalgebra dimension")
         monos = group.filtration_basis(d)
-        return SubCoalgebra(group, monos, Subspace.full(len(monos), group.p),
-                            limits=limits)
+        return SubCoalgebra(group, monos, Subspace.full(len(monos), group.p), limits)
 
     def coefficient_blocks(self, m: Comodule) -> np.ndarray:
         """F^a, stacked, with Delta_M(m_i) = sum_{j,a} F^a[j,i] m_j (x) b_a.
@@ -252,7 +248,7 @@ def _kron_triples(left: int, a: np.ndarray, right: int, sign: int):
 
 
 def cobar_complex(c: SubCoalgebra, m: Comodule, n_max: int,
-                  limits: Limits | None = None) -> BlockComplex:
+                  limits: Limits = Limits()) -> BlockComplex:
     """The normalized CH^0..CH^(n_max) over C0 and M_{C0}, with all
     differentials (including d^(n_max)), one ChainComplex per weight block.
 
@@ -262,7 +258,6 @@ def cobar_complex(c: SubCoalgebra, m: Comodule, n_max: int,
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    limits = limits or Limits()
     p = c.group.p
     blocks = c.coefficient_blocks(m)
     # the ceiling stays on the full complex's top dimension m s^(n_max+1), so
@@ -346,10 +341,8 @@ def _stage1_triples(blocks: np.ndarray, lam: np.ndarray):
     return (c * s + k) * mm + j, cols, vals
 
 
-def injective_test(c: SubCoalgebra, m: Comodule,
-                   limits: Limits | None = None) -> bool:
+def injective_test(c: SubCoalgebra, m: Comodule, limits: Limits = Limits()) -> bool:
     """Does the embedding Delta_M: M -> M^triv (x) C split by a comodule map?"""
-    limits = limits or Limits()
     p = c.group.p
     s = c.dim
     mm = m.dim
@@ -388,10 +381,8 @@ def injective_test(c: SubCoalgebra, m: Comodule,
     return solvable(prod[:, kept].T, np.eye(mm, dtype=np.int64).reshape(-1)[kept], p)
 
 
-def injectivity_profile(g: Group, m, d_max: int,
-                        limits: Limits | None = None) -> list[bool]:
+def injectivity_profile(g: Group, m, d_max: int, limits: Limits = Limits()) -> list[bool]:
     """Levelwise injectivity of M_X over X = O(G)_{<=d}, its own closure."""
-    limits = limits or Limits()
     out = []
     for d in range(d_max + 1):
         c = SubCoalgebra.canonical(g, d, limits=limits)

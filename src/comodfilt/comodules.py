@@ -197,22 +197,13 @@ def regular(g: Group, n: int) -> Comodule:
 def tensor(m: Comodule, n: Comodule) -> Comodule:
     if m.group != n.group:
         raise ValueError("tensor factors live over different groups")
-    g = m.group
     labels = [f"{a}*{b}" for a in m.basis_labels for b in n.basis_labels]
-    coaction = []
-    for i1 in range(m.dim):
-        col1 = m.column(i1)
-        for i2 in range(n.dim):
-            col2 = n.column(i2)
-            col: dict = {}
-            for j1, f1 in col1.items():
-                for j2, f2 in col2.items():
-                    j = j1 * n.dim + j2
-                    prod = f1 * f2
-                    if prod:
-                        col[j] = col.get(j, g.zero()) + prod
-            coaction.append(col)
-    return Comodule(g, labels, coaction)
+    # (j1, j2) -> j1 * dim N + j2 is one to one, so each product is the whole
+    # coefficient; Comodule drops the ones that vanish
+    coaction = [{j1 * n.dim + j2: f1 * f2 for j1, f1 in m.column(i1).items()
+                 for j2, f2 in n.column(i2).items()}
+                for i1 in range(m.dim) for i2 in range(n.dim)]
+    return Comodule(m.group, labels, coaction)
 
 
 def direct_sum(*modules: Comodule) -> Comodule:

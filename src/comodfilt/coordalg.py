@@ -105,11 +105,11 @@ class _SparseVector:
             out[m] = out.get(m, 0) + c
         return type(self)(self.group, out)
 
+    def __neg__(self):
+        return type(self)(self.group, {m: -c for m, c in self.coeffs.items()})
+
     def __sub__(self, other):
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = out.get(m, 0) - c
-        return type(self)(self.group, out)
+        return self + -other
 
 
 class Element(_SparseVector):
@@ -122,9 +122,6 @@ class Element(_SparseVector):
 
     def scale(self, a: int) -> "Element":
         return Element(self.group, {m: c * a for m, c in self.coeffs.items()})
-
-    def __neg__(self):
-        return self.scale(-1)
 
     def __mul__(self, other):
         return self.group.product(self, other)
@@ -316,25 +313,32 @@ class Group:
         return hash(self.spec())
 
 
-class Ga(Group):
-    """Additive group: O(Ga) = k[t], t primitive, degree 1 (unitriangular coordinate)."""
-
-    kind = "Ga"
+class _OneVariable(Group):
+    """O(G) in one variable t: the monomial t^a is the integer a."""
 
     def one_mono(self):
         return 0
-
-    def degree(self, mono):
-        return mono
-
-    def mono_key(self, mono):
-        return (mono, mono)
 
     def mono_str(self, mono):
         return "1" if mono == 0 else f"t^{mono}"
 
     def _mono_product(self, m1, m2):
         return m1 + m2
+
+    def frobenius_mono(self, mono, q):
+        return mono * q
+
+
+class Ga(_OneVariable):
+    """Additive group: O(Ga) = k[t], t primitive, degree 1 (unitriangular coordinate)."""
+
+    kind = "Ga"
+
+    def degree(self, mono):
+        return mono
+
+    def mono_key(self, mono):
+        return (mono, mono)
 
     @_tabled
     def coproduct_mono(self, mono):
@@ -363,9 +367,6 @@ class Ga(Group):
     def antipode_mono(self, mono):
         return {mono: (-1) ** mono % self.p}
 
-    def frobenius_mono(self, mono, q):
-        return mono * q
-
     def filtration_monomials(self, d):
         return list(range(d + 1))
 
@@ -373,25 +374,16 @@ class Ga(Group):
         return d + 1
 
 
-class Gm(Group):
+class Gm(_OneVariable):
     """Multiplicative group: O(Gm) = k[t, t^-1], grouplike t, realized as GL(1)."""
 
     kind = "Gm"
-
-    def one_mono(self):
-        return 0
 
     def degree(self, mono):
         return abs(mono)
 
     def mono_key(self, mono):
         return (abs(mono), -mono)
-
-    def mono_str(self, mono):
-        return "1" if mono == 0 else f"t^{mono}"
-
-    def _mono_product(self, m1, m2):
-        return m1 + m2
 
     @_tabled
     def coproduct_mono(self, mono):
@@ -408,9 +400,6 @@ class Gm(Group):
 
     def antipode_mono(self, mono):
         return {-mono: 1}
-
-    def frobenius_mono(self, mono, q):
-        return mono * q
 
     def filtration_monomials(self, d):
         return list(range(-d, d + 1))
@@ -848,7 +837,7 @@ _SPEC_RE = re.compile(r"^\s*(Ga|Gm|GL|SL|U|M)(?::(\d+))?\s*@\s*p\s*=\s*(\d+)\s*$
 
 _KINDS = {"Ga": Ga, "Gm": Gm, "GL": GL, "SL": SL, "U": Unitriangular, "M": MatMonoid}
 
-_group_cache: dict[str, Group] = {}
+_group_cache: dict[tuple, Group] = {}
 
 
 def group_from_spec(spec: str) -> Group:
@@ -864,19 +853,15 @@ def group_from_spec(spec: str) -> Group:
                              f"elimination needs (p-1)^2 < 2^63")
     if not is_prime(p):
         raise GroupSpecError(f"p={p} is not prime in spec {spec!r}")
-    if kind in ("Ga", "Gm"):
-        if n_str is not None:
-            raise GroupSpecError(f"{kind} takes no size parameter (got {spec!r})")
-        key = f"{kind}@p={p}"
-        if key not in _group_cache:
-            _group_cache[key] = _KINDS[kind](p)
-        return _group_cache[key]
-    if n_str is None:
+    one_variable = kind in ("Ga", "Gm")
+    if one_variable and n_str is not None:
+        raise GroupSpecError(f"{kind} takes no size parameter (got {spec!r})")
+    if not one_variable and n_str is None:
         raise GroupSpecError(f"{kind} needs a size, e.g. {kind}:2@p={p}")
-    n = int(n_str)
+    n = int(n_str or 1)
     if n < 1:
         raise GroupSpecError(f"N must be >= 1 in {spec!r}")
-    key = f"{kind}:{n}@p={p}"
+    key = (kind, n, p)
     if key not in _group_cache:
         _group_cache[key] = _KINDS[kind](p, n)
     return _group_cache[key]

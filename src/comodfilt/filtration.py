@@ -308,15 +308,12 @@ def _induced_comodule(m: Comodule, v: Subspace, coords: tuple | None) -> Comodul
     return sub
 
 
+@dataclass
 class FiltrationResult:
     """Dimension ladder of M_{O(G)_{<=d}} for d = 0..d_max."""
 
-    def __init__(self, dims: list[int], stabilized_at):
-        self.dims = dims
-        self.stabilized_at = stabilized_at  # first d with M_{<=d} = M, or None
-
-    def __repr__(self):
-        return f"FiltrationResult(dims={self.dims}, stabilized_at={self.stabilized_at})"
+    dims: list[int]
+    stabilized_at: int | None  # first d with M_{<=d} = M, or None
 
 
 def filtration_dims(m, d_max: int) -> FiltrationResult:

@@ -131,8 +131,7 @@ class Subspace:
         return hash((self.ambient_dim, self.p, self.basis.tobytes()))
 
     def contains(self, vec) -> bool:
-        v = np.mod(np.asarray(vec, dtype=np.int64), self.p)
-        return self.coords(v) is not None
+        return self.coords(vec) is not None
 
     def residual(self, ys: np.ndarray) -> np.ndarray:
         """The columns of ys (n, k), entries in [0, p), modulo the subspace V:

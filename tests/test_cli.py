@@ -319,6 +319,43 @@ def test_cache_store_leaves_no_partial_record(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == ["f" * 64 + ".json"]
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("shape", ["cache is a file", "record is a directory"])
+def test_a_record_that_cannot_be_stored_warns_and_answers(tmp_path, capsys, shape, fmt):
+    argv = ["dims", "--group", "Ga@p=2", "--dmax", "1", "--format", fmt]
+    if shape == "cache is a file":
+        cache = tmp_path / "F"
+        cache.write_text("")
+    else:
+        cache = tmp_path / "cache"
+        run_json(capsys, *argv[:-2], "--cache", str(cache))
+        (record,) = os.listdir(cache)
+        os.remove(cache / record)
+        os.mkdir(cache / record)
+    code, out, err = run(capsys, *argv, "--cache", str(cache))
+    assert code == 0, err
+    if fmt == "csv":
+        assert out.splitlines() == ["d,dim", "0,1", "1,2"]
+    else:
+        assert [r["dim"] for r in json.loads(out)["rows"]] == [1, 2]
+    lines = err.splitlines()
+    assert lines and all(line.startswith("warning: ") for line in lines), err
+    assert lines[-1].startswith("warning: cannot store cache record: ")
+    if shape == "cache is a file":
+        assert len(lines) == 1
+    assert not [name for _, _, names in os.walk(tmp_path)
+                for name in names if name.endswith(".tmp")]
+
+
+def test_a_run_without_a_cache_hashes_no_source(capsys, monkeypatch):
+    monkeypatch.delenv("COMODFILT_CACHE", raising=False)
+    monkeypatch.setattr(cli, "_engine_digest", lambda: pytest.fail("sources hashed"))
+    for extra in ([], ["--no-cache"]):
+        code, out, _ = run(capsys, "dims", "--group", "Ga@p=2", "--dmax", "1",
+                           "--format", "csv", *extra)
+        assert code == 0 and out.splitlines() == ["d,dim", "0,1", "1,2"]
+
+
 def test_reused_parser_gives_the_same_answers(capsys, monkeypatch):
     # main() parses every call with one parser built per process; fresh
     # parsers must give the same output and exit codes

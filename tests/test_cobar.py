@@ -732,3 +732,14 @@ def test_resource_ceilings():
         cobar_complex(c, trivial(GA2), 2, limits=Limits(max_chain_dim=10))
     with pytest.raises(ResourceLimitError):
         injective_test(c, regular(GA2, 3), limits=Limits(max_solver_unknowns=3))
+
+
+def test_library_calls_without_limits_refuse_at_the_default_ceilings():
+    with pytest.raises(ResourceLimitError, match="sub-coalgebra dimension = 31"):
+        SubCoalgebra.canonical(GA2, 30)
+    with pytest.raises(ResourceLimitError, match="sub-coalgebra dimension = 31"):
+        SubCoalgebra(GA2, GA2.filtration_basis(30), Subspace.full(31, 2))
+    assert SubCoalgebra.canonical(GA2, 29).dim == 30
+    c = SubCoalgebra.canonical(GA2, 9)
+    with pytest.raises(ResourceLimitError, match="chain-group dimension = 300000"):
+        cobar_complex(c, regular(GA2, 2), 4)

@@ -76,6 +76,25 @@ def test_tensor_sum_dims_and_validity():
         tensor(a, regular(GA2, 1))
 
 
+@pytest.mark.parametrize("left, right", [
+    (lambda: natural(group_from_spec("GL:2@p=3")),
+     lambda: dual(natural(group_from_spec("GL:2@p=3")))),
+    (lambda: regular(GA2, 2), lambda: regular(GA2, 1)),
+    (lambda: sym_power(2, natural(SL2)), lambda: natural(SL2)),
+])
+def test_tensor_coefficients_are_the_products_of_the_factors(left, right):
+    m, n = left(), right()
+    # column by column, in (j1, j2) order within one, zero products dropped
+    want = [((j1 * n.dim + j2, i1 * n.dim + i2), f1 * f2)
+            for i1 in range(m.dim) for i2 in range(n.dim)
+            for j1, f1 in m.column(i1).items() for j2, f2 in n.column(i2).items()
+            if f1 * f2]
+    t = tensor(m, n)
+    assert list(t.coeffs.items()) == want
+    assert len(dict(want)) == len(want)  # the index map is one to one
+    assert t.validate().ok
+
+
 def test_dual_and_double_dual():
     v = dual(regular(GA2, 2))
     assert v.dim == 3 and v.validate().ok

@@ -46,6 +46,31 @@ def test_group_from_spec_grammar():
             group_from_spec(bad)
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("Ga:2@p=3", "Ga takes no size parameter (got 'Ga:2@p=3')"),
+    ("Gm:1@p=3", "Gm takes no size parameter (got 'Gm:1@p=3')"),
+    ("GL@p=5", "GL needs a size, e.g. GL:2@p=5"),
+    ("U@p=2", "U needs a size, e.g. U:2@p=2"),
+    ("GL:0@p=2", "N must be >= 1 in 'GL:0@p=2'"),
+    ("SL:00@p=3", "N must be >= 1 in 'SL:00@p=3'"),
+    # the prime checks come before the size checks
+    ("Ga:2@p=4", "p=4 is not prime in spec 'Ga:2@p=4'"),
+    ("GL@p=9", "p=9 is not prime in spec 'GL@p=9'"),
+])
+def test_group_spec_errors_name_the_fault(spec, message):
+    with pytest.raises(GroupSpecError) as info:
+        group_from_spec(spec)
+    assert str(info.value) == message
+
+
+def test_group_specs_of_one_group_share_one_instance():
+    assert group_from_spec("GL:02@p=5") is group_from_spec("GL:2@p=5")
+    assert group_from_spec(" Ga @ p = 2") is group_from_spec("Ga@p=2")
+    assert group_from_spec("Ga@p=3") is not group_from_spec("Gm@p=3")
+    assert group_from_spec("GL:1@p=3") is not group_from_spec("Gm@p=3")
+    assert group_from_spec("GL:2@p=3") is not group_from_spec("SL:2@p=3")
+
+
 # ---------------------------------------------------------------------------
 # filtration dimensions: closed formulas against basis enumeration
 
@@ -814,6 +839,22 @@ def test_elements_and_tensors_share_one_sparse_rule():
     assert one == other and hash(one) == hash(other) and len({one, other}) == 1
     with pytest.raises(TypeError):
         hash(te)
+
+
+def test_subtraction_is_addition_of_the_negation():
+    g = group_from_spec("GL:2@p=3")
+    a, b, c = g.gen_mono(0, 0), g.gen_mono(1, 1), g.gen_mono(0, 1)
+    for kind, keys in ((Element, (a, b, c)), (TensorElement, ((a, b), (b, a), (c, c)))):
+        x, y, z = keys
+        f, h = kind(g, {x: 1, y: 2}), kind(g, {x: 2, z: 1})
+        diff = f - h
+        # self's keys first, then the other's new keys; coefficients mod p
+        assert list(diff.coeffs.items()) == [(x, 2), (y, 2), (z, 2)]
+        assert diff + h == f and -h + f == diff and f - f == kind(g, {})
+        assert (f - kind(g, {x: 1})).coeffs == {y: 2}  # one key cancels
+        assert not f - kind(g, {y: 5, x: 4})  # every key cancels, mod p
+        assert type(diff) is kind and type(-f) is kind
+    assert (g.zero() - g.one()).coeffs == {g.one_mono(): 2}
 
 
 UNITRIANGULAR_CASES = ["U:2@p=2", "U:3@p=3", "U:4@p=2", "U:4@p=5", "U:5@p=3"]

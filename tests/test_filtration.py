@@ -212,6 +212,11 @@ def test_filtration_dims_and_stabilization():
     assert res.stabilized_at is None  # streams have no finite stabilization
 
 
+def test_filtration_result_reads_back_as_its_fields():
+    res = filtration_dims(natural(GL2), 3)
+    assert repr(res) == "FiltrationResult(dims=[0, 2, 2, 2], stabilized_at=1)"
+
+
 def test_filtration_dims_builds_one_coaction_per_comodule(monkeypatch):
     built = []
 
