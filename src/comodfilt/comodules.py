@@ -52,15 +52,24 @@ class ValidationReport:
 
 
 class Comodule:
-    """Right O(G)-comodule: Delta(m_i) = sum_j m_j (x) coefficient(j, i)."""
+    """Right O(G)-comodule: Delta(m_i) = sum_j m_j (x) coefficient(j, i).
 
-    def __init__(self, group: Group, basis_labels, coaction):
+    `prefix`, if given, is a comodule whose basis vectors and columns are the
+    first of this one's (a stream's generation below it): its columns are
+    shared, and `validate` takes its report and scans only the later columns.
+    """
+
+    def __init__(self, group: Group, basis_labels, coaction, prefix=None):
         self.group = group
         self.basis_labels = list(basis_labels)
+        self._prefix = prefix
+        start = prefix.dim if prefix else 0
         # coaction: per column i, a dict {j: Element}
-        self._columns = [{j: el for j, el in col.items() if el} for col in coaction]
-        self.coeffs = {(j, i): el for i, col in enumerate(self._columns)
-                       for j, el in col.items()}
+        new = [{j: el for j, el in col.items() if el} for col in coaction[start:]]
+        self._columns = prefix._columns + new if prefix else new
+        self.coeffs = dict(prefix.coeffs) if prefix else {}
+        self.coeffs.update(((j, i), el) for i, col in enumerate(new, start)
+                           for j, el in col.items())
         self._coaction = None  # its array form, built once by filtration.coaction
         self._report = None  # the axiom scan's outcome, kept by validate
 
@@ -94,46 +103,79 @@ class Comodule:
         and coproduct 0, so a basis index i can fail only at a row j (counit)
         or l (coassociativity) where column i or some f_{lj} with j in
         column i is nonzero.  Indices are scanned in increasing order, as a
-        dense scan would.  The report is kept on the comodule, as its
-        coaction is, so the scan runs once per comodule.
+        dense scan would.  A prefix's columns name only its rows, so they
+        read only its columns and its report stands for them: the scan
+        resumes after it and keeps each first failure the prefix has.  The
+        report is kept on the comodule, as its coaction is, so each column
+        is scanned once.
         """
-        if self._report is not None:
-            return self._report
+        chain = []  # this comodule and the prefixes below it not yet scanned
+        m = self
+        while m is not None and m._report is None:
+            chain.append(m)
+            m = m._prefix
+        for m in reversed(chain):
+            done = m._prefix._report.failures if m._prefix else []
+            new = range(m._prefix.dim if m._prefix else 0, m.dim)
+            failures = ([f for f in done if f.startswith("counit")] or m._counit(new)) + \
+                ([f for f in done if f.startswith("coassoc")] or m._coassociativity(new))
+            m._report = ValidationReport(not failures, failures)
+        return self._report
+
+    def _counit(self, new: range) -> list[str]:
         g = self.group
-        failures = []
-        for i in range(self.dim):
+        for i in new:
             col = self.column(i)
             bad = [j for j, f in col.items() if g.counit(f) != int(i == j)]
             if i not in col:
                 bad.append(i)
             if bad:
                 j = min(bad)
-                failures.append(f"counit axiom at basis index {i} "
-                                f"(epsilon(f[{j},{i}]) != {int(i == j)})")
-                break
-        for i in range(self.dim):
-            col = self.column(i)
-            # diff[l] = sum_j f_{lj} (x) f_{ji} - Delta(f_{li}), over j in column i
-            diff: dict = {}
-            for j, fji in col.items():
-                for ell, felj in self.column(j).items():
-                    acc = diff.setdefault(ell, {})
-                    for ma, ca in felj.coeffs.items():
-                        for mb, cb in fji.coeffs.items():
-                            acc[(ma, mb)] = acc.get((ma, mb), 0) + ca * cb
-            for ell, f in col.items():
-                acc = diff.setdefault(ell, {})
-                for m, c in f.coeffs.items():
-                    # read from the group's table: each Delta(m) is computed once
-                    for mm, cc in g.coproduct_mono(m).items():
-                        acc[mm] = acc.get(mm, 0) - c * cc
-            bad = [ell for ell, acc in diff.items()
-                   if any(c % g.p for c in acc.values())]
+                return [f"counit axiom at basis index {i} "
+                        f"(epsilon(f[{j},{i}]) != {int(i == j)})"]
+        return []
+
+    def _coassociativity(self, new: range) -> list[str]:
+        """The first i in `new` with sum_j f_{lj} (x) f_{ji} != Delta(f_{li}) at some l.
+
+        Each monomial of the columns read, and each leg of the coproducts
+        read from the group's table, gets a small integer code once per
+        scan, so a row l and a pair of legs (a, b) are one integer key
+        (l*K + a)*K + b, K the number of codes.
+        """
+        g, cols = self.group, self._columns
+        codes: dict = {}
+        coded = {j: {ell: [(codes.setdefault(m, len(codes)), c) for m, c in f.coeffs.items()]
+                     for ell, f in cols[j].items()}
+                 for j in {j for i in new for j in cols[i]}.union(new)}
+        pairs: dict = {}
+        for i in new:
+            for f in cols[i].values():
+                for m in f.coeffs:
+                    if m not in pairs:
+                        pairs[m] = [(codes.setdefault(a, len(codes)),
+                                     codes.setdefault(b, len(codes)), c)
+                                    for (a, b), c in g.coproduct_mono(m).items()]
+        k = len(codes)
+        delta = {codes[m]: [(a * k + b, c) for a, b, c in ab] for m, ab in pairs.items()}
+        for i in new:
+            diff: dict = {}  # sum_j f_{lj} (x) f_{ji} - Delta(f_{li}), over j in column i
+            get = diff.get
+            for j, right in coded[i].items():
+                for ell, left in coded[j].items():
+                    for a, ca in left:
+                        base = (ell * k + a) * k
+                        for b, cb in right:
+                            diff[base + b] = get(base + b, 0) + ca * cb
+            for ell, f in coded[i].items():
+                base = ell * k * k
+                for m, c in f:
+                    for ab, cc in delta[m]:
+                        diff[base + ab] = get(base + ab, 0) - c * cc
+            bad = [key for key, c in diff.items() if c % g.p]
             if bad:
-                failures.append(f"coassociativity at basis index {i} (row {min(bad)})")
-                break
-        self._report = ValidationReport(not failures, failures)
-        return self._report
+                return [f"coassociativity at basis index {i} (row {min(bad) // (k * k)})"]
+        return []
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +219,17 @@ def detpow(g: Group, s: int) -> Comodule:
 
 def regular(g: Group, n: int) -> Comodule:
     """The right regular comodule truncated to O(G)_{<=n}, coaction Delta."""
+    return Comodule(g, *_regular_part(g, n, 0))
+
+
+def _regular_part(g: Group, n: int, start: int):
+    """Labels and columns of O(G)_{<=n}'s filtration basis from index `start` on."""
     if n < 0:
         raise ValueError("regular truncation level must be >= 0")
     basis = g.filtration_basis(n)
     index = {m: i for i, m in enumerate(basis)}
     coaction = []
-    for m in basis:
+    for m in basis[start:]:
         col: dict = {}  # row j -> {right leg: coefficient}; the legs of a row are distinct
         for (a, b), c in g.coproduct_mono(m).items():
             if a not in index:
@@ -191,7 +238,7 @@ def regular(g: Group, n: int) -> Comodule:
                     f"(left leg {g.mono_str(a)} escapes)")
             col.setdefault(index[a], {})[b] = c
         coaction.append({j: Element(g, f) for j, f in col.items()})
-    return Comodule(g, [g.mono_str(m) for m in basis], coaction)
+    return [g.mono_str(m) for m in basis[start:]], coaction
 
 
 def tensor(m: Comodule, n: Comodule) -> Comodule:
@@ -271,20 +318,45 @@ def sym_power(n: int, m: Comodule) -> Comodule:
 # streams
 
 class StreamModule:
-    """Nested truncations M(0) <= M(1) <= ... with a filtration sufficiency bound."""
+    """Nested truncations M(0) <= M(1) <= ... with a filtration sufficiency bound.
 
-    def __init__(self, group: Group, name: str, generate_fn, sufficiency_fn):
+    Every constructor keeps one contract: generation n is the first basis
+    vectors of generation n+1, with the same columns.  So a constructor
+    states only what is new at generation n: `new_fn(n, start)` returns the
+    labels and columns of basis vectors start, start+1, ..., with row
+    indices global, and is called once per generation, in order, so it may
+    keep what it built for the generations below.  `generate` appends them
+    and hands the largest generation already built below n to the new
+    Comodule as its prefix, so each column is built once and scanned once.
+    """
+
+    def __init__(self, group: Group, name: str, new_fn, sufficiency_fn):
         self.group = group
         self.name = name
-        self._generate = generate_fn
+        self._new = new_fn
         self._sufficiency = sufficiency_fn
+        self._labels: list = []
+        self._columns: list = []
+        self._dims: list[int] = []  # dim of generation n, for each n already stated
         self._cache: dict[int, Comodule] = {}
 
     def generate(self, n: int) -> Comodule:
         if n < 0:
             raise ValueError("generation index must be >= 0")
+        while len(self._dims) <= n:
+            labels, columns = self._new(len(self._dims), len(self._labels))
+            self._labels += labels
+            self._columns += columns
+            dim = len(self._labels)
+            if any(j >= dim for col in columns for j in col):
+                raise AssertionError(f"{self!r} generation {len(self._dims)} names a row "
+                                     f"past its dimension {dim}")
+            self._dims.append(dim)
         if n not in self._cache:
-            self._cache[n] = self._generate(n)
+            below = [k for k in self._cache if k < n]
+            dim = self._dims[n]
+            self._cache[n] = Comodule(self.group, self._labels[:dim], self._columns[:dim],
+                                      self._cache[max(below)] if below else None)
         return self._cache[n]
 
     def sufficiency(self, d: int) -> int:
@@ -308,12 +380,11 @@ def polyaffine(g: Group, m: int) -> StreamModule:
         raise UnsupportedOperation("polyaffine is only defined over Ga")
     if m < 1:
         raise ValueError("polyaffine needs at least one coordinate")
+    index: dict = {}  # exponent tuple -> its basis index, through the last generation
 
-    def gen(n: int) -> Comodule:
-        basis = [e for deg in range(n + 1)
-                 for e in _exp_tuples(m, deg)]
-        index = {e: i for i, e in enumerate(basis)}
-        labels = [_poly_label(e) for e in basis]
+    def new(n: int, start: int):
+        basis = list(_exp_tuples(m, n))  # the monomials of degree n
+        index.update((e, i) for i, e in enumerate(basis, start))
         coaction = []
         for alpha in basis:
             # per coordinate, the b <= a with binom(a, b) nonzero mod p; a
@@ -326,11 +397,11 @@ def polyaffine(g: Group, m: int) -> StreamModule:
                 c = 1
                 for _, f in pick:
                     c = c * f % g.p
-                col[index[beta]] = Element(g, {sum(alpha) - sum(beta): c})
+                col[index[beta]] = Element(g, {n - sum(beta): c})
             coaction.append(col)
-        return Comodule(g, labels, coaction)
+        return [_poly_label(e) for e in basis], coaction
 
-    return StreamModule(g, f"polyaffine({m})", gen, lambda d: d)
+    return StreamModule(g, f"polyaffine({m})", new, lambda d: d)
 
 
 def _poly_label(e) -> str:
@@ -349,14 +420,12 @@ def primitives(g: Group) -> StreamModule:
     if not isinstance(g, Ga):
         raise UnsupportedOperation("primitives is only defined over Ga")
 
-    def gen(n: int) -> Comodule:
-        labels = ["1"] + [f"t^{g.p ** i}" for i in range(1, n + 1)]
-        coaction = [{0: g.one()}]
-        for i in range(1, n + 1):
-            coaction.append({i: g.one(), 0: g.element({g.p ** i: 1})})
-        return Comodule(g, labels, coaction)
+    def new(n: int, start: int):
+        if n == 0:
+            return ["1"], [{0: g.one()}]
+        return [f"t^{g.p ** n}"], [{n: g.one(), 0: g.element({g.p ** n: 1})}]
 
-    return StreamModule(g, "primitives", gen, lambda d: _log_floor(g.p, max(d, 1)))
+    return StreamModule(g, "primitives", new, lambda d: _log_floor(g.p, max(d, 1)))
 
 
 def translationinvariants(g: Group) -> StreamModule:
@@ -364,24 +433,16 @@ def translationinvariants(g: Group) -> StreamModule:
     if not isinstance(g, Ga):
         raise UnsupportedOperation("translationinvariants is only defined over Ga")
     u = g.element({g.p: 1, 1: -1})
+    upow = [g.one()]  # u^0, u^1, ..., through the last generation
 
-    def gen(n: int) -> Comodule:
-        labels = [f"u^{j}" if j else "1" for j in range(n + 1)]
-        upow = [g.one()]
-        for _ in range(n):
+    def new(n: int, start: int):
+        if n:
             upow.append(upow[-1] * u)
-        coaction = []
-        for j in range(n + 1):
-            # u is primitive, so Delta(u^j) = sum_i C(j,i) u^i (x) u^(j-i)
-            col: dict = {}
-            for i in range(j + 1):
-                c = binom(j, i) % g.p
-                if c:
-                    col[i] = upow[j - i].scale(c)
-            coaction.append(col)
-        return Comodule(g, labels, coaction)
+        # u is primitive, so Delta(u^n) = sum_i C(n,i) u^i (x) u^(n-i)
+        return [f"u^{n}" if n else "1"], [{i: upow[n - i].scale(c) for i in range(n + 1)
+                                           if (c := binom(n, i) % g.p)}]
 
-    return StreamModule(g, "translationinvariants", gen, lambda d: d // g.p)
+    return StreamModule(g, "translationinvariants", new, lambda d: d // g.p)
 
 
 def twiststream(g: Group, e: int) -> StreamModule:
@@ -392,18 +453,17 @@ def twiststream(g: Group, e: int) -> StreamModule:
         raise ValueError("twiststream exponent must be >= 1")
     nat = natural(g)
 
-    def gen(n: int) -> Comodule:
-        blocks = []
-        for r in range(n + 1):
-            blocks += [frobenius_twist(nat, r)] * g.p ** (r ** e)
-        return direct_sum(*blocks)
+    def new(n: int, start: int):
+        block = direct_sum(*[frobenius_twist(nat, n)] * g.p ** (n ** e))
+        return block.basis_labels, [{j + start: f for j, f in block.column(i).items()}
+                                    for i in range(block.dim)]
 
-    return StreamModule(g, f"twiststream({e})", gen, lambda d: _log_floor(g.p, max(d, 1)))
+    return StreamModule(g, f"twiststream({e})", new, lambda d: _log_floor(g.p, max(d, 1)))
 
 
 def regular_stream(g: Group) -> StreamModule:
     """The full right regular comodule as a stream of filtration truncations."""
-    return StreamModule(g, "regular", lambda n: regular(g, n), lambda d: d)
+    return StreamModule(g, "regular", lambda n, start: _regular_part(g, n, start), lambda d: d)
 
 
 # ---------------------------------------------------------------------------

@@ -299,8 +299,6 @@ class Group:
         return sorted(monos, key=self.mono_key)
 
     def spec(self) -> str:
-        if self.kind in ("Ga", "Gm"):
-            return f"{self.kind}@p={self.p}"
         return f"{self.kind}:{self.N}@p={self.p}"
 
     def __repr__(self):
@@ -315,6 +313,9 @@ class Group:
 
 class _OneVariable(Group):
     """O(G) in one variable t: the monomial t^a is the integer a."""
+
+    def spec(self) -> str:
+        return f"{self.kind}@p={self.p}"
 
     def one_mono(self):
         return 0
@@ -853,7 +854,7 @@ def group_from_spec(spec: str) -> Group:
                              f"elimination needs (p-1)^2 < 2^63")
     if not is_prime(p):
         raise GroupSpecError(f"p={p} is not prime in spec {spec!r}")
-    one_variable = kind in ("Ga", "Gm")
+    one_variable = issubclass(_KINDS[kind], _OneVariable)
     if one_variable and n_str is not None:
         raise GroupSpecError(f"{kind} takes no size parameter (got {spec!r})")
     if not one_variable and n_str is None:

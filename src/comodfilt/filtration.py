@@ -216,7 +216,8 @@ def _split(g: Group, co: Coaction, x, n: int):
             np.vstack(outside), np.concatenate(outside_row))
 
 
-def _greatest_fixpoint(g: Group, co: Coaction, x, start: Subspace) -> tuple[Subspace, int]:
+def _greatest_fixpoint(g: Group, co: Coaction, x, start: Subspace,
+                       split=None) -> tuple[Subspace, int]:
     """The greatest V <= start with B_h V <= V inside X and B_h V = 0 outside it.
 
     The outside rows, mostly of one nonzero each, are peeled by
@@ -226,10 +227,11 @@ def _greatest_fixpoint(g: Group, co: Coaction, x, start: Subspace) -> tuple[Subs
     pass contains the greatest fixpoint and the first pass that keeps all of
     V is one, so the loop ends on it.  V = 0 and V = the whole ambient are
     fixpoints as they stand.  For a coassociative coaction the second pass
-    always keeps V: B_k B_h = sum_g Delta(g)_{k,h} B_g.
+    always keeps V: B_k B_h = sum_g Delta(g)_{k,h} B_g.  `split` is
+    `_split(g, co, x, n)`, if the caller has it already.
     """
     p, n = g.p, start.ambient_dim
-    inside, outside, _ = _split(g, co, x, n)
+    inside, outside, _ = split or _split(g, co, x, n)
     v = start
     if len(outside) and v.dim:
         v = v.lift(sparse_kernel(*_triples(_on_basis(outside, v)), v.dim, p))
@@ -364,9 +366,11 @@ def coalgebra_closure(g: Group, x) -> ClosureResult:
     if x.group != g:
         raise ValueError("subspace group does not match")
     co = coproduct_coaction(g, x.monos)
-    v, _ = _greatest_fixpoint(g, co, x, x.space)
-    return ClosureResult(ExplicitSubspace(g, x.monos, v),
-                         _subcoalgebra_coordinates(g, co, x.monos, v) is not None)
+    split = _split(g, co, x, len(x.monos))
+    v, _ = _greatest_fixpoint(g, co, x, x.space, split)
+    # V <= X, so at V = X (every canonical level) the split against V is X's
+    return ClosureResult(ExplicitSubspace(g, x.monos, v), _subcoalgebra_coordinates(
+        g, co, x.monos, v, split if v.dim == x.space.dim else None) is not None)
 
 
 def coproduct_coaction(g: Group, monos) -> Coaction:
@@ -399,9 +403,10 @@ def structure_constants(g: Group, monos, space: Subspace):
     return d.reshape(space.dim ** 2, space.dim)
 
 
-def _subcoalgebra_coordinates(g: Group, co: Coaction, monos, space: Subspace):
-    """`_coordinates` of the coproduct `co`, or None if not a sub-coalgebra."""
-    inside, outside, _ = _split(g, co, ExplicitSubspace(g, monos, space), len(monos))
+def _subcoalgebra_coordinates(g: Group, co: Coaction, monos, space: Subspace, split=None):
+    """`_coordinates` of the coproduct `co`, or None if not a sub-coalgebra;
+    `split` is `co` split against `space`, if the caller has it already."""
+    inside, outside, _ = split or _split(g, co, ExplicitSubspace(g, monos, space), len(monos))
     return None if np.any(_on_basis(outside, space)) else _coordinates(inside, space)
 
 

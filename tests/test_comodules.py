@@ -1,5 +1,6 @@
 """Comodule constructors, streams, and the module-expression language."""
 
+import itertools
 import os
 import random
 import re
@@ -14,7 +15,8 @@ from comodfilt.comodules import (_CONSTRUCTORS, Comodule, ModuleExprError,
                                  polyaffine, primitives, regular,
                                  regular_stream, sym_power, tensor,
                                  translationinvariants, trivial, twiststream)
-from comodfilt.coordalg import TensorElement, UnsupportedOperation, group_from_spec
+from comodfilt.coordalg import (Element, TensorElement, UnsupportedOperation, _exp_tuples,
+                                binom, group_from_spec)
 
 GA2 = group_from_spec("Ga@p=2")
 GM3 = group_from_spec("Gm@p=3")
@@ -207,6 +209,172 @@ def test_stream_generations_are_nested():
             assert big.coefficient(j, i) == f
 
 
+# Oracles: each stream's generation n built from scratch, independently of
+# the generations below it, which the constructors extend.
+
+def polyaffine_oracle(g, m, n):
+    basis = [e for deg in range(n + 1) for e in _exp_tuples(m, deg)]
+    index = {e: i for i, e in enumerate(basis)}
+    coaction = []
+    for alpha in basis:
+        factors = [[(b, c) for b in range(a + 1) if (c := binom(a, b) % g.p)]
+                   for a in alpha]
+        col = {}
+        for pick in itertools.product(*factors):
+            beta = tuple(b for b, _ in pick)
+            c = 1
+            for _, f in pick:
+                c = c * f % g.p
+            col[index[beta]] = Element(g, {sum(alpha) - sum(beta): c})
+        coaction.append(col)
+    labels = ["*".join(f"x{i + 1}^{a}" if a > 1 else f"x{i + 1}"
+                       for i, a in enumerate(e) if a) or "1" for e in basis]
+    return Comodule(g, labels, coaction)
+
+
+def primitives_oracle(g, n):
+    labels = ["1"] + [f"t^{g.p ** i}" for i in range(1, n + 1)]
+    coaction = [{0: g.one()}]
+    for i in range(1, n + 1):
+        coaction.append({i: g.one(), 0: g.element({g.p ** i: 1})})
+    return Comodule(g, labels, coaction)
+
+
+def translationinvariants_oracle(g, n):
+    u = g.element({g.p: 1, 1: -1})
+    labels = [f"u^{j}" if j else "1" for j in range(n + 1)]
+    upow = [g.one()]
+    for _ in range(n):
+        upow.append(upow[-1] * u)
+    coaction = []
+    for j in range(n + 1):
+        col = {}
+        for i in range(j + 1):
+            c = binom(j, i) % g.p
+            if c:
+                col[i] = upow[j - i].scale(c)
+        coaction.append(col)
+    return Comodule(g, labels, coaction)
+
+
+def twiststream_oracle(g, e, n):
+    blocks = []
+    for r in range(n + 1):
+        blocks += [frobenius_twist(natural(g), r)] * g.p ** (r ** e)
+    return direct_sum(*blocks)
+
+
+STREAMS = [
+    (lambda: polyaffine(GA2, 2), lambda n: polyaffine_oracle(GA2, 2, n)),
+    (lambda: polyaffine(group_from_spec("Ga@p=3"), 3),
+     lambda n: polyaffine_oracle(group_from_spec("Ga@p=3"), 3, n)),
+    (lambda: primitives(group_from_spec("Ga@p=3")),
+     lambda n: primitives_oracle(group_from_spec("Ga@p=3"), n)),
+    (lambda: translationinvariants(GA2), lambda n: translationinvariants_oracle(GA2, n)),
+    (lambda: twiststream(GL2, 1), lambda n: twiststream_oracle(GL2, 1, n)),
+    (lambda: twiststream(group_from_spec("GL:1@p=3"), 1),
+     lambda n: twiststream_oracle(group_from_spec("GL:1@p=3"), 1, n)),
+    (lambda: regular_stream(GL2), lambda n: regular(GL2, n)),
+    (lambda: regular_stream(SL2), lambda n: regular(SL2, n)),
+]
+
+
+@pytest.mark.parametrize("order", [[0, 1, 2, 3, 4], [3, 1, 4, 0, 2]], ids=str)
+@pytest.mark.parametrize("make, oracle", STREAMS)
+def test_generations_extend_the_one_below_as_the_oracle_builds_them(make, oracle, order):
+    st = make()
+    for n in order:
+        got, want = st.generate(n), oracle(n)
+        assert got.basis_labels == want.basis_labels
+        # entry for entry and in the same order, column by column
+        assert list(got.coeffs.items()) == list(want.coeffs.items())
+        assert [got.column(i) for i in range(got.dim)] == \
+            [want.column(i) for i in range(want.dim)]
+        assert got.validate().ok
+
+
+def tampered_stream(st, faults):
+    """st with its new columns changed at the generations in `faults`:
+    "counit" doubles the first new column (its diagonal entry then has
+    counit 2), "coassoc" adds t^7 to its row-0 entry, which keeps every
+    counit and breaks Delta there."""
+    def new(n, start):
+        labels, columns = st._new(n, start)
+        columns = [dict(col) for col in columns]
+        col = columns[0]
+        if faults.get(n) == "counit":
+            columns[0] = {j: f.scale(2) for j, f in col.items()}
+        elif faults.get(n) == "coassoc":
+            col[0] = col.get(0, st.group.zero()) + st.group.element({7: 1})
+        return labels, columns
+    return StreamModule(st.group, st.name, new, st.sufficiency)
+
+
+@pytest.mark.parametrize("order", [[0, 1, 2, 3, 4], [4, 2, 0, 3, 1]], ids=str)
+@pytest.mark.parametrize("faults", [
+    {0: "counit"}, {0: "coassoc"}, {3: "counit"}, {3: "coassoc"},
+    {0: "coassoc", 3: "counit"}, {0: "counit", 3: "coassoc"}, {}], ids=str)
+def test_a_tampered_stream_reports_what_a_full_scan_does(faults, order):
+    g = group_from_spec("Ga@p=3")
+    st = tampered_stream(polyaffine(g, 2), faults)
+    seen = set()
+    for n in order:
+        gen = st.generate(n)
+        fresh = Comodule(g, gen.basis_labels, [gen.column(i) for i in range(gen.dim)])
+        got, want = gen.validate(), fresh.validate()
+        assert (got.ok, got.failures) == (want.ok, want.failures)
+        dense = reference_validate(fresh)
+        assert (got.ok, got.failures) == (dense.ok, dense.failures)
+        seen.update(f.split(" ")[0] for f in got.failures)
+    # every seeded fault shows, and an untouched stream reports none
+    assert {"counit" if v == "counit" else "coassociativity" for v in faults.values()} <= seen
+    assert bool(seen) == bool(faults)
+
+
+def test_a_generation_that_names_a_row_past_its_dimension_is_refused():
+    g = GA2
+    st = StreamModule(g, "escaping", lambda n, start: ([f"v{n}"], [{n: g.one(), n + 1: g.one()}]),
+                      lambda d: d)
+    with pytest.raises(AssertionError, match="generation 0 names a row past its dimension 1"):
+        st.generate(0)
+
+
+class ReadSpy(list):
+    """A column list that records every index read from it."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read = set()
+
+    def __getitem__(self, i):
+        self.read.add(i)
+        return super().__getitem__(i)
+
+
+def test_a_generation_scans_only_the_columns_it_adds(monkeypatch):
+    g = group_from_spec("Ga@p=3")
+    st = polyaffine(g, 2)
+    st.generate(0).validate()
+    counit, coproduct_mono = type(g).counit, type(g).coproduct_mono
+    for n in range(1, 5):
+        gen, below = st.generate(n), st.generate(n - 1).dim
+        new = [gen.column(i) for i in range(below, gen.dim)]
+        gen._columns = spy = ReadSpy(gen._columns)
+        counited, asked = [], []
+        monkeypatch.setattr(g, "counit", lambda f: counited.append(f) or counit(g, f))
+        monkeypatch.setattr(g, "coproduct_mono",
+                            lambda m: asked.append(m) or coproduct_mono(g, m))
+        assert gen.validate().ok
+        # the counit and Delta are read for the new columns' entries only,
+        # each monomial's Delta once
+        assert sorted(map(id, counited)) == sorted(id(f) for col in new for f in col.values())
+        assert sorted(asked) == sorted({m for col in new for f in col.values() for m in f.coeffs})
+        # a column below is read only as the left factor f_{lj} of a row j
+        # that a new column names
+        assert spy.read >= set(range(below, gen.dim))
+        assert {i for i in spy.read if i < below} <= {j for col in new for j in col}
+
+
 # ---------------------------------------------------------------------------
 # the expression language
 
@@ -369,6 +537,13 @@ TAMPER_MODULES = [
     ("Ga@p=3", "sum(regular(3),twist(1,regular(1)))"),
     ("U:3@p=2", "regular(2)"),
     ("U:3@p=3", "tensor(natural,dual(natural))"),
+    # coefficients near p^2 > 2^62 at the largest accepted prime, and the
+    # nested (exponent tuple, det power) monomials of GL and SL
+    ("Ga@p=2147483647", "sum(regular(3),twist(1,regular(1)))"),
+    ("GL:2@p=2147483647", "tensor(natural,dual(natural))"),
+    ("SL:2@p=3", "regular(2)"),
+    ("SL:2@p=2", "tensor(sym(2,natural),natural)"),
+    ("GL:2@p=3", "tensor(natural,detpow(-2))"),
 ]
 
 

@@ -584,6 +584,24 @@ def test_closure_drops_unstable_vectors():
     assert coalgebra_closure(GA2, x2).dim == 2
 
 
+def test_closure_splits_the_coproduct_again_only_when_it_shrinks_x(monkeypatch):
+    calls = []
+    split = filtration._split
+    monkeypatch.setattr(filtration, "_split", lambda *a: calls.append(a) or split(*a))
+    for spec in ["Ga@p=2", "U:2@p=2", "SL:2@p=3", "GL:2@p=2"]:
+        g = group_from_spec(spec)
+        for d in range(3):
+            calls.clear()
+            assert coalgebra_closure(g, CanonicalLevel(g, d)).is_subcoalgebra
+            assert len(calls) == 1
+    # span{1, t^2} over F_3 shrinks to span{1}, which is split against itself
+    calls.clear()
+    x = ExplicitSubspace.from_elements(GA3, [GA3.one(), GA3.element({2: 1})])
+    res = coalgebra_closure(GA3, x)
+    assert res.subspace.elements() == [GA3.one()] and res.is_subcoalgebra
+    assert len(calls) == 2 and calls[1][2].space == res.subspace.space
+
+
 def test_closure_is_idempotent():
     x = ExplicitSubspace.from_elements(GA3, [GA3.one(), GA3.element({2: 1}),
                                              GA3.element({4: 1})])

@@ -1,7 +1,8 @@
 """The laws of the filtration functor M -> M_X stated in the paper's abstract,
 as property tests over random subspaces X of O(G)_{<=d}, d <= 3:
 
-(a) M_X = M_{O(G)_X}, with O(G)_X the coalgebra closure of X;
+(a) M_X = M_{O(G)_X}, with O(G)_X the coalgebra closure of X, which is a
+    sub-coalgebra of O(G) inside X;
 (b) X <= Y implies M_X <= M_Y, and M_X restricted to X is all of M_X: its
     coefficients lie in X, which is checked by plain membership as well;
 (c) (M + N)_X = M_X + N_X;
@@ -26,7 +27,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from comodfilt.comodules import ModuleExprError, build_module, direct_sum  # noqa: E402
-from comodfilt.coordalg import group_from_spec  # noqa: E402
+from comodfilt.coordalg import TensorElement, group_from_spec  # noqa: E402
 from comodfilt.filtration import (CanonicalLevel, ExplicitSubspace,  # noqa: E402
                                   coalgebra_closure, restrict)
 from comodfilt.linalg import Subspace  # noqa: E402
@@ -105,9 +106,36 @@ def levels(draw):
 @given(levels())
 def test_a_m_x_is_m_of_the_closure_of_x(case):
     g, m, x, _ = case
-    closure = coalgebra_closure(g, x).subspace
+    result = coalgebra_closure(g, x)
+    closure = result.subspace
     assert x.space.contains_space(closure.space)
     assert restrict(m, x).subspace == restrict(m, closure).subspace
+    # O(G)_X = D is a sub-coalgebra, Delta(D) <= D (x) D, checked from the
+    # coproduct of single monomials: D (x) D = (D (x) O(G)) cap (O(G) (x) D),
+    # so every slice of Delta(b) at a fixed right or left leg must lie in D
+    basis, deltas = closure.elements(), []
+    for b in basis:
+        delta: dict = {}
+        for h, c in b.coeffs.items():
+            for legs, cc in g.coproduct_mono(h).items():
+                delta[legs] = delta.get(legs, 0) + c * cc
+        deltas.append(TensorElement(g, delta))  # reduced mod p, zeros dropped
+        slices: dict = {}
+        for (left, right), c in deltas[-1].coeffs.items():
+            slices.setdefault(("right", right), {})[left] = c
+            slices.setdefault(("left", left), {})[right] = c
+        assert all(lies_in(closure, g.element(f)) for f in slices.values())
+    # and the structure constants the closure reports give each Delta(b_k)
+    assert result.is_subcoalgebra
+    constants = result.delta_matrix
+    for k, delta in enumerate(deltas):
+        rebuilt: dict = {}
+        for ab in np.flatnonzero(constants[:, k]):
+            for left, cl in basis[ab // len(basis)].coeffs.items():
+                for right, cr in basis[ab % len(basis)].coeffs.items():
+                    rebuilt[left, right] = (rebuilt.get((left, right), 0)
+                                            + int(constants[ab, k]) * cl * cr)
+        assert TensorElement(g, rebuilt) == delta
 
 
 @law_settings
