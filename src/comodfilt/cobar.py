@@ -34,7 +34,10 @@ splits off M^{triv} (x) C iff a weight-0 retraction splits it.  W's RREF
 basis is weight-homogeneous, each map having the weight of its pivot; the
 unknowns kept pair a map with a basis vector of M of its own weight, the
 equations kept join two basis vectors of equal weight, and the dropped
-equations must vanish on the kept unknowns.  When a basis vector of C mixes
+equations must vanish on the kept unknowns.  Its triples join the nonzeros
+(u, a, r) of W's basis with those (a, j, i) of F on a, each product reduced
+mod p, and `sparse_solvable` decides them with `sparse_kernel`'s peel and
+one RREF of the core it leaves.  When a basis vector of C mixes
 weights or M's weights are inconsistent, all of M is one weight class: the
 unsplit system.  Every canonical level O(G)_{<=d} is a sub-coalgebra, so it
 is its own closure: the injectivity profile tests each level itself, and a
@@ -51,8 +54,8 @@ from .config import Limits, check_limit
 from .coordalg import Group, UnsupportedOperation
 from .filtration import (CanonicalLevel, ExplicitSubspace, InternalInvariantError,
                          _split, coaction, restrict, structure_constants)
-from .linalg import (Subspace, kernel, matmul_mod, matrank, solvable, sparse_kernel,
-                     stacked_matmul_mod)
+from .linalg import (Subspace, kernel, matmul_mod, matrank, sparse_kernel, sparse_solvable,
+                     sum_duplicates)
 
 
 class NotACComoduleError(ValueError):
@@ -190,12 +193,12 @@ def _unit_block(c: SubCoalgebra, limits: Limits) -> SubCoalgebra:
                         Subspace.from_rows(rows[:, cols], len(cols), g.p), limits)
 
 
-def _module_codes(blocks: np.ndarray, code_b: np.ndarray):
-    """Weight codes of M's basis with wt(i) = wt(j) + wt(b_a) at every nonzero
-    F^a[j, i], each connected piece of M started at 0; None on a conflict."""
-    mm = blocks.shape[1]
+def _module_codes(f, mm: int, code_b: np.ndarray):
+    """Weight codes of M's basis with wt(i) = wt(j) + wt(b_a) at every entry
+    (a, j, i, value) of F, each connected piece of M started at 0; None on a
+    conflict."""
     nbrs: list[list] = [[] for _ in range(mm)]
-    a, j, i = np.nonzero(blocks)
+    a, j, i, _ = f
     for u, v, w in zip(j.tolist(), i.tolist(), code_b[a].tolist()):
         nbrs[u].append((v, w))
         nbrs[v].append((u, -w))
@@ -214,8 +217,8 @@ def _module_codes(blocks: np.ndarray, code_b: np.ndarray):
     return np.array(wt, dtype=np.int64)
 
 
-def _weight_codes(c: SubCoalgebra, blocks: np.ndarray, terms: int):
-    """Torus-weight codes of M's basis and of C's basis b_a.
+def _weight_codes(c: SubCoalgebra, f, mm: int, terms: int):
+    """Torus-weight codes of M's basis and of C's basis b_a, from F's entries.
 
     A weight w is coded as sum_k w_k R^k, which adds as w does.  M's weights
     come from a walk of at most m - 1 steps of C's, so every sum of one
@@ -223,27 +226,33 @@ def _weight_codes(c: SubCoalgebra, blocks: np.ndarray, terms: int):
     and the code is injective there.  When a basis vector of C mixes weights
     or M's walk is inconsistent, every code is 0: one weight class.
     """
-    mm = blocks.shape[1]
     mono_w = np.array([c.group.weight(x) for x in c.monos], dtype=np.int64)
     radix = 2 * (mm - 1 + terms) * int(np.abs(mono_w).max(initial=0)) + 1
     code_m = code_b = None
     if radix ** mono_w.shape[1] < 2 ** 62:
         code_b = _row_codes(c.space.basis, mono_w @ radix ** np.arange(mono_w.shape[1]))
-        code_m = None if code_b is None else _module_codes(blocks, code_b)
+        code_m = None if code_b is None else _module_codes(f, mm, code_b)
     if code_m is None:
         return np.zeros(mm, dtype=np.int64), np.zeros(c.dim, dtype=np.int64)
     return code_m, code_b
 
 
-def _kron_triples(left: int, a: np.ndarray, right: int, sign: int):
-    """(rows, cols, vals) of sign * (I_left (x) a (x) I_right) at a's nonzeros."""
-    ar, ac = a.shape
-    r, c = np.nonzero(a)
+def _entries(a: np.ndarray):
+    """The nonzero entries of a: their index along each axis, then their values."""
+    idx = a.nonzero()
+    return (*idx, a[idx])
+
+
+def _kron_triples(left: int, shape, entries, right: int, sign: int):
+    """(rows, cols, vals) of sign * (I_left (x) a (x) I_right), for the matrix
+    a of the given shape with the nonzero entries (row, col, value)."""
+    ar, ac = shape
+    r, c, v = entries
     outer = np.arange(left)[:, None, None]
     inner = np.arange(right)
     rows = (outer * ar + r[:, None]) * right + inner
     cols = (outer * ac + c[:, None]) * right + inner
-    vals = np.broadcast_to(sign * a[r, c][:, None], rows.shape)
+    vals = np.zeros(rows.shape, dtype=np.int64) + sign * v[:, None]
     return rows.ravel(), cols.ravel(), vals.ravel()
 
 
@@ -268,8 +277,9 @@ def cobar_complex(c: SubCoalgebra, m: Comodule, n_max: int,
         blocks = c0.coefficient_blocks(restrict(m, c0).comodule)
     rho_bar, delta_bar, kbar = _normalized_factors(c0, blocks)
     mm, t = blocks.shape[1], c0.dim - 1
+    rho, delta = _entries(rho_bar), _entries(delta_bar)
     # a basis vector of CH^(n_max+1) has one weight of M and n_max + 1 of Cbar
-    code_m, code_b = _weight_codes(c0, blocks, n_max + 1)
+    code_m, code_b = _weight_codes(c0, _entries(blocks), mm, n_max + 1)
     code_e = _row_codes(kbar, code_b)
     if code_e is None:
         code_m, code_e = np.zeros(mm, dtype=np.int64), np.zeros(t, dtype=np.int64)
@@ -288,8 +298,8 @@ def cobar_complex(c: SubCoalgebra, m: Comodule, n_max: int,
         local.append(pos)
     diffs = []
     for n in range(n_max + 1):
-        terms = [_kron_triples(1, rho_bar, t ** n, 1)] + [
-            _kron_triples(mm * t ** (i - 1), delta_bar, t ** (n - i), (-1) ** i)
+        terms = [_kron_triples(1, rho_bar.shape, rho, t ** n, 1)] + [
+            _kron_triples(mm * t ** (i - 1), delta_bar.shape, delta, t ** (n - i), (-1) ** i)
             for i in range(1, n + 1)]
         rows, cols, vals = (np.concatenate(x) for x in zip(*terms))
         blk = label[n][cols]
@@ -323,8 +333,9 @@ def cohomology_dims(cx) -> list[int]:
     return out
 
 
-def _stage1_triples(blocks: np.ndarray, lam: np.ndarray):
-    """The stage-1 system of all c at once, as (rows, cols, vals) triples.
+def _stage1_triples(f, mm: int, lam: np.ndarray):
+    """The stage-1 system of all c at once, as (rows, cols, vals) triples,
+    from F's entries (a, j, i, value).
 
     Row (c, k, j), column (a, i) holds delta_ak F^c[j, i] - lambda^k_{ac}
     delta_ji.  With rows taken as (k, c, j) that is I_s (x) F - L (x) I_m,
@@ -333,12 +344,30 @@ def _stage1_triples(blocks: np.ndarray, lam: np.ndarray):
     back to (c, k, j).  The two terms meet only on the keys with a = k and
     j = i; `sparse_kernel` sums them there.
     """
-    s, mm = blocks.shape[:2]
+    a, j, i, v = f
+    s = lam.shape[1]
     lk = lam.reshape(s, s, s).transpose(2, 1, 0).reshape(s * s, s)
     rows, cols, vals = (np.concatenate(x) for x in zip(
-        _kron_triples(s, blocks.reshape(s * mm, mm), 1, 1), _kron_triples(1, lk, mm, -1)))
+        _kron_triples(s, (s * mm, mm), (a * mm + j, i, v), 1, 1),
+        _kron_triples(1, lk.shape, _entries(lk), mm, -1)))
     k, c, j = np.unravel_index(rows, (s, s, mm))
     return (c * s + k) * mm + j, cols, vals
+
+
+def _stage2_terms(basis: np.ndarray, f, mm: int, p: int):
+    """Every product phi_u(b_a)[r] F^a[j, i] of a nonzero basis[u, a*m + r]
+    of W's basis and a nonzero of F on the same a, reduced mod p, as
+    (u*m + j, r*m + i, value).  F's entries (a, j, i, value) are sorted by a."""
+    fa, fj, fi, fv = f
+    wu, wc = basis.nonzero()
+    wa, wr = np.divmod(wc, mm)
+    # W entry x meets the F entries start[x] .. start[x] + reps[x] - 1
+    start = fa.searchsorted(wa)
+    reps = fa.searchsorted(wa, "right") - start
+    x = np.arange(wu.size).repeat(reps)
+    y = np.arange(x.size) + (start - reps.cumsum() + reps).repeat(reps)
+    return ((wu * mm)[x] + fj[y], (wr * mm)[x] + fi[y],
+            basis[wu, wc][x] * fv[y] % p)
 
 
 def injective_test(c: SubCoalgebra, m: Comodule, limits: Limits = Limits()) -> bool:
@@ -349,11 +378,10 @@ def injective_test(c: SubCoalgebra, m: Comodule, limits: Limits = Limits()) -> b
     if mm == 0:
         return True
     check_limit(s * mm, limits.max_solver_unknowns, "retraction system unknowns")
-    blocks = c.coefficient_blocks(m)
-    lam = c.delta_matrix  # (s*s, s): lambda^k_{ab} = lam[a*s+b, k]
+    f = _entries(c.coefficient_blocks(m))
     # stage 1: the space W of comodule maps phi: C -> M,
     # phi(b_k) = v^k with F^c v^k = sum_a lambda^k_{ac} v^a for all c, k
-    w = sparse_kernel(*_stage1_triples(blocks, lam), s * mm, p)
+    w = sparse_kernel(*_stage1_triples(f, mm, c.delta_matrix), s * mm, p)
     t = w.dim
     if t == 0:
         return False
@@ -364,21 +392,29 @@ def injective_test(c: SubCoalgebra, m: Comodule, limits: Limits = Limits()) -> b
     # image.  Every structure map has weight 0, so the weight-0 part of a
     # retraction is one: keep the unknowns with wt(phi_u) = wt(m_j) and the
     # equations with wt(m_r) = wt(m_i); the others join unequal weights
-    code_m, code_b = _weight_codes(c, blocks, 1)
+    code_m, code_b = _weight_codes(c, f, mm, 1)
     # W's RREF basis is weight-homogeneous: phi_u has the weight
     # wt(m_i) - wt(b_a) of its pivot column (a, i)
     code_u = (code_m - code_b[:, None]).ravel()[list(w.pivots)]
-    u, j = np.nonzero(code_u[:, None] == code_m)
-    # P[k, r, i] = sum_a phi_u(b_a)[r] F^a[j, i] for the kept unknown k = (u, j)
-    phis = w.basis.reshape(t, s, mm).transpose(0, 2, 1)                 # [u, r, a]
-    prod = stacked_matmul_mod(phis[u], blocks.transpose(1, 0, 2)[j], p)  # [k, r, i]
-    prod = prod.reshape(len(u), mm * mm)
-    kept = (code_m[:, None] == code_m).ravel()
-    if prod[:, ~kept].any():
+    keep = (code_u[:, None] == code_m).ravel()
+    same = (code_m[:, None] == code_m).ravel()
+    # the kept unknowns and equations, each numbered in row-major order
+    unknown, equation = keep.cumsum() - 1, same.cumsum() - 1
+    # the coefficient of X[u, j] in equation (r, i) is the sum over a of the
+    # terms phi_u(b_a)[r] F^a[j, i]
+    k, e, v = _stage2_terms(w.basis, f, mm, p)
+    on, kept = keep[k], same[e]
+    off = on > kept
+    if off.any() and sum_duplicates(k[off] * mm * mm + e[off], v[off], p)[0].size:
         raise InternalInvariantError(
             f"stage 2 of the retraction solve: an equation joining unequal torus "
             f"weights is nonzero on a kept unknown (level dimension {mm})")
-    return solvable(prod[:, kept].T, np.eye(mm, dtype=np.int64).reshape(-1)[kept], p)
+    # [A | -b], with b = 1 on the equations (i, i)
+    on &= kept
+    n = int(unknown[-1]) + 1
+    return sparse_solvable(np.concatenate([equation[e[on]], equation[::mm + 1]]),
+                           np.concatenate([unknown[k[on]], [n] * mm]),
+                           np.concatenate([v[on], [p - 1] * mm]), n + 1, p)
 
 
 def injectivity_profile(g: Group, m, d_max: int, limits: Limits = Limits()) -> list[bool]:

@@ -222,49 +222,82 @@ def kernel(mat: np.ndarray, p: int) -> Subspace:
     return Subspace(ncols, p, rows, tuple(free.tolist()))
 
 
-def sparse_kernel(rows, cols, vals, ncols: int, p: int) -> Subspace:
-    """Null space of the matrix whose entries are given as (row, col, value)
-    triples, as a subspace of F_p^ncols; the same `Subspace` as `kernel` of
-    the dense matrix.
+def sum_duplicates(key, vals, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, sorted, each with the sum mod p of the values that
+    share it; keys whose sum is 0 mod p are dropped."""
+    key = np.asarray(key, dtype=np.int64)
+    order = key.argsort(kind="stable")
+    key = key[order]
+    first = np.empty(key.size, dtype=bool)
+    first[:1], first[1:] = True, key[1:] != key[:-1]
+    first = first.nonzero()[0]
+    vals = np.add.reduceat(np.mod(np.asarray(vals, dtype=np.int64)[order], p), first) % p
+    nonzero = vals != 0
+    return key[first[nonzero]], vals[nonzero]
+
+
+def peel(rows, cols, vals, ncols: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The dense core of the matrix whose entries are given as (row, col,
+    value) triples (rows >= 0), and its live columns in increasing order.
 
     Entries sharing a (row, col) key are summed mod p, and zero sums dropped.
     A row with exactly one nonzero entry among the live columns forces that
-    column to 0 in every kernel vector, so the column dies; rows are peeled
+    column to 0 in every null vector, so the column dies; rows are peeled
     until none is left with a single live entry (structured Gaussian
-    elimination, LaMacchia and Odlyzko, CRYPTO '90).  `kernel` eliminates the
-    dense core that remains, the rows with live entries restricted to the
-    live columns, and its RREF basis is scattered back with zeros in the dead
-    columns, which keeps it in RREF.
+    elimination, LaMacchia and Odlyzko, CRYPTO '90).  The core is the rows
+    with live entries, restricted to the live columns, in their order: a
+    vector is a null vector of the matrix iff it is 0 on the dead columns and
+    a null vector of the core on the live ones.
     """
     key = np.asarray(rows, dtype=np.int64) * ncols + np.asarray(cols, dtype=np.int64)
-    if key.size == 0:
-        return Subspace.full(ncols, p)
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    vals = np.add.reduceat(np.mod(np.asarray(vals, dtype=np.int64)[order], p), first) % p
-    key, vals = key[first[vals != 0]], vals[vals != 0]
+    key, vals = sum_duplicates(key, vals, p)
     # the keys are sorted, so each row's entries are consecutive
     rows, cols = np.divmod(key, ncols)
     step = np.zeros(rows.size, dtype=bool)
     step[1:] = rows[1:] != rows[:-1]
-    rid = np.cumsum(step)
+    rid = step.cumsum()
     live = np.ones(ncols, dtype=bool)
     while True:
         on = live[cols]
         count = np.bincount(rid[on], minlength=rows.size)
-        dead = cols[on & (count[rid] == 1)]
+        row_live = count[rid]
+        dead = cols[on & (row_live == 1)]
         if dead.size == 0:
             break
         live[dead] = False
-    core = on & (count[rid] > 1)
-    live_cols = np.flatnonzero(live)
-    dense = np.zeros((np.count_nonzero(count > 1), live_cols.size), dtype=np.int64)
-    dense[(np.cumsum(count > 1) - 1)[rid[core]], (np.cumsum(live) - 1)[cols[core]]] = vals[core]
+    core = on & (row_live > 1)
+    busy = count > 1
+    live_cols = live.nonzero()[0]
+    dense = np.zeros((np.count_nonzero(busy), live_cols.size), dtype=np.int64)
+    dense[(busy.cumsum() - 1)[rid[core]], (live.cumsum() - 1)[cols[core]]] = vals[core]
+    return dense, live_cols
+
+
+def sparse_kernel(rows, cols, vals, ncols: int, p: int) -> Subspace:
+    """Null space of the matrix whose entries are given as (row, col, value)
+    triples, as a subspace of F_p^ncols; the same `Subspace` as `kernel` of
+    the dense matrix.  `kernel` eliminates the core that `peel` leaves, and
+    its RREF basis is scattered back with zeros in the dead columns, which
+    keeps it in RREF.
+    """
+    if len(rows) == 0:
+        return Subspace.full(ncols, p)
+    dense, live_cols = peel(rows, cols, vals, ncols, p)
     ker = kernel(dense, p)
     basis = np.zeros((ker.dim, ncols), dtype=np.int64)
     basis[:, live_cols] = ker.basis
     return Subspace(ncols, p, basis, tuple(live_cols[list(ker.pivots)].tolist()))
+
+
+def sparse_solvable(rows, cols, vals, ncols: int, p: int) -> bool:
+    """Whether A x = b has a solution, for [A | -b] given as (row, col, value)
+    triples, -b in its last column ncols - 1: whether it has a null vector
+    with last coordinate 1.  It has none if `peel` kills that column, and
+    otherwise one iff the column is not a pivot of the RREF of the core."""
+    dense, live_cols = peel(rows, cols, vals, ncols, p)
+    if live_cols.size == 0 or live_cols[-1] != ncols - 1:
+        return False
+    return live_cols.size - 1 not in rref(dense, p)[1]
 
 
 def preimage(mat: np.ndarray, target: Subspace) -> Subspace:
@@ -275,25 +308,6 @@ def preimage(mat: np.ndarray, target: Subspace) -> Subspace:
         raise DimensionMismatch(f"map has codomain dim {m}, target ambient {target.ambient_dim}")
     # mat @ x lies in target iff its residual, which is linear in x, is zero
     return kernel(target.residual(a), target.p)
-
-
-def solve(mat: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray | None:
-    """One solution x of mat @ x = rhs, or None if inconsistent: it has none
-    iff the rhs column is a pivot of rref([mat | rhs])."""
-    a = np.mod(np.asarray(mat, dtype=np.int64), p)
-    b = np.mod(np.asarray(rhs, dtype=np.int64), p).reshape(-1)
-    red, piv = rref(np.hstack([a, b[:, None]]), p)
-    n = a.shape[1]
-    if n in piv:
-        return None
-    x = np.zeros(n, dtype=np.int64)
-    x[piv] = red[:, n]
-    return x
-
-
-def solvable(mat: np.ndarray, rhs: np.ndarray, p: int) -> bool:
-    """Whether mat @ x = rhs has a solution."""
-    return solve(mat, rhs, p) is not None
 
 
 def exact_dtype(inner: int, p: int):
@@ -312,14 +326,8 @@ def exact_dtype(inner: int, p: int):
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact a @ b mod p for two matrices with entries in [0, p), by
-    `stacked_matmul_mod`'s rule."""
-    return stacked_matmul_mod(a, b, p)
-
-
-def stacked_matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact a[k] @ b[k] mod p for stacks of matrices (or for two matrices)
-    with entries in [0, p), in the dtype `exact_dtype` picks.
+    """Exact a @ b mod p for two matrices with entries in [0, p), in the
+    dtype `exact_dtype` picks.
 
     Large float64 products go through BLAS; small ones stay in int64, where the
     conversions would cost more than they save.

@@ -1,11 +1,14 @@
 """Cobar complexes, cohomology ranks, and the injectivity decision."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from comodfilt import cobar, filtration, linalg
-from comodfilt.cobar import (ChainComplex, NotACComoduleError, SubCoalgebra,
-                             _normalized_factors, _stage1_triples, _weight_codes,
+from comodfilt.cobar import (ChainComplex, NotACComoduleError, SubCoalgebra, _entries,
+                             _normalized_factors, _stage1_triples, _stage2_terms,
+                             _weight_codes,
                              cobar_complex, cohomology_dims, injective_test,
                              injectivity_profile)
 from comodfilt.comodules import (Comodule, StreamModule, build_module,
@@ -17,7 +20,8 @@ from comodfilt.filtration import (CanonicalLevel, ExplicitSubspace,
                                   InternalInvariantError, coaction,
                                   coalgebra_closure, restrict)
 from comodfilt.linalg import (IncrementalRREF, Subspace, kernel, matmul_mod, matrank,
-                              rref, solve, sparse_kernel)
+                              rref, sparse_kernel)
+from oracles import solve
 
 GA2 = group_from_spec("Ga@p=2")
 GM3 = group_from_spec("Gm@p=3")
@@ -437,7 +441,7 @@ def test_stage1_rows_are_the_nonzero_kronecker_rows():
         c = SubCoalgebra.canonical(g, d)
         blocks = c.coefficient_blocks(build_module(text, g))
         s, mm = c.dim, blocks.shape[1]
-        got = densify(_stage1_triples(blocks, c.delta_matrix), s * s * mm, s * mm, g.p)
+        got = densify(_stage1_triples(_entries(blocks), mm, c.delta_matrix), s * s * mm, s * mm, g.p)
         assert np.array_equal(got[got.any(axis=1)],
                               stacked_kronecker_rows(blocks, c.delta_matrix, g.p))
     rng = np.random.default_rng(7)
@@ -451,7 +455,7 @@ def test_stage1_rows_are_the_nonzero_kronecker_rows():
             for cc in range(s):
                 np.fill_diagonal(blocks[cc], 1)
                 np.fill_diagonal(lam[cc::s], 1)
-        got = densify(_stage1_triples(blocks, lam), s * s * mm, s * mm, p)
+        got = densify(_stage1_triples(_entries(blocks), mm, lam), s * s * mm, s * mm, p)
         assert np.array_equal(got[got.any(axis=1)], stacked_kronecker_rows(blocks, lam, p))
 
 
@@ -496,7 +500,8 @@ def test_stage1_kernel_matches_the_row_by_row_reference():
     for c, m in cases:
         blocks = c.coefficient_blocks(m)
         want = reference_stage1_kernel(c, blocks)
-        got = sparse_kernel(*_stage1_triples(blocks, c.delta_matrix), c.dim * m.dim, c.group.p)
+        got = sparse_kernel(*_stage1_triples(_entries(blocks), m.dim, c.delta_matrix),
+                            c.dim * m.dim, c.group.p)
         assert got == want and got.pivots == want.pivots, (c.monos, m.basis_labels)
 
 
@@ -504,7 +509,7 @@ def reference_injective_test(c, m):
     """Oracle: the two-stage retraction solve with no weight split.  Stage 1
     feeds the dense rows of each c to an `IncrementalRREF`
     (`reference_stage1_kernel`); stage 2 is the full (m^2, t m) system over
-    all of W, built by one product and solved by `linalg.solve`."""
+    all of W, built by one product and solved by the dense `solve`."""
     p, s, mm = c.group.p, c.dim, m.dim
     if mm == 0:
         return True
@@ -551,15 +556,17 @@ def test_the_weight_zero_solve_matches_the_dense_reference():
 
 
 def stage2_shapes(monkeypatch, spec, text, d):
-    """The stage-2 system shape `injective_test` hands to `solvable` at the
-    level O(G)_{<=d} of a module, and its verdict."""
+    """The shape of the stage-2 system A x = b that `injective_test` hands to
+    `sparse_solvable`, as the triples of [A | -b], at the level O(G)_{<=d}
+    of a module, and its verdict.  The kept equations are numbered in order,
+    so the last one, (m-1, m-1), which holds b's last 1, gives their count."""
     shapes = []
 
-    def recorded(mat, rhs, p):
-        shapes.append(np.shape(mat))
-        return linalg.solvable(mat, rhs, p)
+    def recorded(rows, cols, vals, ncols, p):
+        shapes.append((int(np.max(rows)) + 1, ncols - 1))
+        return linalg.sparse_solvable(rows, cols, vals, ncols, p)
 
-    monkeypatch.setattr(cobar, "solvable", recorded)
+    monkeypatch.setattr(cobar, "sparse_solvable", recorded)
     g = group_from_spec(spec)
     level = restrict(build_module(text, g), CanonicalLevel(g, d)).comodule
     return shapes, injective_test(SubCoalgebra.canonical(g, d), level)
@@ -576,12 +583,72 @@ def test_stage2_keeps_only_the_equal_weight_unknowns_and_equations(monkeypatch):
     assert stage2_shapes(monkeypatch, "Gm@p=3", "regular(2)", 2) == ([(25, 25)], True)
 
 
+def reference_stage2_products(basis, blocks):
+    """Oracle: every product W[u, a*m + r] F^a[j, i] of two nonzeros, in
+    Python integers and not reduced, as (u*m + j, r*m + i, product)."""
+    mm = blocks.shape[1]
+    f_on = [[(j, i, int(blocks[a, j, i])) for j, i in zip(*np.nonzero(blocks[a]))]
+            for a in range(blocks.shape[0])]
+    return [(u * mm + j, r * mm + i, x * y)
+            for u, row in enumerate(basis.tolist()) for col, x in enumerate(row) if x
+            for a, r in [divmod(col, mm)] for j, i, y in f_on[a]]
+
+
+def test_stage2_terms_are_every_product_on_a_shared_index_reduced():
+    # the top level of `inject SL:2@p=2 regular(3) d3`, whose W and F hold 109
+    # and 115 nonzeros, and levels at p = 2^31 - 1, where products pass p
+    counts = []
+    for spec, text, d in [("SL:2@p=2", "regular(3)", 3), ("U:3@p=3", "regular(3)", 2),
+                          ("Ga@p=2147483647", "dual(regular(3))", 3),
+                          ("SL:2@p=2147483647", "dual(sym(2,natural))", 2)]:
+        g = group_from_spec(spec)
+        c = SubCoalgebra.canonical(g, d)
+        level = restrict(build_module(text, g), CanonicalLevel(g, d)).comodule
+        blocks, mm = c.coefficient_blocks(level), level.dim
+        w = sparse_kernel(*_stage1_triples(_entries(blocks), mm, c.delta_matrix), c.dim * mm, g.p)
+        got = sorted(zip(*(x.tolist() for x in _stage2_terms(w.basis, _entries(blocks), mm, g.p))))
+        products = reference_stage2_products(w.basis, blocks)
+        assert got == sorted((k, e, x % g.p) for k, e, x in products), spec
+        counts.append(len(products))
+        if g.p > 3:
+            assert max(x for _, _, x in products) >= g.p
+    assert counts[0] == 436
+
+
+def test_stage2_allocates_no_stacked_product():
+    # the top level of `inject SL:2@p=2 regular(3) d3`: stage 2 once multiplied
+    # 230 stacked 30 x 30 blocks, and the whole test peaked at 8.3 MiB
+    g = group_from_spec("SL:2@p=2")
+    c = SubCoalgebra.canonical(g, 3)
+    level = restrict(build_module("regular(3)", g), CanonicalLevel(g, 3)).comodule
+    assert injective_test(c, level)
+    tracemalloc.start()
+    try:
+        assert injective_test(c, level)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
+@pytest.mark.parametrize("spec", ["GL:2@p=2", "GL:2@p=3"])
+def test_the_weight_zero_solve_matches_the_dense_reference_past_the_default_ceiling(spec):
+    # level 3 of GL(2) has dimension 40, so s m = 1,600 for regular(3); the
+    # default ceiling of 30 refuses it
+    limits = Limits(max_coalgebra_dim=40)
+    g = group_from_spec(spec)
+    c = SubCoalgebra.canonical(g, 3, limits)
+    level = restrict(build_module("regular(3)", g), CanonicalLevel(g, 3)).comodule
+    assert c.dim * level.dim == 1600
+    assert injective_test(c, level, limits) == reference_injective_test(c, level)
+
+
 def test_a_dropped_equation_that_does_not_vanish_is_an_internal_invariant_error(monkeypatch):
     # M's weights negated, C's kept: phi_u is given the weight -wt(m_i) -
     # wt(b_a), so the kept unknowns are not the weight-0 ones, and an equation
     # joining unequal weights is nonzero on them
-    def flipped(c, blocks, terms):
-        code_m, code_b = _weight_codes(c, blocks, terms)
+    def flipped(*args):
+        code_m, code_b = _weight_codes(*args)
         return -code_m, code_b
 
     monkeypatch.setattr(cobar, "_weight_codes", flipped)
@@ -678,8 +745,9 @@ def test_injectivity_over_a_proper_subcoalgebra():
     # basis vector t + t^2 mixes weights, so that case is solved as one
     # weight class, the unsplit system; the trivial module is not injective
     (c2, level2), (c12, level12) = proper_subcoalgebra_levels()
-    assert _weight_codes(c2, c2.coefficient_blocks(level2), 1)[1].tolist() == [0, 2]
-    assert not any(x.any() for x in _weight_codes(c12, c12.coefficient_blocks(level12), 1))
+    assert _weight_codes(c2, _entries(c2.coefficient_blocks(level2)), level2.dim, 1)[1].tolist() == [0, 2]
+    assert not any(x.any() for x in _weight_codes(
+        c12, _entries(c12.coefficient_blocks(level12)), level12.dim, 1))
     for c, level in ((c2, level2), (c12, level12)):
         assert injective_test(c, level) and reference_injective_test(c, level)
         assert not injective_test(c, trivial(GA2))

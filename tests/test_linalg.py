@@ -8,7 +8,8 @@ import pytest
 from comodfilt import linalg
 from comodfilt.linalg import (IncrementalRREF, Subspace, as_matrix, elimination_exact,
                               exact_dtype, inv_mod, is_prime, kernel, matmul_mod,
-                              matrank, preimage, rref, solvable, solve, sparse_kernel)
+                              matrank, preimage, rref, sparse_kernel, sparse_solvable)
+from oracles import solve
 
 
 def random_matrix(rng, rows, cols, p):
@@ -125,7 +126,16 @@ def test_solve_and_solvable():
             rhs = (m @ x0) % p
             x = solve(m, rhs, p)
             assert x is not None and not np.any((m @ x - rhs) % p)
-    assert not solvable(as_matrix([[1, 1], [1, 1]], 2, 2), [1, 0], 2)
+            assert solvable_from_triples(m, rhs, p)
+    inconsistent = as_matrix([[1, 1], [1, 1]], 2, 2), [1, 0]
+    assert solve(*inconsistent, 2) is None and not solvable_from_triples(*inconsistent, 2)
+
+
+def solvable_from_triples(mat, rhs, p):
+    """`sparse_solvable` of the nonzero entries of [mat | -rhs]."""
+    aug = np.hstack([mat, -np.asarray(rhs, dtype=np.int64).reshape(-1, 1)]) % p
+    rows, cols = np.nonzero(aug)
+    return sparse_solvable(rows, cols, aug[rows, cols], aug.shape[1], p)
 
 
 def python_matmul_mod(a, b, p):

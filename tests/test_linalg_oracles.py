@@ -9,11 +9,13 @@ import pytest
 pytest.importorskip("hypothesis")
 pytest.importorskip("sympy")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from sympy import GF  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
-from comodfilt.linalg import Subspace, kernel, preimage, sparse_kernel  # noqa: E402
+from comodfilt.linalg import (Subspace, kernel, preimage, sparse_kernel,  # noqa: E402
+                              sparse_solvable)
+from oracles import solve  # noqa: E402
 
 # sympy's DomainMatrix over GF(p) shares no code with linalg
 
@@ -145,12 +147,9 @@ def test_coords_matches_sympy(case, data):
         assert got is not None and got.tolist() == want and space.contains(vec)
 
 
-@oracle_settings
-@given(oracle_case(max_rows=8, max_cols=8), st.data())
-def test_sparse_kernel_matches_sympy(case, data):
-    p, ncols, rows = case
-    # each nonzero entry as one triple or as two that sum to it, plus pairs
-    # that cancel, in a drawn order
+def drawn_triples(data, rows, p):
+    """(rows, cols, vals) of a matrix: each nonzero entry as one triple or as
+    two that sum to it, plus pairs that cancel, in a drawn order."""
     triples = []
     for r, row in enumerate(rows):
         for c, x in enumerate(row):
@@ -163,8 +162,14 @@ def test_sparse_kernel_matches_sympy(case, data):
                 v = data.draw(st.integers(1, p - 1))
                 triples += [(r, c, v), (r, c, p - v)]
     triples = data.draw(st.permutations(triples))
-    r, c, v = (list(t) for t in zip(*triples)) if triples else ([], [], [])
-    got = sparse_kernel(r, c, v, ncols, p)
+    return (list(t) for t in zip(*triples)) if triples else ([], [], [])
+
+
+@oracle_settings
+@given(oracle_case(max_rows=8, max_cols=8), st.data())
+def test_sparse_kernel_matches_sympy(case, data):
+    p, ncols, rows = case
+    got = sparse_kernel(*drawn_triples(data, rows, p), ncols, p)
     assert got.basis.tolist() == sympy_nullspace(rows, ncols, p)
     assert list(got.pivots) == [row.index(1) for row in got.basis.tolist()]
 
@@ -188,3 +193,42 @@ def test_residual_vanishes_exactly_on_members(case, data):
     for c, y in enumerate(ys):
         member = len(sympy_rowspace(rows + [y], ncols, p)) == rank
         assert (not res[:, c].any()) == member == (space.coords(y) is not None)
+
+
+@st.composite
+def linear_systems(draw):
+    """(p, n, A, b) with A from `oracle_case` and b zero, a combination of A's
+    columns, random, or 1 on an added zero row of A: that row's only entry is
+    then b's, so the peel kills the right-hand column."""
+    p, n, rows = draw(oracle_case(max_rows=8, max_cols=8))
+    entry = st.integers(0, p - 1)
+    kind = draw(st.sampled_from(["zero", "consistent", "random", "killed"]))
+    if kind == "consistent":
+        x = [draw(entry) for _ in range(n)]
+        return p, n, rows, [sum(a * y for a, y in zip(row, x)) % p for row in rows]
+    if kind == "killed":
+        return p, n, rows + [[0] * n], [draw(entry) for _ in rows] + [1]
+    return p, n, rows, [draw(entry) if kind == "random" else 0 for _ in rows]
+
+
+@oracle_settings
+@given(linear_systems(), st.data())
+# x0 = 0 peels first, which leaves b's entry alone in row 1: the right-hand
+# column dies although no row of A is zero
+@example((3, 2, [[1, 0], [2, 0], [0, 1], [0, 1]], [0, 1, 2, 2]), None)
+@example((2, 2, [[1, 1], [1, 1]], [1, 0]), None)  # inconsistent
+@example((65521, 3, [[1, 2, 3], [0, 1, 1]], [0, 0]), None)  # b = 0
+@example((2 ** 31 - 1, 0, [], []), None)  # no equations
+@example((2 ** 31 - 1, 0, [[], []], [0, 5]), None)  # no unknowns
+def test_sparse_solvable_matches_the_dense_solve(system, data):
+    p, n, rows, b = system
+    aug = [row + [(-y) % p] for row, y in zip(rows, b)]
+    if data is None:  # an explicit example: each nonzero entry once
+        entries = [(r, c, x) for r, row in enumerate(aug) for c, x in enumerate(row) if x]
+        triples = [list(t) for t in zip(*entries)] if entries else ([], [], [])
+    else:
+        triples = drawn_triples(data, aug, p)
+    want = solve(np.array(rows, dtype=np.int64).reshape(len(rows), n), b, p) is not None
+    # sympy: consistent iff the last column of rref([A | -b]) is not a pivot
+    assert want == (not aug or n not in sympy_matrix(aug, n + 1, p).rref()[1])
+    assert sparse_solvable(*triples, n + 1, p) == want
