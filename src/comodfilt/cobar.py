@@ -54,8 +54,8 @@ from .config import Limits, check_limit
 from .coordalg import Group, UnsupportedOperation
 from .filtration import (CanonicalLevel, ExplicitSubspace, InternalInvariantError,
                          _split, coaction, restrict, structure_constants)
-from .linalg import (Subspace, kernel, matmul_mod, matrank, sparse_kernel, sparse_solvable,
-                     sum_duplicates)
+from .linalg import (Subspace, join, kernel, matmul_mod, matrank, sparse_kernel,
+                     sparse_solvable, sum_duplicates)
 
 
 class NotACComoduleError(ValueError):
@@ -98,10 +98,9 @@ class SubCoalgebra(ExplicitSubspace):
         b_a's pivot monomial.  A coefficient outside C is reported at the
         first f_{ji} in `m.coeffs` order.
         """
-        inside, outside, outside_row = _split(self.group, coaction(m), self, m.dim)
-        if len(outside):
-            r, i = np.nonzero(outside)
-            bad = set(zip(outside_row[r].tolist(), i.tolist()))
+        inside, (r, i, _) = _split(self.group, coaction(m), self, m.dim)
+        if r.size:
+            bad = set(zip((r % m.dim).tolist(), i.tolist()))
             j, i = next(k for k in m.coeffs if k in bad)
             f = m.coeffs[(j, i)]
             stray = [self.group.mono_str(h) for h in f.coeffs if h not in self.index]
@@ -109,7 +108,7 @@ class SubCoalgebra(ExplicitSubspace):
                 f"coefficient f[{j},{i}] = {f} is not in the sub-coalgebra"
                 + (f" (monomial {stray[0]} outside the span)" if stray else ""))
         blocks = np.zeros((self.dim, m.dim, m.dim), dtype=np.int64)
-        blocks[inside.leg, inside.row] = inside.rows
+        blocks[inside.leg, inside.row, inside.col] = inside.val
         return blocks
 
 
@@ -361,11 +360,7 @@ def _stage2_terms(basis: np.ndarray, f, mm: int, p: int):
     fa, fj, fi, fv = f
     wu, wc = basis.nonzero()
     wa, wr = np.divmod(wc, mm)
-    # W entry x meets the F entries start[x] .. start[x] + reps[x] - 1
-    start = fa.searchsorted(wa)
-    reps = fa.searchsorted(wa, "right") - start
-    x = np.arange(wu.size).repeat(reps)
-    y = np.arange(x.size) + (start - reps.cumsum() + reps).repeat(reps)
+    x, y = join(wa, fa)
     return ((wu * mm)[x] + fj[y], (wr * mm)[x] + fi[y],
             basis[wu, wc][x] * fv[y] % p)
 

@@ -2,12 +2,15 @@
 
 M_X is the greatest subspace V of M with Delta(V) <= V (x) X, computed by a
 greatest-fixed-point iteration on the coefficient matrices of the coaction:
-one matrix B_h per monomial h appearing in the coefficients, kept as the
-nonzero rows of all B_h stacked (`Coaction`), built once per comodule and
+one matrix B_h per monomial h appearing in the coefficients, kept only as
+the nonzero entries of all B_h (`Coaction`), built once per comodule and
 kept on it.  Writing the right legs h in a basis of X (`_split`) gives inside
-legs (constraint B_h V <= V) and outside rows (constraint B_h V = 0).  The
-same iteration run on the coproduct yields the largest sub-coalgebra
-contained in a finite-dimensional subspace X.
+legs (constraint B_h V <= V) and outside entries (constraint B_h V = 0).
+Every product with V's basis, and the images W = B_h V with their residuals
+modulo V, stay (row, col, value) triples joined on their shared index
+(`linalg.join`); `sparse_kernel` solves each pass.  The same iteration run
+on the coproduct yields the largest sub-coalgebra contained in a
+finite-dimensional subspace X.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 from .coordalg import Element, Group
 from .comodules import Comodule, StreamModule, tensor
 # kernel and preimage stay bound here: bench/test_bench.py checks the tracer wraps them
-from .linalg import Subspace, kernel, matmul_mod, preimage, sparse_kernel  # noqa: F401
+from .linalg import Subspace, join, kernel, preimage, sparse_kernel, sum_duplicates  # noqa: F401
 
 
 class InternalInvariantError(AssertionError):
@@ -53,11 +56,7 @@ class ExplicitSubspace:
     @staticmethod
     def from_elements(group: Group, elements) -> "ExplicitSubspace":
         monos = sorted({m for f in elements for m in f.coeffs}, key=group.mono_key)
-        index = {m: i for i, m in enumerate(monos)}
-        rows = [[0] * len(monos) for _ in elements]
-        for r, f in enumerate(elements):
-            for m, c in f.coeffs.items():
-                rows[r][index[m]] = c
+        rows = [[f.coeffs.get(m, 0) for m in monos] for f in elements]
         return ExplicitSubspace(group, monos,
                                 Subspace.from_rows(rows, len(monos), group.p))
 
@@ -80,42 +79,35 @@ class ExplicitSubspace:
 
 @dataclass
 class Coaction:
-    """The coefficient matrices B_h of a coaction, as their nonzero rows.
-
-    Row r of `rows` is B_h[row[r], :] for the right leg h = legs[leg[r]].
-    Every B_h has `height` rows and rows.shape[1] columns; rows past the
-    columns are left legs outside the ambient (stray legs of a coproduct).
-    """
+    """The coefficient matrices B_h of a coaction, as their nonzero entries:
+    B_h[row[e], col[e]] = val[e] for the right leg h = legs[leg[e]], one entry
+    per position.  Every B_h has `height` rows; rows past the ambient's
+    dimension are left legs outside it (stray legs of a coproduct)."""
 
     legs: list
     leg: np.ndarray
     row: np.ndarray
-    rows: np.ndarray
+    col: np.ndarray
+    val: np.ndarray
     height: int
 
 
-def _gather(entries: list, height: int, n: int) -> Coaction:
+def _gather(entries: list, height: int) -> Coaction:
     """A Coaction from (leg h, row, column, value) entries, one per position,
-    values reduced and nonzero; legs and rows come in order of appearance."""
-    legs, at = {}, {}  # leg h -> its index, (leg, row) -> the row's index
-    e = np.array([(at.setdefault((legs.setdefault(h, len(legs)), j), len(at)), i, c)
-                  for h, j, i, c in entries], dtype=np.int64).reshape(-1, 3)
-    rows = np.zeros((len(at), n), dtype=np.int64)
-    rows[e[:, 0], e[:, 1]] = e[:, 2]
-    leg, row = np.array(list(at), dtype=np.int64).reshape(-1, 2).T
-    return Coaction(list(legs), leg, row, rows, height)
+    values reduced and nonzero; legs are numbered in order of appearance."""
+    legs = {}
+    e = np.array([(legs.setdefault(h, len(legs)), j, i, c) for h, j, i, c in entries],
+                 dtype=np.int64).reshape(-1, 4).T.copy()
+    return Coaction(list(legs), *e, height)
 
 
 def coaction(m: Comodule) -> Coaction:
-    """B_h[j, i] = the coefficient of h in f_{ji}.
-
-    Built on the first call and kept on the comodule; its arrays are
-    read-only, since every later caller shares them.
-    """
+    """B_h[j, i] = the coefficient of h in f_{ji}.  Built on the first call and
+    kept on the comodule; its arrays are read-only, as later callers share them."""
     if m._coaction is None:
         co = _gather([(h, j, i, c) for (j, i), f in m.coeffs.items()
-                      for h, c in f.coeffs.items()], m.dim, m.dim)
-        for a in (co.leg, co.row, co.rows):
+                      for h, c in f.coeffs.items()], m.dim)
+        for a in (co.leg, co.row, co.col, co.val):
             a.flags.writeable = False
         m._coaction = co
     return m._coaction
@@ -179,106 +171,105 @@ def restrict(m: Comodule, x) -> RestrictResult:
 def _split(g: Group, co: Coaction, x, n: int):
     """Write the right legs of a coaction in a basis of X.
 
-    Returns (inside, outside, outside_row).  `inside` is a Coaction with n
-    rows per leg over X's basis: against a canonical level its legs are the
-    support monomials of degree <= d; against an explicit X they are X's
-    RREF basis vectors, whose coefficient is that of their pivot monomial.
-    `outside` stacks the nonzero rows that must vanish on M_X, and
-    `outside_row` holds the row j of each: the rows of legs outside X's
-    span, the residuals B_c - sum_s X[s, c] B_{pivot s} of X's non-pivot
-    monomials c, and the rows past n of the inside legs.
+    Returns (inside, outside).  `inside` is a Coaction with n rows per leg
+    over X's basis: against a canonical level its legs are the support
+    monomials of degree <= d; against an explicit X they are X's RREF basis
+    vectors, whose coefficient is that of their pivot monomial.  `outside`
+    holds the summed triples (q * height + j, i, value) that must vanish on
+    M_X: q is the leg for a leg outside X's span or a row j >= n, and len(legs)
+    + k for the residual B_c - sum_t X[t, c] B_{basis t} of nonpiv[k] = c.
     """
     if isinstance(x, CanonicalLevel):
-        basis, nonpiv = [h for h in co.legs if g.degree(h) <= x.d], []
+        basis, nonpiv, coef = [h for h in co.legs if g.degree(h) <= x.d], [], np.zeros((0, 0), np.int64)
     else:
         basis = [x.monos[c] for c in x.space.pivots]
         nonpiv = [c for c in range(len(x.monos)) if c not in x.space.pivots]
-    # slot of each row's leg: t for basis[t], -2 - k for X's non-pivot
-    # monomial nonpiv[k], -1 outside X's span
+        coef = x.space.basis[:, nonpiv]
+    # slot of each entry's leg: t for basis[t], -2 - k for nonpiv[k], -1 outside X
     slots = {x.monos[c]: -2 - k for k, c in enumerate(nonpiv)}
     slots.update({h: t for t, h in enumerate(basis)})
     slot = np.array([slots.get(h, -1) for h in co.legs], dtype=np.int64)[co.leg]
     inside = (slot >= 0) & (co.row < n)
-    out = (slot == -1) | (slot >= 0) & ~inside
-    outside, outside_row = [co.rows[out]], [co.row[out]]
-    for k, c in enumerate(nonpiv):
-        resid = np.zeros((co.height, n), dtype=np.int64)
-        resid[co.row[slot == -2 - k]] = co.rows[slot == -2 - k]
-        for t in np.flatnonzero(x.space.basis[:, c]):
-            # reduced after each product: exact in int64 while (p-1)^2 < 2^63
-            r = slot == t
-            j, coef = co.row[r], int(x.space.basis[t, c])
-            resid[j] = (resid[j] - coef * co.rows[r]) % g.p
-        keep = np.flatnonzero(resid.any(axis=1))
-        outside.append(resid[keep])
-        outside_row.append(keep)
-    return (Coaction(basis, slot[inside], co.row[inside], co.rows[inside], n),
-            np.vstack(outside), np.concatenate(outside_row))
+    q = np.where(slot < -1, len(co.legs) - 2 - slot, co.leg)
+    # the residuals' terms -X[t, c] B_{basis t}: X's nonzeros off the pivots
+    t, k = coef.nonzero()
+    e, y = join(slot, t)
+    out = ~inside
+    key, val = sum_duplicates(
+        np.concatenate([q[out], len(co.legs) + k[y]]) * co.height * n
+        + np.concatenate([co.row[out] * n + co.col[out], co.row[e] * n + co.col[e]]),
+        np.concatenate([co.val[out], -co.val[e] * coef[t, k][y]]),
+        g.p)
+    return (Coaction(basis, slot[inside], co.row[inside], co.col[inside], co.val[inside], n),
+            (key // n, key % n, val))
 
 
 def _greatest_fixpoint(g: Group, co: Coaction, x, start: Subspace,
                        split=None) -> tuple[Subspace, int]:
     """The greatest V <= start with B_h V <= V inside X and B_h V = 0 outside it.
 
-    The outside rows, mostly of one nonzero each, are peeled by
+    The outside entries, in rows mostly of one nonzero each, are peeled by
     `sparse_kernel`.  Each pass then keeps the x in V with B_h x in V for
     every inside h at once: one kernel, with a row per (coordinate, leg), of
-    the residuals of the nonzero images modulo V, in V's coordinates.  Every
-    pass contains the greatest fixpoint and the first pass that keeps all of
-    V is one, so the loop ends on it.  V = 0 and V = the whole ambient are
-    fixpoints as they stand.  For a coassociative coaction the second pass
-    always keeps V: B_k B_h = sum_g Delta(g)_{k,h} B_g.  `split` is
-    `_split(g, co, x, n)`, if the caller has it already.
+    the residuals of the images modulo V, in V's coordinates.  Every pass
+    contains the greatest fixpoint and the first pass that keeps all of V is
+    one, so the loop ends on it; V = 0 and V = the ambient are fixpoints as
+    they stand.  For a coassociative coaction the second pass always keeps
+    V: B_k B_h = sum_g Delta(g)_{k,h} B_g.  `split`, if given, is `_split(g, co, x, n)`.
     """
     p, n = g.p, start.ambient_dim
-    inside, outside, _ = split or _split(g, co, x, n)
+    inside, outside = split or _split(g, co, x, n)
     v = start
-    if len(outside) and v.dim:
-        v = v.lift(sparse_kernel(*_triples(_on_basis(outside, v)), v.dim, p))
+    if outside[0].size and v.dim:
+        v = v.lift(sparse_kernel(*_on_basis(outside, v), v.dim, p))
     iterations = 0
     while inside.legs and 0 < v.dim < n:
         iterations += 1
-        keys, w = _images(inside, v)
-        j, c, vals = _triples(v.residual(w))
-        h, a = np.divmod(keys[c], v.dim)
-        ker = sparse_kernel(j * len(inside.legs) + h, a, vals, v.dim, p)
+        ker = sparse_kernel(*_images(inside, v)[1], v.dim, p)
         if ker.dim == v.dim:
             break
         v = v.lift(ker)
     return v, iterations
 
 
-def _on_basis(rows: np.ndarray, v: Subspace) -> np.ndarray:
-    """rows @ V^T; at V = the whole ambient, V's RREF basis is the identity."""
-    return rows if v.dim == v.ambient_dim else matmul_mod(rows, v.basis.T, v.p)
+def _on_basis(entries: tuple, v: Subspace) -> tuple:
+    """The summed triples of A V^T for A's summed (row, col, value) triples: each
+    entry meets V's nonzeros in its column; at V = the ambient, V^T = I."""
+    if v.dim == v.ambient_dim:
+        return entries
+    r, i, c = entries
+    vi, a = v.basis.T.nonzero()
+    x, y = join(i, vi)
+    key, vals = sum_duplicates(r[x] * v.dim + a[y], c[x] * v.basis[a[y], vi[y]], v.p)
+    return key // v.dim, key % v.dim, vals
 
 
-def _triples(mat: np.ndarray):
-    """(rows, cols, values) of the nonzero entries of a matrix, row by row."""
-    r, c = np.nonzero(mat)
-    return r, c, mat[r, c]
-
-
-def _images(co: Coaction, v: Subspace) -> tuple[np.ndarray, np.ndarray]:
-    """(keys, W): column k of W, shape (n, K), is the image B_h v_a of a basis
-    vector of V keyed keys[k] = h * dim V + a, for the K nonzero images in
-    increasing order of key; no (n, legs, dim V) array is built."""
-    r, a, vals = _triples(_on_basis(co.rows, v))
-    keys, col = np.unique(co.leg[r] * v.dim + a, return_inverse=True)
-    w = np.zeros((co.height, keys.size), dtype=np.int64)
-    w[co.row[r], col] = vals
-    return keys, w
+def _images(co: Coaction, v: Subspace) -> tuple[tuple, tuple]:
+    """(W, its residual modulo V) as summed triples (j * len(legs) + h, a,
+    value), for coordinate j of the images B_h v_a.  The residual is
+    W - V^T W[pivots], whose pivot rows cancel: an image lies in V iff its
+    column of the residual is empty."""
+    legs = len(co.legs)
+    r, a, c = w = _on_basis((co.row * legs + co.leg, co.col, co.val), v)
+    b, i = v.basis.nonzero()
+    x, y = join(r // legs, np.take(v.pivots, b))
+    key = np.concatenate([r, i[y] * legs + r[x] % legs]) * v.dim + np.concatenate([a, a[x]])
+    key, vals = sum_duplicates(key, np.concatenate([c, -c[x] * v.basis[b[y], i[y]]]), v.p)
+    return w, (key // v.dim, key % v.dim, vals)
 
 
 def _coordinates(co: Coaction, v: Subspace) -> tuple | None:
     """C[b, h, a] with B_h v_a = sum_b C[b, h, a] v_b, as its nonzero triples
     (b, h * dim V + a, value), or None when some image B_h v_a leaves V.  An
     image in V is V^T times its entries at V's pivots, so C is W read there."""
-    keys, w = _images(co, v)
-    if np.any(v.residual(w)):
+    (r, a, c), resid = _images(co, v)
+    if resid[0].size:
         return None
-    b, col, vals = _triples(w[list(v.pivots)])
-    return b, keys[col], vals
+    at = np.full(v.ambient_dim, -1)
+    at[list(v.pivots)] = np.arange(v.dim)  # at[j] = b at v_b's pivot j, else -1
+    j, h = np.divmod(r, len(co.legs))
+    on = at[j] >= 0
+    return at[j[on]], h[on] * v.dim + a[on], c[on]
 
 
 def _induced_comodule(m: Comodule, v: Subspace, coords: tuple | None) -> Comodule:
@@ -384,7 +375,7 @@ def coproduct_coaction(g: Group, monos) -> Coaction:
     entries = [(b, index.setdefault(a, len(index)), k, c % g.p)
                for k, m in enumerate(monos)
                for (a, b), c in g.coproduct_mono(m).items() if c % g.p]
-    return _gather(entries, len(index), len(monos))
+    return _gather(entries, len(index))
 
 
 def structure_constants(g: Group, monos, space: Subspace):
@@ -406,8 +397,8 @@ def structure_constants(g: Group, monos, space: Subspace):
 def _subcoalgebra_coordinates(g: Group, co: Coaction, monos, space: Subspace, split=None):
     """`_coordinates` of the coproduct `co`, or None if not a sub-coalgebra;
     `split` is `co` split against `space`, if the caller has it already."""
-    inside, outside, _ = split or _split(g, co, ExplicitSubspace(g, monos, space), len(monos))
-    return None if np.any(_on_basis(outside, space)) else _coordinates(inside, space)
+    inside, outside = split or _split(g, co, ExplicitSubspace(g, monos, space), len(monos))
+    return None if _on_basis(outside, space)[0].size else _coordinates(inside, space)
 
 
 def subspace_tensor(u: Subspace, v: Subspace) -> Subspace:

@@ -236,6 +236,17 @@ def sum_duplicates(key, vals, p: int) -> tuple[np.ndarray, np.ndarray]:
     return key[first[nonzero]], vals[nonzero]
 
 
+def join(left, right_sorted) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair of positions (x, y) with left[x] == right_sorted[y], in
+    increasing order of x and, within one x, of y: the index join behind each
+    sparse product (Gustavson, ACM TOMS 4(3), 1978).  left[x] meets the reps[x]
+    entries of right_sorted from start[x] on."""
+    start = right_sorted.searchsorted(left)
+    reps = right_sorted.searchsorted(left, "right") - start
+    x = np.arange(reps.size).repeat(reps)
+    return x, np.arange(x.size) + (start - reps.cumsum() + reps).repeat(reps)
+
+
 def peel(rows, cols, vals, ncols: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """The dense core of the matrix whose entries are given as (row, col,
     value) triples (rows >= 0), and its live columns in increasing order.
@@ -293,11 +304,14 @@ def sparse_solvable(rows, cols, vals, ncols: int, p: int) -> bool:
     """Whether A x = b has a solution, for [A | -b] given as (row, col, value)
     triples, -b in its last column ncols - 1: whether it has a null vector
     with last coordinate 1.  It has none if `peel` kills that column, and
-    otherwise one iff the column is not a pivot of the RREF of the core."""
+    otherwise one iff the column is not a pivot of the RREF of the core's
+    nonzero columns, the right-hand one kept last: a zero column is no pivot."""
     dense, live_cols = peel(rows, cols, vals, ncols, p)
     if live_cols.size == 0 or live_cols[-1] != ncols - 1:
         return False
-    return live_cols.size - 1 not in rref(dense, p)[1]
+    keep = dense.any(axis=0)
+    keep[-1] = True
+    return np.count_nonzero(keep) - 1 not in rref(dense[:, keep], p)[1]
 
 
 def preimage(mat: np.ndarray, target: Subspace) -> Subspace:

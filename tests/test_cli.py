@@ -427,25 +427,29 @@ def test_normalized_cobar_runs_under_a_one_gib_address_space():
 
 
 @pytest.mark.parametrize("argv", [
-    # the stacked nonzero rows of the coproduct's Coaction at d = 5, a dense
-    # (84783, 1947) int64 array (1.23 GiB)
-    ["closure", "--group", "SL:3@p=2", "--dmax", "5"],
+    # with max_chain_dim raised to 10^6 (m s^4 = 480,000), the one int64
+    # buffer behind the dense weight blocks of the normalized differentials
+    # asks for 119.8 M cells (914 MiB)
+    ["cobar", "--group", "U:3@p=2", "--module", "natural", "--dmax", "3", "--nmax", "3"],
 ])
-def test_an_allocation_over_the_address_space_exits_2_without_a_traceback(argv):
+def test_an_allocation_over_the_address_space_exits_2_without_a_traceback(argv, tmp_path):
     # never run these jobs without the limit
-    proc = run_under_one_gib(argv + ["--no-cache"])
+    config = tmp_path / "limits.json"
+    config.write_text(json.dumps({"max_chain_dim": 10 ** 6}))
+    proc = run_under_one_gib(argv + ["--no-cache"], config)
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
     assert proc.stderr == f"resource limit: out of memory in {argv[0]}\n"
 
 
 def test_the_frontier_closure_answers_under_a_one_gib_address_space():
-    # level 4 of SL(3) has 705 monomials and 23,915 structure constants; a
-    # dense (705, 705, 705) int64 array of their images took 2.6 GiB
-    job = ["closure", "--group", "SL:3@p=2", "--dmax", "4", "--format", "csv", "--no-cache"]
+    # level 5 of SL(3) has 1,947 monomials and 137,624 coproduct entries;
+    # their dense (84783, 1947) int64 row stack took 1.23 GiB, and a dense
+    # (705, 705, 705) array of level 4's images 2.6 GiB
+    job = ["closure", "--group", "SL:3@p=2", "--dmax", "5", "--format", "csv", "--no-cache"]
     proc = run_under_one_gib(job)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines() == ["d,dim,subcoalgebra,equals_level"] + [
-        f"{d},{dim},true,true" for d, dim in enumerate([1, 10, 55, 219, 705])]
+        f"{d},{dim},true,true" for d, dim in enumerate([1, 10, 55, 219, 705, 1947])]
 
 
 @pytest.mark.parametrize("argv, dims", [
@@ -477,8 +481,9 @@ def test_nmax_below_one_is_a_usage_error_before_the_level_is_built(capsys, monke
                    "--no-cache") == (1, "", "error: --nmax must be >= 1\n")
 
 
-def run_under_one_gib(argv):
-    """main(argv) in a fresh interpreter whose address space is capped at 1 GiB."""
+def run_under_one_gib(argv, config=None):
+    """main(argv) in a fresh interpreter whose address space is capped at 1 GiB,
+    with the limits of the config file `config`, if one is given."""
     code = textwrap.dedent(f"""
         import resource, sys
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
@@ -487,6 +492,8 @@ def run_under_one_gib(argv):
     """)
     src = os.path.dirname(os.path.dirname(comodfilt.__file__))
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    if config:
+        env["COMODFILT_CONFIG"] = str(config)
     return subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=300)
 

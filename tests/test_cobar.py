@@ -583,6 +583,23 @@ def test_stage2_keeps_only_the_equal_weight_unknowns_and_equations(monkeypatch):
     assert stage2_shapes(monkeypatch, "Gm@p=3", "regular(2)", 2) == ([(25, 25)], True)
 
 
+def test_the_stage2_solve_eliminates_no_all_zero_column(monkeypatch):
+    # the top level of `inject SL:2@p=2 regular(3) d3`: 173 of the 231
+    # columns of the core that the peel leaves are zero; only the right-hand
+    # column may reach the RREF while it is zero
+    systems, eliminated = [], []
+    monkeypatch.setattr(cobar, "sparse_solvable",
+                        lambda *args: systems.append(args) or linalg.sparse_solvable(*args))
+    g = group_from_spec("SL:2@p=2")
+    level = restrict(build_module("regular(3)", g), CanonicalLevel(g, 3)).comodule
+    assert injective_test(SubCoalgebra.canonical(g, 3), level)
+    rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda mat, p: eliminated.append(mat) or rref(mat, p))
+    assert [linalg.sparse_solvable(*args) for args in systems] == [True]
+    assert [mat.shape for mat in eliminated] == [(63, 58)]
+    assert all(mat[:, :-1].any(axis=0).all() for mat in eliminated)
+
+
 def reference_stage2_products(basis, blocks):
     """Oracle: every product W[u, a*m + r] F^a[j, i] of two nonzeros, in
     Python integers and not reduced, as (u*m + j, r*m + i, product)."""

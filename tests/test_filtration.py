@@ -88,21 +88,16 @@ def dense_split(g, mats, x, n):
 
 def as_coaction(mats):
     """Hand dense matrices B_h, one shape for all, to the engine."""
-    legs = list(mats)
-    height, n = next(iter(mats.values())).shape
-    nz = [np.flatnonzero(b.any(axis=1)) for b in mats.values()]
-    rows = np.vstack([np.zeros((0, n), dtype=np.int64),
-                      *(b[r] for b, r in zip(mats.values(), nz))])
-    leg = np.repeat(np.arange(len(legs)), [r.size for r in nz])
-    return Coaction(legs, leg, np.concatenate([np.zeros(0, dtype=np.int64), *nz]),
-                    rows, height)
+    stack = np.stack(list(mats.values()))
+    leg, row, col = np.nonzero(stack)
+    return Coaction(list(mats), leg, row, col, stack[leg, row, col], stack.shape[1])
 
 
-def as_dense(co):
-    """The matrices B_h of a Coaction, one per leg."""
-    mats = {h: np.zeros((co.height, co.rows.shape[1]), dtype=np.int64) for h in co.legs}
-    for k, j, row in zip(co.leg, co.row, co.rows):
-        mats[co.legs[k]][j] = row
+def as_dense(co, n):
+    """The (height, n) matrices B_h of a Coaction, one per leg."""
+    mats = {h: np.zeros((co.height, n), dtype=np.int64) for h in co.legs}
+    for k, j, i, c in zip(co.leg, co.row, co.col, co.val):
+        mats[co.legs[k]][j, i] = c
     return mats
 
 
@@ -112,7 +107,7 @@ def sorted_rows(a):
 
 def test_coefficient_matrices():
     m = regular(GA2, 1)  # Delta(1) = 1(x)1, Delta(t) = 1(x)t + t(x)1
-    for mats in (coefficient_matrices(m), as_dense(coaction(m))):
+    for mats in (coefficient_matrices(m), as_dense(coaction(m), m.dim)):
         assert set(mats) == {0, 1}
         assert mats[0].tolist() == [[1, 0], [0, 1]]
         assert mats[1].tolist() == [[0, 1], [0, 0]]
@@ -129,13 +124,15 @@ def test_coaction_holds_the_nonzero_rows_of_the_dense_matrices(spec, text):
     co = coaction(m)
     mats = coefficient_matrices(m)
     assert co.legs == list(mats)
-    assert {h: b.tolist() for h, b in as_dense(co).items()} == \
+    assert {h: b.tolist() for h, b in as_dense(co, m.dim).items()} == \
         {h: b.tolist() for h, b in mats.items()}
-    assert co.rows.any(axis=1).all()
+    # only nonzero entries, one per position
+    assert co.val.all()
+    assert len(set(zip(co.leg.tolist(), co.row.tolist(), co.col.tolist()))) == co.val.size
     for d in range(3):
         # level d without its last monomial, so that Delta has stray legs
         monos = g.filtration_basis(d)[: -1 if d else None]
-        got = as_dense(coproduct_coaction(g, monos))
+        got = as_dense(coproduct_coaction(g, monos), len(monos))
         assert {h: b.tolist() for h, b in got.items()} == \
             {h: b.tolist() for h, b in coproduct_matrices(g, monos).items() if b.any()}
 
@@ -233,9 +230,9 @@ def test_filtration_dims_builds_one_coaction_per_comodule(monkeypatch):
     # restrict calls; the arrays are shared, so they are read-only
     assert built == [m]
     co = coaction(m)
-    assert not any(a.flags.writeable for a in (co.leg, co.row, co.rows))
+    assert not any(a.flags.writeable for a in (co.leg, co.row, co.col, co.val))
     with pytest.raises(ValueError):
-        co.rows[0, 0] = 1
+        co.val[0] = 1
     built.clear()
     # primitives over Ga@p=2 needs generations 0, 0, 1, 1, 2, 2, 2, 2, 3 for d <= 8
     stream = build_module("primitives", GA2)
@@ -417,12 +414,17 @@ def test_closure_matches_the_per_monomial_fixpoint(spec):
 
 
 def assert_same_split(g, co, mats, x, n):
-    inside, outside, outside_row = filtration._split(g, co, x, n)
+    inside, (r, i, vals) = filtration._split(g, co, x, n)
     want_inside, want_outside = dense_split(g, mats, x, n)
-    got = as_dense(inside)
+    got = as_dense(inside, n)
     assert [got[h].tolist() for h in inside.legs] == [b.tolist() for b in want_inside]
+    # the outside triples are summed: one nonzero entry per position; their
+    # rows, filled in, are the outside matrices' nonzero rows
+    assert vals.all() and np.unique(r * n + i).size == r.size
+    ids, row = np.unique(r, return_inverse=True)
+    outside = np.zeros((ids.size, n), dtype=np.int64)
+    outside[row, i] = vals
     assert sorted_rows(outside) == sorted_rows(want_outside)
-    assert outside_row.shape == (len(outside),)
 
 
 def test_split_matches_the_dense_split():
@@ -493,17 +495,25 @@ def test_fixpoint_iterates_until_nothing_shrinks():
 
 
 def assert_images_match(co, mats, v):
-    """`_images` against B_h V^T from the dense matrices: every column kept
-    is nonzero, the keys increase, and scattered back into (n, legs, dim V)
-    W is every image, zero or not."""
-    keys, w = filtration._images(co, v)
-    assert w.shape == (co.height, keys.size) and w.any(axis=0).all()
-    assert np.all(np.diff(keys) > 0)
-    dense = np.zeros((co.height, len(co.legs) * v.dim), dtype=np.int64)
-    dense[:, keys] = w
+    """`_images` against B_h V^T from the dense matrices: W's and the
+    residual's entries are nonzero, one per position; scattered back into
+    (n, legs, dim V) W is every image, zero or not, and the residual is
+    W - V^T W[pivots], whose pivot rows are zero."""
+    (r, a, vals), (rr, ra, rv) = filtration._images(co, v)
+    legs = len(co.legs)
+    for rows, cols, x in ((r, a, vals), (rr, ra, rv)):
+        assert x.all() and np.unique(rows * v.dim + cols).size == rows.size
+    dense = np.zeros((co.height * legs, v.dim), dtype=np.int64)
+    dense[r, a] = vals
     basis = v.basis.T.astype(object)  # exact at any p
     want = np.stack([(mats[h].astype(object) @ basis) % v.p for h in co.legs], axis=1)
-    assert dense.reshape(co.height, len(co.legs), v.dim).tolist() == want.tolist()
+    assert dense.reshape(co.height, legs, v.dim).tolist() == want.tolist()
+    want = want.reshape(co.height, legs * v.dim)
+    want[:v.ambient_dim] -= basis @ want[list(v.pivots)]
+    resid = np.zeros((co.height * legs, v.dim), dtype=np.int64)
+    resid[rr, ra] = rv
+    assert resid.reshape(co.height, legs * v.dim).tolist() == (want % v.p).tolist()
+    assert not (want[list(v.pivots)] % v.p).any()
 
 
 def test_images_keep_only_the_nonzero_columns():
@@ -549,6 +559,21 @@ def test_the_fixpoint_allocates_no_dense_image_array():
         tracemalloc.stop()
     assert (m.dim, len(co.legs), res.dim) == (221, 221, 55)
     assert peak < m.dim * len(co.legs) * res.dim * 8
+
+
+def test_the_closure_allocates_no_dense_coaction_or_image_array():
+    # level 4 of SL(3): the coproduct's 23,915 entries fill 16,893 (leg, row)
+    # pairs, whose dense (16893, 705) row stack was 91 MiB, and a dense W of
+    # the 16,699 nonzero images of X's basis was 90 MiB; about 12 MiB is traced
+    g = group_from_spec("SL:3@p=2")
+    tracemalloc.start()
+    try:
+        res = coalgebra_closure(g, CanonicalLevel(g, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.dim, res.is_subcoalgebra) == (705, True)
+    assert peak < 32 << 20
 
 
 def test_restrict_reports_an_escaping_fixpoint(monkeypatch):
