@@ -16,10 +16,11 @@ coaction add torus weights, so every d^n is block diagonal by total weight.
 level), the chain-dimension ceiling (on the full complex), that C's basis
 vectors are block-homogeneous (else C0 = C), and that C0's and Cbar's basis
 vectors are weight-homogeneous and M's weights, read off its coaction, are
-consistent (else one weight block).  Either fallback gives the same ranks.
-Each d^n is emitted as (row, col, value) triples, which must join basis
-vectors of equal weight, and is kept as one dense array per weight block;
-d o d = 0 is checked and the ranks are taken block by block.
+consistent (else one weight class).  Either fallback gives the same ranks.
+Each d^n is kept as its summed (row, col, value) triples, which must join
+basis vectors of equal weight; d o d = 0 is checked by joining the triples
+of d^(n+1) and d^n on the middle index, and each rank is taken by one row
+peel, whose core is made dense one weight class at a time.
 
 Injectivity of a C-comodule M is decided by solvability of the retraction
 system for the canonical embedding M -> M^{triv} (x) C, solved in two
@@ -54,8 +55,8 @@ from .config import Limits, check_limit
 from .coordalg import Group, UnsupportedOperation
 from .filtration import (CanonicalLevel, ExplicitSubspace, InternalInvariantError,
                          _split, coaction, restrict, structure_constants)
-from .linalg import (Subspace, join, kernel, matmul_mod, matrank, sparse_kernel,
-                     sparse_solvable, sum_duplicates)
+from .linalg import (Subspace, dense_rows, join, kernel, matmul_mod, matrank, peel,
+                     sparse_kernel, sparse_solvable, sum_duplicates)
 
 
 class NotACComoduleError(ValueError):
@@ -91,8 +92,9 @@ class SubCoalgebra(ExplicitSubspace):
         monos = group.filtration_basis(d)
         return SubCoalgebra(group, monos, Subspace.full(len(monos), group.p), limits)
 
-    def coefficient_blocks(self, m: Comodule) -> np.ndarray:
-        """F^a, stacked, with Delta_M(m_i) = sum_{j,a} F^a[j,i] m_j (x) b_a.
+    def coefficient_blocks(self, m: Comodule):
+        """The nonzero entries (a, j, i, value) of the F^a, sorted by (a, j, i),
+        with Delta_M(m_i) = sum_{j,a} F^a[j,i] m_j (x) b_a.
 
         One split of M's coaction against C: F^a holds the coefficients of
         b_a's pivot monomial.  A coefficient outside C is reported at the
@@ -107,54 +109,52 @@ class SubCoalgebra(ExplicitSubspace):
             raise NotACComoduleError(
                 f"coefficient f[{j},{i}] = {f} is not in the sub-coalgebra"
                 + (f" (monomial {stray[0]} outside the span)" if stray else ""))
-        blocks = np.zeros((self.dim, m.dim, m.dim), dtype=np.int64)
-        blocks[inside.leg, inside.row, inside.col] = inside.val
-        return blocks
+        f = np.stack([inside.leg, inside.row, inside.col, inside.val])
+        return f[:, np.lexsort(f[2::-1])]
 
 
 class ChainComplex:
-    """Degrees 0..n_max with differentials d^n: CH^n -> CH^(n+1)."""
+    """Degrees 0..n_max of a cochain complex over F_p, with d^0 .. d^(n_max).
 
-    def __init__(self, p: int, dims: list[int], diffs: list[np.ndarray]):
-        self.p = p
-        self.dims = dims          # dims of CH^0 .. CH^(n_max)
-        self.diffs = diffs        # d^0 .. d^(n_max)
-        self.n_max = len(dims) - 1
-        for n in range(len(diffs) - 1):
-            if np.any(matmul_mod(diffs[n + 1], diffs[n], p)):
+    codes[n] is the weight class of each basis vector of CH^n, up to
+    n_max + 1, and diffs[n] the (row, col, value) triples of d^n, kept summed
+    mod p as one (3, nnz) array sorted by row, then column.  Every entry must
+    join basis vectors of one class, and d^(n+1) d^n = 0: its products,
+    joined on the middle index, must sum to nothing.
+    """
+
+    def __init__(self, p: int, codes: list[np.ndarray], diffs):
+        self.p, self.codes, self.diffs = p, codes, []
+        self.dims = [len(x) for x in codes[:-1]]  # dims of CH^0 .. CH^(n_max)
+        width = [max(dim, 1) for dim in self.dims]
+        for n, (rows, cols, vals) in enumerate(diffs):
+            key, vals = sum_duplicates(np.asarray(rows) * width[n] + cols, vals, p)
+            rows, cols = np.divmod(key, width[n])
+            if np.any(codes[n + 1][rows] != codes[n][cols]):
+                raise InternalInvariantError(
+                    f"d^{n} joins basis vectors of unequal torus weight")
+            self.diffs.append(np.stack([rows, cols, vals]))
+        for n, ((rows, mid, vals), (mid0, cols, vals0)) in enumerate(
+                zip(self.diffs[1:], self.diffs)):
+            x, y = join(mid, mid0)
+            if sum_duplicates(rows[x] * width[n] + cols[y], vals[x] * vals0[y] % p, p)[0].size:
                 raise InternalInvariantError(f"d^{n + 1} after d^{n} is nonzero")
 
 
-class BlockComplex:
-    """A direct sum of ChainComplexes, one per torus-weight block, each with
-    its own d o d = 0 check; `dims` and `diffs` run over all blocks."""
-
-    def __init__(self, p: int, n_max: int, parts: list[ChainComplex]):
-        self.p = p
-        self.n_max = n_max
-        self.parts = parts
-        self.dims = [sum(cx.dims[n] for cx in parts) for n in range(n_max + 1)]
-
-    @property
-    def diffs(self) -> list[np.ndarray]:
-        return [d for cx in self.parts for d in cx.diffs]
-
-
-def _normalized_factors(c: SubCoalgebra, blocks: np.ndarray):
+def _normalized_factors(c: SubCoalgebra, f, mm: int):
     """The coaction and the coproduct restricted to Cbar = ker(epsilon).
 
     C = k.1 + Cbar, with Cbar spanned by the RREF basis e_1..e_t of
     ker(epsilon), t = s - 1.  The Cbar-part b_a - epsilon(b_a).1 of b_a lies
     in ker(epsilon), so its coordinates are its entries at the pivots: no
     inverse is needed.
-    Returns rho_bar, shape (m*t, m), whose row (j, r) holds the e_r-component
-    of the coaction, delta_bar, shape (t*t, t), the reduced coproduct
+    Returns the entries (row, col, value) of rho_bar, shape (m*t, m), whose
+    row (j, r) holds the e_r-component of the coaction, built from F's entries
+    (a, j, i, value), delta_bar, shape (t*t, t), the reduced coproduct
     Delta(e_k) - e_k (x) 1 - 1 (x) e_k = sum delta_bar[r*t+u, k] e_r (x) e_u,
     and the e_r in C's basis, shape (t, s).
     """
-    p = c.group.p
-    s = c.dim
-    mm = blocks[0].shape[0]
+    p, s = c.group.p, c.dim
     counit = np.array([c.group.counit_mono(mono) % p for mono in c.monos],
                       dtype=np.int64)
     eps = matmul_mod(c.space.basis, counit[:, None], p)[:, 0]
@@ -162,13 +162,17 @@ def _normalized_factors(c: SubCoalgebra, blocks: np.ndarray):
     t, piv = kbar.dim, list(kbar.pivots)
     # each product multiplies two entries below p: exact in int64
     to_bar = (np.eye(s, dtype=np.int64)[piv] - np.outer(c.unit[piv], eps)) % p
-    g = matmul_mod(to_bar, blocks.reshape(s, mm * mm), p)            # [r, j, i]
-    rho_bar = g.reshape(t, mm, mm).transpose(1, 0, 2).reshape(mm * t, mm)
+    # rho_bar[(j, r), i] = sum_a to_bar[r, a] F^a[j, i], on the shared a
+    fa, fj, fi, fv = f
+    ta, tr = to_bar.T.nonzero()
+    x, y = join(fa, ta)
+    key, val = sum_duplicates((fj[x] * t + tr[y]) * mm + fi[x],
+                              fv[x] * to_bar[tr, ta][y] % p, p)
     x = matmul_mod(c.delta_matrix, kbar.basis.T, p)                  # [a, b, k]
     y = matmul_mod(to_bar, x.reshape(s, s * t), p)                   # [r, b, k]
     y = y.reshape(t, s, t).transpose(1, 0, 2).reshape(s, t * t)      # [b, r, k]
     z = matmul_mod(to_bar, y, p).reshape(t, t, t)                    # [u, r, k]
-    return rho_bar, z.transpose(1, 0, 2).reshape(t * t, t), kbar.basis
+    return (key // mm, key % mm, val), z.transpose(1, 0, 2).reshape(t * t, t), kbar.basis
 
 
 def _row_codes(rows: np.ndarray, codes: np.ndarray):
@@ -256,9 +260,9 @@ def _kron_triples(left: int, shape, entries, right: int, sign: int):
 
 
 def cobar_complex(c: SubCoalgebra, m: Comodule, n_max: int,
-                  limits: Limits = Limits()) -> BlockComplex:
+                  limits: Limits = Limits()) -> ChainComplex:
     """The normalized CH^0..CH^(n_max) over C0 and M_{C0}, with all
-    differentials (including d^(n_max)), one ChainComplex per weight block.
+    differentials (including d^(n_max)), each basis vector coded by weight.
 
     CH^n = M (x) Cbar^(x n) and d^n = rho_bar (x) I + sum_{i=1}^{n} (-1)^i
     I (x) delta_bar (x) I, emitted as (row, col, value) triples; every entry
@@ -267,69 +271,48 @@ def cobar_complex(c: SubCoalgebra, m: Comodule, n_max: int,
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     p = c.group.p
-    blocks = c.coefficient_blocks(m)
+    f = c.coefficient_blocks(m)
     # the ceiling stays on the full complex's top dimension m s^(n_max+1), so
     # a job is accepted or refused regardless of which complex is built
     check_limit(m.dim * c.dim ** (n_max + 1), limits.max_chain_dim, "chain-group dimension")
     c0 = _unit_block(c, limits)
     if c0 is not c:
-        blocks = c0.coefficient_blocks(restrict(m, c0).comodule)
-    rho_bar, delta_bar, kbar = _normalized_factors(c0, blocks)
-    mm, t = blocks.shape[1], c0.dim - 1
-    rho, delta = _entries(rho_bar), _entries(delta_bar)
+        m = restrict(m, c0).comodule
+        f = c0.coefficient_blocks(m)
+    mm, t = m.dim, c0.dim - 1
+    rho, delta_bar, kbar = _normalized_factors(c0, f, mm)
+    delta = _entries(delta_bar)
     # a basis vector of CH^(n_max+1) has one weight of M and n_max + 1 of Cbar
-    code_m, code_b = _weight_codes(c0, _entries(blocks), mm, n_max + 1)
+    code_m, code_b = _weight_codes(c0, f, mm, n_max + 1)
     code_e = _row_codes(kbar, code_b)
     if code_e is None:
         code_m, code_e = np.zeros(mm, dtype=np.int64), np.zeros(t, dtype=np.int64)
     codes = [code_m]  # the weight code of each basis vector of CH^n
     for _ in range(n_max + 1):
         codes.append((codes[-1][:, None] + code_e).ravel())
-    # block label of each basis vector, its position in its block, block sizes
-    keys, label = np.unique(np.concatenate(codes), return_inverse=True)
-    label = np.split(label, np.cumsum([len(x) for x in codes])[:-1])
-    sizes = [np.bincount(x, minlength=len(keys)) for x in label]
-    local = []
-    for x, size in zip(label, sizes):
-        order = np.argsort(x, kind="stable")
-        pos = np.empty_like(x)
-        pos[order] = np.arange(len(x)) - (np.cumsum(size) - size)[x[order]]
-        local.append(pos)
     diffs = []
     for n in range(n_max + 1):
-        terms = [_kron_triples(1, rho_bar.shape, rho, t ** n, 1)] + [
+        terms = [_kron_triples(1, (mm * t, mm), rho, t ** n, 1)] + [
             _kron_triples(mm * t ** (i - 1), delta_bar.shape, delta, t ** (n - i), (-1) ** i)
             for i in range(1, n + 1)]
-        rows, cols, vals = (np.concatenate(x) for x in zip(*terms))
-        blk = label[n][cols]
-        if np.any(label[n + 1][rows] != blk):
-            raise InternalInvariantError(
-                f"d^{n} joins basis vectors of unequal torus weight")
-        # block b of d^n fills cells offset[b] .. offset[b] + cells[b] of one buffer
-        cells = sizes[n + 1] * sizes[n]
-        offset = np.cumsum(cells) - cells
-        flat = np.zeros(int(cells.sum()), dtype=np.int64)
-        np.add.at(flat, offset[blk] + local[n + 1][rows] * sizes[n][blk] + local[n][cols], vals)
-        flat %= p
-        diffs.append([flat[o:o + size].reshape(nr, nc) for o, size, nr, nc
-                      in zip(offset, cells, sizes[n + 1], sizes[n])])
-    parts = [ChainComplex(p, [int(sizes[n][b]) for n in range(n_max + 1)],
-                          [diffs[n][b] for n in range(n_max + 1)])
-             for b in range(len(keys)) if any(sizes[n][b] for n in range(n_max + 1))]
-    return BlockComplex(p, n_max, parts)
+        diffs.append([np.concatenate(x) for x in zip(*terms)])
+    return ChainComplex(p, codes, diffs)
 
 
-def cohomology_dims(cx) -> list[int]:
-    """dim H^n for n = 0..n_max (exact: d^(n_max) is materialized), summed
-    over the parts of a BlockComplex."""
-    out = [0] * (cx.n_max + 1)
-    for part in getattr(cx, "parts", [cx]):
-        prev_rank = 0
-        for n in range(cx.n_max + 1):
-            rank = matrank(part.diffs[n], cx.p)
-            out[n] += part.dims[n] - rank - prev_rank
-            prev_rank = rank
-    return out
+def cohomology_dims(cx: ChainComplex) -> list[int]:
+    """dim H^n for n = 0..n_max (exact: d^(n_max) is kept).  rank d^n is the
+    number of columns that `peel` kills plus the rank of the core it leaves;
+    d^n joins basis vectors of one weight class only, so the core is cut by
+    its columns' class, and each class's core alone is made dense."""
+    ranks = []
+    for n, (rows, cols, vals) in enumerate(cx.diffs):
+        (r, c, v), live = peel(rows, cols, vals, cx.dims[n], cx.p)
+        code = cx.codes[n][c]
+        order = code.argsort(kind="stable")
+        ranks.append(cx.dims[n] - live.size + sum(
+            matrank(dense_rows(r[x], c[x], v[x]), cx.p)
+            for x in np.split(order, np.flatnonzero(np.diff(code[order])) + 1) if x.size))
+    return [dim - rank - prev for dim, rank, prev in zip(cx.dims, ranks, [0] + ranks)]
 
 
 def _stage1_triples(f, mm: int, lam: np.ndarray):
@@ -338,7 +321,7 @@ def _stage1_triples(f, mm: int, lam: np.ndarray):
 
     Row (c, k, j), column (a, i) holds delta_ak F^c[j, i] - lambda^k_{ac}
     delta_ji.  With rows taken as (k, c, j) that is I_s (x) F - L (x) I_m,
-    F = blocks.reshape(s*m, m) and L[(k, c), a] = lambda^k_{ac} =
+    F the (s*m, m) stack of the F^a, and L[(k, c), a] = lambda^k_{ac} =
     lam[a*s+c, k], emitted by `_kron_triples`; the rows are then renumbered
     back to (c, k, j).  The two terms meet only on the keys with a = k and
     j = i; `sparse_kernel` sums them there.
@@ -373,7 +356,7 @@ def injective_test(c: SubCoalgebra, m: Comodule, limits: Limits = Limits()) -> b
     if mm == 0:
         return True
     check_limit(s * mm, limits.max_solver_unknowns, "retraction system unknowns")
-    f = _entries(c.coefficient_blocks(m))
+    f = c.coefficient_blocks(m)
     # stage 1: the space W of comodule maps phi: C -> M,
     # phi(b_k) = v^k with F^c v^k = sum_a lambda^k_{ac} v^a for all c, k
     w = sparse_kernel(*_stage1_triples(f, mm, c.delta_matrix), s * mm, p)

@@ -20,7 +20,7 @@ class ResourceLimitError(RuntimeError):
 @dataclass(frozen=True)
 class Limits:
     max_coalgebra_dim: int = 30      # largest sub-coalgebra for cobar/injectivity
-    max_chain_dim: int = 100000      # largest materialized CH^n
+    max_chain_dim: int = 100000      # largest CH^n of the full cobar complex
     max_solver_unknowns: int = 20000  # largest linear-solve unknown count
     max_dmax: int = 64               # largest CLI filtration sweep
 

@@ -247,18 +247,19 @@ def join(left, right_sorted) -> tuple[np.ndarray, np.ndarray]:
     return x, np.arange(x.size) + (start - reps.cumsum() + reps).repeat(reps)
 
 
-def peel(rows, cols, vals, ncols: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """The dense core of the matrix whose entries are given as (row, col,
-    value) triples (rows >= 0), and its live columns in increasing order.
+def peel(rows, cols, vals, ncols: int, p: int):
+    """The entries of the core of the matrix given as (row, col, value)
+    triples (rows >= 0), and its live columns in increasing order.
 
     Entries sharing a (row, col) key are summed mod p, and zero sums dropped.
     A row with exactly one nonzero entry among the live columns forces that
     column to 0 in every null vector, so the column dies; rows are peeled
     until none is left with a single live entry (structured Gaussian
     elimination, LaMacchia and Odlyzko, CRYPTO '90).  The core is the rows
-    with live entries, restricted to the live columns, in their order: a
-    vector is a null vector of the matrix iff it is 0 on the dead columns and
-    a null vector of the core on the live ones.
+    with live entries, restricted to the live columns, their ids kept and
+    sorted by row, then column: a vector is a null vector of the matrix iff
+    it is 0 on the dead columns and a null vector of the core on the live
+    ones, and the matrix has rank the number of dead columns plus the core's.
     """
     key = np.asarray(rows, dtype=np.int64) * ncols + np.asarray(cols, dtype=np.int64)
     key, vals = sum_duplicates(key, vals, p)
@@ -270,31 +271,44 @@ def peel(rows, cols, vals, ncols: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     live = np.ones(ncols, dtype=bool)
     while True:
         on = live[cols]
-        count = np.bincount(rid[on], minlength=rows.size)
-        row_live = count[rid]
+        row_live = np.bincount(rid[on], minlength=rows.size)[rid]
         dead = cols[on & (row_live == 1)]
         if dead.size == 0:
             break
         live[dead] = False
     core = on & (row_live > 1)
-    busy = count > 1
-    live_cols = live.nonzero()[0]
-    dense = np.zeros((np.count_nonzero(busy), live_cols.size), dtype=np.int64)
-    dense[(busy.cumsum() - 1)[rid[core]], (live.cumsum() - 1)[cols[core]]] = vals[core]
-    return dense, live_cols
+    return (rows[core], cols[core], vals[core]), live.nonzero()[0]
+
+
+def _distinct(a) -> np.ndarray:
+    """The distinct values of a, sorted: `np.unique` imports numpy.ma (13 ms)."""
+    a = np.sort(a)
+    return a[np.diff(a, prepend=a[:1] - 1) != 0]
+
+
+def dense_rows(rows, cols, vals, col_ids=None) -> np.ndarray:
+    """The dense matrix of entries sorted by row: one row per distinct row id,
+    in order, and column k for col_ids[k], sorted and holding every col; by
+    default the distinct cols."""
+    col_ids = _distinct(cols) if col_ids is None else col_ids
+    step = np.ones(rows.size, dtype=bool)
+    step[1:] = rows[1:] != rows[:-1]
+    out = np.zeros((np.count_nonzero(step), col_ids.size), dtype=np.int64)
+    out[step.cumsum() - 1, col_ids.searchsorted(cols)] = vals
+    return out
 
 
 def sparse_kernel(rows, cols, vals, ncols: int, p: int) -> Subspace:
     """Null space of the matrix whose entries are given as (row, col, value)
     triples, as a subspace of F_p^ncols; the same `Subspace` as `kernel` of
-    the dense matrix.  `kernel` eliminates the core that `peel` leaves, and
-    its RREF basis is scattered back with zeros in the dead columns, which
-    keeps it in RREF.
+    the dense matrix.  `kernel` eliminates the core that `peel` leaves, made
+    dense over the live columns, and its RREF basis is scattered back with
+    zeros in the dead columns, which keeps it in RREF.
     """
     if len(rows) == 0:
         return Subspace.full(ncols, p)
-    dense, live_cols = peel(rows, cols, vals, ncols, p)
-    ker = kernel(dense, p)
+    core, live_cols = peel(rows, cols, vals, ncols, p)
+    ker = kernel(dense_rows(*core, live_cols), p)
     basis = np.zeros((ker.dim, ncols), dtype=np.int64)
     basis[:, live_cols] = ker.basis
     return Subspace(ncols, p, basis, tuple(live_cols[list(ker.pivots)].tolist()))
@@ -304,14 +318,14 @@ def sparse_solvable(rows, cols, vals, ncols: int, p: int) -> bool:
     """Whether A x = b has a solution, for [A | -b] given as (row, col, value)
     triples, -b in its last column ncols - 1: whether it has a null vector
     with last coordinate 1.  It has none if `peel` kills that column, and
-    otherwise one iff the column is not a pivot of the RREF of the core's
-    nonzero columns, the right-hand one kept last: a zero column is no pivot."""
-    dense, live_cols = peel(rows, cols, vals, ncols, p)
+    otherwise one iff the column is not a pivot of the RREF of the core made
+    dense over its nonzero columns, the right-hand one kept last: a zero
+    column is no pivot."""
+    core, live_cols = peel(rows, cols, vals, ncols, p)
     if live_cols.size == 0 or live_cols[-1] != ncols - 1:
         return False
-    keep = dense.any(axis=0)
-    keep[-1] = True
-    return np.count_nonzero(keep) - 1 not in rref(dense[:, keep], p)[1]
+    keep = _distinct(np.append(core[1], ncols - 1))
+    return keep.size - 1 not in rref(dense_rows(*core, keep), p)[1]
 
 
 def preimage(mat: np.ndarray, target: Subspace) -> Subspace:

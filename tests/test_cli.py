@@ -426,16 +426,17 @@ def test_normalized_cobar_runs_under_a_one_gib_address_space():
     assert proc.stdout.splitlines() == ["n,dim"] + [f"{n},1" for n in range(16)]
 
 
-@pytest.mark.parametrize("argv", [
-    # with max_chain_dim raised to 10^6 (m s^4 = 480,000), the one int64
-    # buffer behind the dense weight blocks of the normalized differentials
-    # asks for 119.8 M cells (914 MiB)
-    ["cobar", "--group", "U:3@p=2", "--module", "natural", "--dmax", "3", "--nmax", "3"],
+@pytest.mark.parametrize("argv, max_chain_dim", [
+    # with max_chain_dim raised to 10^8 (m s^5 = 24.3 M), d^4 maps CH^4
+    # (29^4 = 707,281) to CH^5 (29^5 = 20.5 M): its 13.3 M triples are
+    # 304 MiB as three int64 arrays, before they are summed
+    (["cobar", "--group", "Ga@p=2", "--module", "triv", "--dmax", "29", "--nmax", "4"], 10 ** 8),
 ])
-def test_an_allocation_over_the_address_space_exits_2_without_a_traceback(argv, tmp_path):
+def test_an_allocation_over_the_address_space_exits_2_without_a_traceback(
+        argv, max_chain_dim, tmp_path):
     # never run these jobs without the limit
     config = tmp_path / "limits.json"
-    config.write_text(json.dumps({"max_chain_dim": 10 ** 6}))
+    config.write_text(json.dumps({"max_chain_dim": max_chain_dim}))
     proc = run_under_one_gib(argv + ["--no-cache"], config)
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
     assert proc.stderr == f"resource limit: out of memory in {argv[0]}\n"
@@ -452,21 +453,33 @@ def test_the_frontier_closure_answers_under_a_one_gib_address_space():
         f"{d},{dim},true,true" for d, dim in enumerate([1, 10, 55, 219, 705, 1947])]
 
 
-@pytest.mark.parametrize("argv, dims", [
+@pytest.mark.parametrize("argv, dims, max_chain_dim", [
     # natural lies in the odd block of SL(2): M_{C0} = 0
-    pytest.param(["SL:2@p=2", "natural", "2", "3"], [0, 0, 0, 0], id="SL2-natural-d2-n3"),
+    pytest.param(["SL:2@p=2", "natural", "2", "3"], [0, 0, 0, 0], None, id="SL2-natural-d2-n3"),
     # the unit's block of O(GL:2)_{<=2} is k.1
-    pytest.param(["GL:2@p=2", "regular(2)", "2", "2"], [1, 0, 0], id="GL2-regular2-d2-n2"),
+    pytest.param(["GL:2@p=2", "regular(2)", "2", "2"], [1, 0, 0], None, id="GL2-regular2-d2-n2"),
     # C is injective over itself; its weight blocks stay small
-    pytest.param(["U:3@p=2", "regular(2)", "2", "3"], [1, 0, 0, 0], id="U3-regular2-d2-n3"),
+    pytest.param(["U:3@p=2", "regular(2)", "2", "3"], [1, 0, 0, 0], None, id="U3-regular2-d2-n3"),
+    # with max_chain_dim raised to 10^6 (m s^4 = 480,000): the dense weight
+    # blocks of its d^3 held 119.8 M cells (914 MiB).  [1, 3, 10] agrees with
+    # `reference_normalized_complex` at n <= 2, a dense check of 1.6 s and
+    # 620 MB kept out of the suite; the 34 comes only from the engine
+    pytest.param(["U:3@p=2", "natural", "3", "3"], [1, 3, 10, 34], 10 ** 6,
+                 id="U3-natural-d3-n3"),
 ])
-def test_the_frontier_cobar_jobs_answer_under_a_one_gib_address_space(argv, dims):
-    # each passes max_chain_dim; the dense normalized d^n of the first two
-    # ran out of a 1 GiB address space, and the third's d^3 is 65610 x 7290
+def test_the_frontier_cobar_jobs_answer_under_a_one_gib_address_space(
+        argv, dims, max_chain_dim, tmp_path):
+    # each passes max_chain_dim, the last with it raised; the dense normalized
+    # d^n of the first two ran out of a 1 GiB address space, and the third's
+    # d^3 is 65610 x 7290
     group, module, dmax, nmax = argv
     job = ["cobar", "--group", group, "--module", module, "--dmax", dmax,
            "--nmax", nmax, "--format", "csv", "--no-cache"]
-    proc = run_under_one_gib(job)
+    config = None
+    if max_chain_dim:
+        config = tmp_path / "limits.json"
+        config.write_text(json.dumps({"max_chain_dim": max_chain_dim}))
+    proc = run_under_one_gib(job, config)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines() == ["n,dim"] + [f"{n},{h}" for n, h in enumerate(dims)]
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from comodfilt import cobar, filtration, linalg
-from comodfilt.cobar import (ChainComplex, NotACComoduleError, SubCoalgebra, _entries,
+from comodfilt.cobar import (ChainComplex, NotACComoduleError, SubCoalgebra,
                              _normalized_factors, _stage1_triples, _stage2_terms,
                              _weight_codes,
                              cobar_complex, cohomology_dims, injective_test,
@@ -21,10 +21,30 @@ from comodfilt.filtration import (CanonicalLevel, ExplicitSubspace,
                                   coalgebra_closure, restrict)
 from comodfilt.linalg import (IncrementalRREF, Subspace, kernel, matmul_mod, matrank,
                               rref, sparse_kernel)
-from oracles import solve
+from oracles import DenseComplex, solve
 
 GA2 = group_from_spec("Ga@p=2")
 GM3 = group_from_spec("Gm@p=3")
+
+
+def entries(a):
+    """The nonzero entries of an array: their index along each axis, in
+    C order, then their values."""
+    idx = a.nonzero()
+    return (*idx, a[idx])
+
+
+def dense_blocks(c, m):
+    """The F^a of `coefficient_blocks(m)`, made dense: an (s, m, m) array."""
+    blocks = np.zeros((c.dim, m.dim, m.dim), dtype=np.int64)
+    a, j, i, v = c.coefficient_blocks(m)
+    blocks[a, j, i] = v
+    return blocks
+
+
+def weight_classes(cx):
+    """The number of weight classes that CH^0 .. CH^(n_max) meet."""
+    return np.unique(np.concatenate(cx.codes[:-1])).size
 
 
 def reference_cobar_complex(c, m, n_max):
@@ -33,12 +53,13 @@ def reference_cobar_complex(c, m, n_max):
     d^n = sum_{i=0}^{n+1} (-1)^i d_i: d_0 inserts the coaction, d_i applies
     Delta_C to the i-th tensor factor and d_{n+1} appends the unit.  Built
     densely from Kronecker products; it shares only `coefficient_blocks`,
-    `delta_matrix` and `unit` with the normalized complex.
+    `delta_matrix` and `unit` with the normalized complex, and is ranked
+    densely.
     """
     p = c.group.p
     s = c.dim
     mm = m.dim
-    blocks = c.coefficient_blocks(m)
+    blocks = dense_blocks(c, m)
     # F_op: M -> M (x) C, shape (mm*s, mm)
     f_op = np.zeros((mm * s, mm), dtype=np.int64)
     for a, blk in enumerate(blocks):
@@ -57,7 +78,7 @@ def reference_cobar_complex(c, m, n_max):
             sign = -sign
         d = d + sign * np.kron(np.eye(mm * s ** n, dtype=np.int64), unit_col)
         diffs.append(d % p)
-    return ChainComplex(p, dims[: n_max + 1], diffs)
+    return DenseComplex(p, dims[: n_max + 1], diffs)
 
 
 def _add_kron(d, left, a, right, sign):
@@ -77,13 +98,15 @@ def _add_kron(d, left, a, right, sign):
 
 def reference_normalized_complex(c, m, n_max):
     """Oracle: the normalized complex M (x) Cbar^(x n) over all of C, with no
-    block or weight split, each d^n written into one dense array.
+    block or weight split, each d^n written into one dense array and ranked
+    densely.
 
     d^n = rho_bar (x) I + sum_{i=1}^{n} (-1)^i I (x) delta_bar (x) I.
     """
     p = c.group.p
     mm, t = m.dim, c.dim - 1
-    rho_bar, delta_bar, _ = _normalized_factors(c, c.coefficient_blocks(m))
+    rho, delta_bar, _ = _normalized_factors(c, c.coefficient_blocks(m), mm)
+    rho_bar = densify(rho, mm * t, mm, p)
     dims = [mm * t ** n for n in range(n_max + 2)]
     diffs = []
     for n in range(n_max + 1):
@@ -92,7 +115,7 @@ def reference_normalized_complex(c, m, n_max):
         for i in range(1, n + 1):
             _add_kron(d, mm * t ** (i - 1), delta_bar, t ** (n - i), (-1) ** i)
         diffs.append(d % p)
-    return ChainComplex(p, dims[: n_max + 1], diffs)
+    return DenseComplex(p, dims[: n_max + 1], diffs)
 
 
 def primitive_rank(g, d):
@@ -141,7 +164,7 @@ def test_coefficient_blocks_reject_escaping_coefficients():
     c = SubCoalgebra.canonical(GA2, 1)
     with pytest.raises(NotACComoduleError):
         c.coefficient_blocks(regular(GA2, 2))
-    blocks = c.coefficient_blocks(regular(GA2, 1))
+    blocks = dense_blocks(c, regular(GA2, 1))
     assert blocks[0].tolist() == [[1, 0], [0, 1]]
     assert blocks[1].tolist() == [[0, 1], [0, 0]]
 
@@ -207,7 +230,11 @@ def test_coefficient_blocks_match_the_per_entry_reference():
                (cx, Comodule(GA2, ["a", "b"], [{0: t, 1: t3}, {1: GA2.one()}]))]
     for c, m in cases + failing:
         want = blocks_or_message(reference_coefficient_blocks, c, m)
-        assert blocks_or_message(c.coefficient_blocks, m) == want, (c.monos, m)
+        assert blocks_or_message(dense_blocks, c, m) == want, (c.monos, m)
+    # the entries are nonzero and sorted by (a, j, i)
+    for c, m in cases:
+        a, j, i, v = c.coefficient_blocks(m)
+        assert (np.diff((a * m.dim + j) * m.dim + i) > 0).all() and v.all()
     messages = [blocks_or_message(reference_coefficient_blocks, c, m) for c, m in failing]
     assert all(isinstance(msg, str) for msg in messages)
     assert messages[0] == "coefficient f[0,1] = t^1 is not in the sub-coalgebra"
@@ -299,9 +326,9 @@ def test_normalized_and_full_complexes_have_equal_cohomology():
     def both(c, m, n):
         cx = reference_normalized_complex(c, m, n)
         assert cx.dims == [m.dim * (c.dim - 1) ** k for k in range(n + 1)]
-        normalized = cohomology_dims(cx)
+        normalized = cx.cohomology_dims()
         assert cohomology_dims(cobar_complex(c, m, n)) == normalized
-        return normalized, cohomology_dims(reference_cobar_complex(c, m, n))
+        return normalized, reference_cobar_complex(c, m, n).cohomology_dims()
 
     for spec, text, d, n in COBAR_CASES:
         g = group_from_spec(spec)
@@ -319,7 +346,7 @@ def test_normalized_and_full_complexes_have_equal_cohomology():
         level = restrict(regular(GA2, 2), x).comodule
         normalized, full = both(c, level, 3)
         assert normalized == full, top
-        assert len(cobar_complex(c, level, 3).parts) == parts, top
+        assert weight_classes(cobar_complex(c, level, 3)) == parts, top
 
 
 def test_the_normalized_factors_eliminate_once(monkeypatch):
@@ -333,43 +360,63 @@ def test_the_normalized_factors_eliminate_once(monkeypatch):
     for spec, text, d, _ in COBAR_CASES:
         g = group_from_spec(spec)
         c = SubCoalgebra.canonical(g, d)
-        blocks = c.coefficient_blocks(build_module(text, g))
+        m = build_module(text, g)
+        f = c.coefficient_blocks(m)
         calls.clear()
-        _normalized_factors(c, blocks)
+        _normalized_factors(c, f, m.dim)
         # the kernel of epsilon, and no inverse of the new basis of C
         assert len(calls) == 1, (spec, text, d, calls)
 
 
+def tampered(cx, n, k):
+    """The engine's differentials with the value of entry k of d^n flipped
+    over F_2."""
+    diffs = [d.copy() for d in cx.diffs]
+    diffs[n][2, k] ^= 1
+    return diffs
+
+
 def test_tampered_differential_fails_the_square_check():
-    # d^2 @ d^1 is 512 x 64 x 8, past the size at which matmul_mod uses BLAS
-    cx = reference_normalized_complex(SubCoalgebra.canonical(GA2, 8), trivial(GA2), 2)
-    d1, d2 = cx.diffs[1], cx.diffs[2].copy()
-    assert d2.shape == (512, 64) and d1.shape == (64, 8)
-    assert 512 * 64 * 8 >= 1 << 17
-    j = int(np.flatnonzero(d1.any(axis=1))[0])
-    d2[0, j] ^= 1
-    with pytest.raises(InternalInvariantError):
-        ChainComplex(2, cx.dims, [cx.diffs[0], d1, d2])
+    cx = cobar_complex(SubCoalgebra.canonical(GA2, 8), trivial(GA2), 2)
+    d1, d2 = cx.diffs[1], cx.diffs[2]
+    # an entry of d^2 in a column where d^1 is nonzero
+    k = int(np.flatnonzero(np.isin(d2[1], d1[0]))[0])
+    with pytest.raises(InternalInvariantError, match=r"d\^2 after d\^1 is nonzero"):
+        ChainComplex(2, cx.codes, tampered(cx, 2, k))
 
 
 def test_tampered_weight_block_fails_the_square_check():
     cx = cobar_complex(SubCoalgebra.canonical(GA2, 8), trivial(GA2), 2)
-    # one block per total t-degree 1..24 of CH^0..CH^2 (degree 0 is CH^0)
-    assert len(cx.parts) == 17 and cx.dims == [1, 8, 64]
-    part = next(x for x in cx.parts if x.diffs[1].any() and x.diffs[2].size)
-    d0, d1, d2 = part.diffs
-    d2 = d2.copy()
-    j = int(np.flatnonzero(d1.any(axis=1))[0])
-    d2[0, j] ^= 1
-    with pytest.raises(InternalInvariantError):
-        ChainComplex(2, part.dims, [d0, d1, d2])
+    # one class per total t-degree 1..24 of CH^0..CH^2 (degree 0 is CH^0)
+    assert weight_classes(cx) == 17 and cx.dims == [1, 8, 64]
+    d1, d2 = cx.diffs[1], cx.diffs[2]
+    # an entry of d^1, inside one weight class, in a row where d^2 is nonzero
+    k = int(np.flatnonzero(np.isin(d1[0], d2[1]))[0])
+    assert cx.codes[2][d1[0, k]] == cx.codes[1][d1[1, k]]
+    with pytest.raises(InternalInvariantError, match=r"d\^2 after d\^1 is nonzero"):
+        ChainComplex(2, cx.codes, tampered(cx, 1, k))
+
+
+def test_cobar_ranks_build_no_dense_weight_block():
+    # U(3) regular(2) d2 n3: the dense weight blocks of d^0..d^3 held 11.5 M
+    # cells, and the ranks peaked at 102 MiB
+    g = group_from_spec("U:3@p=2")
+    c, m = SubCoalgebra.canonical(g, 2), build_module("regular(2)", g)
+    assert cohomology_dims(cobar_complex(c, m, 3)) == [1, 0, 0, 0]
+    tracemalloc.start()
+    try:
+        assert cohomology_dims(cobar_complex(c, m, 3)) == [1, 0, 0, 0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_the_engine_splits_by_the_unit_block_and_by_weight():
     def parts(spec, text, d, n):
         g = group_from_spec(spec)
         cx = cobar_complex(SubCoalgebra.canonical(g, d), build_module(text, g), n)
-        return cx.dims, len(cx.parts)
+        return cx.dims, weight_classes(cx)
 
     # C0 = k: H^0 = M_{C0}, no higher chain groups
     assert parts("GL:2@p=2", "natural", 1, 3) == ([0, 0, 0, 0], 0)
@@ -439,9 +486,11 @@ def test_stage1_rows_are_the_nonzero_kronecker_rows():
                           ("SL:2@p=2", "regular(2)", 2), ("Ga@p=2", "triv", 3)]:
         g = group_from_spec(spec)
         c = SubCoalgebra.canonical(g, d)
-        blocks = c.coefficient_blocks(build_module(text, g))
-        s, mm = c.dim, blocks.shape[1]
-        got = densify(_stage1_triples(_entries(blocks), mm, c.delta_matrix), s * s * mm, s * mm, g.p)
+        m = build_module(text, g)
+        blocks = dense_blocks(c, m)
+        s, mm = c.dim, m.dim
+        got = densify(_stage1_triples(c.coefficient_blocks(m), mm, c.delta_matrix),
+                      s * s * mm, s * mm, g.p)
         assert np.array_equal(got[got.any(axis=1)],
                               stacked_kronecker_rows(blocks, c.delta_matrix, g.p))
     rng = np.random.default_rng(7)
@@ -455,7 +504,7 @@ def test_stage1_rows_are_the_nonzero_kronecker_rows():
             for cc in range(s):
                 np.fill_diagonal(blocks[cc], 1)
                 np.fill_diagonal(lam[cc::s], 1)
-        got = densify(_stage1_triples(_entries(blocks), mm, lam), s * s * mm, s * mm, p)
+        got = densify(_stage1_triples(entries(blocks), mm, lam), s * s * mm, s * mm, p)
         assert np.array_equal(got[got.any(axis=1)], stacked_kronecker_rows(blocks, lam, p))
 
 
@@ -498,9 +547,8 @@ def test_stage1_kernel_matches_the_row_by_row_reference():
     assert len(cases) == len(COBAR_CASES) + 78 + 3
     assert cases[-3][0].dim * cases[-3][1].dim == 900
     for c, m in cases:
-        blocks = c.coefficient_blocks(m)
-        want = reference_stage1_kernel(c, blocks)
-        got = sparse_kernel(*_stage1_triples(_entries(blocks), m.dim, c.delta_matrix),
+        want = reference_stage1_kernel(c, dense_blocks(c, m))
+        got = sparse_kernel(*_stage1_triples(c.coefficient_blocks(m), m.dim, c.delta_matrix),
                             c.dim * m.dim, c.group.p)
         assert got == want and got.pivots == want.pivots, (c.monos, m.basis_labels)
 
@@ -513,7 +561,7 @@ def reference_injective_test(c, m):
     p, s, mm = c.group.p, c.dim, m.dim
     if mm == 0:
         return True
-    blocks = c.coefficient_blocks(m)
+    blocks = dense_blocks(c, m)
     w = reference_stage1_kernel(c, blocks)
     t = w.dim
     if t == 0:
@@ -621,10 +669,10 @@ def test_stage2_terms_are_every_product_on_a_shared_index_reduced():
         g = group_from_spec(spec)
         c = SubCoalgebra.canonical(g, d)
         level = restrict(build_module(text, g), CanonicalLevel(g, d)).comodule
-        blocks, mm = c.coefficient_blocks(level), level.dim
-        w = sparse_kernel(*_stage1_triples(_entries(blocks), mm, c.delta_matrix), c.dim * mm, g.p)
-        got = sorted(zip(*(x.tolist() for x in _stage2_terms(w.basis, _entries(blocks), mm, g.p))))
-        products = reference_stage2_products(w.basis, blocks)
+        f, mm = c.coefficient_blocks(level), level.dim
+        w = sparse_kernel(*_stage1_triples(f, mm, c.delta_matrix), c.dim * mm, g.p)
+        got = sorted(zip(*(x.tolist() for x in _stage2_terms(w.basis, f, mm, g.p))))
+        products = reference_stage2_products(w.basis, dense_blocks(c, level))
         assert got == sorted((k, e, x % g.p) for k, e, x in products), spec
         counts.append(len(products))
         if g.p > 3:
@@ -762,9 +810,9 @@ def test_injectivity_over_a_proper_subcoalgebra():
     # basis vector t + t^2 mixes weights, so that case is solved as one
     # weight class, the unsplit system; the trivial module is not injective
     (c2, level2), (c12, level12) = proper_subcoalgebra_levels()
-    assert _weight_codes(c2, _entries(c2.coefficient_blocks(level2)), level2.dim, 1)[1].tolist() == [0, 2]
+    assert _weight_codes(c2, c2.coefficient_blocks(level2), level2.dim, 1)[1].tolist() == [0, 2]
     assert not any(x.any() for x in _weight_codes(
-        c12, _entries(c12.coefficient_blocks(level12)), level12.dim, 1))
+        c12, c12.coefficient_blocks(level12), level12.dim, 1))
     for c, level in ((c2, level2), (c12, level12)):
         assert injective_test(c, level) and reference_injective_test(c, level)
         assert not injective_test(c, trivial(GA2))

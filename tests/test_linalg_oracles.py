@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from sympy import GF  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
+from comodfilt.cobar import ChainComplex, cohomology_dims  # noqa: E402
 from comodfilt.linalg import (Subspace, kernel, preimage, sparse_kernel,  # noqa: E402
                               sparse_solvable)
 from oracles import solve  # noqa: E402
@@ -232,3 +233,31 @@ def test_sparse_solvable_matches_the_dense_solve(system, data):
     # sympy: consistent iff the last column of rref([A | -b]) is not a pivot
     assert want == (not aug or n not in sympy_matrix(aug, n + 1, p).rref()[1])
     assert sparse_solvable(*triples, n + 1, p) == want
+
+
+@st.composite
+def block_diagonal(draw):
+    """(p, row classes, column classes, rows): a matrix from `matrices` kept
+    only where row and column share a class, so each row's entries lie in
+    the columns of one class."""
+    p = draw(st.sampled_from(ORACLE_PRIMES))
+    nrows, ncols = draw(st.integers(0, 10)), draw(st.integers(1, 10))
+    code = st.sampled_from((-5, 0, 7)[:draw(st.integers(1, 3))])
+    row_code = [draw(code) for _ in range(nrows)]
+    col_code = [draw(code) for _ in range(ncols)]
+    rows = [[x if r == c else 0 for x, c in zip(row, col_code)]
+            for row, r in zip(draw(matrices(p, nrows, ncols)), row_code)]
+    return p, row_code, col_code, rows
+
+
+@oracle_settings
+@given(block_diagonal(), st.data())
+def test_peeled_rank_by_class_matches_the_dense_rank(case, data):
+    # a one-step complex CH^0 -> CH^1: H^0 = dim CH^0 - rank, with the rank
+    # taken as the columns the peel kills plus the rank of each class's core;
+    # cancelling pairs may join unequal classes, but sum to nothing
+    p, row_code, col_code, rows = case
+    triples = [np.array(t, dtype=np.int64) for t in drawn_triples(data, rows, p)]
+    cx = ChainComplex(p, [np.array(col_code), np.array(row_code)], [triples])
+    rank = len(sympy_rowspace(rows, len(col_code), p))
+    assert cohomology_dims(cx) == [len(col_code) - rank]
