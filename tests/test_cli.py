@@ -463,7 +463,8 @@ def test_the_frontier_closure_answers_under_a_one_gib_address_space():
     # with max_chain_dim raised to 10^6 (m s^4 = 480,000): the dense weight
     # blocks of its d^3 held 119.8 M cells (914 MiB).  [1, 3, 10] agrees with
     # `reference_normalized_complex` at n <= 2, a dense check of 1.6 s and
-    # 620 MB kept out of the suite; the 34 comes only from the engine
+    # 620 MB kept out of the suite; all four ranks of the engine's complex
+    # are checked by sympy in tests/test_linalg_oracles.py
     pytest.param(["U:3@p=2", "natural", "3", "3"], [1, 3, 10, 34], 10 ** 6,
                  id="U3-natural-d3-n3"),
 ])

@@ -633,19 +633,38 @@ def test_stage2_keeps_only_the_equal_weight_unknowns_and_equations(monkeypatch):
 
 def test_the_stage2_solve_eliminates_no_all_zero_column(monkeypatch):
     # the top level of `inject SL:2@p=2 regular(3) d3`: 173 of the 231
-    # columns of the core that the peel leaves are zero; only the right-hand
-    # column may reach the RREF while it is zero
-    systems, eliminated = [], []
+    # columns of the core that the peel leaves are zero.  The elimination
+    # holds the core as rows of entries, so it meets only the other columns
+    # and the right-hand one, and it takes no dense `rref`
+    systems, cores, dense = [], [], []
     monkeypatch.setattr(cobar, "sparse_solvable",
                         lambda *args: systems.append(args) or linalg.sparse_solvable(*args))
     g = group_from_spec("SL:2@p=2")
     level = restrict(build_module("regular(3)", g), CanonicalLevel(g, 3)).comodule
     assert injective_test(SubCoalgebra.canonical(g, 3), level)
-    rref = linalg.rref
-    monkeypatch.setattr(linalg, "rref", lambda mat, p: eliminated.append(mat) or rref(mat, p))
+    eliminate, rref = linalg.eliminate, linalg.rref
+    monkeypatch.setattr(linalg, "eliminate",
+                        lambda *args, **kw: cores.append(args[:2]) or eliminate(*args, **kw))
+    monkeypatch.setattr(linalg, "rref", lambda mat, p: dense.append(mat) or rref(mat, p))
     assert [linalg.sparse_solvable(*args) for args in systems] == [True]
-    assert [mat.shape for mat in eliminated] == [(63, 58)]
-    assert all(mat[:, :-1].any(axis=0).all() for mat in eliminated)
+    assert [(len(set(r.tolist())), len(set(c.tolist()))) for r, c in cores] == [(63, 58)]
+    assert dense == []
+
+
+def test_cobar_ranks_take_no_dense_rref(monkeypatch):
+    # each core the peel leaves is eliminated as rows of entries
+    calls, entries = [], []
+    rref, eliminate = linalg.rref, cobar.eliminate
+    monkeypatch.setattr(linalg, "rref", lambda mat, p: calls.append(mat) or rref(mat, p))
+    monkeypatch.setattr(cobar, "eliminate",
+                        lambda *args, **kw: entries.append(len(args[0])) or eliminate(*args, **kw))
+    for spec, text, d, n in COBAR_CASES:
+        g = group_from_spec(spec)
+        cx = cobar_complex(SubCoalgebra.canonical(g, d), build_module(text, g), n)
+        calls.clear()
+        cohomology_dims(cx)
+        assert calls == [], (spec, text, d, n)
+    assert max(entries) > 0
 
 
 def reference_stage2_products(basis, blocks):

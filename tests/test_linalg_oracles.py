@@ -12,8 +12,13 @@ pytest.importorskip("sympy")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from sympy import GF  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
+from sympy.polys.matrices.sdm import SDM  # noqa: E402
 
-from comodfilt.cobar import ChainComplex, cohomology_dims  # noqa: E402
+from comodfilt.cobar import (ChainComplex, SubCoalgebra, cobar_complex,  # noqa: E402
+                             cohomology_dims)
+from comodfilt.comodules import build_module  # noqa: E402
+from comodfilt.config import Limits  # noqa: E402
+from comodfilt.coordalg import group_from_spec  # noqa: E402
 from comodfilt.linalg import (Subspace, kernel, preimage, sparse_kernel,  # noqa: E402
                               sparse_solvable)
 from oracles import solve  # noqa: E402
@@ -21,6 +26,7 @@ from oracles import solve  # noqa: E402
 # sympy's DomainMatrix over GF(p) shares no code with linalg
 
 ORACLE_PRIMES = (2, 3, 65521, 2 ** 31 - 1)
+KINDS = ("random", "zero_rows", "sparse", "full_rank", "chains")
 oracle_settings = settings(derandomize=True, max_examples=60, deadline=None)
 
 
@@ -49,11 +55,23 @@ def python_product(a, b, p):
 
 
 @st.composite
-def matrices(draw, p, nrows, ncols):
+def matrices(draw, p, nrows, ncols, kinds=KINDS):
     """An (nrows, ncols) matrix mod p as Python lists: random, with zero rows,
-    sparse, or of full rank min(nrows, ncols)."""
+    sparse, of full rank min(nrows, ncols), or chains: rows of two entries
+    joining consecutive columns of a drawn order, which wrap around into
+    cycles that the peel cannot break, and a few heavy rows."""
     entry = st.integers(0, p - 1)
-    kind = draw(st.sampled_from(["random", "zero_rows", "sparse", "full_rank"]))
+    kind = draw(st.sampled_from(kinds))
+    if kind == "chains":
+        order, unit = draw(st.permutations(range(ncols))), st.integers(1, p - 1)
+        rows = [[0] * ncols for _ in range(nrows)]
+        for i, row in enumerate(rows):
+            if draw(st.integers(0, 5)) == 0:
+                row[:] = [draw(entry) for _ in range(ncols)]
+            else:
+                row[order[i % ncols]] = draw(unit)
+                row[order[(i + 1) % ncols]] = draw(unit)
+        return rows
     if kind == "full_rank" and nrows and ncols:
         r, wide = min(nrows, ncols), max(nrows, ncols)
         # [I_r | R] with permuted columns, rows mixed by a unit lower triangle
@@ -76,10 +94,10 @@ def matrices(draw, p, nrows, ncols):
 
 
 @st.composite
-def oracle_case(draw, max_rows=6, max_cols=6):
-    p = draw(st.sampled_from(ORACLE_PRIMES))
+def oracle_case(draw, max_rows=6, max_cols=6, primes=ORACLE_PRIMES, kinds=KINDS):
+    p = draw(st.sampled_from(primes))
     ncols = draw(st.integers(1, max_cols))
-    return p, ncols, draw(matrices(p, draw(st.integers(0, max_rows)), ncols))
+    return p, ncols, draw(matrices(p, draw(st.integers(0, max_rows)), ncols, kinds))
 
 
 def as_array(rows, ncols):
@@ -167,7 +185,7 @@ def drawn_triples(data, rows, p):
 
 
 @oracle_settings
-@given(oracle_case(max_rows=8, max_cols=8), st.data())
+@given(oracle_case(max_rows=12, max_cols=12), st.data())
 def test_sparse_kernel_matches_sympy(case, data):
     p, ncols, rows = case
     got = sparse_kernel(*drawn_triples(data, rows, p), ncols, p)
@@ -197,11 +215,11 @@ def test_residual_vanishes_exactly_on_members(case, data):
 
 
 @st.composite
-def linear_systems(draw):
+def linear_systems(draw, size=12, **kw):
     """(p, n, A, b) with A from `oracle_case` and b zero, a combination of A's
     columns, random, or 1 on an added zero row of A: that row's only entry is
     then b's, so the peel kills the right-hand column."""
-    p, n, rows = draw(oracle_case(max_rows=8, max_cols=8))
+    p, n, rows = draw(oracle_case(max_rows=size, max_cols=size, **kw))
     entry = st.integers(0, p - 1)
     kind = draw(st.sampled_from(["zero", "consistent", "random", "killed"]))
     if kind == "consistent":
@@ -236,17 +254,17 @@ def test_sparse_solvable_matches_the_dense_solve(system, data):
 
 
 @st.composite
-def block_diagonal(draw):
+def block_diagonal(draw, size=12, primes=ORACLE_PRIMES, kinds=KINDS):
     """(p, row classes, column classes, rows): a matrix from `matrices` kept
     only where row and column share a class, so each row's entries lie in
     the columns of one class."""
-    p = draw(st.sampled_from(ORACLE_PRIMES))
-    nrows, ncols = draw(st.integers(0, 10)), draw(st.integers(1, 10))
+    p = draw(st.sampled_from(primes))
+    nrows, ncols = draw(st.integers(0, size)), draw(st.integers(1, size))
     code = st.sampled_from((-5, 0, 7)[:draw(st.integers(1, 3))])
     row_code = [draw(code) for _ in range(nrows)]
     col_code = [draw(code) for _ in range(ncols)]
     rows = [[x if r == c else 0 for x, c in zip(row, col_code)]
-            for row, r in zip(draw(matrices(p, nrows, ncols)), row_code)]
+            for row, r in zip(draw(matrices(p, nrows, ncols, kinds)), row_code)]
     return p, row_code, col_code, rows
 
 
@@ -261,3 +279,51 @@ def test_peeled_rank_by_class_matches_the_dense_rank(case, data):
     cx = ChainComplex(p, [np.array(col_code), np.array(row_code)], [triples])
     rank = len(sympy_rowspace(rows, len(col_code), p))
     assert cohomology_dims(cx) == [len(col_code) - rank]
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+@settings(oracle_settings, max_examples=25)
+@given(data=st.data())
+def test_chains_match_the_oracles_at_every_prime(p, data):
+    # the sparse kernel, solve and rank oracles once more on chains at each
+    # prime, longer than above: cycles of two-entry rows and heavy rows, whose
+    # triples `drawn_triples` splits and pads with pairs that cancel mod p
+    chains = dict(primes=(p,), kinds=("chains",))
+    test_sparse_kernel_matches_sympy.hypothesis.inner_test(
+        data.draw(oracle_case(max_rows=16, max_cols=16, **chains)), data)
+    test_sparse_solvable_matches_the_dense_solve.hypothesis.inner_test(
+        data.draw(linear_systems(size=16, **chains)), data)
+    test_peeled_rank_by_class_matches_the_dense_rank.hypothesis.inner_test(
+        data.draw(block_diagonal(size=16, **chains)), data)
+
+
+def sympy_class_ranks(cx, n):
+    """rank d^n as the sum over weight classes of the rank of sympy's sparse
+    SDM over GF(p) of the class's entries of d^n, each renumbered from 0."""
+    rows, cols, vals = cx.diffs[n]
+    classes = {}
+    for w, r, c, v in zip(cx.codes[n][cols].tolist(), rows.tolist(), cols.tolist(),
+                          vals.tolist()):
+        classes.setdefault(w, []).append((r, c, v))
+    field, rank = GF(cx.p), 0
+    for entries in classes.values():
+        row_id, col_id, mat = {}, {}, {}
+        for r, c, v in entries:
+            i, j = row_id.setdefault(r, len(row_id)), col_id.setdefault(c, len(col_id))
+            mat.setdefault(i, {})[j] = field(v)
+        rank += len(SDM(mat, (len(row_id), len(col_id)), field).rref()[1])
+    return rank
+
+
+def test_the_frontier_cobar_ranks_match_sympy_by_weight_class():
+    # `cobar U:3@p=2 natural d3 n3` with max_chain_dim raised to 10^6: the
+    # complex is still the engine's, only its ranks are checked independently,
+    # by sympy's sparse elimination of each weight class, which shares no
+    # code with the peel or `linalg.eliminate`
+    g = group_from_spec("U:3@p=2")
+    limits = Limits(max_chain_dim=10 ** 6)
+    cx = cobar_complex(SubCoalgebra.canonical(g, 3, limits), build_module("natural", g), 3,
+                       limits)
+    ranks = [sympy_class_ranks(cx, n) for n in range(4)]
+    dims = [dim - rank - prev for dim, rank, prev in zip(cx.dims, ranks, [0] + ranks)]
+    assert dims == cohomology_dims(cx) == [1, 3, 10, 34]
