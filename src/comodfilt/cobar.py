@@ -30,21 +30,14 @@ are I_s (x) F - L (x) I_m, from the coaction blocks F and the structure
 constants L, emitted as (row, col, value) triples by `_kron_triples` as the
 cobar differentials are, and `sparse_kernel` peels the rows that force one
 unknown to 0 before it eliminates the sparse core that remains.
-Stage 2 solves the normalization sum_a S^a F^a = I inside W for weight-0
-retractions only: every structure map has torus weight 0, so M
-splits off M^{triv} (x) C iff a weight-0 retraction splits it.  W's RREF
-basis is weight-homogeneous, each map having the weight of its pivot; the
-unknowns kept pair a map with a basis vector of M of its own weight, the
-equations kept join two basis vectors of equal weight, and the dropped
-equations must vanish on the kept unknowns.  Its triples join the nonzeros
-(u, a, r) of W's basis with those (a, j, i) of F on a, each product reduced
-mod p, and `sparse_solvable` decides them with `sparse_kernel`'s peel and
-one sparse elimination of the core it leaves.  When a basis vector of C mixes
-weights or M's weights are inconsistent, all of M is one weight class: the
-unsplit system.  Every canonical level O(G)_{<=d} is a sub-coalgebra, so it
-is its own closure: the injectivity profile tests each level itself, and a
-level whose closed-form dimension passes the sub-coalgebra ceiling is
-refused before it is built.
+Stage 2 solves the normalization sum_a S^a F^a = I inside W, as one
+(m^2, t m) system for t = dim W.  Its triples join the nonzeros (u, a, r) of
+W's basis with those (a, j, i) of F on a, each product reduced mod p, and
+`sparse_solvable` decides them with `sparse_kernel`'s peel and one sparse
+elimination of the core it leaves.  Every canonical level O(G)_{<=d} is a
+sub-coalgebra, so it is its own closure: the injectivity profile tests each
+level itself, and a level whose closed-form dimension passes the
+sub-coalgebra ceiling is refused before it is built.
 """
 
 from __future__ import annotations
@@ -364,33 +357,15 @@ def injective_test(c: SubCoalgebra, m: Comodule, limits: Limits = Limits()) -> b
     check_limit(t * mm, limits.max_solver_unknowns, "retraction system unknowns")
     # stage 2: a retraction sends m_j (x) b_a to psi_j(b_a), psi_j = sum_u
     # X[u, j] phi_u in W, and needs sum_{j,a} F^a[j, i] psi_j(b_a) = m_i:
-    # unknown (u, j) is X[u, j], equation (r, i) the m_r-coordinate of m_i's
-    # image.  Every structure map has weight 0, so the weight-0 part of a
-    # retraction is one: keep the unknowns with wt(phi_u) = wt(m_j) and the
-    # equations with wt(m_r) = wt(m_i); the others join unequal weights
-    code_m, code_b = _weight_codes(c, f, mm, 1)
-    # W's RREF basis is weight-homogeneous: phi_u has the weight
-    # wt(m_i) - wt(b_a) of its pivot column (a, i)
-    code_u = (code_m - code_b[:, None]).ravel()[list(w.pivots)]
-    keep = (code_u[:, None] == code_m).ravel()
-    same = (code_m[:, None] == code_m).ravel()
-    # the kept unknowns and equations, each numbered in row-major order
-    unknown, equation = keep.cumsum() - 1, same.cumsum() - 1
-    # the coefficient of X[u, j] in equation (r, i) is the sum over a of the
-    # terms phi_u(b_a)[r] F^a[j, i]
+    # unknown (u, j), numbered u*m + j, is X[u, j], and equation (r, i),
+    # numbered r*m + i, the m_r-coordinate of m_i's image.  The coefficient
+    # of X[u, j] in equation (r, i) is the sum over a of the terms
+    # phi_u(b_a)[r] F^a[j, i]; the peel sums them
     k, e, v = _stage2_terms(w.basis, f, mm, p)
-    on, kept = keep[k], same[e]
-    off = on > kept
-    if off.any() and sum_duplicates(k[off] * mm * mm + e[off], v[off], p)[0].size:
-        raise InternalInvariantError(
-            f"stage 2 of the retraction solve: an equation joining unequal torus "
-            f"weights is nonzero on a kept unknown (level dimension {mm})")
     # [A | -b], with b = 1 on the equations (i, i)
-    on &= kept
-    n = int(unknown[-1]) + 1
-    return sparse_solvable(np.concatenate([equation[e[on]], equation[::mm + 1]]),
-                           np.concatenate([unknown[k[on]], [n] * mm]),
-                           np.concatenate([v[on], [p - 1] * mm]), n + 1, p)
+    return sparse_solvable(np.concatenate([e, np.arange(mm) * (mm + 1)]),
+                           np.concatenate([k, [t * mm] * mm]),
+                           np.concatenate([v, [p - 1] * mm]), t * mm + 1, p)
 
 
 def injectivity_profile(g: Group, m, d_max: int, limits: Limits = Limits()) -> list[bool]:

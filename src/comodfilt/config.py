@@ -21,7 +21,7 @@ class ResourceLimitError(RuntimeError):
 class Limits:
     max_coalgebra_dim: int = 30      # largest sub-coalgebra for cobar/injectivity
     max_chain_dim: int = 100000      # largest CH^n of the full cobar complex
-    max_solver_unknowns: int = 20000  # largest linear-solve unknown count
+    max_solver_unknowns: int = 20000  # retraction unknowns: s*m (stage 1), t*m (stage 2)
     max_dmax: int = 64               # largest CLI filtration sweep
 
 
