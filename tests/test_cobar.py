@@ -627,6 +627,9 @@ def test_stage2_is_the_whole_system_the_ceiling_counts(monkeypatch):
     assert stage2_shapes(monkeypatch, "SL:2@p=2", "regular(3)", 3) == ([(900, 900)], True)
     assert stage2_shapes(monkeypatch, "U:3@p=3", "regular(3)", 3) == ([(400, 400)], True)
     assert stage2_shapes(monkeypatch, "Gm@p=3", "regular(2)", 2) == ([(25, 25)], True)
+
+
+def test_the_solver_ceiling_refuses_a_level_by_its_stage2_unknowns():
     # level 2 of Ga's regular(2) + regular(2): s = 3, m = 6 and t = 6, so the
     # ceiling on the t m = 36 unknowns solved refuses the job, not s m = 18
     c = SubCoalgebra.canonical(GA2, 2)
