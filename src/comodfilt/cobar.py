@@ -1,21 +1,22 @@
 """Cobar complexes of finite-dimensional sub-coalgebras and injectivity tests.
 
 Cohomology is computed on the normalized cobar complex CH^n(C, M) =
-M (x) Cbar^(x n), where Cbar = ker(epsilon) and C = k.1 + Cbar.  Its
-differential is d^n = rho_bar (x) I + sum_{i=1}^{n} (-1)^i I (x) delta_bar (x) I:
-rho_bar is the coaction followed by the projection C -> Cbar, delta_bar the
-reduced coproduct Delta(x) - x (x) 1 - 1 (x) x on the i-th tensor factor.  There
-is no unit face.  It has dimension m (s-1)^n instead of the m s^n of the full
-complex M (x) C^(x n), and computes the same Ext_C(k, M) (Ravenel, Complex
-Cobordism and Stable Homotopy Groups of Spheres, App. A1).  Two identities
+M (x) Cbar^(x n), where Cbar = C/k.1 is the unit coideal.  Its differential
+is d^n = rho_bar (x) I + sum_{i=1}^{n} (-1)^i I (x) delta_bar (x) I: rho_bar
+is the coaction followed by the projection C -> Cbar, delta_bar the reduced
+coproduct Delta(x) - x (x) 1 - 1 (x) x on the i-th tensor factor, both read
+off F's and D's entries.  There is no unit face.  It has dimension m (s-1)^n
+instead of the m s^n of the full complex M (x) C^(x n), and computes the
+same Ext_C(k, M) (Ravenel, Complex Cobordism and Stable Homotopy Groups of
+Spheres, App. A1).  Two identities
 cut it into small pieces.  Delta keeps each monomial's block degree, so C is
 the direct sum of its blocks, and Ext_C(k, M) = Ext_{C0}(k, M_{C0}) with C0
 the unit's block and M_{C0} = restrict(M, C0).  Delta, epsilon and the
 coaction add torus weights, so every d^n is block diagonal by total weight.
 `cobar_complex` checks, in order: that M is a C-comodule (over the whole
 level), the chain-dimension ceiling (on the full complex), that C's basis
-vectors are block-homogeneous (else C0 = C), and that C0's and Cbar's basis
-vectors are weight-homogeneous and M's weights, read off its coaction, are
+vectors are block-homogeneous (else C0 = C), and that C0's basis vectors
+are weight-homogeneous and M's weights, read off its coaction, are
 consistent (else one weight class).  Either fallback gives the same ranks.
 Each d^n is kept as its summed (row, col, value) triples, which must join
 basis vectors of equal weight; d o d = 0 is checked by joining the triples
@@ -49,8 +50,8 @@ from .config import Limits, check_limit
 from .coordalg import Group, UnsupportedOperation
 from .filtration import (CanonicalLevel, ExplicitSubspace, InternalInvariantError,
                          _split, coaction, restrict, structure_constants)
-# matrank stays bound here: bench/test_bench.py checks the tracer wraps it
-from .linalg import (Subspace, eliminate, join, kernel, matmul_mod, matrank,  # noqa: F401
+# kernel and matrank stay bound here: bench/test_bench.py checks the tracer wraps them
+from .linalg import (Subspace, eliminate, join, kernel, matrank,  # noqa: F401
                      peel, sparse_kernel, sparse_solvable, sum_duplicates)
 
 
@@ -62,8 +63,9 @@ class SubCoalgebra(ExplicitSubspace):
     """A finite-dimensional sub-coalgebra C of O(G), with structure constants.
 
     It is its own filtration level X: `restrict(m, c)` gives M_C.  Stores the
-    coproduct as lambda[k] giving Delta(b_k) = sum lambda^k_{ab} b_a (x) b_b,
-    and the coordinates of the unit 1 in the basis.
+    nonzero structure constants (a, b, k, lambda^k_{ab}) of Delta(b_k) = sum
+    lambda^k_{ab} b_a (x) b_b, and the coordinates of the unit 1 in the
+    basis: a standard basis vector, as 1 is a monomial.
     """
 
     def __init__(self, group: Group, monos, space: Subspace, limits: Limits = Limits()):
@@ -71,7 +73,6 @@ class SubCoalgebra(ExplicitSubspace):
         super().__init__(group, monos, space)
         self.index = {m: i for i, m in enumerate(self.monos)}
         self.dim = space.dim
-        # (s*s, s) with Delta(b_k) = sum_{a,b} D[a*s+b, k] b_a (x) b_b
         self.delta_matrix = structure_constants(group, self.monos, space)
         if self.delta_matrix is None:
             raise ValueError("the given subspace is not a sub-coalgebra")
@@ -137,37 +138,24 @@ class ChainComplex:
 
 
 def _normalized_factors(c: SubCoalgebra, f, mm: int):
-    """The coaction and the coproduct restricted to Cbar = ker(epsilon).
+    """The entries (row, col, value) of rho_bar, shape (m*t, m), and of
+    delta_bar, shape (t*t, t), over Cbar = C/k.1 with t = s - 1, and u.
 
-    C = k.1 + Cbar, with Cbar spanned by the RREF basis e_1..e_t of
-    ker(epsilon), t = s - 1.  The Cbar-part b_a - epsilon(b_a).1 of b_a lies
-    in ker(epsilon), so its coordinates are its entries at the pivots: no
-    inverse is needed.
-    Returns the entries (row, col, value) of rho_bar, shape (m*t, m), whose
-    row (j, r) holds the e_r-component of the coaction, built from F's entries
-    (a, j, i, value), delta_bar, shape (t*t, t), the reduced coproduct
-    Delta(e_k) - e_k (x) 1 - 1 (x) e_k = sum delta_bar[r*t+u, k] e_r (x) e_u,
-    and the e_r in C's basis, shape (t, s).
+    The unit is C's RREF basis vector b_u: 1 is a monomial, so its column is
+    a pivot and the row pivoted there is 1 itself.  The other b_a, in order,
+    are Cbar's basis e_0..e_{t-1}, and C -> Cbar drops b_u.  Row (j, r) of
+    rho_bar, the e_r-component of the coaction, is F's entries (a, j, i)
+    off a = u, and delta_bar[r*t+w, k], the coefficient of e_r (x) e_w in
+    Delta_bar(e_k), D's entries off u: that drops b_k (x) 1 and 1 (x) b_k.
     """
-    p, s = c.group.p, c.dim
-    counit = np.array([c.group.counit_mono(mono) % p for mono in c.monos],
-                      dtype=np.int64)
-    eps = matmul_mod(c.space.basis, counit[:, None], p)[:, 0]
-    kbar = kernel(eps[None, :], p)
-    t, piv = kbar.dim, list(kbar.pivots)
-    # each product multiplies two entries below p: exact in int64
-    to_bar = (np.eye(s, dtype=np.int64)[piv] - np.outer(c.unit[piv], eps)) % p
-    # rho_bar[(j, r), i] = sum_a to_bar[r, a] F^a[j, i], on the shared a
+    u, t = int(np.flatnonzero(c.unit)[0]), c.dim - 1
+    bar = np.arange(c.dim)  # the image of b_a, a != u, is e_{bar[a]}
+    bar[u + 1:] -= 1
     fa, fj, fi, fv = f
-    ta, tr = to_bar.T.nonzero()
-    x, y = join(fa, ta)
-    key, val = sum_duplicates((fj[x] * t + tr[y]) * mm + fi[x],
-                              fv[x] * to_bar[tr, ta][y] % p, p)
-    x = matmul_mod(c.delta_matrix, kbar.basis.T, p)                  # [a, b, k]
-    y = matmul_mod(to_bar, x.reshape(s, s * t), p)                   # [r, b, k]
-    y = y.reshape(t, s, t).transpose(1, 0, 2).reshape(s, t * t)      # [b, r, k]
-    z = matmul_mod(to_bar, y, p).reshape(t, t, t)                    # [u, r, k]
-    return (key // mm, key % mm, val), z.transpose(1, 0, 2).reshape(t * t, t), kbar.basis
+    a, b, k, v = c.delta_matrix
+    on, off = fa != u, (a != u) & (b != u) & (k != u)
+    return (((fj * t + bar[fa])[on], fi[on], fv[on]),
+            ((bar[a] * t + bar[b])[off], bar[k][off], v[off]), u)
 
 
 def _row_codes(rows: np.ndarray, codes: np.ndarray):
@@ -235,12 +223,6 @@ def _weight_codes(c: SubCoalgebra, f, mm: int, terms: int):
     return code_m, code_b
 
 
-def _entries(a: np.ndarray):
-    """The nonzero entries of a: their index along each axis, then their values."""
-    idx = a.nonzero()
-    return (*idx, a[idx])
-
-
 def _kron_triples(left: int, shape, entries, right: int, sign: int):
     """(rows, cols, vals) of sign * (I_left (x) a (x) I_right), for the matrix
     a of the given shape with the nonzero entries (row, col, value)."""
@@ -275,20 +257,17 @@ def cobar_complex(c: SubCoalgebra, m: Comodule, n_max: int,
         m = restrict(m, c0).comodule
         f = c0.coefficient_blocks(m)
     mm, t = m.dim, c0.dim - 1
-    rho, delta_bar, kbar = _normalized_factors(c0, f, mm)
-    delta = _entries(delta_bar)
+    rho, delta, u = _normalized_factors(c0, f, mm)
     # a basis vector of CH^(n_max+1) has one weight of M and n_max + 1 of Cbar
     code_m, code_b = _weight_codes(c0, f, mm, n_max + 1)
-    code_e = _row_codes(kbar, code_b)
-    if code_e is None:
-        code_m, code_e = np.zeros(mm, dtype=np.int64), np.zeros(t, dtype=np.int64)
+    code_e = np.delete(code_b, u)
     codes = [code_m]  # the weight code of each basis vector of CH^n
     for _ in range(n_max + 1):
         codes.append((codes[-1][:, None] + code_e).ravel())
     diffs = []
     for n in range(n_max + 1):
         terms = [_kron_triples(1, (mm * t, mm), rho, t ** n, 1)] + [
-            _kron_triples(mm * t ** (i - 1), delta_bar.shape, delta, t ** (n - i), (-1) ** i)
+            _kron_triples(mm * t ** (i - 1), (t * t, t), delta, t ** (n - i), (-1) ** i)
             for i in range(1, n + 1)]
         diffs.append([np.concatenate(x) for x in zip(*terms)])
     return ChainComplex(p, codes, diffs)
@@ -302,27 +281,27 @@ def cohomology_dims(cx: ChainComplex) -> list[int]:
     ranks = []
     for n, (rows, cols, vals) in enumerate(cx.diffs):
         core, live = peel(rows, cols, vals, cx.dims[n], cx.p)
-        ranks.append(cx.dims[n] - live.size + len(eliminate(*core, cx.p, descending=True)))
+        ranks.append(cx.dims[n] - live.size + len(eliminate(*core, cx.p)))
     return [dim - rank - prev for dim, rank, prev in zip(cx.dims, ranks, [0] + ranks)]
 
 
-def _stage1_triples(f, mm: int, lam: np.ndarray):
+def _stage1_triples(f, mm: int, lam, s: int):
     """The stage-1 system of all c at once, as (rows, cols, vals) triples,
-    from F's entries (a, j, i, value).
+    from F's entries (a, j, i, value) and the entries (a, c, k, value) of
+    the structure constants lambda^k_{ac} of C, s = dim C.
 
     Row (c, k, j), column (a, i) holds delta_ak F^c[j, i] - lambda^k_{ac}
     delta_ji.  With rows taken as (k, c, j) that is I_s (x) F - L (x) I_m,
-    F the (s*m, m) stack of the F^a, and L[(k, c), a] = lambda^k_{ac} =
-    lam[a*s+c, k], emitted by `_kron_triples`; the rows are then renumbered
-    back to (c, k, j).  The two terms meet only on the keys with a = k and
-    j = i; `sparse_kernel` sums them there.
+    F the (s*m, m) stack of the F^a, and L[(k, c), a] = lambda^k_{ac},
+    emitted by `_kron_triples`; the rows are then renumbered back to
+    (c, k, j).  The two terms meet only on the keys with a = k and j = i;
+    `sparse_kernel` sums them there.
     """
     a, j, i, v = f
-    s = lam.shape[1]
-    lk = lam.reshape(s, s, s).transpose(2, 1, 0).reshape(s * s, s)
+    la, lc, lk, lv = lam
     rows, cols, vals = (np.concatenate(x) for x in zip(
         _kron_triples(s, (s * mm, mm), (a * mm + j, i, v), 1, 1),
-        _kron_triples(1, lk.shape, _entries(lk), mm, -1)))
+        _kron_triples(1, (s * s, s), (lk * s + lc, la, lv), mm, -1)))
     k, c, j = np.unravel_index(rows, (s, s, mm))
     return (c * s + k) * mm + j, cols, vals
 
@@ -350,7 +329,7 @@ def injective_test(c: SubCoalgebra, m: Comodule, limits: Limits = Limits()) -> b
     f = c.coefficient_blocks(m)
     # stage 1: the space W of comodule maps phi: C -> M,
     # phi(b_k) = v^k with F^c v^k = sum_a lambda^k_{ac} v^a for all c, k
-    w = sparse_kernel(*_stage1_triples(f, mm, c.delta_matrix), s * mm, p)
+    w = sparse_kernel(*_stage1_triples(f, mm, c.delta_matrix, s), s * mm, p)
     t = w.dim
     if t == 0:
         return False

@@ -327,20 +327,19 @@ def filtration_dims(m, d_max: int) -> FiltrationResult:
 
 @dataclass
 class ClosureResult:
-    """O(G)_X in span(X's monomials); its structure constants are built on first read."""
+    """O(G)_X in span(X's monomials), with the structure constants its
+    sub-coalgebra check computed, or None if it is not a sub-coalgebra."""
 
     subspace: ExplicitSubspace
-    is_subcoalgebra: bool
+    delta_matrix: np.ndarray | None
 
     @property
     def dim(self) -> int:
         return self.subspace.space.dim
 
-    @cached_property
-    def delta_matrix(self) -> np.ndarray | None:
-        """The structure constants, or None if not a sub-coalgebra."""
-        x = self.subspace
-        return structure_constants(x.group, x.monos, x.space) if self.is_subcoalgebra else None
+    @property
+    def is_subcoalgebra(self) -> bool:
+        return self.delta_matrix is not None
 
 
 def coalgebra_closure(g: Group, x) -> ClosureResult:
@@ -349,8 +348,8 @@ def coalgebra_closure(g: Group, x) -> ClosureResult:
     This is the fixpoint of `restrict` run on the coproduct itself.  Its
     greatest fixed point is automatically a sub-coalgebra contained in X; the
     sub-coalgebra property Delta(D) <= D (x) D is verified independently,
-    from the nonzero images of D's basis, without building D's structure
-    constants.
+    from the nonzero images of D's basis, whose coordinates are D's
+    structure constants: the result keeps them.
     """
     if isinstance(x, CanonicalLevel):
         x = ExplicitSubspace.canonical(x.group, x.d)
@@ -360,8 +359,8 @@ def coalgebra_closure(g: Group, x) -> ClosureResult:
     split = _split(g, co, x, len(x.monos))
     v, _ = _greatest_fixpoint(g, co, x, x.space, split)
     # V <= X, so at V = X (every canonical level) the split against V is X's
-    return ClosureResult(ExplicitSubspace(g, x.monos, v), _subcoalgebra_coordinates(
-        g, co, x.monos, v, split if v.dim == x.space.dim else None) is not None)
+    return ClosureResult(ExplicitSubspace(g, x.monos, v), _subcoalgebra_constants(
+        g, co, x.monos, v, split if v.dim == x.space.dim else None))
 
 
 def coproduct_coaction(g: Group, monos) -> Coaction:
@@ -381,24 +380,25 @@ def coproduct_coaction(g: Group, monos) -> Coaction:
 def structure_constants(g: Group, monos, space: Subspace):
     """The coproduct of a subspace of span(monos) in its RREF basis b_0..b_{s-1}.
 
-    Returns D of shape (s*s, s) with Delta(b_k) = sum_{a,b} D[a*s+b, k]
-    b_a (x) b_b, or None when the space is not a sub-coalgebra.
+    Returns the nonzero entries (a, b, k, value) of D, with Delta(b_k) =
+    sum_{a,b} D[a, b, k] b_a (x) b_b, as one (4, nnz) array sorted by
+    (a, b, k), or None when the space is not a sub-coalgebra.
     """
-    coords = _subcoalgebra_coordinates(g, coproduct_coaction(g, monos), monos, space)
-    if coords is None:
+    return _subcoalgebra_constants(g, coproduct_coaction(g, monos), monos, space)
+
+
+def _subcoalgebra_constants(g: Group, co: Coaction, monos, space: Subspace, split=None):
+    """`structure_constants` from the coproduct `co`: the outside entries
+    must vanish on the space and `_coordinates` of the inside legs must not
+    be None.  `split` is `co` split against `space`, if the caller has it."""
+    inside, outside = split or _split(g, co, ExplicitSubspace(g, monos, space), len(monos))
+    if _on_basis(outside, space)[0].size or (coords := _coordinates(inside, space)) is None:
         return None
     # C[a, b, k] pairs the left leg b_a with b_b in Delta(b_k), at key b*s + k
     a, key, vals = coords
-    d = np.zeros(space.dim ** 3, dtype=np.int64)
-    d[a * space.dim ** 2 + key] = vals
-    return d.reshape(space.dim ** 2, space.dim)
-
-
-def _subcoalgebra_coordinates(g: Group, co: Coaction, monos, space: Subspace, split=None):
-    """`_coordinates` of the coproduct `co`, or None if not a sub-coalgebra;
-    `split` is `co` split against `space`, if the caller has it already."""
-    inside, outside = split or _split(g, co, ExplicitSubspace(g, monos, space), len(monos))
-    return None if _on_basis(outside, space)[0].size else _coordinates(inside, space)
+    order = np.argsort(a * space.dim ** 2 + key, kind="stable")
+    b, k = np.divmod(key[order], space.dim)
+    return np.stack([a[order], b, k, vals[order]])
 
 
 def subspace_tensor(u: Subspace, v: Subspace) -> Subspace:

@@ -281,13 +281,13 @@ def peel(rows, cols, vals, ncols: int, p: int):
     return (rows[core], cols[core], vals[core]), live.nonzero()[0]
 
 
-def eliminate(rows, cols, vals, p: int, descending: bool = False) -> dict[int, dict[int, int]]:
+def eliminate(rows, cols, vals, p: int) -> dict[int, dict[int, int]]:
     """Sparse Gauss-Jordan elimination mod p of the matrix whose nonzero
     entries are given as (row, col, value) triples, one per key, pivoting on
-    its columns in increasing order, or decreasing when `descending`.
-    Returns the row of each pivot column as {col: value}, reduced to 1 there
-    and to 0 in every other pivot column.  A column is a pivot iff it is not
-    in the span of the columns before it.
+    its columns from the highest down.  Returns the row of each pivot column
+    as {col: value}, reduced to 1 there and to 0 in every other pivot
+    column.  A column is a pivot iff it is not in the span of the columns
+    above it.
 
     Each row is a dict, and an index lists the rows that hold each column,
     so a step touches only those rows.  The pivot row is the candidate with
@@ -299,7 +299,7 @@ def eliminate(rows, cols, vals, p: int, descending: bool = False) -> dict[int, d
         mat.setdefault(r, {})[c] = v
         at.setdefault(c, set()).add(r)
     pivots, used = {}, set()
-    for c in sorted(at, reverse=descending):
+    for c in sorted(at, reverse=True):
         held = at[c]
         cand = [r for r in held if r not in used]
         if not cand:
@@ -337,7 +337,7 @@ def sparse_kernel(rows, cols, vals, ncols: int, p: int) -> Subspace:
     if len(rows) == 0:
         return Subspace.full(ncols, p)
     core, live_cols = peel(rows, cols, vals, ncols, p)
-    pivots = eliminate(*core, p, descending=True)
+    pivots = eliminate(*core, p)
     free = np.delete(live_cols, live_cols.searchsorted(list(pivots)))
     out = [(f, pc, -v % p) for pc, row in pivots.items() for f, v in row.items() if f != pc]
     f, pc, v = np.array(out, dtype=np.int64).reshape(-1, 3).T
@@ -351,11 +351,12 @@ def sparse_solvable(rows, cols, vals, ncols: int, p: int) -> bool:
     """Whether A x = b has a solution, for [A | -b] given as (row, col, value)
     triples, -b in its last column ncols - 1: whether it has a null vector
     with last coordinate 1.  It has none if `peel` kills that column, and
-    otherwise one iff the column, eliminated last, is no pivot of the core."""
+    otherwise one iff the column, eliminated last, is no pivot of the core:
+    the core's columns are reversed, so -b is column 0."""
     core, live_cols = peel(rows, cols, vals, ncols, p)
     if live_cols.size == 0 or live_cols[-1] != ncols - 1:
         return False
-    return ncols - 1 not in eliminate(*core, p)
+    return 0 not in eliminate(core[0], ncols - 1 - core[1], core[2], p)
 
 
 def preimage(mat: np.ndarray, target: Subspace) -> Subspace:

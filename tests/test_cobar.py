@@ -20,7 +20,7 @@ from comodfilt.filtration import (CanonicalLevel, ExplicitSubspace,
                                   InternalInvariantError, coaction,
                                   coalgebra_closure, restrict)
 from comodfilt.linalg import (IncrementalRREF, Subspace, kernel, matmul_mod, matrank,
-                              rref, sparse_kernel)
+                              sparse_kernel)
 from oracles import DenseComplex, solve
 
 GA2 = group_from_spec("Ga@p=2")
@@ -42,6 +42,17 @@ def dense_blocks(c, m):
     return blocks
 
 
+def dense_delta(c):
+    """The structure constants of c as a dense (s*s, s) lambda, with
+    Delta(b_k) = sum_{a,b} lambda[a*s+b, k] b_a (x) b_b: every dense read of
+    them in the oracles goes through here."""
+    s = c.dim
+    lam = np.zeros((s, s, s), dtype=np.int64)
+    a, b, k, v = c.delta_matrix
+    lam[a, b, k] = v
+    return lam.reshape(s * s, s)
+
+
 def weight_classes(cx):
     """The number of weight classes that CH^0 .. CH^(n_max) meet."""
     return np.unique(np.concatenate(cx.codes[:-1])).size
@@ -53,8 +64,7 @@ def reference_cobar_complex(c, m, n_max):
     d^n = sum_{i=0}^{n+1} (-1)^i d_i: d_0 inserts the coaction, d_i applies
     Delta_C to the i-th tensor factor and d_{n+1} appends the unit.  Built
     densely from Kronecker products; it shares only `coefficient_blocks`,
-    `delta_matrix` and `unit` with the normalized complex, and is ranked
-    densely.
+    `delta_matrix` and `unit` with the engine, and is ranked densely.
     """
     p = c.group.p
     s = c.dim
@@ -72,7 +82,7 @@ def reference_cobar_complex(c, m, n_max):
         sign = -1
         for i in range(1, n + 1):
             term = np.kron(np.kron(np.eye(mm * s ** (i - 1), dtype=np.int64),
-                                   c.delta_matrix),
+                                   dense_delta(c)),
                            np.eye(s ** (n - i), dtype=np.int64))
             d = d + sign * term
             sign = -sign
@@ -96,17 +106,41 @@ def _add_kron(d, left, a, right, sign):
     d[rows.ravel(), cols.ravel()] += sign * np.broadcast_to(a[r, c][:, None], rows.shape).ravel()
 
 
+def kernel_epsilon_factors(c, m):
+    """rho_bar, shape (m*t, m), and delta_bar, shape (t*t, t), dense, over
+    Cbar = ker(epsilon) rather than the engine's C/k.1.
+
+    Cbar is spanned by the RREF basis e_1..e_t of ker(epsilon), t = s - 1.
+    The Cbar-part b_a - epsilon(b_a).1 of b_a lies in ker(epsilon), so its
+    coordinates are its entries at that basis's pivots, column a of `to_bar`:
+    no inverse is needed.  Row (j, r) of rho_bar holds the e_r-component of
+    the coaction; Delta_bar(e_k) = sum delta_bar[r*t+w, k] e_r (x) e_w.
+    """
+    p, s, mm = c.group.p, c.dim, m.dim
+    counit = np.array([c.group.counit_mono(mono) % p for mono in c.monos], dtype=np.int64)
+    eps = matmul_mod(c.space.basis, counit[:, None], p)[:, 0]
+    kbar = kernel(eps[None, :], p)
+    t, piv = kbar.dim, list(kbar.pivots)
+    to_bar = (np.eye(s, dtype=np.int64)[piv] - np.outer(c.unit[piv], eps)) % p
+    rho = matmul_mod(to_bar, dense_blocks(c, m).reshape(s, mm * mm), p)   # [r, j, i]
+    rho = rho.reshape(t, mm, mm).transpose(1, 0, 2).reshape(mm * t, mm)
+    x = matmul_mod(dense_delta(c), kbar.basis.T, p)                  # [a, b, k]
+    y = matmul_mod(to_bar, x.reshape(s, s * t), p)                   # [r, b, k]
+    y = y.reshape(t, s, t).transpose(1, 0, 2).reshape(s, t * t)      # [b, r, k]
+    z = matmul_mod(to_bar, y, p).reshape(t, t, t)                    # [w, r, k]
+    return rho, z.transpose(1, 0, 2).reshape(t * t, t)
+
+
 def reference_normalized_complex(c, m, n_max):
-    """Oracle: the normalized complex M (x) Cbar^(x n) over all of C, with no
-    block or weight split, each d^n written into one dense array and ranked
-    densely.
+    """Oracle: the normalized complex M (x) Cbar^(x n) over all of C, on
+    Cbar = ker(epsilon) (`kernel_epsilon_factors`), with no block or weight
+    split, each d^n written into one dense array and ranked densely.
 
     d^n = rho_bar (x) I + sum_{i=1}^{n} (-1)^i I (x) delta_bar (x) I.
     """
     p = c.group.p
     mm, t = m.dim, c.dim - 1
-    rho, delta_bar, _ = _normalized_factors(c, c.coefficient_blocks(m), mm)
-    rho_bar = densify(rho, mm * t, mm, p)
+    rho_bar, delta_bar = kernel_epsilon_factors(c, m)
     dims = [mm * t ** n for n in range(n_max + 2)]
     diffs = []
     for n in range(n_max + 1):
@@ -143,9 +177,10 @@ def test_subcoalgebra_structure_constants():
     c = SubCoalgebra.canonical(GA2, 3)
     assert c.dim == 4
     assert c.unit.tolist() == [1, 0, 0, 0]
-    # Delta(t) = t(x)1 + 1(x)t: entries (a,b) = (1,0) and (0,1) of column 1
-    col = c.delta_matrix[:, 1].reshape(4, 4)
-    assert col[1, 0] == col[0, 1] == 1 and col.sum() == 2
+    # Delta(t) = t(x)1 + 1(x)t: the entries (a, b, k) = (0, 1, 1) and (1, 0, 1)
+    a, b, k, v = c.delta_matrix
+    assert sorted(zip(a[k == 1].tolist(), b[k == 1].tolist(), v[k == 1].tolist())) == [
+        (0, 1, 1), (1, 0, 1)]
 
 
 def test_subcoalgebra_rejects_bad_subspaces():
@@ -323,6 +358,8 @@ COBAR_CASES = [
 
 
 def test_normalized_and_full_complexes_have_equal_cohomology():
+    # the engine's complex on C/k.1 and the oracle's on ker(epsilon) share no
+    # factor code; both must rank as the full complex does
     def both(c, m, n):
         cx = reference_normalized_complex(c, m, n)
         assert cx.dims == [m.dim * (c.dim - 1) ** k for k in range(n + 1)]
@@ -349,23 +386,43 @@ def test_normalized_and_full_complexes_have_equal_cohomology():
         assert weight_classes(cobar_complex(c, level, 3)) == parts, top
 
 
-def test_the_normalized_factors_eliminate_once(monkeypatch):
-    calls = []
+def test_the_normalized_factors_eliminate_and_multiply_nothing(monkeypatch):
+    # the unit is a basis vector of C, so rho_bar and delta_bar are entries
+    # of F and D: no kernel of epsilon, no elimination and no matrix product
+    def called(*args, **kw):
+        raise AssertionError("a dense kernel, rref or product was taken")
 
-    def counted(mat, p):
-        calls.append(np.shape(mat))
-        return rref(mat, p)
-
-    monkeypatch.setattr(linalg, "rref", counted)
+    cases = []
     for spec, text, d, _ in COBAR_CASES:
         g = group_from_spec(spec)
         c = SubCoalgebra.canonical(g, d)
         m = build_module(text, g)
-        f = c.coefficient_blocks(m)
-        calls.clear()
-        _normalized_factors(c, f, m.dim)
-        # the kernel of epsilon, and no inverse of the new basis of C
-        assert len(calls) == 1, (spec, text, d, calls)
+        cases.append((c, c.coefficient_blocks(m), m.dim))
+    for module, name in [(linalg, "rref"), (linalg, "kernel"), (linalg, "matmul_mod"),
+                         (cobar, "kernel")]:
+        monkeypatch.setattr(module, name, called)
+    for c, f, mm in cases:
+        assert c.unit[_normalized_factors(c, f, mm)[2]] == 1
+
+
+def test_a_unit_off_the_first_basis_vector():
+    # monomials out of mono_key order put 1 at b_1 of Ga's level 2, at b_4 of
+    # GL(2)'s level 1 and at b_9 of U(3)'s level 2, which is its own unit
+    # block: the unit is still a standard basis vector, and the complex on
+    # C/k.1 drops that index, not the first
+    gl, u3 = group_from_spec("GL:2@p=2"), group_from_spec("U:3@p=2")
+    cases = [(GA2, [2, 0, 1], "regular(2)", 1), (GA2, [2, 0, 1], "triv", 3),
+             (gl, gl.filtration_basis(1)[::-1], "natural", 3),
+             (gl, gl.filtration_basis(1)[::-1], "triv", 2),
+             (u3, u3.filtration_basis(2)[::-1], "natural", 2)]
+    for g, monos, text, n in cases:
+        c = SubCoalgebra(g, monos, Subspace.full(len(monos), g.p))
+        m = build_module(text, g)
+        u = monos.index(g.one_mono())
+        assert u > 0 and c.unit.tolist() == np.eye(c.dim, dtype=np.int64)[u].tolist()
+        want = reference_cobar_complex(c, m, n).cohomology_dims()
+        assert cohomology_dims(cobar_complex(c, m, n)) == want, (monos, text)
+        assert reference_normalized_complex(c, m, n).cohomology_dims() == want
 
 
 def tampered(cx, n, k):
@@ -410,6 +467,28 @@ def test_cobar_ranks_build_no_dense_weight_block():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
+
+
+def test_cobar_of_gl2_level_four_builds_no_dense_structure_constants():
+    # GL(2) regular(2) d4 n2, with s = 85: the level's dense (s^2, s)
+    # constants alone took 4.8 MiB, and the whole job peaked there
+    g = group_from_spec("GL:2@p=2")
+    limits = Limits(max_coalgebra_dim=85, max_chain_dim=10 ** 8)
+    m = build_module("regular(2)", g)
+
+    def job():
+        c = SubCoalgebra.canonical(g, 4, limits)
+        assert c.dim == 85
+        return cohomology_dims(cobar_complex(c, m, 2, limits))
+
+    assert job() == [1, 0, 0]
+    tracemalloc.start()
+    try:
+        assert job() == [1, 0, 0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_the_engine_splits_by_the_unit_block_and_by_weight():
@@ -489,10 +568,10 @@ def test_stage1_rows_are_the_nonzero_kronecker_rows():
         m = build_module(text, g)
         blocks = dense_blocks(c, m)
         s, mm = c.dim, m.dim
-        got = densify(_stage1_triples(c.coefficient_blocks(m), mm, c.delta_matrix),
+        got = densify(_stage1_triples(c.coefficient_blocks(m), mm, c.delta_matrix, s),
                       s * s * mm, s * mm, g.p)
         assert np.array_equal(got[got.any(axis=1)],
-                              stacked_kronecker_rows(blocks, c.delta_matrix, g.p))
+                              stacked_kronecker_rows(blocks, dense_delta(c), g.p))
     rng = np.random.default_rng(7)
     for trial in range(60):
         p = (2, 3, 65521)[trial % 3]
@@ -504,7 +583,8 @@ def test_stage1_rows_are_the_nonzero_kronecker_rows():
             for cc in range(s):
                 np.fill_diagonal(blocks[cc], 1)
                 np.fill_diagonal(lam[cc::s], 1)
-        got = densify(_stage1_triples(entries(blocks), mm, lam), s * s * mm, s * mm, p)
+        got = densify(_stage1_triples(entries(blocks), mm, entries(lam.reshape(s, s, s)), s),
+                      s * s * mm, s * mm, p)
         assert np.array_equal(got[got.any(axis=1)], stacked_kronecker_rows(blocks, lam, p))
 
 
@@ -524,9 +604,9 @@ def reference_stage1_kernel(c, blocks):
     """Oracle: the space of comodule maps C -> M, with the stage-1 rows of each
     c fed densely to an `IncrementalRREF`."""
     p, s, mm = c.group.p, c.dim, blocks.shape[1]
-    acc = IncrementalRREF(s * mm, p)
+    acc, lam = IncrementalRREF(s * mm, p), dense_delta(c)
     for cc in range(s):
-        acc.add_rows(reference_stage1_rows(blocks[cc], c.delta_matrix[cc::s]))
+        acc.add_rows(reference_stage1_rows(blocks[cc], lam[cc::s]))
     return kernel(acc.rows, p) if acc.rank else Subspace.full(s * mm, p)
 
 
@@ -548,8 +628,8 @@ def test_stage1_kernel_matches_the_row_by_row_reference():
     assert cases[-3][0].dim * cases[-3][1].dim == 900
     for c, m in cases:
         want = reference_stage1_kernel(c, dense_blocks(c, m))
-        got = sparse_kernel(*_stage1_triples(c.coefficient_blocks(m), m.dim, c.delta_matrix),
-                            c.dim * m.dim, c.group.p)
+        got = sparse_kernel(*_stage1_triples(c.coefficient_blocks(m), m.dim, c.delta_matrix,
+                                             c.dim), c.dim * m.dim, c.group.p)
         assert got == want and got.pivots == want.pivots, (c.monos, m.basis_labels)
 
 
@@ -699,7 +779,7 @@ def test_stage2_terms_are_every_product_on_a_shared_index_reduced():
         c = SubCoalgebra.canonical(g, d)
         level = restrict(build_module(text, g), CanonicalLevel(g, d)).comodule
         f, mm = c.coefficient_blocks(level), level.dim
-        w = sparse_kernel(*_stage1_triples(f, mm, c.delta_matrix), c.dim * mm, g.p)
+        w = sparse_kernel(*_stage1_triples(f, mm, c.delta_matrix, c.dim), c.dim * mm, g.p)
         got = sorted(zip(*(x.tolist() for x in _stage2_terms(w.basis, f, mm, g.p))))
         products = reference_stage2_products(w.basis, dense_blocks(c, level))
         assert got == sorted((k, e, x % g.p) for k, e, x in products), spec

@@ -151,11 +151,10 @@ def test_a_m_x_is_m_of_the_closure_of_x(case):
     constants = result.delta_matrix
     for k, delta in enumerate(deltas):
         rebuilt: dict = {}
-        for ab in np.flatnonzero(constants[:, k]):
-            for left, cl in basis[ab // len(basis)].coeffs.items():
-                for right, cr in basis[ab % len(basis)].coeffs.items():
-                    rebuilt[left, right] = (rebuilt.get((left, right), 0)
-                                            + int(constants[ab, k]) * cl * cr)
+        for a, b, _, value in constants.T[constants[2] == k].tolist():
+            for left, cl in basis[a].coeffs.items():
+                for right, cr in basis[b].coeffs.items():
+                    rebuilt[left, right] = rebuilt.get((left, right), 0) + value * cl * cr
         assert TensorElement(g, rebuilt) == delta
 
 
