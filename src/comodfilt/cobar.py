@@ -168,15 +168,19 @@ def _row_codes(rows: np.ndarray, codes: np.ndarray):
 
 def _unit_block(c: SubCoalgebra, limits: Limits) -> SubCoalgebra:
     """C0, the span of C's basis vectors in the unit's block: C itself when
-    that is all of C or when a basis vector mixes blocks."""
+    that is all of C or when a basis vector mixes blocks.  C0's rows are C's
+    RREF rows, and on the columns they touch they are still in RREF."""
     g = c.group
     blocks = _row_codes(c.space.basis, np.array([g.block(x) for x in c.monos], dtype=np.int64))
     if blocks is None or not blocks.any():
         return c
-    rows = c.space.basis[blocks == 0]
+    keep = blocks == 0
+    rows = c.space.basis[keep]
     cols = np.flatnonzero(rows.any(axis=0))
+    pivots = np.asarray(c.space.pivots, dtype=np.int64)[keep]
     return SubCoalgebra(g, [c.monos[k] for k in cols],
-                        Subspace.from_rows(rows[:, cols], len(cols), g.p), limits)
+                        Subspace(len(cols), g.p, rows[:, cols],
+                                 tuple(cols.searchsorted(pivots).tolist())), limits)
 
 
 def _module_codes(f, mm: int, code_b: np.ndarray):

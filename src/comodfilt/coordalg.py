@@ -29,9 +29,13 @@ and GL(N) and SL(N) keep a second table of the normal form NF(m) of each
 single monomial, filled one monomial at a time by one division step,
 x^e = det*x^q - (det - x11*...*xNN)*x^q, from the table entries of the
 monomials on its right.  Normal form is linear, so an element reduces to
-sum c*NF(m) and a tensor, in both legs, to sum c*NF(a)(x)NF(b).  The tables
-live as long as the group, which `group_from_spec` shares per process, as
-does the antipode of each generator; nothing is computed ahead of a request.
+sum c*NF(m) and a tensor, in both legs, to sum c*NF(a)(x)NF(b).  A coproduct
+over GL(N) or SL(N) is expanded over the leg codes of its polynomial part
+(below), and a leg table keeps, per radix B and det power j, the normal form
+NF(x^leg * det^{-j}) of each leg code met, so a leg is decoded and reduced
+once, not once per term it occurs in.  The tables live as long as the group,
+which `group_from_spec` shares per process, as does the antipode of each
+generator; nothing is computed ahead of a request.
 
 Delta(x^e) over the polynomial groups is expanded over integer leg codes
 sum e_k*B^k, radix B = deg(x^e) + 1, so a product of legs is one addition.
@@ -424,8 +428,9 @@ class _PolynomialGroup(Group):
 
     Monomials are exponent tuples in the order of `gens`; subclasses supply
     `coproduct_gen` and `counit_mono`.  `_codes` keeps, per radix B, each
-    Delta(x_k) as (left code, right code, coeff) triples and a code -> leg
-    table, so legs repeated across a degree share one tuple; GL and SL use it.
+    Delta(x_k) as (left code, right code, coeff) triples, which GL and SL
+    expand through too.  `_legs` keeps, per radix B, a code -> exponent tuple
+    table, so legs repeated across a degree share one tuple.
     """
 
     def __init__(self, p, N, gens):
@@ -433,7 +438,8 @@ class _PolynomialGroup(Group):
         self.gens = gens
         self.gen_index = {pr: k for k, pr in enumerate(gens)}
         self.nvars = len(gens)
-        self._codes: dict = {}  # radix B -> (coded Delta(x_k) per generator, code -> leg)
+        self._codes: dict = {}  # radix B -> coded Delta(x_k) per generator
+        self._legs: dict = {}  # radix B -> {leg code: exponent tuple}
 
     def one_mono(self):
         return (0,) * self.nvars
@@ -468,15 +474,16 @@ class _PolynomialGroup(Group):
     def coproduct_gen(self, i, j) -> dict:
         raise NotImplementedError
 
-    def _expand_coproduct(self, mono) -> dict:
-        """Delta of a monomial, expanded over leg codes of radix deg(mono) + 1."""
+    def _expand_coproduct(self, mono) -> tuple[int, dict]:
+        """Delta of a monomial, expanded over leg codes of radix B = deg(mono)
+        + 1: (B, {(left code, right code): coeff})."""
         p, base = self.p, sum(mono) + 1
-        if base not in self._codes:
+        gens = self._codes.get(base)
+        if gens is None:
             def code(m):
                 return sum(e * base ** k for k, e in enumerate(m))
-            self._codes[base] = ([[(code(a), code(b), c) for (a, b), c in self.coproduct_gen(*pr).items()]
-                                  for pr in self.gens], {})
-        gens, decode = self._codes[base]
+            gens = self._codes[base] = [[(code(a), code(b), c) for (a, b), c in self.coproduct_gen(*pr).items()]
+                                        for pr in self.gens]
 
         def expand(e):
             # Delta(x^e) = F(Delta(x^(e // p))) * prod_k Delta(x_k)^(e_k % p), F = p-th power
@@ -491,12 +498,19 @@ class _PolynomialGroup(Group):
                             nxt[key] = (nxt.get(key, 0) + c * gc) % p
                     acc = {k: v for k, v in nxt.items() if v}
             return acc
-        acc = expand(mono)
-        for leg in {leg for pair in acc for leg in pair} - decode.keys():
-            decode[leg] = tuple(leg // base ** k % base for k in range(self.nvars))
-        return {(decode[a], decode[b]): c for (a, b), c in acc.items()}
+        return base, expand(mono)
 
-    coproduct_mono = _tabled(_expand_coproduct)
+    def _decode(self, base: int, code: int) -> tuple:
+        """The exponent tuple of a leg code of radix `base`."""
+        return tuple(code // base ** k % base for k in range(self.nvars))
+
+    @_tabled
+    def coproduct_mono(self, mono):
+        base, acc = self._expand_coproduct(mono)
+        legs = self._legs.setdefault(base, {})
+        for leg in {leg for pair in acc for leg in pair} - legs.keys():
+            legs[leg] = self._decode(base, leg)
+        return {(legs[a], legs[b]): c for (a, b), c in acc.items()}
 
     def frobenius_mono(self, mono, q):
         return tuple(e * q for e in mono)
@@ -615,7 +629,9 @@ class _DeterminantGroup(Group):
     single-monomial normal forms, which `_normal_forms` fills one monomial
     at a time by division by det.  Its leading monomial is the diagonal
     x11*...*xNN, so a reduced part is in normal form exactly when no monomial
-    is a multiple of the diagonal (`_reducible`).
+    is a multiple of the diagonal (`_reducible`).  A coproduct reads M(N)'s
+    expansion of x^e over leg codes of radix B through the leg table
+    `_legs[(B, j)]`, code -> the `_nf` entry of its leg over det^{-j}.
     """
 
     # homogeneous parts over det^{-j} are reduced for j >= _reduced_from
@@ -628,6 +644,7 @@ class _DeterminantGroup(Group):
         # x11*...*xNN, the lex-largest monomial of det
         self._lead = tuple(int(i == j) for i in range(N) for j in range(N))
         self._nf: dict = {}  # monomial -> its normal form, as (mono, coeff) pairs
+        self._legs: dict = {}  # (radix B, j) -> {leg code: NF(x^leg det^{-j})}
 
     @cached_property
     def _tail(self) -> list:
@@ -724,16 +741,26 @@ class _DeterminantGroup(Group):
     @_tabled
     def coproduct_mono(self, mono):
         e, j = self._split(mono)
-        return self._reduce_tensor({(self._join(a, j), self._join(b, j)): c
-                                    for (a, b), c in self.mat._expand_coproduct(e).items()})
+        base, acc = self.mat._expand_coproduct(e)
+        legs = self._legs.setdefault((base, j), {})
+        new = {self._join(self.mat._decode(base, leg), j): leg
+               for leg in {leg for pair in acc for leg in pair} - legs.keys()}
+        if new:
+            nf = self._normal_forms(new)
+            for m, leg in new.items():
+                legs[leg] = nf[m]
+        return self._tensor_forms(acc, legs)
 
     def _reduce_tensor(self, acc: dict) -> dict:
-        # normal form is linear in each leg: sum c * NF(a) (x) NF(b)
-        nf = self._normal_forms({m: None for pair in acc for m in pair})
+        return self._tensor_forms(acc, self._normal_forms({m: None for pair in acc for m in pair}))
+
+    def _tensor_forms(self, acc: dict, forms) -> dict:
+        """sum c * forms[a] (x) forms[b] over the terms (a, b): c of acc, each
+        form a tuple of (mono, coeff) pairs: normal form is linear in each leg."""
         out: dict = {}
         for (a, b), c in acc.items():
-            right = nf[b]
-            for a2, ca in nf[a]:
+            right = forms[b]
+            for a2, ca in forms[a]:
                 for b2, cb in right:
                     key = (a2, b2)
                     out[key] = out.get(key, 0) + c * ca * cb

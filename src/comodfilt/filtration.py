@@ -72,9 +72,17 @@ class ExplicitSubspace:
                 for row in self.space.basis]
 
     def unit_coords(self) -> np.ndarray | None:
-        """The coordinates of the unit 1 in X's basis, or None if 1 is not in X."""
-        vec = np.array([m == self.group.one_mono() for m in self.monos], dtype=np.int64)
-        return self.space.coords(vec) if vec.any() else None
+        """The coordinates of the unit 1 in X's basis, or None if 1 is not in X.
+
+        1 is the standard vector e_c of its monomial's column c, so it is in X
+        iff c is the pivot of a basis row r that is e_c itself; it is then e_r.
+        """
+        one, space = self.group.one_mono(), self.space
+        c = next((k for k, m in enumerate(self.monos) if m == one), None)
+        r = space.pivots.index(c) if c in space.pivots else None
+        if r is None or np.count_nonzero(space.basis[r]) != 1:
+            return None
+        return np.eye(1, space.dim, r, dtype=np.int64)[0]
 
 
 @dataclass

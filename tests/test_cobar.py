@@ -506,6 +506,31 @@ def test_the_engine_splits_by_the_unit_block_and_by_weight():
     assert parts("U:3@p=2", "natural", 2, 2)[0] == [3, 27, 243]
 
 
+def test_the_unit_block_is_read_off_cs_rref_rows(monkeypatch):
+    # C0's rows are C's RREF rows in the unit's block, restricted to the
+    # columns they touch: the same Subspace, pivots included, as a fresh
+    # row reduction of them gives, found with no rref
+    cases = []
+    for spec, text, d, _ in COBAR_CASES:
+        g = group_from_spec(spec)
+        c = SubCoalgebra.canonical(g, d)
+        rows = np.array([row for row in c.space.basis
+                         if all(g.block(c.monos[k]) == 0 for k in row.nonzero()[0])])
+        cols = np.flatnonzero(rows.any(axis=0))
+        cases.append((c, [c.monos[k] for k in cols],
+                      Subspace.from_rows(rows[:, cols], len(cols), g.p)))
+    assert any(len(monos) < c.dim for c, monos, _ in cases)
+
+    def called(*args, **kw):
+        raise AssertionError("a dense rref was taken")
+
+    monkeypatch.setattr(linalg, "rref", called)
+    for c, monos, want in cases:
+        c0 = cobar._unit_block(c, Limits())
+        assert c0.monos == monos
+        assert c0.space == want and c0.space.pivots == want.pivots
+
+
 def test_a_subcoalgebra_is_its_own_filtration_level():
     # restrict(m, c) reads C as the explicit level X = span(C) it is
     cases = [(SubCoalgebra.canonical(group_from_spec(spec), d), text)

@@ -782,6 +782,22 @@ def test_structure_map_tables_cannot_change_answers(spec, capsys):
     assert fresh.reduce_dict(dict(mixed)) == g.reduce_dict(dict(mixed))
 
 
+@pytest.mark.parametrize("spec", ["GL:2@p=2", "GL:2@p=3", "SL:2@p=3", "GL:3@p=2", "SL:3@p=2"])
+def test_cold_leg_tables_give_the_reference_coproducts_in_either_order(spec):
+    # each leg of a coded expansion is reduced once per radix and det power:
+    # two fresh groups fill their tables from level 4 in ascending and in
+    # descending order, so a leg code is met first at another det power or
+    # degree in each; over GL(2) level 4 has legs at det^0, det^-1, det^-2
+    g = group_from_spec(spec)
+    monos = g.filtration_basis(4)
+    up, down = fresh_group(g), fresh_group(g)
+    ascending = {m: up.coproduct_mono(m) for m in monos}
+    descending = {m: down.coproduct_mono(m) for m in reversed(monos)}
+    for m in monos:
+        assert ascending[m] == reference_coproduct_mono(g, m), m
+        assert list(ascending[m].items()) == list(descending[m].items()), m
+
+
 def random_det_monomials(rng, g, count, dmax, kmax, jmax):
     """Monomials of GL or SL, not in normal form: a random exponent tuple of
     degree <= dmax times up to kmax copies of the diagonal x11*...*xNN (the

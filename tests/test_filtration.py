@@ -194,6 +194,35 @@ def test_restrict_to_the_coefficient_space_keeps_all_of_m(spec, text):
     assert res.comodule.coeffs == m.coeffs
 
 
+def test_the_unit_is_read_off_the_row_pivoted_at_its_column():
+    # the pivot lookup agrees with the membership test of 1's standard vector
+    def both(x):
+        vec = np.array([m == x.group.one_mono() for m in x.monos], dtype=np.int64)
+        want = x.space.coords(vec) if vec.any() else None
+        got = x.unit_coords()
+        assert (got is None) == (want is None)
+        assert got is None or got.tolist() == want.tolist()
+        return got
+
+    for spec in ("Ga@p=2", "Gm@p=3", "GL:2@p=2", "SL:2@p=3", "U:3@p=2", "M:2@p=5"):
+        g = group_from_spec(spec)
+        for d in range(3):
+            n = g.filtration_dim(d)
+            assert both(ExplicitSubspace.canonical(g, d)).tolist() == [1] + [0] * (n - 1)
+            # 1 not the first monomial
+            x = ExplicitSubspace(g, g.filtration_basis(d)[::-1], Subspace.full(n, g.p))
+            assert both(x).tolist() == [0] * (n - 1) + [1]
+    # span{1, t + t^2} holds 1; span{1 + t, t^2} pivots at 1's column
+    # without holding it; span{t + 1} over the columns (t, 1) does not pivot there
+    assert both(ExplicitSubspace.from_elements(
+        GA2, [GA2.one(), GA2.element({1: 1, 2: 1})])).tolist() == [1, 0]
+    assert both(ExplicitSubspace.from_elements(
+        GA2, [GA2.element({0: 1, 1: 1}), GA2.element({2: 1})])) is None
+    assert both(ExplicitSubspace(GA2, [1, 0], Subspace.from_rows([[1, 1]], 2, 2))) is None
+    # 1 not first, in a proper subspace: the monomials (t^2, 1, t), rows t^2 and 1
+    assert both(ExplicitSubspace(GA2, [2, 0, 1], unit_rows([0, 1], 3, 2))).tolist() == [0, 1]
+
+
 def test_restrict_rejects_mismatched_group():
     with pytest.raises(ValueError):
         restrict(regular(GA2, 1), CanonicalLevel(GM3, 1))
