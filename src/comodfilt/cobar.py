@@ -39,6 +39,18 @@ elimination of the core it leaves.  Every canonical level O(G)_{<=d} is a
 sub-coalgebra, so it is its own closure: the injectivity profile tests each
 level itself, and a level whose closed-form dimension passes the
 sub-coalgebra ceiling is refused before it is built.
+
+Over a unipotent group (Ga, U(N)) the profile solves nothing.  O(G) has
+coradical k.1 (Waterhouse, Introduction to Affine Group Schemes, 8.3), so
+every level C = O(G)_{<=d} is a connected coalgebra: k is its only simple
+comodule, and C is the injective hull of k.  A finite-dimensional
+C-comodule N is an essential extension of its socle N^C, so it embeds in
+the injective hull N^C (x) C of that socle, and it is injective iff the
+embedding is onto (Jantzen, Representations of Algebraic Groups, I.3):
+iff dim N = dim N^C dim C.  For N = M_{<=d}, N^C = M^G = M_{<=0}, since
+every invariant lies in every level.  So level d is injective iff
+dim M_{<=d} = dim M_{<=0} filtration_dim(d), two dimensions `restrict`
+gives, with no `SubCoalgebra`, no M_X comodule and no retraction solve.
 """
 
 from __future__ import annotations
@@ -71,9 +83,20 @@ class SubCoalgebra(ExplicitSubspace):
     def __init__(self, group: Group, monos, space: Subspace, limits: Limits = Limits()):
         check_limit(space.dim, limits.max_coalgebra_dim, "sub-coalgebra dimension")
         super().__init__(group, monos, space)
+        self._set_constants(structure_constants(group, self.monos, space))
+
+    @classmethod
+    def _with_constants(cls, group: Group, monos, space: Subspace, delta_matrix):
+        """A sub-coalgebra whose structure constants the caller already holds."""
+        c = cls.__new__(cls)
+        ExplicitSubspace.__init__(c, group, monos, space)
+        c._set_constants(delta_matrix)
+        return c
+
+    def _set_constants(self, delta_matrix):
         self.index = {m: i for i, m in enumerate(self.monos)}
-        self.dim = space.dim
-        self.delta_matrix = structure_constants(group, self.monos, space)
+        self.dim = self.space.dim
+        self.delta_matrix = delta_matrix
         if self.delta_matrix is None:
             raise ValueError("the given subspace is not a sub-coalgebra")
         self.unit = self.unit_coords()
@@ -169,7 +192,9 @@ def _row_codes(rows: np.ndarray, codes: np.ndarray):
 def _unit_block(c: SubCoalgebra, limits: Limits) -> SubCoalgebra:
     """C0, the span of C's basis vectors in the unit's block: C itself when
     that is all of C or when a basis vector mixes blocks.  C0's rows are C's
-    RREF rows, and on the columns they touch they are still in RREF."""
+    RREF rows, and on the columns they touch they are still in RREF.  Its
+    structure constants are C's entries (a, b, k) with b_k in the block,
+    renumbered: Delta keeps the block, so both legs must lie in it too."""
     g = c.group
     blocks = _row_codes(c.space.basis, np.array([g.block(x) for x in c.monos], dtype=np.int64))
     if blocks is None or not blocks.any():
@@ -178,9 +203,16 @@ def _unit_block(c: SubCoalgebra, limits: Limits) -> SubCoalgebra:
     rows = c.space.basis[keep]
     cols = np.flatnonzero(rows.any(axis=0))
     pivots = np.asarray(c.space.pivots, dtype=np.int64)[keep]
-    return SubCoalgebra(g, [c.monos[k] for k in cols],
-                        Subspace(len(cols), g.p, rows[:, cols],
-                                 tuple(cols.searchsorted(pivots).tolist())), limits)
+    check_limit(len(pivots), limits.max_coalgebra_dim, "sub-coalgebra dimension")
+    a, b, k, v = c.delta_matrix
+    on = keep[k]
+    if not (keep[a[on]].all() and keep[b[on]].all()):
+        raise InternalInvariantError("the coproduct of the unit block leaves it")
+    new = np.cumsum(keep) - 1  # C0's index of each kept basis vector of C
+    return SubCoalgebra._with_constants(
+        g, [c.monos[j] for j in cols],
+        Subspace(len(cols), g.p, rows[:, cols], tuple(cols.searchsorted(pivots).tolist())),
+        np.stack([new[a[on]], new[b[on]], new[k[on]], v[on]]))
 
 
 def _module_codes(f, mm: int, code_b: np.ndarray):
@@ -352,11 +384,27 @@ def injective_test(c: SubCoalgebra, m: Comodule, limits: Limits = Limits()) -> b
 
 
 def injectivity_profile(g: Group, m, d_max: int, limits: Limits = Limits()) -> list[bool]:
-    """Levelwise injectivity of M_X over X = O(G)_{<=d}, its own closure."""
-    out = []
+    """Levelwise injectivity of M_{<=d} over C_d = O(G)_{<=d}, its own closure.
+
+    Over a unipotent group it is read off the filtration ladder: M_{<=d} is
+    injective iff dim M_{<=d} = dim M_{<=0} * dim C_d, with M_{<=0} = M^G
+    taken once per generation read.  Over any other group each level is
+    solved by `injective_test`.  Either way every level is refused at the
+    sub-coalgebra ceiling before anything is built, and restricted by
+    `restrict`, which validates M and certifies the fixpoint.
+    """
+    stream = isinstance(m, StreamModule)
+    out, invariants = [], {}  # generation -> dim of its M^G
     for d in range(d_max + 1):
-        c = SubCoalgebra.canonical(g, d, limits=limits)
-        target = m.generate(m.sufficiency(d)) if isinstance(m, StreamModule) else m
-        level = restrict(target, CanonicalLevel(g, d)).comodule
-        out.append(injective_test(c, level, limits=limits))
+        check_limit(g.filtration_dim(d), limits.max_coalgebra_dim, "sub-coalgebra dimension")
+        c = None if g.unipotent else SubCoalgebra.canonical(g, d, limits=limits)
+        n = m.sufficiency(d) if stream else 0
+        target = m.generate(n) if stream else m
+        level = restrict(target, CanonicalLevel(g, d))
+        if c is not None:
+            out.append(injective_test(c, level.comodule, limits=limits))
+            continue
+        if n not in invariants:
+            invariants[n] = (level if d == 0 else restrict(target, CanonicalLevel(g, 0))).dim
+        out.append(level.dim == invariants[n] * g.filtration_dim(d))
     return out

@@ -21,7 +21,9 @@ class ResourceLimitError(RuntimeError):
 class Limits:
     max_coalgebra_dim: int = 30      # largest sub-coalgebra for cobar/injectivity
     max_chain_dim: int = 100000      # largest CH^n of the full cobar complex
-    max_solver_unknowns: int = 20000  # retraction unknowns: s*m (stage 1), t*m (stage 2)
+    # retraction unknowns of `injective_test`, s*m (stage 1) and t*m (stage 2):
+    # it bounds only the solve path, as the profile over Ga and U solves nothing
+    max_solver_unknowns: int = 20000
     max_dmax: int = 64               # largest CLI filtration sweep
 
 

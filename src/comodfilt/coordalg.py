@@ -192,10 +192,13 @@ class Group:
     sum_k e_k*(eps_i - eps_j) over the generators x_{i,j} of M, U, GL and SL,
     where det has weight 0; it adds over the legs of Delta(m), the counit
     vanishes off weight 0, and the GL/SL normal form keeps it.
+    `unipotent`: O(G) has coradical k.1, so every sub-coalgebra containing 1
+    is connected (Ga and U).
     """
 
     kind = "?"
     has_antipode = True
+    unipotent = False
 
     def __init__(self, p: int, N: int = 1):
         self.p = check_prime(p)
@@ -338,6 +341,7 @@ class Ga(_OneVariable):
     """Additive group: O(Ga) = k[t], t primitive, degree 1 (unitriangular coordinate)."""
 
     kind = "Ga"
+    unipotent = True
 
     def degree(self, mono):
         return mono
@@ -575,6 +579,7 @@ class Unitriangular(_PolynomialGroup):
     """Upper unitriangular group U(N): coordinates x_{i,j}, i<j, each of degree 1."""
 
     kind = "U"
+    unipotent = True
 
     def __init__(self, p, N):
         if N < 2:

@@ -531,6 +531,34 @@ def test_the_unit_block_is_read_off_cs_rref_rows(monkeypatch):
         assert c0.space == want and c0.space.pivots == want.pivots
 
 
+def test_the_unit_blocks_constants_are_sliced_from_cs():
+    # C0's structure constants are C's entries whose b_k lies in the unit
+    # block, renumbered: the same (4, nnz) array, order included, as
+    # `structure_constants` gives on C0 itself, with no second coproduct
+    cases = []
+    for spec, text, d, _ in COBAR_CASES:
+        c = SubCoalgebra.canonical(group_from_spec(spec), d)
+        c0 = cobar._unit_block(c, Limits())
+        if c0 is not c:
+            cases.append((c, c0))
+    assert len(cases) >= 5
+    for c, c0 in cases:
+        want = filtration.structure_constants(c.group, c0.monos, c0.space)
+        assert np.array_equal(c0.delta_matrix, want), (c.group, c.dim)
+        assert np.array_equal(c0.unit, c0.unit_coords()) and c0.index == {
+            m: i for i, m in enumerate(c0.monos)}
+
+
+def test_a_unit_block_constant_with_a_leg_outside_it_is_an_internal_invariant_error():
+    # GL(2) at d = 1: C0 = k.1, and Delta(1) given the leg x11 besides 1 (x) 1
+    c = SubCoalgebra.canonical(group_from_spec("GL:2@p=2"), 1)
+    u = int(np.flatnonzero(c.unit)[0])
+    x = next(a for a in range(c.dim) if a != u)
+    c.delta_matrix = np.concatenate([c.delta_matrix, [[x], [u], [u], [1]]], axis=1)
+    with pytest.raises(InternalInvariantError, match="unit block leaves it"):
+        cobar._unit_block(c, Limits())
+
+
 def test_a_subcoalgebra_is_its_own_filtration_level():
     # restrict(m, c) reads C as the explicit level X = span(C) it is
     cases = [(SubCoalgebra.canonical(group_from_spec(spec), d), text)
@@ -909,18 +937,23 @@ def test_injectivity_profile_builds_each_coaction_once_and_no_closure(monkeypatc
         monkeypatch.setattr(module, "coaction", counted)
     monkeypatch.setattr(filtration, "coalgebra_closure", no_closure)
     monkeypatch.setattr(cobar, "coalgebra_closure", no_closure, raising=False)
-    # a finite module: built once for all five levels, then once for each M_X
+    # over Ga the verdict is read off dimensions, so no M_X is built: a
+    # finite module's coaction is built once for all five levels
     m = regular(GA2, 3)
     assert injectivity_profile(GA2, m, 4) == [True] * 4 + [False]
-    assert built[0] is m and len(built) == 1 + 5
-    assert len({id(x) for x in built}) == len(built)
+    assert built == [m]
     # a stream: once per generation (0, 0, 1, 1, 2, 2, 2, 2, 3 for d <= 8)
     built.clear()
     stream = build_module("primitives", GA2)
     assert injectivity_profile(GA2, stream, 8) == [True] + [False] * 8
-    gens = [stream.generate(n) for n in range(4)]
-    assert [x for x in built if any(x is gen for gen in gens)] == gens
-    assert len(built) == len(gens) + 9
+    assert built == [stream.generate(n) for n in range(4)]
+    # the retraction solve over Gm: M once for all four levels, then once
+    # for each M_X
+    built.clear()
+    m = regular(GM3, 2)
+    assert injectivity_profile(GM3, m, 3) == [True] * 4
+    assert built[0] is m and len(built) == 1 + 4
+    assert len({id(x) for x in built}) == len(built)
 
 
 def test_injectivity_over_a_proper_subcoalgebra():
@@ -962,6 +995,59 @@ def injectivity_oracle_levels():
                 yield spec, text, d, c, restrict(target, CanonicalLevel(g, d)).comodule
 
 
+# the two inject jobs of the benchmark over unipotent groups, U(4) and p = 5
+PROFILE_CASES = INJECTIVITY_ORACLE_CASES + [
+    ("U:3@p=3", ["regular(3)"], 3), ("Ga@p=2", ["translationinvariants"], 8),
+    ("U:4@p=2", ["triv", "natural", "regular(2)", "dual(natural)"], 2),
+    ("Ga@p=5", ["triv", "regular(3)", "twist(1,regular(2))", "primitives",
+                "translationinvariants"], 5),
+]
+
+
+def test_the_dimension_criterion_matches_the_retraction_solve():
+    # over Ga and U, level d is injective iff dim M_{<=d} = dim M^G dim C_d;
+    # the retraction solve of each level must give the same verdict
+    levels = 0
+    for spec, texts, d_max in PROFILE_CASES:
+        g = group_from_spec(spec)
+        for text in texts:
+            m = build_module(text, g)
+            want = []
+            for d in range(d_max + 1):
+                target = m.generate(m.sufficiency(d)) if isinstance(m, StreamModule) else m
+                level = restrict(target, CanonicalLevel(g, d)).comodule
+                want.append(injective_test(SubCoalgebra.canonical(g, d), level))
+            assert injectivity_profile(g, m, d_max) == want, (spec, text)
+            levels += len(want)
+    assert levels == 78 + 4 + 9 + 4 * 3 + 5 * 6
+
+
+def test_the_profile_solves_only_over_groups_that_are_not_unipotent(monkeypatch):
+    calls = []
+
+    def counted(c, m, limits=Limits()):
+        calls.append(c.dim)
+        return injective_test(c, m, limits)
+
+    def refused(*args, **kw):
+        raise AssertionError("a sub-coalgebra was built")
+
+    monkeypatch.setattr(cobar, "injective_test", counted)
+    monkeypatch.setattr(cobar, "SubCoalgebra", refused)
+    for spec, text, d_max in [("Ga@p=2", "regular(3)", 4), ("Ga@p=3", "primitives", 9),
+                              ("U:3@p=2", "regular(2)", 3)]:
+        g = group_from_spec(spec)
+        injectivity_profile(g, build_module(text, g), d_max)
+    assert calls == []
+    monkeypatch.setattr(cobar, "SubCoalgebra", SubCoalgebra)
+    for spec, text, d_max in [("GL:2@p=2", "regular(2)", 2), ("SL:2@p=2", "natural", 2),
+                              ("Gm@p=3", "regular(2)", 3)]:
+        g = group_from_spec(spec)
+        calls.clear()
+        injectivity_profile(g, build_module(text, g), d_max)
+        assert calls == [g.filtration_dim(d) for d in range(d_max + 1)], spec
+
+
 def test_injectivity_matches_vanishing_h1_over_unipotent_groups():
     # every level C of a unipotent group is pointed irreducible, so M is
     # injective over C iff H^1(C, M) = Ext^1_C(k, M) = 0: cobar ranks decide
@@ -992,6 +1078,9 @@ def test_library_calls_without_limits_refuse_at_the_default_ceilings():
     with pytest.raises(ResourceLimitError, match="sub-coalgebra dimension = 31"):
         SubCoalgebra(GA2, GA2.filtration_basis(30), Subspace.full(31, 2))
     assert SubCoalgebra.canonical(GA2, 29).dim == 30
+    # the profile over Ga builds no sub-coalgebra and still refuses level 30
+    with pytest.raises(ResourceLimitError, match="sub-coalgebra dimension = 31"):
+        injectivity_profile(GA2, trivial(GA2), 30)
     c = SubCoalgebra.canonical(GA2, 9)
     with pytest.raises(ResourceLimitError, match="chain-group dimension = 300000"):
         cobar_complex(c, regular(GA2, 2), 4)
