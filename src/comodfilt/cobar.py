@@ -36,9 +36,12 @@ Stage 2 solves the normalization sum_a S^a F^a = I inside W, as one
 W's basis with those (a, j, i) of F on a, each product reduced mod p, and
 `sparse_solvable` decides them with `sparse_kernel`'s peel and one sparse
 elimination of the core it leaves.  Every canonical level O(G)_{<=d} is a
-sub-coalgebra, so it is its own closure: the injectivity profile tests each
-level itself, and a level whose closed-form dimension passes the
-sub-coalgebra ceiling is refused before it is built.
+sub-coalgebra, so it is its own closure, and its basis is a prefix of every
+higher level's.  The injectivity profile builds one SubCoalgebra, the highest
+level within the sub-coalgebra ceiling, and slices each level C_d from it,
+checked to lie in degree <= d; `restrict(M, C_d)` is the level's one split
+of M, and the solve reads its blocks.  A level whose closed-form dimension
+passes the ceiling is refused before it is sliced.
 
 Over a unipotent group (Ga, U(N)) the profile solves nothing.  O(G) has
 coradical k.1 (Waterhouse, Introduction to Affine Group Schemes, 8.3), so
@@ -61,7 +64,7 @@ from .comodules import Comodule, StreamModule
 from .config import Limits, check_limit
 from .coordalg import Group, UnsupportedOperation
 from .filtration import (CanonicalLevel, ExplicitSubspace, InternalInvariantError,
-                         _split, coaction, restrict, structure_constants)
+                         RestrictResult, _split, coaction, restrict, structure_constants)
 # kernel and matrank stay bound here: bench/test_bench.py checks the tracer wraps them
 from .linalg import (Subspace, eliminate, join, kernel, matrank,  # noqa: F401
                      peel, sparse_kernel, sparse_solvable, sum_duplicates)
@@ -189,30 +192,34 @@ def _row_codes(rows: np.ndarray, codes: np.ndarray):
     return out if (out[r] == codes[k]).all() else None
 
 
-def _unit_block(c: SubCoalgebra, limits: Limits) -> SubCoalgebra:
-    """C0, the span of C's basis vectors in the unit's block: C itself when
-    that is all of C or when a basis vector mixes blocks.  C0's rows are C's
-    RREF rows, and on the columns they touch they are still in RREF.  Its
-    structure constants are C's entries (a, b, k) with b_k in the block,
-    renumbered: Delta keeps the block, so both legs must lie in it too."""
-    g = c.group
-    blocks = _row_codes(c.space.basis, np.array([g.block(x) for x in c.monos], dtype=np.int64))
-    if blocks is None or not blocks.any():
-        return c
-    keep = blocks == 0
-    rows = c.space.basis[keep]
+def _part(c: SubCoalgebra, keep: np.ndarray, what: str) -> SubCoalgebra:
+    """The span of C's basis vectors b_t with keep[t], with no elimination:
+    C's RREF rows are still in RREF on the columns they touch.  Its structure
+    constants are C's entries (a, b, k) with keep[k], renumbered in the same
+    order; a leg a or b outside it is an InternalInvariantError."""
+    g, rows = c.group, c.space.basis[keep]
     cols = np.flatnonzero(rows.any(axis=0))
     pivots = np.asarray(c.space.pivots, dtype=np.int64)[keep]
-    check_limit(len(pivots), limits.max_coalgebra_dim, "sub-coalgebra dimension")
     a, b, k, v = c.delta_matrix
     on = keep[k]
     if not (keep[a[on]].all() and keep[b[on]].all()):
-        raise InternalInvariantError("the coproduct of the unit block leaves it")
-    new = np.cumsum(keep) - 1  # C0's index of each kept basis vector of C
+        raise InternalInvariantError(f"the coproduct of {what} leaves it")
+    new = np.cumsum(keep) - 1  # the index of each kept basis vector
     return SubCoalgebra._with_constants(
         g, [c.monos[j] for j in cols],
         Subspace(len(cols), g.p, rows[:, cols], tuple(cols.searchsorted(pivots).tolist())),
         np.stack([new[a[on]], new[b[on]], new[k[on]], v[on]]))
+
+
+def _unit_block(c: SubCoalgebra, limits: Limits) -> SubCoalgebra:
+    """C0, the span of C's basis vectors in the unit's block: C itself when
+    that is all of C or when a basis vector mixes blocks.  Delta keeps the
+    block, so a coproduct leg outside it is an InternalInvariantError."""
+    blocks = _row_codes(c.space.basis, np.array([c.group.block(h) for h in c.monos], np.int64))
+    if blocks is None or not blocks.any():
+        return c
+    check_limit(int((blocks == 0).sum()), limits.max_coalgebra_dim, "sub-coalgebra dimension")
+    return _part(c, blocks == 0, "the unit block")
 
 
 def _module_codes(f, mm: int, code_b: np.ndarray):
@@ -290,8 +297,7 @@ def cobar_complex(c: SubCoalgebra, m: Comodule, n_max: int,
     check_limit(m.dim * c.dim ** (n_max + 1), limits.max_chain_dim, "chain-group dimension")
     c0 = _unit_block(c, limits)
     if c0 is not c:
-        m = restrict(m, c0).comodule
-        f = c0.coefficient_blocks(m)
+        f = (m := restrict(m, c0)).blocks
     mm, t = m.dim, c0.dim - 1
     rho, delta, u = _normalized_factors(c0, f, mm)
     # a basis vector of CH^(n_max+1) has one weight of M and n_max + 1 of Cbar
@@ -354,15 +360,16 @@ def _stage2_terms(basis: np.ndarray, f, mm: int, p: int):
             basis[wu, wc][x] * fv[y] % p)
 
 
-def injective_test(c: SubCoalgebra, m: Comodule, limits: Limits = Limits()) -> bool:
-    """Does the embedding Delta_M: M -> M^triv (x) C split by a comodule map?"""
+def injective_test(c: SubCoalgebra, m, limits: Limits = Limits()) -> bool:
+    """Does the embedding Delta_M: M -> M^triv (x) C split by a comodule map?
+    M is a Comodule or a RestrictResult whose `blocks` are over C's basis."""
     p = c.group.p
     s = c.dim
     mm = m.dim
     if mm == 0:
         return True
     check_limit(s * mm, limits.max_solver_unknowns, "retraction system unknowns")
-    f = c.coefficient_blocks(m)
+    f = m.blocks if isinstance(m, RestrictResult) else c.coefficient_blocks(m)
     # stage 1: the space W of comodule maps phi: C -> M,
     # phi(b_k) = v^k with F^c v^k = sum_a lambda^k_{ac} v^a for all c, k
     w = sparse_kernel(*_stage1_triples(f, mm, c.delta_matrix, s), s * mm, p)
@@ -388,22 +395,31 @@ def injectivity_profile(g: Group, m, d_max: int, limits: Limits = Limits()) -> l
 
     Over a unipotent group it is read off the filtration ladder: M_{<=d} is
     injective iff dim M_{<=d} = dim M_{<=0} * dim C_d, with M_{<=0} = M^G
-    taken once per generation read.  Over any other group each level is
-    solved by `injective_test`.  Either way every level is refused at the
-    sub-coalgebra ceiling before anything is built, and restricted by
-    `restrict`, which validates M and certifies the fixpoint.
+    taken once per generation read.  Over any other group C_d is sliced from
+    one SubCoalgebra, the highest level within the ceiling, as its first
+    dim C_d basis vectors, which must lie in degree <= d, and solved by
+    `injective_test` on the blocks of `restrict(M, C_d)`.  Each level is
+    refused at the ceiling in turn, and `restrict` validates M.
     """
-    stream = isinstance(m, StreamModule)
-    out, invariants = [], {}  # generation -> dim of its M^G
+    stream, ceiling = isinstance(m, StreamModule), limits.max_coalgebra_dim
+    out, invariants, top = [], {}, None  # generation -> dim of its M^G
     for d in range(d_max + 1):
-        check_limit(g.filtration_dim(d), limits.max_coalgebra_dim, "sub-coalgebra dimension")
-        c = None if g.unipotent else SubCoalgebra.canonical(g, d, limits=limits)
+        check_limit(g.filtration_dim(d), ceiling, "sub-coalgebra dimension")
         n = m.sufficiency(d) if stream else 0
         target = m.generate(n) if stream else m
-        level = restrict(target, CanonicalLevel(g, d))
-        if c is not None:
-            out.append(injective_test(c, level.comodule, limits=limits))
+        if not g.unipotent:
+            if top is None:
+                top = SubCoalgebra.canonical(g, max(
+                    e for e in range(d_max + 1) if g.filtration_dim(e) <= ceiling), limits)
+                degree = np.array([g.degree(h) for h in top.monos], dtype=np.int64)
+            # dim C_d basis vectors of degree <= d span O(G)_{<=d}
+            keep = np.arange(top.dim) < g.filtration_dim(d)
+            if top.space.basis[keep][:, degree > d].any():
+                raise InternalInvariantError(f"level {d} is not a prefix of the top level")
+            c = _part(top, keep, f"level {d}")
+            out.append(injective_test(c, restrict(target, c), limits=limits))
             continue
+        level = restrict(target, CanonicalLevel(g, d))
         if n not in invariants:
             invariants[n] = (level if d == 0 else restrict(target, CanonicalLevel(g, 0))).dim
         out.append(level.dim == invariants[n] * g.filtration_dim(d))

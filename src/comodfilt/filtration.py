@@ -98,6 +98,7 @@ class Coaction:
     col: np.ndarray
     val: np.ndarray
     height: int
+    degrees: np.ndarray | None = None  # of each leg, filled in by `_split`
 
 
 def _gather(entries: list, height: int) -> Coaction:
@@ -124,38 +125,45 @@ def coaction(m: Comodule) -> Coaction:
 class RestrictResult:
     """M_X as a subspace of M; its induced comodule is built on first read.
 
-    `comodule` is M_X on the basis v1..vn of `subspace`, built from the
-    coordinates `restrict` kept and validated.  At V = M it is M's own
-    columns relabelled, with M's report; at V = 0 it is empty.
+    `blocks` are the entries (h, j, i, value), sorted by (h, j, i), of the
+    F^h with Delta(v_i) = sum_{j,h} F^h[j, i] v_j (x) legs[h], over the
+    legs of M's split against X: for an explicit X, X's RREF basis, as in
+    `SubCoalgebra.coefficient_blocks`.  `comodule` is M_X on the basis
+    v1..vn of `subspace`, built from those entries and validated.  At V = M
+    it is M's own columns relabelled, with M's report; at V = 0 it is empty.
     """
 
-    def __init__(self, m: Comodule, subspace: Subspace, coords: tuple | None,
-                 iterations: int):
-        self._m = m
-        self._coords = coords  # the triples of _coordinates, or None at V = 0, V = M
-        self.subspace = subspace
-        self.iterations = iterations
+    def __init__(self, m: Comodule, x, legs: list, subspace: Subspace,
+                 entries: tuple, iterations: int):
+        self._m, self._x, self._legs, self._entries = m, x, legs, entries
+        self.subspace, self.iterations = subspace, iterations
 
     @property
     def dim(self) -> int:
         return self.subspace.dim
 
     @cached_property
+    def blocks(self) -> np.ndarray:
+        return np.stack(self._entries)[:, np.lexsort(self._entries[2::-1])]
+
+    @cached_property
     def comodule(self) -> Comodule:
-        return _induced_comodule(self._m, self.subspace, self._coords)
+        return _induced_comodule(self._m, self._x, self._legs, self.subspace, self._entries)
 
 
 def restrict(m: Comodule, x) -> RestrictResult:
     """The greatest subcomodule M_X with coaction landing in M_X (x) X.
 
     M is validated first (once per comodule: the report is kept on it), and
-    a failure raises InternalInvariantError with its first failure.  The
-    fixpoint V is then checked exactly: every image B_h V must lie in V.
+    a failure raises InternalInvariantError with its first failure.  M is
+    split against X once, and the fixpoint V is then checked exactly by
+    `_coordinates`, on the images of the fixpoint's confirming pass: every
+    image B_h V must lie in V, and B_h V = 0 for every h outside X.
     V = 0 and V = M pass that check vacuously, so neither takes a product;
-    for any other V the coordinates of B_h V are kept for `comodule`.  M
-    valid and V stable under every B_h certify M_X without building it: V
-    is a subcomodule, whose coaction is the restriction of M's (Jantzen,
-    Representations of Algebraic Groups, I.2).
+    for any other V the coordinates of B_h V are kept for `blocks` and
+    `comodule`.  M valid and V stable under every B_h certify M_X without
+    building it: V is a subcomodule, whose coaction is the restriction of
+    M's (Jantzen, Representations of Algebraic Groups, I.2).
     """
     g = m.group
     if not isinstance(x, (CanonicalLevel, ExplicitSubspace)):
@@ -167,13 +175,14 @@ def restrict(m: Comodule, x) -> RestrictResult:
         raise InternalInvariantError(
             f"{m!r} fails validation before restrict: {report.failures[0]}")
     co = coaction(m)
-    v, iterations = _greatest_fixpoint(g, co, x, Subspace.full(m.dim, g.p))
-    coords = None
-    if 0 < v.dim < m.dim:
-        coords = _coordinates(co, v)
-        if coords is None:
-            raise InternalInvariantError("induced coaction escapes the fixed-point subspace")
-    return RestrictResult(m, v, coords, iterations)
+    inside = (split := _split(g, co, x, m.dim))[0]
+    v, iterations, images = _greatest_fixpoint(g, co, x, Subspace.full(m.dim, g.p), split)
+    entries = (np.zeros(0, dtype=np.int64),) * 4
+    if v.dim == m.dim:  # the split's own arrays, not a copy
+        entries = (inside.leg, inside.row, inside.col, inside.val)
+    elif v.dim and (entries := _coordinates(split, v, images)) is None:
+        raise InternalInvariantError("induced coaction escapes the fixed-point subspace")
+    return RestrictResult(m, x, inside.legs, v, entries, iterations)
 
 
 def _split(g: Group, co: Coaction, x, n: int):
@@ -181,63 +190,73 @@ def _split(g: Group, co: Coaction, x, n: int):
 
     Returns (inside, outside).  `inside` is a Coaction with n rows per leg
     over X's basis: against a canonical level its legs are the support
-    monomials of degree <= d; against an explicit X they are X's RREF basis
-    vectors, whose coefficient is that of their pivot monomial.  `outside`
-    holds the summed triples (q * height + j, i, value) that must vanish on
-    M_X: q is the leg for a leg outside X's span or a row j >= n, and len(legs)
-    + k for the residual B_c - sum_t X[t, c] B_{basis t} of nonpiv[k] = c.
+    monomials of degree <= d, a mask on `degrees`; against an explicit X they
+    are X's RREF basis vectors, whose coefficient is that of their pivot
+    monomial.  `outside` holds the triples (q * height + j, i, value), one
+    per position, that must vanish on M_X: q is the leg for a leg outside
+    X's span or a row j >= n, and len(legs) + k for the residual
+    B_c - sum_t X[t, c] B_{basis t} of nonpiv[k] = c.
     """
     if isinstance(x, CanonicalLevel):
-        basis, nonpiv, coef = [h for h in co.legs if g.degree(h) <= x.d], [], np.zeros((0, 0), np.int64)
+        if co.degrees is None:
+            co.degrees = np.array([g.degree(h) for h in co.legs], dtype=np.int64)
+        keep, nonpiv = co.degrees <= x.d, []
+        basis = [h for h, k in zip(co.legs, keep.tolist()) if k]
+        slot = np.where(keep, keep.cumsum() - 1, -1)[co.leg]
     else:
         basis = [x.monos[c] for c in x.space.pivots]
-        nonpiv = [c for c in range(len(x.monos)) if c not in x.space.pivots]
-        coef = x.space.basis[:, nonpiv]
-    # slot of each entry's leg: t for basis[t], -2 - k for nonpiv[k], -1 outside X
-    slots = {x.monos[c]: -2 - k for k, c in enumerate(nonpiv)}
-    slots.update({h: t for t, h in enumerate(basis)})
-    slot = np.array([slots.get(h, -1) for h in co.legs], dtype=np.int64)[co.leg]
+        nonpiv = np.delete(np.arange(len(x.monos)), np.asarray(x.space.pivots, dtype=np.int64))
+        # slot of each entry's leg: t for basis[t], -2 - k for nonpiv[k], -1 outside X
+        slots = {x.monos[c]: -2 - k for k, c in enumerate(nonpiv.tolist())}
+        slots.update({h: t for t, h in enumerate(basis)})
+        slot = np.array([slots.get(h, -1) for h in co.legs], dtype=np.int64)[co.leg]
     inside = (slot >= 0) & (co.row < n)
-    q = np.where(slot < -1, len(co.legs) - 2 - slot, co.leg)
-    # the residuals' terms -X[t, c] B_{basis t}: X's nonzeros off the pivots
-    t, k = coef.nonzero()
-    e, y = join(slot, t)
     out = ~inside
-    key, val = sum_duplicates(
-        np.concatenate([q[out], len(co.legs) + k[y]]) * co.height * n
-        + np.concatenate([co.row[out] * n + co.col[out], co.row[e] * n + co.col[e]]),
-        np.concatenate([co.val[out], -co.val[e] * coef[t, k][y]]),
-        g.p)
+    q = np.where(slot < -1, len(co.legs) - 2 - slot, co.leg)[out]
+    key, val = (q * co.height + co.row[out]) * n + co.col[out], co.val[out]
+    if len(nonpiv):
+        # the residuals' terms -X[t, c] B_{basis t}: X's nonzeros off the pivots
+        coef = x.space.basis[:, nonpiv]
+        t, k = coef.nonzero()
+        e, y = join(slot, t)
+        key, val = sum_duplicates(
+            np.concatenate([key, ((len(co.legs) + k[y]) * co.height + co.row[e]) * n + co.col[e]]),
+            np.concatenate([val, -co.val[e] * coef[t, k][y]]), g.p)
     return (Coaction(basis, slot[inside], co.row[inside], co.col[inside], co.val[inside], n),
             (key // n, key % n, val))
 
 
 def _greatest_fixpoint(g: Group, co: Coaction, x, start: Subspace,
-                       split=None) -> tuple[Subspace, int]:
+                       split=None) -> tuple[Subspace, int, tuple | None]:
     """The greatest V <= start with B_h V <= V inside X and B_h V = 0 outside it.
+
+    Returns V, the number of passes and the `_images` of the last pass, or
+    None when no pass was taken.
 
     The outside entries, in rows mostly of one nonzero each, are peeled by
     `sparse_kernel`.  Each pass then keeps the x in V with B_h x in V for
     every inside h at once: one kernel, with a row per (coordinate, leg), of
     the residuals of the images modulo V, in V's coordinates.  Every pass
     contains the greatest fixpoint and the first pass that keeps all of V is
-    one, so the loop ends on it; V = 0 and V = the ambient are fixpoints as
-    they stand.  For a coassociative coaction the second pass always keeps
-    V: B_k B_h = sum_g Delta(g)_{k,h} B_g.  `split`, if given, is `_split(g, co, x, n)`.
+    one, so the loop ends on it (the confirming pass); V = 0 and V = the
+    ambient are fixpoints as they stand.  For a coassociative coaction the
+    second pass always keeps V: B_k B_h = sum_g Delta(g)_{k,h} B_g.
+    `split`, if given, is `_split(g, co, x, n)`.
     """
     p, n = g.p, start.ambient_dim
     inside, outside = split or _split(g, co, x, n)
-    v = start
+    v, images = start, None
     if outside[0].size and v.dim:
         v = v.lift(sparse_kernel(*_on_basis(outside, v), v.dim, p))
     iterations = 0
     while inside.legs and 0 < v.dim < n:
         iterations += 1
-        ker = sparse_kernel(*_images(inside, v)[1], v.dim, p)
+        images = _images(inside, v)
+        ker = sparse_kernel(*images[1], v.dim, p)
         if ker.dim == v.dim:
             break
         v = v.lift(ker)
-    return v, iterations
+    return v, iterations, images
 
 
 def _on_basis(entries: tuple, v: Subspace) -> tuple:
@@ -266,26 +285,29 @@ def _images(co: Coaction, v: Subspace) -> tuple[tuple, tuple]:
     return w, (key // v.dim, key % v.dim, vals)
 
 
-def _coordinates(co: Coaction, v: Subspace) -> tuple | None:
-    """C[b, h, a] with B_h v_a = sum_b C[b, h, a] v_b, as its nonzero triples
-    (b, h * dim V + a, value), or None when some image B_h v_a leaves V.  An
-    image in V is V^T times its entries at V's pivots, so C is W read there."""
-    (r, a, c), resid = _images(co, v)
-    if resid[0].size:
+def _coordinates(split: tuple, v: Subspace, images=None) -> tuple | None:
+    """The entries (h, b, a, value) of C, B_h v_a = sum_b C[h, b, a] v_b for
+    the inside legs h of a split, or None unless the outside entries vanish
+    on V and every image B_h v_a lies in V.  `images`, if given, is
+    `_images(inside, v)`.  An image in V is V^T times its entries at V's
+    pivots, so C is W read there."""
+    inside, outside = split
+    (r, a, c), resid = images or _images(inside, v)
+    if resid[0].size or _on_basis(outside, v)[0].size:
         return None
     at = np.full(v.ambient_dim, -1)
     at[list(v.pivots)] = np.arange(v.dim)  # at[j] = b at v_b's pivot j, else -1
-    j, h = np.divmod(r, len(co.legs))
+    j, h = np.divmod(r, len(inside.legs))
     on = at[j] >= 0
-    return at[j[on]], h[on] * v.dim + a[on], c[on]
+    return h[on], at[j[on]], a[on], c[on]
 
 
-def _induced_comodule(m: Comodule, v: Subspace, coords: tuple | None) -> Comodule:
+def _induced_comodule(m: Comodule, x, legs: list, v: Subspace, entries: tuple) -> Comodule:
     """The coaction on V's basis v1..vn, validated.
 
     At V = M the basis is the identity: M's columns and M's report serve as
-    they stand.  Otherwise `coords` holds the triples of `_coordinates`, or
-    None at V = 0, which has no columns.
+    they stand.  Otherwise f_ji = sum_h C[h, j, i] b_h, from the entries
+    (h, j, i, value) of C, b_h the monomial legs[h] or X's basis vector h.
     """
     g = m.group
     labels = [f"v{a + 1}" for a in range(v.dim)]
@@ -293,14 +315,13 @@ def _induced_comodule(m: Comodule, v: Subspace, coords: tuple | None) -> Comodul
         sub = Comodule(g, labels, [m.column(i) for i in range(m.dim)])
         sub._report = m.validate()
         return sub
+    basis = [{h: 1} for h in legs] if isinstance(x, CanonicalLevel) else [
+        b.coeffs for b in x.elements()]
     cols: list[dict] = [{} for _ in range(v.dim)]
-    if v.dim:
-        legs = coaction(m).legs
-        b, key, vals = coords
-        h, a = np.divmod(key, v.dim)
-        order = np.lexsort((b, h, a))  # in (a, h, b) order
-        for a, h, b, c in zip(*(t[order].tolist() for t in (a, h, b, vals))):
-            cols[a].setdefault(b, {})[legs[h]] = c
+    for h, j, i, c in zip(*(e.tolist() for e in entries)):
+        f = cols[i].setdefault(j, {})
+        for mono, e in basis[h].items():
+            f[mono] = f.get(mono, 0) + c * e
     sub = Comodule(g, labels, [{j: Element(g, f) for j, f in col.items()} for col in cols])
     report = sub.validate()
     if not report.ok:
@@ -365,7 +386,7 @@ def coalgebra_closure(g: Group, x) -> ClosureResult:
         raise ValueError("subspace group does not match")
     co = coproduct_coaction(g, x.monos)
     split = _split(g, co, x, len(x.monos))
-    v, _ = _greatest_fixpoint(g, co, x, x.space, split)
+    v, _, _ = _greatest_fixpoint(g, co, x, x.space, split)
     # V <= X, so at V = X (every canonical level) the split against V is X's
     return ClosureResult(ExplicitSubspace(g, x.monos, v), _subcoalgebra_constants(
         g, co, x.monos, v, split if v.dim == x.space.dim else None))
@@ -396,17 +417,16 @@ def structure_constants(g: Group, monos, space: Subspace):
 
 
 def _subcoalgebra_constants(g: Group, co: Coaction, monos, space: Subspace, split=None):
-    """`structure_constants` from the coproduct `co`: the outside entries
-    must vanish on the space and `_coordinates` of the inside legs must not
-    be None.  `split` is `co` split against `space`, if the caller has it."""
-    inside, outside = split or _split(g, co, ExplicitSubspace(g, monos, space), len(monos))
-    if _on_basis(outside, space)[0].size or (coords := _coordinates(inside, space)) is None:
+    """`structure_constants` from the coproduct `co`: `_coordinates` of its
+    split must not be None, which holds when the outside entries vanish on
+    the space and every inside image lies in it.  `split` is `co` split
+    against `space`, if the caller has it."""
+    split = split or _split(g, co, ExplicitSubspace(g, monos, space), len(monos))
+    if (coords := _coordinates(split, space)) is None:
         return None
-    # C[a, b, k] pairs the left leg b_a with b_b in Delta(b_k), at key b*s + k
-    a, key, vals = coords
-    order = np.argsort(a * space.dim ** 2 + key, kind="stable")
-    b, k = np.divmod(key[order], space.dim)
-    return np.stack([a[order], b, k, vals[order]])
+    # C[b, a, k] pairs the left leg b_a with b_b in Delta(b_k)
+    f = np.stack([coords[t] for t in (1, 0, 2, 3)])
+    return f[:, np.lexsort(f[2::-1])]
 
 
 def subspace_tensor(u: Subspace, v: Subspace) -> Subspace:

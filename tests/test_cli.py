@@ -174,6 +174,24 @@ def test_resource_exit_code(tmp_path, capsys, monkeypatch):
     assert code == 1 and "--max-dmax" in err
 
 
+def test_an_inject_profile_refuses_its_first_level_over_the_ceiling(tmp_path, capsys,
+                                                                    monkeypatch):
+    # SL(2) levels 0..3 have dimensions 1, 5, 14, 30: at a sub-coalgebra
+    # ceiling of 10 level 2 is refused, unless a solver refusal at level 1
+    # comes first
+    cfg = tmp_path / "limits.json"
+    monkeypatch.setenv("COMODFILT_CONFIG", str(cfg))
+    argv = ["inject", "--group", "SL:2@p=2", "--module", "regular(3)", "--dmax", "3",
+            "--no-cache"]
+    for limits, refusal in [
+            ({"max_coalgebra_dim": 10}, "sub-coalgebra dimension = 14 exceeds "
+                                        "the configured ceiling 10"),
+            ({"max_coalgebra_dim": 10, "max_solver_unknowns": 20},
+             "retraction system unknowns = 25 exceeds the configured ceiling 20")]:
+        cfg.write_text(json.dumps(limits))
+        assert run(capsys, *argv) == (2, "", f"resource limit: {refusal}\n")
+
+
 def test_config_file_overrides(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "limits.json"
     cfg.write_text(json.dumps({"max_dmax": 3}))

@@ -18,7 +18,7 @@ from comodfilt.config import Limits, ResourceLimitError
 from comodfilt.coordalg import UnsupportedOperation, group_from_spec
 from comodfilt.filtration import (CanonicalLevel, ExplicitSubspace,
                                   InternalInvariantError, coaction,
-                                  coalgebra_closure, restrict)
+                                  coalgebra_closure, restrict, structure_constants)
 from comodfilt.linalg import (IncrementalRREF, Subspace, kernel, matmul_mod, matrank,
                               sparse_kernel)
 from oracles import DenseComplex, solve
@@ -569,14 +569,19 @@ def test_a_subcoalgebra_is_its_own_filtration_level():
     c0 = cobar._unit_block(c, Limits())
     assert c0.dim < c.dim
     cases.append((c0, "regular(2)"))
+    # span{1, t^2} and span{1, t + t^2}: t^2 is a non-pivot monomial of the second
+    cases += [(c, "regular(3)") for c, _ in proper_subcoalgebra_levels()]
     dims = []
     for c, text in cases:
         m = build_module(text, c.group)
         got = restrict(m, c)
         want = restrict(m, ExplicitSubspace(c.group, c.monos, c.space))
         assert got.subspace == want.subspace and got.comodule == want.comodule
+        # the blocks `restrict` keeps are the split of the comodule it builds
+        assert np.array_equal(got.blocks, c.coefficient_blocks(got.comodule))
         dims.append((got.dim, m.dim))
-    assert any(0 < d < n for d, n in dims) and dims[-1][0] < dims[-1][1]
+    assert any(0 < d < n for d, n in dims) and dims[-3][0] < dims[-3][1]
+    assert all(0 < d < n for d, n in dims[-2:])
 
 
 def test_an_entry_joining_unequal_weights_is_an_internal_invariant_error(monkeypatch):
@@ -947,13 +952,12 @@ def test_injectivity_profile_builds_each_coaction_once_and_no_closure(monkeypatc
     stream = build_module("primitives", GA2)
     assert injectivity_profile(GA2, stream, 8) == [True] + [False] * 8
     assert built == [stream.generate(n) for n in range(4)]
-    # the retraction solve over Gm: M once for all four levels, then once
-    # for each M_X
+    # the retraction solve over Gm reads each level's F^a off `restrict`, so
+    # no M_X comodule is built: M once for all four levels
     built.clear()
     m = regular(GM3, 2)
     assert injectivity_profile(GM3, m, 3) == [True] * 4
-    assert built[0] is m and len(built) == 1 + 4
-    assert len({id(x) for x in built}) == len(built)
+    assert built == [m]
 
 
 def test_injectivity_over_a_proper_subcoalgebra():
@@ -1039,13 +1043,99 @@ def test_the_profile_solves_only_over_groups_that_are_not_unipotent(monkeypatch)
         g = group_from_spec(spec)
         injectivity_profile(g, build_module(text, g), d_max)
     assert calls == []
-    monkeypatch.setattr(cobar, "SubCoalgebra", SubCoalgebra)
+    # one solve per level, and one SubCoalgebra built per profile: the top
+    # level, from which every level's constants are sliced.  Each level
+    # splits M once, in `restrict`, and the top level's coproduct is split
+    # once; no M_X is split again by `coefficient_blocks`
+    built, splits = [], []
+
+    class Counted(SubCoalgebra):
+        def __init__(self, *args, **kw):
+            built.append(args[2].dim)
+            super().__init__(*args, **kw)
+
+        def coefficient_blocks(self, m):
+            raise AssertionError("a level's M_X was split again")
+
+    split = filtration._split
+    monkeypatch.setattr(filtration, "_split", lambda *a: splits.append(a) or split(*a))
+    monkeypatch.setattr(cobar, "SubCoalgebra", Counted)
     for spec, text, d_max in [("GL:2@p=2", "regular(2)", 2), ("SL:2@p=2", "natural", 2),
                               ("Gm@p=3", "regular(2)", 3)]:
         g = group_from_spec(spec)
         calls.clear()
+        built.clear()
+        splits.clear()
         injectivity_profile(g, build_module(text, g), d_max)
         assert calls == [g.filtration_dim(d) for d in range(d_max + 1)], spec
+        assert built == [g.filtration_dim(d_max)], spec
+        assert len(splits) == 1 + d_max + 1, spec
+    # below a ceiling that falls inside d_max, the top level is the highest
+    # within it, and the levels below the first one over it are solved:
+    # SL(2) levels 0..3 have dimensions 1, 5, 14, 30
+    g = group_from_spec("SL:2@p=2")
+    built.clear()
+    with pytest.raises(ResourceLimitError, match="sub-coalgebra dimension = 30"):
+        injectivity_profile(g, build_module("regular(3)", g), 3, Limits(max_coalgebra_dim=20))
+    assert built == [14] and calls[-3:] == [1, 5, 14]
+
+
+
+def test_a_level_sliced_off_a_basis_not_sorted_by_degree_is_refused(monkeypatch):
+    # the top level's basis reversed: its first basis vector, level 0's
+    # slice, is of degree 2, so the slice is not O(G)_{<=0}
+    g = group_from_spec("GL:2@p=2")
+    basis = g.filtration_basis
+    monkeypatch.setattr(g, "filtration_basis", lambda d: basis(d)[::-1])
+    with pytest.raises(InternalInvariantError, match="level 0 is not a prefix"):
+        injectivity_profile(g, build_module("natural", g), 2)
+
+
+# the retraction solve's path: groups that are not unipotent, each level's
+# constants sliced from one top-level build and its F read off `restrict`
+SOLVED_ORACLE_CASES = [
+    ("GL:2@p=2", ["triv", "natural", "regular(2)", "twiststream(1)"], 2),
+    ("GL:2@p=3", ["natural", "dual(natural)", "tensor(natural,dual(natural))"], 2),
+    ("SL:2@p=2", ["natural", "regular(2)", "sum(regular(3),triv)"], 3),
+    ("SL:2@p=3", ["triv", "sym(2,natural)", "regular(2)"], 3),
+    ("Gm@p=3", ["regular(2)", "dual(regular(2))", "sum(regular(1),triv)"], 3),
+    ("M:2@p=2", ["triv", "natural", "regular(2)"], 2),
+]
+
+
+def test_the_solved_profile_matches_the_dense_oracle_level_by_level(monkeypatch):
+    seen = []
+
+    def recorded(c, m, limits=Limits()):
+        seen.append((c, m))
+        return injective_test(c, m, limits)
+
+    monkeypatch.setattr(cobar, "injective_test", recorded)
+    profiles = {}
+    for spec, texts, d_max in SOLVED_ORACLE_CASES:
+        g = group_from_spec(spec)
+        for text in texts:
+            m = build_module(text, g)
+            seen.clear()
+            profiles[spec, text] = profile = injectivity_profile(g, m, d_max)
+            assert len(seen) == len(profile) == d_max + 1
+            for d, ((c, level), verdict) in enumerate(zip(seen, profile)):
+                # the sliced level is the one built on its own, constants in order
+                monos = g.filtration_basis(d)
+                assert c.monos == monos and c.space == Subspace.full(len(monos), g.p)
+                assert np.array_equal(c.delta_matrix, structure_constants(g, monos, c.space))
+                # F from `restrict` against C_d is the split of the comodule
+                # induced on the canonical level, entry for entry
+                target = m.generate(m.sufficiency(d)) if isinstance(m, StreamModule) else m
+                canonical = restrict(target, CanonicalLevel(g, d))
+                blocks = c.coefficient_blocks(canonical.comodule)
+                assert np.array_equal(level.blocks, blocks), (spec, text, d)
+                assert level.comodule == canonical.comodule
+                assert verdict == reference_injective_test(c, canonical.comodule), (spec, text, d)
+    verdicts = [v for profile in profiles.values() for v in profile]
+    assert len(verdicts) == 4 * 3 + 3 * 3 + 3 * 4 + 3 * 4 + 3 * 4 + 3 * 3
+    assert profiles["SL:2@p=2", "sum(regular(3),triv)"] == [True, True, False, False]
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_injectivity_matches_vanishing_h1_over_unipotent_groups():

@@ -502,7 +502,7 @@ def test_split_and_fixpoint_are_exact_at_a_large_prime():
     mats[6][7, 6] = 1             # a leg outside X's span
     assert_same_split(g, as_coaction(mats), mats, x, n)
     start = Subspace.full(n, p)
-    v, _ = filtration._greatest_fixpoint(g, as_coaction(mats), x, start)
+    v, _, _ = filtration._greatest_fixpoint(g, as_coaction(mats), x, start)
     want = reference_fixpoint(g, mats, x, start)
     assert v == want and 0 < want.dim < n
 
@@ -518,7 +518,7 @@ def test_fixpoint_iterates_until_nothing_shrinks():
     kill[0, 3] = 1
     mats = {0: np.eye(5, dtype=np.int64), 1: shift, 2: kill}
     x, start = CanonicalLevel(GA2, 1), Subspace.full(5, 2)
-    v, iterations = filtration._greatest_fixpoint(GA2, as_coaction(mats), x, start)
+    v, iterations, _ = filtration._greatest_fixpoint(GA2, as_coaction(mats), x, start)
     assert v == reference_fixpoint(GA2, mats, x, start) == unit_rows([4], 5, 2)
     assert iterations == 4
 
@@ -606,12 +606,19 @@ def test_the_closure_allocates_no_dense_coaction_or_image_array():
 
 
 def test_restrict_reports_an_escaping_fixpoint(monkeypatch):
-    # span{t} in regular(2) over Ga is not a subcomodule: Delta(t) has 1 (x) t
+    # a kernel that keeps all of V confirms the fixpoint's first V as it
+    # stands, and the fixpoint starts from span{t} or span{t^2} in regular(2)
+    # over Ga@p=2.  Neither is M_X: Delta(t) has 1 (x) t, so the confirming
+    # pass's residual is not empty at level 2, and at level 1 the outside
+    # leg t^2 does not vanish on t^2
     m = regular(GA2, 2)
-    monkeypatch.setattr(filtration, "_greatest_fixpoint",
-                        lambda g, co, x, start: (unit_rows([1], 3, 2), 1))
-    with pytest.raises(InternalInvariantError, match="escapes"):
-        restrict(m, CanonicalLevel(GA2, 2))
+    fixpoint = filtration._greatest_fixpoint
+    monkeypatch.setattr(filtration, "sparse_kernel", lambda r, c, v, n, p: Subspace.full(n, p))
+    for d, row in [(2, 1), (1, 2)]:
+        monkeypatch.setattr(filtration, "_greatest_fixpoint", lambda g, co, x, start, split: (
+            fixpoint(g, co, x, unit_rows([row], 3, 2), split)))
+        with pytest.raises(InternalInvariantError, match="escapes"):
+            restrict(m, CanonicalLevel(GA2, d))
 
 
 # ---------------------------------------------------------------------------
