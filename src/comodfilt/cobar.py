@@ -38,10 +38,13 @@ W's basis with those (a, j, i) of F on a, each product reduced mod p, and
 elimination of the core it leaves.  Every canonical level O(G)_{<=d} is a
 sub-coalgebra, so it is its own closure, and its basis is a prefix of every
 higher level's.  The injectivity profile builds one SubCoalgebra, the highest
-level within the sub-coalgebra ceiling, and slices each level C_d from it,
-checked to lie in degree <= d; `restrict(M, C_d)` is the level's one split
-of M, and the solve reads its blocks.  A level whose closed-form dimension
-passes the ceiling is refused before it is sliced.
+level within the sub-coalgebra ceiling, and slices each level C_d from it
+with the certificate the `closure` ladder uses (`filtration._prefix_level`:
+C_d's monomials are exactly those of degree <= d, and its structure
+constants have no leg outside it); a level that fails it is an
+InternalInvariantError.  `restrict(M, C_d)` is the level's one split of M,
+and the solve reads its blocks.  A level whose closed-form dimension passes
+the ceiling is refused before it is sliced.
 
 Over a unipotent group (Ga, U(N)) the profile solves nothing.  O(G) has
 coradical k.1 (Waterhouse, Introduction to Affine Group Schemes, 8.3), so
@@ -53,7 +56,8 @@ embedding is onto (Jantzen, Representations of Algebraic Groups, I.3):
 iff dim N = dim N^C dim C.  For N = M_{<=d}, N^C = M^G = M_{<=0}, since
 every invariant lies in every level.  So level d is injective iff
 dim M_{<=d} = dim M_{<=0} filtration_dim(d), two dimensions `restrict`
-gives, with no `SubCoalgebra`, no M_X comodule and no retraction solve.
+gives, with no `SubCoalgebra`, no M_X comodule and no retraction solve,
+so the sub-coalgebra ceiling does not apply there.
 """
 
 from __future__ import annotations
@@ -64,7 +68,8 @@ from .comodules import Comodule, StreamModule
 from .config import Limits, check_limit
 from .coordalg import Group, UnsupportedOperation
 from .filtration import (CanonicalLevel, ExplicitSubspace, InternalInvariantError,
-                         RestrictResult, _split, coaction, restrict, structure_constants)
+                         RestrictResult, _part, _prefix_level, _split, coaction, restrict,
+                         structure_constants)
 # kernel and matrank stay bound here: bench/test_bench.py checks the tracer wraps them
 from .linalg import (Subspace, eliminate, join, kernel, matrank,  # noqa: F401
                      peel, sparse_kernel, sparse_solvable, sum_duplicates)
@@ -192,25 +197,6 @@ def _row_codes(rows: np.ndarray, codes: np.ndarray):
     return out if (out[r] == codes[k]).all() else None
 
 
-def _part(c: SubCoalgebra, keep: np.ndarray, what: str) -> SubCoalgebra:
-    """The span of C's basis vectors b_t with keep[t], with no elimination:
-    C's RREF rows are still in RREF on the columns they touch.  Its structure
-    constants are C's entries (a, b, k) with keep[k], renumbered in the same
-    order; a leg a or b outside it is an InternalInvariantError."""
-    g, rows = c.group, c.space.basis[keep]
-    cols = np.flatnonzero(rows.any(axis=0))
-    pivots = np.asarray(c.space.pivots, dtype=np.int64)[keep]
-    a, b, k, v = c.delta_matrix
-    on = keep[k]
-    if not (keep[a[on]].all() and keep[b[on]].all()):
-        raise InternalInvariantError(f"the coproduct of {what} leaves it")
-    new = np.cumsum(keep) - 1  # the index of each kept basis vector
-    return SubCoalgebra._with_constants(
-        g, [c.monos[j] for j in cols],
-        Subspace(len(cols), g.p, rows[:, cols], tuple(cols.searchsorted(pivots).tolist())),
-        np.stack([new[a[on]], new[b[on]], new[k[on]], v[on]]))
-
-
 def _unit_block(c: SubCoalgebra, limits: Limits) -> SubCoalgebra:
     """C0, the span of C's basis vectors in the unit's block: C itself when
     that is all of C or when a basis vector mixes blocks.  Delta keeps the
@@ -219,7 +205,9 @@ def _unit_block(c: SubCoalgebra, limits: Limits) -> SubCoalgebra:
     if blocks is None or not blocks.any():
         return c
     check_limit(int((blocks == 0).sum()), limits.max_coalgebra_dim, "sub-coalgebra dimension")
-    return _part(c, blocks == 0, "the unit block")
+    if (part := _part(c, c.delta_matrix, blocks == 0)) is None:
+        raise InternalInvariantError("the coproduct of the unit block leaves it")
+    return SubCoalgebra._with_constants(c.group, *part)
 
 
 def _module_codes(f, mm: int, code_b: np.ndarray):
@@ -395,28 +383,30 @@ def injectivity_profile(g: Group, m, d_max: int, limits: Limits = Limits()) -> l
 
     Over a unipotent group it is read off the filtration ladder: M_{<=d} is
     injective iff dim M_{<=d} = dim M_{<=0} * dim C_d, with M_{<=0} = M^G
-    taken once per generation read.  Over any other group C_d is sliced from
-    one SubCoalgebra, the highest level within the ceiling, as its first
-    dim C_d basis vectors, which must lie in degree <= d, and solved by
-    `injective_test` on the blocks of `restrict(M, C_d)`.  Each level is
-    refused at the ceiling in turn, and `restrict` validates M.
+    taken once per generation read; that path builds no SubCoalgebra, so
+    the sub-coalgebra ceiling does not apply to it.  Over any other group
+    each level is refused at that ceiling in turn, and C_d is sliced from one
+    SubCoalgebra, the highest level within the ceiling, by the certificate
+    of `filtration._prefix_level` (a failure is an InternalInvariantError),
+    and solved by `injective_test` on the blocks of `restrict(M, C_d)`.
+    `restrict` validates M.
     """
     stream, ceiling = isinstance(m, StreamModule), limits.max_coalgebra_dim
     out, invariants, top = [], {}, None  # generation -> dim of its M^G
     for d in range(d_max + 1):
-        check_limit(g.filtration_dim(d), ceiling, "sub-coalgebra dimension")
+        if not g.unipotent:  # the one path that builds a SubCoalgebra
+            check_limit(g.filtration_dim(d), ceiling, "sub-coalgebra dimension")
         n = m.sufficiency(d) if stream else 0
         target = m.generate(n) if stream else m
         if not g.unipotent:
             if top is None:
                 top = SubCoalgebra.canonical(g, max(
                     e for e in range(d_max + 1) if g.filtration_dim(e) <= ceiling), limits)
-                degree = np.array([g.degree(h) for h in top.monos], dtype=np.int64)
-            # dim C_d basis vectors of degree <= d span O(G)_{<=d}
-            keep = np.arange(top.dim) < g.filtration_dim(d)
-            if top.space.basis[keep][:, degree > d].any():
-                raise InternalInvariantError(f"level {d} is not a prefix of the top level")
-            c = _part(top, keep, f"level {d}")
+                degrees = np.array([g.degree(h) for h in top.monos], dtype=np.int64)
+            if (part := _prefix_level(top, top.delta_matrix, degrees, d)) is None:
+                raise InternalInvariantError(
+                    f"level {d} is not a prefix of the top level closed under the coproduct")
+            c = SubCoalgebra._with_constants(g, *part)
             out.append(injective_test(c, restrict(target, c), limits=limits))
             continue
         level = restrict(target, CanonicalLevel(g, d))

@@ -56,7 +56,8 @@ class Comodule:
 
     `prefix`, if given, is a comodule whose basis vectors and columns are the
     first of this one's (a stream's generation below it): its columns are
-    shared, and `validate` takes its report and scans only the later columns.
+    shared, `validate` takes its report and codes and scans only the later
+    columns, and `filtration.coaction` extends its coaction.
     """
 
     def __init__(self, group: Group, basis_labels, coaction, prefix=None):
@@ -72,6 +73,7 @@ class Comodule:
                            for j, el in col.items())
         self._coaction = None  # its array form, built once by filtration.coaction
         self._report = None  # the axiom scan's outcome, kept by validate
+        self._codes = None  # the scan's codes, shared with the generations above
 
     @property
     def dim(self) -> int:
@@ -107,7 +109,8 @@ class Comodule:
         read only its columns and its report stands for them: the scan
         resumes after it and keeps each first failure the prefix has.  The
         report is kept on the comodule, as its coaction is, so each column
-        is scanned once.
+        is scanned once; the scan's codes are handed on with it, so each
+        column is coded once.
         """
         chain = []  # this comodule and the prefixes below it not yet scanned
         m = self
@@ -139,37 +142,47 @@ class Comodule:
         """The first i in `new` with sum_j f_{lj} (x) f_{ji} != Delta(f_{li}) at some l.
 
         Each monomial of the columns read, and each leg of the coproducts
-        read from the group's table, gets a small integer code once per
-        scan, so a row l and a pair of legs (a, b) are one integer key
-        (l*K + a)*K + b, K the number of codes.
+        read from the group's table, gets a small integer code once; the
+        codes, the coded columns and the coded legs of each Delta(m) are
+        taken from the prefix's scan and handed on, so no column is coded
+        twice.  With K the number of codes at this scan, a row l and a pair
+        of legs (a, b) are one integer key (l*K + a)*K + b, and each column
+        read as a left factor is flattened once into ((l*K + a)*K, c) pairs.
         """
         g, cols = self.group, self._columns
-        codes: dict = {}
-        coded = {j: {ell: [(codes.setdefault(m, len(codes)), c) for m, c in f.coeffs.items()]
-                     for ell, f in cols[j].items()}
-                 for j in {j for i in new for j in cols[i]}.union(new)}
-        pairs: dict = {}
+        prefix = self._prefix._codes if self._prefix else None
+        # monomial -> code, column j -> {l: [(code, c)]}, code -> [(a, b, c)] of its Delta
+        codes, coded, legs = self._codes = prefix or ({}, {}, {})
         for i in new:
+            for j in (i, *cols[i]):
+                if j not in coded:
+                    coded[j] = {ell: [(codes.setdefault(m, len(codes)), c)
+                                      for m, c in f.coeffs.items()]
+                                for ell, f in cols[j].items()}
             for f in cols[i].values():
                 for m in f.coeffs:
-                    if m not in pairs:
-                        pairs[m] = [(codes.setdefault(a, len(codes)),
-                                     codes.setdefault(b, len(codes)), c)
-                                    for (a, b), c in g.coproduct_mono(m).items()]
+                    if (code := codes[m]) not in legs:
+                        legs[code] = [(codes.setdefault(a, len(codes)),
+                                       codes.setdefault(b, len(codes)), c)
+                                      for (a, b), c in g.coproduct_mono(m).items()]
         k = len(codes)
-        delta = {codes[m]: [(a * k + b, c) for a, b, c in ab] for m, ab in pairs.items()}
+        flat: dict = {}  # column j -> [((l*K + a)*K, c)]
+        delta: dict = {}  # code -> [(a*K + b, c)]
         for i in new:
             diff: dict = {}  # sum_j f_{lj} (x) f_{ji} - Delta(f_{li}), over j in column i
             get = diff.get
             for j, right in coded[i].items():
-                for ell, left in coded[j].items():
-                    for a, ca in left:
-                        base = (ell * k + a) * k
-                        for b, cb in right:
-                            diff[base + b] = get(base + b, 0) + ca * cb
+                if j not in flat:
+                    flat[j] = [((ell * k + a) * k, ca)
+                               for ell, left in coded[j].items() for a, ca in left]
+                for base, ca in flat[j]:
+                    for b, cb in right:
+                        diff[base + b] = get(base + b, 0) + ca * cb
             for ell, f in coded[i].items():
                 base = ell * k * k
                 for m, c in f:
+                    if m not in delta:
+                        delta[m] = [(a * k + b, cc) for a, b, cc in legs[m]]
                     for ab, cc in delta[m]:
                         diff[base + ab] = get(base + ab, 0) - c * cc
             bad = [key for key, c in diff.items() if c % g.p]
@@ -327,7 +340,10 @@ class StreamModule:
     indices global, and is called once per generation, in order, so it may
     keep what it built for the generations below.  `generate` appends them
     and hands the largest generation already built below n to the new
-    Comodule as its prefix, so each column is built once and scanned once.
+    Comodule as its prefix, so each column is built once: the new
+    generation's axiom scan takes the prefix's report and codes, and its
+    `filtration.coaction` extends the prefix's, so each column is also
+    scanned, coded and gathered once.
     """
 
     def __init__(self, group: Group, name: str, new_fn, sufficiency_fn):

@@ -101,21 +101,40 @@ class Coaction:
     degrees: np.ndarray | None = None  # of each leg, filled in by `_split`
 
 
-def _gather(entries: list, height: int) -> Coaction:
+def _gather(entries: list, height: int, base: Coaction | None = None) -> Coaction:
     """A Coaction from (leg h, row, column, value) entries, one per position,
-    values reduced and nonzero; legs are numbered in order of appearance."""
-    legs = {}
+    values reduced and nonzero; legs are numbered in order of appearance.
+    `base`, if given, is a Coaction whose entries come first: its legs keep
+    their numbers, and the legs it lacks are numbered after them."""
+    legs = dict(zip(base.legs, range(len(base.legs)))) if base else {}
     e = np.array([(legs.setdefault(h, len(legs)), j, i, c) for h, j, i, c in entries],
-                 dtype=np.int64).reshape(-1, 4).T.copy()
-    return Coaction(list(legs), *e, height)
+                 dtype=np.int64).reshape(-1, 4).T
+    first = [np.stack([base.leg, base.row, base.col, base.val])] if base else []
+    return Coaction(list(legs), *np.concatenate(first + [e], axis=1), height)
 
 
 def coaction(m: Comodule) -> Coaction:
     """B_h[j, i] = the coefficient of h in f_{ji}.  Built on the first call and
-    kept on the comodule; its arrays are read-only, as later callers share them."""
-    if m._coaction is None:
-        co = _gather([(h, j, i, c) for (j, i), f in m.coeffs.items()
-                      for h, c in f.coeffs.items()], m.dim)
+    kept on the comodule; its arrays are read-only, as later callers share them.
+
+    A stream's generation extends its prefix's Coaction, built first if it
+    is not yet: only the columns past the prefix are gathered, its legs keep
+    their numbers and their degrees, and the arrays equal a gather of every
+    column."""
+    if m._coaction is not None:
+        return m._coaction
+    chain = []  # m and the prefixes below it with no coaction yet
+    while m is not None and m._coaction is None:
+        chain.append(m)
+        m = m._prefix
+    for m in reversed(chain):
+        base = m._prefix._coaction if m._prefix else None
+        co = _gather([(h, j, i, c) for i in range(m._prefix.dim if base else 0, m.dim)
+                      for j, f in m.column(i).items() for h, c in f.coeffs.items()],
+                     m.dim, base)
+        if base and base.degrees is not None:
+            co.degrees = np.concatenate([base.degrees, np.array(
+                [m.group.degree(h) for h in co.legs[len(base.legs):]], dtype=np.int64)])
         for a in (co.leg, co.row, co.col, co.val):
             a.flags.writeable = False
         m._coaction = co
@@ -275,9 +294,11 @@ def _images(co: Coaction, v: Subspace) -> tuple[tuple, tuple]:
     """(W, its residual modulo V) as summed triples (j * len(legs) + h, a,
     value), for coordinate j of the images B_h v_a.  The residual is
     W - V^T W[pivots], whose pivot rows cancel: an image lies in V iff its
-    column of the residual is empty."""
+    column of the residual is empty.  At V = the ambient it is empty."""
     legs = len(co.legs)
     r, a, c = w = _on_basis((co.row * legs + co.leg, co.col, co.val), v)
+    if v.dim == v.ambient_dim:  # every image lies in the ambient
+        return w, (r[:0], a[:0], c[:0])
     b, i = v.basis.nonzero()
     x, y = join(r // legs, np.take(v.pivots, b))
     key = np.concatenate([r, i[y] * legs + r[x] % legs]) * v.dim + np.concatenate([a, a[x]])
@@ -378,7 +399,9 @@ def coalgebra_closure(g: Group, x) -> ClosureResult:
     greatest fixed point is automatically a sub-coalgebra contained in X; the
     sub-coalgebra property Delta(D) <= D (x) D is verified independently,
     from the nonzero images of D's basis, whose coordinates are D's
-    structure constants: the result keeps them.
+    structure constants: the result keeps them.  It serves an arbitrary X;
+    the canonical levels of a ladder are read off one build of the top
+    level by `closure_ladder`.
     """
     if isinstance(x, CanonicalLevel):
         x = ExplicitSubspace.canonical(x.group, x.d)
@@ -390,6 +413,75 @@ def coalgebra_closure(g: Group, x) -> ClosureResult:
     # V <= X, so at V = X (every canonical level) the split against V is X's
     return ClosureResult(ExplicitSubspace(g, x.monos, v), _subcoalgebra_constants(
         g, co, x.monos, v, split if v.dim == x.space.dim else None))
+
+
+def closure_ladder(g: Group, d_max: int) -> list[ClosureResult]:
+    """`coalgebra_closure(g, CanonicalLevel(g, d))` for d = 0..d_max, from one
+    build of the top level: its coproduct coaction, split, fixpoint and
+    constants.
+
+    When the top level X is a sub-coalgebra, each lower level X_d is sliced
+    off it by `_prefix_level`, whose certificate proves Delta(X_d) <= X_d (x)
+    X_d, so X_d is its own closure: its structure constants are X's entries
+    with k < dim X_d and its Subspace is a view of X's.  A level that fails
+    the certificate, or every level when X is not a sub-coalgebra, goes
+    through `coalgebra_closure`, so a failure is reported, never assumed.
+    """
+    top = coalgebra_closure(g, CanonicalLevel(g, d_max))
+    x = top.subspace
+    degrees = None
+    if top.is_subcoalgebra and top.dim == len(x.monos):
+        degrees = np.array([g.degree(h) for h in x.monos], dtype=np.int64)
+    levels = []
+    for d in range(d_max):
+        part = None if degrees is None else _prefix_level(x, top.delta_matrix, degrees, d)
+        levels.append(ClosureResult(ExplicitSubspace(g, *part[:2]), part[2]) if part
+                      else coalgebra_closure(g, CanonicalLevel(g, d)))
+    return levels + [top]
+
+
+def _prefix_level(x: ExplicitSubspace, delta: np.ndarray, degrees: np.ndarray, d: int):
+    """O(G)_{<=d} sliced off a higher canonical level X = span(x.monos), with
+    X's structure constants `delta` and its monomials' `degrees`, as `_part`
+    returns it, or None unless the certificate holds:
+
+    - the first filtration_dim(d) monomials are exactly those of degree <= d;
+    - every entry with column k < n_d has left and right legs < n_d.
+
+    Together they give Delta(X_d) <= X_d (x) X_d.  X's basis must be the
+    identity (X a full span), so a basis vector is its monomial.
+    """
+    n = x.group.filtration_dim(d)
+    if (degrees[:n] > d).any() or (degrees[n:] <= d).any():
+        return None
+    return _part(x, delta, np.arange(len(degrees)) < n)
+
+
+def _part(x: ExplicitSubspace, delta: np.ndarray, keep: np.ndarray):
+    """(monos, space, constants) of the span of X's basis vectors b_t with
+    keep[t], with no elimination, or None when a coproduct leg leaves it.
+
+    X's RREF rows are still in RREF on the columns they touch; when X's
+    basis is the identity, a prefix is a view of it.  The constants are
+    delta's entries (a, b, k) with keep[k], renumbered in the same order,
+    and each of their legs a and b must be kept.
+    """
+    a, b, k, v = delta
+    on = keep[k]
+    if not (keep[a[on]].all() and keep[b[on]].all()):
+        return None
+    new = np.cumsum(keep) - 1  # the index of each kept basis vector
+    constants = np.stack([new[a[on]], new[b[on]], new[k[on]], v[on]])
+    g, space, n = x.group, x.space, int(np.count_nonzero(keep))
+    if space.dim == space.ambient_dim and keep[:n].all():
+        return (x.monos[:n],
+                Subspace(n, g.p, space.basis[:n, :n], space.pivots[:n]), constants)
+    rows = space.basis[keep]
+    cols = np.flatnonzero(rows.any(axis=0))
+    pivots = np.asarray(space.pivots, dtype=np.int64)[keep]
+    return ([x.monos[j] for j in cols],
+            Subspace(len(cols), g.p, rows[:, cols], tuple(cols.searchsorted(pivots).tolist())),
+            constants)
 
 
 def coproduct_coaction(g: Group, monos) -> Coaction:

@@ -9,7 +9,7 @@ import textwrap
 import pytest
 
 import comodfilt
-from comodfilt import __version__, cli
+from comodfilt import __version__, cli, filtration
 from comodfilt.cli import main
 from comodfilt.cobar import NotACComoduleError
 from comodfilt.coordalg import group_from_spec
@@ -54,6 +54,19 @@ def test_closure_payload(capsys):
     payload = run_json(capsys, "closure", "--group", "Ga@p=2", "--dmax", "2")
     for row in payload["rows"]:
         assert row["subcoalgebra"] and row["equals_level"]
+
+
+@pytest.mark.parametrize("group, dmax", [("Ga@p=2", "6"), ("GL:2@p=2", "4"),
+                                         ("SL:3@p=2", "3"), ("U:3@p=2", "4")])
+def test_a_closure_command_builds_one_coproduct_coaction(capsys, monkeypatch, group, dmax):
+    built = []
+    coproduct_coaction = filtration.coproduct_coaction
+    monkeypatch.setattr(filtration, "coproduct_coaction",
+                        lambda g, monos: built.append(len(monos)) or coproduct_coaction(g, monos))
+    rows = run_json(capsys, "closure", "--group", group, "--dmax", dmax, "--no-cache")["rows"]
+    g = group_from_spec(group)
+    assert built == [g.filtration_dim(int(dmax))]
+    assert all(row["subcoalgebra"] and row["equals_level"] for row in rows)
 
 
 def test_growth_verdict(capsys):
@@ -471,6 +484,16 @@ def test_the_frontier_closure_answers_under_a_one_gib_address_space():
         f"{d},{dim},true,true" for d, dim in enumerate([1, 10, 55, 219, 705, 1947])]
 
 
+def test_the_level_6_closure_ladder_builds_one_coproduct_under_a_one_gib_address_space():
+    # the ladder builds level 6 of SL(3) (4,785 monomials) once and slices
+    # levels 0..5 off it; it fit in 608 MiB of address space
+    job = ["closure", "--group", "SL:3@p=2", "--dmax", "6", "--format", "csv", "--no-cache"]
+    proc = run_under_one_gib(job, count="coproduct_coaction")
+    assert (proc.returncode, proc.stderr) == (0, "coproduct_coaction calls: 1\n")
+    assert proc.stdout.splitlines() == ["d,dim,subcoalgebra,equals_level"] + [
+        f"{d},{dim},true,true" for d, dim in enumerate([1, 10, 55, 219, 705, 1947, 4785])]
+
+
 @pytest.mark.parametrize("argv, dims, max_chain_dim", [
     # natural lies in the odd block of SL(2): M_{C0} = 0
     pytest.param(["SL:2@p=2", "natural", "2", "3"], [0, 0, 0, 0], None, id="SL2-natural-d2-n3"),
@@ -513,14 +536,23 @@ def test_nmax_below_one_is_a_usage_error_before_the_level_is_built(capsys, monke
                    "--no-cache") == (1, "", "error: --nmax must be >= 1\n")
 
 
-def run_under_one_gib(argv, config=None):
+def run_under_one_gib(argv, config=None, count=None):
     """main(argv) in a fresh interpreter whose address space is capped at 1 GiB,
-    with the limits of the config file `config`, if one is given."""
+    with the limits of the config file `config`, if one is given.  `count`
+    names a function of `filtration` whose calls are counted on stderr."""
     code = textwrap.dedent(f"""
         import resource, sys
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        from comodfilt import filtration
         from comodfilt.cli import main
-        sys.exit(main({argv!r}))
+        calls = []
+        if {count!r}:
+            fn = getattr(filtration, {count!r})
+            setattr(filtration, {count!r}, lambda *a: calls.append(a) or fn(*a))
+        code = main({argv!r})
+        if {count!r}:
+            print(f"{count} calls: {{len(calls)}}", file=sys.stderr)
+        sys.exit(code)
     """)
     src = os.path.dirname(os.path.dirname(comodfilt.__file__))
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")

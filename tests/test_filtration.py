@@ -7,10 +7,12 @@ import pytest
 
 from comodfilt import filtration
 from comodfilt.comodules import (Comodule, build_module, direct_sum, dual,
-                                 frobenius_twist, natural, regular, trivial)
+                                 frobenius_twist, natural, polyaffine, primitives,
+                                 regular, regular_stream, translationinvariants,
+                                 trivial, twiststream)
 from comodfilt.coordalg import group_from_spec
 from comodfilt.filtration import (CanonicalLevel, Coaction, ExplicitSubspace,
-                                  InternalInvariantError, coaction,
+                                  InternalInvariantError, closure_ladder, coaction,
                                   coalgebra_closure, coproduct_coaction,
                                   filtration_dims, restrict, structure_constants,
                                   subspace_tensor, tensor_containment)
@@ -303,6 +305,53 @@ def test_the_axiom_scan_runs_once_per_comodule(monkeypatch):
     stream = build_module("primitives", GA2)
     filtration_dims(stream, 8)
     assert scanned == [stream.generate(n) for n in range(4)]
+
+
+STREAM_CASES = [
+    ("Ga@p=3", lambda g: polyaffine(g, 2)),
+    ("Ga@p=2", primitives),
+    ("Ga@p=3", translationinvariants),
+    ("GL:2@p=2", lambda g: twiststream(g, 1)),
+    ("U:3@p=2", regular_stream),
+    ("SL:2@p=3", regular_stream),
+]
+
+
+@pytest.mark.parametrize("order", [[0, 1, 2, 3, 4], [3, 1, 4, 0, 2]], ids=str)
+@pytest.mark.parametrize("spec, make", STREAM_CASES, ids=[s for s, _ in STREAM_CASES])
+def test_a_generation_extends_its_prefixs_coaction_to_what_a_gather_builds(spec, make, order):
+    g = group_from_spec(spec)
+    st = make(g)
+    for n in order:
+        gen = st.generate(n)
+        co = coaction(gen)
+        want = filtration._gather([(h, j, i, c) for (j, i), f in gen.coeffs.items()
+                                   for h, c in f.coeffs.items()], gen.dim)
+        assert co.legs == want.legs and co.height == want.height == gen.dim
+        for got, ref in zip((co.leg, co.row, co.col, co.val),
+                            (want.leg, want.row, want.col, want.val)):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref), (spec, n)
+        # a prefix's leg degrees, filled in by a canonical split, are extended
+        if gen._prefix is not None and gen._prefix._coaction.degrees is not None:
+            assert co.degrees.tolist() == [g.degree(h) for h in co.legs]
+        restrict(gen, CanonicalLevel(g, 1))
+
+
+def test_a_stream_gathers_and_codes_each_column_once(monkeypatch):
+    gathered = []
+    gather = filtration._gather
+    monkeypatch.setattr(filtration, "_gather",
+                        lambda entries, *a: gathered.append(len(entries)) or gather(entries, *a))
+    stream = build_module("polyaffine(3)", GA2)
+    assert filtration_dims(stream, 7).dims == [1, 4, 10, 20, 35, 56, 84, 120]
+    # generation 7 has 983 entries; gathering each generation from scratch
+    # took 2,134
+    assert sum(gathered) == len(coaction(stream.generate(7)).val) == 983
+    # every generation's scan shares one set of codes, so each column is
+    # coded once
+    gens = [stream.generate(n) for n in range(8)]
+    assert all(gen._codes is gens[0]._codes for gen in gens)
+    assert sorted(gens[0]._codes[1]) == list(range(120))
 
 
 def test_restrict_rejects_a_module_that_is_not_a_comodule():
@@ -631,6 +680,60 @@ def test_closure_of_canonical_levels_is_identity():
             res = coalgebra_closure(g, CanonicalLevel(g, d))
             assert res.dim == g.filtration_dim(d)
             assert res.is_subcoalgebra
+
+
+LADDER_CASES = [("Ga@p=2", 6), ("Ga@p=3", 6), ("Gm@p=3", 4), ("GL:2@p=2", 3),
+                ("SL:2@p=3", 3), ("SL:3@p=2", 3), ("U:3@p=2", 3), ("M:2@p=5", 3)]
+
+
+def assert_same_closure(got, want):
+    assert got.subspace.monos == want.subspace.monos
+    assert got.subspace.space == want.subspace.space
+    assert got.subspace.space.pivots == want.subspace.space.pivots
+    assert got.is_subcoalgebra == want.is_subcoalgebra
+    if want.is_subcoalgebra:
+        assert np.array_equal(got.delta_matrix, want.delta_matrix)
+
+
+@pytest.mark.parametrize("spec, d_max", LADDER_CASES, ids=[s for s, _ in LADDER_CASES])
+def test_the_closure_ladder_is_each_levels_closure(spec, d_max, monkeypatch):
+    g = group_from_spec(spec)
+    built = []
+    closure = filtration.coalgebra_closure
+    monkeypatch.setattr(filtration, "coalgebra_closure",
+                        lambda g, x: built.append(x.d) or closure(g, x))
+    ladder = closure_ladder(g, d_max)
+    monkeypatch.undo()
+    # the top level is built once, and every level below is sliced off it
+    assert built == [d_max] and len(ladder) == d_max + 1
+    top = ladder[-1].subspace.space.basis
+    for d, got in enumerate(ladder):
+        assert_same_closure(got, coalgebra_closure(g, CanonicalLevel(g, d)))
+        assert got.dim == g.filtration_dim(d) and got.is_subcoalgebra
+        assert np.shares_memory(got.subspace.space.basis, top)
+
+
+@pytest.mark.parametrize("d_max, closed", [(3, [3, 1]), (1, [1, 0])])
+def test_a_level_whose_coproduct_leaks_is_closed_as_coalgebra_closure_does(
+        d_max, closed, monkeypatch):
+    # Delta(t) over Ga@p=3 given the leg 1 (x) t^2 of degree 2: level 1 fails
+    # the certificate and is closed on its own.  At d_max = 1 the top level
+    # itself is not a sub-coalgebra, so no level is sliced off it
+    g = GA3
+    leaky = dict(g.coproduct_mono(1))
+    leaky[(0, 2)] = 1
+    monkeypatch.setitem(g._delta, 1, leaky)
+    built = []
+    closure = filtration.coalgebra_closure
+    monkeypatch.setattr(filtration, "coalgebra_closure",
+                        lambda g, x: built.append(x.d) or closure(g, x))
+    ladder = closure_ladder(g, d_max)
+    assert built == closed
+    monkeypatch.setattr(filtration, "coalgebra_closure", closure)
+    for d, got in enumerate(ladder):
+        assert_same_closure(got, coalgebra_closure(g, CanonicalLevel(g, d)))
+    # t leaves level 1: its closure is k.1
+    assert [res.dim for res in ladder] == [1, 1, 3, 4][:d_max + 1]
 
 
 def test_closure_drops_unstable_vectors():
