@@ -7,7 +7,6 @@ ceiling or out of memory, 3 internal invariant violation.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import hashlib
 import json
@@ -15,6 +14,7 @@ import os
 import sys
 import tempfile
 import time
+from types import SimpleNamespace
 
 from . import __version__
 from .cobar import SubCoalgebra, cobar_complex, cohomology_dims, injectivity_profile
@@ -35,52 +35,114 @@ class UsageError(ValueError):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
+class _Option:
+    """One option of a subcommand: its flag, the attribute `dest` it sets,
+    its kind ("str", "int", "flag" for present or absent, or a tuple of the
+    accepted values), whether it is required, its default and its help."""
+    __slots__ = ("flag", "dest", "kind", "required", "default", "help")
+
+    def __init__(self, flag: str, kind, required=False, default=None, help=None):
+        self.flag, self.dest = flag, flag[2:].replace("-", "_")
+        self.kind, self.required, self.default, self.help = kind, required, default, help
+
+
+_GROUP = _Option("--group", "str", required=True, help="group spec, e.g. Ga@p=2 or GL:2@p=5")
+_MODULE = _Option("--module", "str", help="module expression, e.g. tensor(natural,triv)")
+_DMAX = _Option("--dmax", "int", required=True, help="largest filtration level")
+_OUTPUT = (_Option("--format", ("json", "csv"), default="json"),
+           _Option("--cache", "str", help="cache directory (default: $COMODFILT_CACHE)"),
+           _Option("--no-cache", "flag", default=False))
+
+# The CLI's grammar: each subcommand's summary and its options, in the order
+# that help lists them.  `_parse` reads canonical argv off it and
+# `_build_parser` builds argparse from it, so the two accept the same options.
+_GRAMMAR = {
+    "dims": ("dimensions of O(G)_{<=d}", (_GROUP, _DMAX, *_OUTPUT)),
+    "filter": ("dimensions of M_{O(G)_{<=d}}", (_GROUP, _MODULE, _DMAX, *_OUTPUT)),
+    "closure": ("coalgebra closures of the canonical levels", (_GROUP, _DMAX, *_OUTPUT)),
+    "growth": ("growth class of a dimension sequence", (
+        _GROUP, _MODULE, _DMAX, *_OUTPUT,
+        _Option("--window", "int",
+                help="test for polynomial growth on the trailing WINDOW >= 2 "
+                     "levels only; the other growth classes read every level"))),
+    "cobar": ("cobar cohomology over O(G)_{<=d}", (
+        _GROUP, _MODULE, _DMAX,
+        _Option("--nmax", "int", default=2, help="top cobar degree (default 2)"),
+        *_OUTPUT)),
+    "inject": ("levelwise injectivity profile", (_GROUP, _MODULE, _DMAX, *_OUTPUT)),
+    "validate": ("validate a module or run the property suite", (
+        _Option("--suite", "flag", default=False,
+                help="run the full property suite instead of one module"),
+        _MODULE, *_OUTPUT,
+        _Option("--group", "str", help="group spec (required without --suite)"))),
+}
+_OPTIONS = {command: {opt.flag: opt for opt in options}
+            for command, (_, options) in _GRAMMAR.items()}
+_DEFAULTS = {command: {"command": command, **{opt.dest: opt.default for opt in options}}
+             for command, (_, options) in _GRAMMAR.items()}
+
+
+def _parse(argv):
+    """The namespace argparse would give for `argv`, read straight off
+    `_GRAMMAR`, or None when `argv` is not in canonical form: a subcommand,
+    then its options spelled in full, each valued one followed by a value
+    that does not begin with "-" and that its kind accepts, with every
+    required option present.  Abbreviations, `--option=value`, `-h`, `--`,
+    values such as -1 and every usage error are handed on to argparse, which
+    decides them and words their messages."""
+    options = _OPTIONS.get(argv[0]) if argv else None
+    if options is None:
+        return None
+    values = dict(_DEFAULTS[argv[0]])
+    i = 1
+    while i < len(argv):
+        opt = options.get(argv[i])
+        if opt is None:
+            return None
+        if opt.kind == "flag":
+            values[opt.dest] = True
+            i += 1
+            continue
+        if i + 1 == len(argv) or argv[i + 1].startswith("-"):
+            return None
+        value = argv[i + 1]
+        if opt.kind == "int":
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif opt.kind != "str" and value not in opt.kind:
+            return None
+        values[opt.dest] = value
+        i += 2
+    # a required option defaults to None, and a given value is never None
+    if any(opt.required and values[opt.dest] is None for opt in options.values()):
+        return None
+    return SimpleNamespace(**values)
 
 
 @functools.cache
-def _build_parser() -> _Parser:
-    """The argument parser, built once per process; parsing leaves it unchanged."""
-    parser = _Parser(prog="comodfilt", description=__doc__)
+def _build_parser():
+    """The argparse parser of `_GRAMMAR`, built once per process, and only
+    for the argv that `_parse` hands on; parsing leaves it unchanged.  Its
+    usage errors raise UsageError."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise UsageError(message)
+
+    parser = Parser(prog="comodfilt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, group=True, module=False, dmax=False, nmax=False):
-        if group:
-            p.add_argument("--group", required=True,
-                           help="group spec, e.g. Ga@p=2 or GL:2@p=5")
-        if module:
-            p.add_argument("--module", help="module expression, e.g. tensor(natural,triv)")
-        if dmax:
-            p.add_argument("--dmax", type=int, required=True,
-                           help="largest filtration level")
-        if nmax:
-            p.add_argument("--nmax", type=int, default=2,
-                           help="top cobar degree (default 2)")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
-        p.add_argument("--cache", help="cache directory (default: $COMODFILT_CACHE)")
-        p.add_argument("--no-cache", action="store_true")
-
-    common(sub.add_parser("dims", help="dimensions of O(G)_{<=d}"), dmax=True)
-    common(sub.add_parser("filter", help="dimensions of M_{O(G)_{<=d}}"),
-           module=True, dmax=True)
-    common(sub.add_parser("closure", help="coalgebra closures of the canonical levels"),
-           dmax=True)
-    gp = sub.add_parser("growth", help="growth class of a dimension sequence")
-    common(gp, module=True, dmax=True)
-    gp.add_argument("--window", type=int,
-                    help="test for polynomial growth on the trailing WINDOW >= 2 "
-                         "levels only; the other growth classes read every level")
-    common(sub.add_parser("cobar", help="cobar cohomology over O(G)_{<=d}"),
-           module=True, dmax=True, nmax=True)
-    common(sub.add_parser("inject", help="levelwise injectivity profile"),
-           module=True, dmax=True)
-    vp = sub.add_parser("validate", help="validate a module or run the property suite")
-    vp.add_argument("--suite", action="store_true",
-                    help="run the full property suite instead of one module")
-    common(vp, group=False, module=True)
-    vp.add_argument("--group", help="group spec (required without --suite)")
+    for command, (summary, options) in _GRAMMAR.items():
+        p = sub.add_parser(command, help=summary)
+        for opt in options:
+            if opt.kind == "flag":
+                p.add_argument(opt.flag, action="store_true", help=opt.help)
+            else:
+                p.add_argument(opt.flag, type=int if opt.kind == "int" else None,
+                               choices=None if opt.kind in ("str", "int") else opt.kind,
+                               required=opt.required, default=opt.default, help=opt.help)
     return parser
 
 
@@ -129,14 +191,16 @@ def _well_formed(record) -> bool:
 def cache_lookup(directory: str, fingerprint: str):
     """The cached payload, or None on a miss.  A cache file is outside input:
     one that cannot be read or is not a record is reported in one warning
-    line and treated as a miss, and a record from another engine version is
-    a silent miss."""
+    line and treated as a miss.  A record that does not exist (also when the
+    cache path names a file) and a record from another engine version are
+    silent misses.  The record is opened with no existence probe first, so
+    one removed while it is looked up is a miss, not a read failure."""
     path = os.path.join(directory, fingerprint + ".json")
-    if not os.path.exists(path):
-        return None
     try:
         with open(path) as fh:
             record = json.load(fh)
+    except (FileNotFoundError, NotADirectoryError):
+        return None
     except (ValueError, OSError, RecursionError) as exc:
         print(f"warning: corrupt cache record {path}: {exc}", file=sys.stderr)
         return None
@@ -280,9 +344,17 @@ def _csv_cell(v) -> str:
 
 
 def main(argv=None) -> int:
+    """Run one job from `argv` (default: sys.argv[1:]), print its answer and
+    return the exit code.  Canonical argv is parsed by `_parse`; argparse is
+    imported and built only for the rest, such as abbreviations, `-h` and
+    usage errors."""
     args = None
     try:
-        args = _build_parser().parse_args(argv)
+        if argv is None:
+            argv = sys.argv[1:]
+        args = _parse(argv)
+        if args is None:
+            args = _build_parser().parse_args(argv)
         limits = load_limits()
         dmax = getattr(args, "dmax", None)
         if dmax is not None:

@@ -387,9 +387,28 @@ def test_a_run_without_a_cache_hashes_no_source(capsys, monkeypatch):
         assert code == 0 and out.splitlines() == ["d,dim", "0,1", "1,2"]
 
 
+def test_a_record_removed_before_it_is_read_is_a_silent_miss(tmp_path, capsys, monkeypatch):
+    # the record exists when the job starts and is gone when it is opened,
+    # as when another process clears the cache in between
+    argv = ["dims", "--group", "Ga@p=2", "--dmax", "2", "--format", "csv",
+            "--cache", str(tmp_path)]
+    run(capsys, *argv)
+    (record,) = tmp_path.iterdir()
+
+    def open_after_removal(path, *args, **kwargs):
+        if path == str(record):
+            os.remove(path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", open_after_removal, raising=False)
+    assert run(capsys, *argv) == (0, "d,dim\n0,1\n1,2\n2,3\n", "")
+    assert [p.name for p in tmp_path.iterdir()] == [record.name]  # stored again
+
+
 def test_reused_parser_gives_the_same_answers(capsys, monkeypatch):
-    # main() parses every call with one parser built per process; fresh
-    # parsers must give the same output and exit codes
+    # main() hands every argv that is not canonical to one parser built per
+    # process; fresh parsers must give the same output and exit codes.  The
+    # canonical argvs never reach it; the abbreviated and `=` forms do
     monkeypatch.delenv("COMODFILT_CACHE", raising=False)
     argvs = [
         ["dims", "--group", "GL:2@p=5", "--dmax", "3"],
@@ -398,9 +417,12 @@ def test_reused_parser_gives_the_same_answers(capsys, monkeypatch):
         ["filter", "--group", "Ga@p=2", "--module", "regular(2)", "--dmax", "3",
          "--format", "csv"],
         ["frobnicate"],                                        # usage error
+        ["dims", "--gr", "GL:2@p=5", "--dm", "3"],             # abbreviations
         ["inject", "--group", "Ga@p=2", "--dmax", "2"],
+        ["filter", "--group=Ga@p=2", "--module=regular(2)", "--dmax=3", "--format=csv"],
         ["validate", "--suite", "--format", "csv"],
         ["cobar", "--group", "Ga@p=2", "--dmax", "2"],
+        ["cobar", "--group", "Ga@p=2", "--dmax", "2", "--nm", "0"],  # usage error
     ]
 
     def answers(fresh):
@@ -415,9 +437,148 @@ def test_reused_parser_gives_the_same_answers(capsys, monkeypatch):
         return out
 
     reused = answers(fresh=False)
-    assert [code for code, _, _ in reused] == [0, 0, 1, 0, 1, 0, 0, 0]
+    assert [code for code, _, _ in reused] == [0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1]
+    assert reused[5][1] == reused[0][1] and reused[7][1] == reused[3][1]
     assert cli._build_parser() is cli._build_parser()
     assert answers(fresh=True) == reused
+
+
+# a value of each valued option, and a second one for repeats
+VALUES = {"--group": "Ga@p=2", "--module": "regular(2)", "--dmax": "3", "--nmax": "3",
+          "--window": "4", "--format": "csv", "--cache": "cache-dir"}
+OTHER_VALUES = {"--group": "GL:2@p=5", "--module": "triv", "--dmax": "0", "--nmax": "1",
+                "--window": "2", "--format": "json", "--cache": "other-dir"}
+
+
+def words(options, values=VALUES):
+    return [w for opt in options
+            for w in ([opt.flag] if opt.kind == "flag" else [opt.flag, values[opt.flag]])]
+
+
+def canonical_argvs(command):
+    """Canonical argv of one subcommand: its required options alone, all its
+    own options in table order, reversed and repeated with other values, each
+    with no output option, either format, --no-cache, --cache DIR or all of
+    them, after or before its own options."""
+    own = [opt for opt in cli._GRAMMAR[command][1] if opt not in cli._OUTPUT]
+    bodies = [words([opt for opt in own if opt.required]), words(own), words(own[::-1]),
+              words(own) + words(own, OTHER_VALUES)]
+    suffixes = [[], ["--format", "json"], ["--format", "csv"], ["--no-cache"],
+                ["--cache", "DIR"], ["--no-cache", "--format", "csv", "--cache", "DIR"],
+                words(cli._OUTPUT) + words(cli._OUTPUT, OTHER_VALUES)]
+    return ([[command, *body, *suffix] for body in bodies for suffix in suffixes]
+            + [[command, *suffix, *body] for body in bodies for suffix in suffixes[1:]])
+
+
+def parsed_as_argparse_parses(argv):
+    """`_parse(argv)`, after checking it against argparse: it is None
+    wherever argparse raises UsageError, and otherwise None or equal."""
+    fast = cli._parse(argv)
+    try:
+        slow = vars(cli._build_parser().parse_args(argv))
+    except cli.UsageError:
+        assert fast is None, argv
+        return None
+    assert fast is None or vars(fast) == slow, argv
+    return fast
+
+
+@pytest.mark.parametrize("command", list(cli._GRAMMAR))
+def test_canonical_argv_is_parsed_off_the_table_as_argparse_parses_it(command):
+    argvs = canonical_argvs(command)
+    assert len(argvs) == 52
+    for argv in argvs:
+        assert parsed_as_argparse_parses(argv) is not None, argv
+
+
+HANDED_ON = [
+    ["dims", "--group", "Ga@p=2", "--dm", "3"],                 # abbreviation
+    ["dims", "--group", "Ga@p=2", "--dmax=3"],                  # = form
+    ["dims", "--group", "Ga@p=2", "--dmax", "-1"],              # value begins with -
+    ["dims", "--group", "-x", "--dmax", "3"],
+    ["dims", "--group", "Ga@p=2", "--dmax", "x"],               # not an int
+    ["dims", "--group", "Ga@p=2", "--dmax", "3", "--format", "xml"],
+    ["filter", "--group", "Ga@p=2", "--dmax", "3", "--window", "3"],  # another command's
+    ["dims", "--group", "Ga@p=2", "--dmax", "3", "--nmax", "2"],
+    ["dims", "--group", "Ga@p=2", "--dmax", "3", "--suite"],
+    ["dims", "--group", "Ga@p=2", "--dmax", "3", "extra"],      # extra positional
+    ["dims", "--group", "Ga@p=2", "--dmax", "3", "--"],
+    ["dims", "--", "--group", "Ga@p=2", "--dmax", "3"],
+    ["dims", "--group", "Ga@p=2"],                              # required missing
+    ["dims", "-h"],
+    ["frobnicate"],
+    ["--format", "csv"],
+    [],
+] + [  # a valued option at the end with no value
+    [command, *words(options), options[-1].flag] if options[-1].kind != "flag"
+    else [command, *words(options), "--format"]
+    for command, (_, options) in cli._GRAMMAR.items()]
+
+
+@pytest.mark.parametrize("argv", HANDED_ON, ids=lambda argv: " ".join(argv) or "empty")
+def test_argv_that_is_not_canonical_is_handed_on_to_argparse(argv):
+    if "-h" in argv:
+        assert cli._parse(argv) is None
+    else:
+        assert parsed_as_argparse_parses(argv) is None
+
+
+def test_canonical_jobs_build_no_parser(capsys, monkeypatch):
+    monkeypatch.delenv("COMODFILT_CACHE", raising=False)
+    cli._build_parser.cache_clear()
+    for argv in [["dims", "--group", "Ga@p=2", "--dmax", "2"],
+                 ["filter", "--group", "Ga@p=2", "--module", "regular(2)", "--dmax", "2"],
+                 ["closure", "--group", "Ga@p=2", "--dmax", "2"],
+                 ["growth", "--group", "Ga@p=2", "--dmax", "6", "--window", "3"],
+                 ["cobar", "--group", "Ga@p=2", "--dmax", "2", "--nmax", "2"],
+                 ["inject", "--group", "Ga@p=2", "--dmax", "2"],
+                 ["validate", "--group", "GL:2@p=2", "--module", "natural"]]:
+        assert run(capsys, *argv, "--format", "csv")[0] == 0, argv
+    assert cli._build_parser.cache_info().misses == 0
+    assert run(capsys, "dims", "--group", "Ga@p=2")[0] == 1
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_abbreviated_and_equals_forms_answer_as_the_canonical_form(capsys):
+    argv = ["dims", "--group", "Ga@p=2", "--format", "csv", "--no-cache"]
+    answers = {run(capsys, *argv, *dmax) for dmax in (["--dmax", "3"], ["--dm", "3"],
+                                                      ["--dmax=3"])}
+    assert answers == {(0, "d,dim\n0,1\n1,2\n2,3\n3,4\n", "")}
+
+
+def test_help_is_built_from_the_grammar(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0 and out.startswith("usage: comodfilt [-h]")
+    for command, (summary, _) in cli._GRAMMAR.items():
+        assert f"    {command:<20}{summary}\n" in out
+    with pytest.raises(SystemExit) as exc:
+        main(["growth", "-h"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert "--group GROUP [--module MODULE] --dmax DMAX" in out and "--window WINDOW" in out
+
+
+def test_importing_the_cli_imports_no_argparse():
+    # argparse is imported on the first argv that is not canonical
+    code = textwrap.dedent("""
+        import contextlib, io, sys
+        from comodfilt.cli import main
+        imported = ["argparse" in sys.modules]
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["dims", "--group", "Ga@p=2", "--dmax", "2", "--no-cache"])
+        imported.append("argparse" in sys.modules)
+        code = code, main(["dims", "--group", "Ga@p=2"])
+        print(code, imported + ["argparse" in sys.modules])
+    """)
+    src = os.path.dirname(os.path.dirname(comodfilt.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout == "(0, 1) [False, False, True]\n"
+    assert proc.stderr == "error: the following arguments are required: --dmax\n"
 
 
 def test_window_is_a_growth_option_only(capsys):
